@@ -25,7 +25,7 @@ from .geometry import (
     segment_defect,
     to_poincare_ball,
 )
-from .masses import PointMass, centroid_fold, combine, combine_intrinsic, scale_masses
+from .masses import PointMass, centroid_fold, combine_intrinsic, scale_masses
 from .simplex import RegularSimplex, build, classify_point, metrics
 from .weights import MassSequence, build_sequence, eval_g, eval_h, solve_y0
 from .orbit import BilliardOrbit, construct_orbit, midpoint_trajectory_defect, orthic_points, verify_orbit
@@ -39,7 +39,7 @@ __all__ = [
     "angle_at", "chord_dist", "dist", "foot_of_perpendicular", "geodesic_point",
     "hyperplane_through", "mink_inner", "reflect", "segment_defect",
     "to_poincare_ball",
-    "PointMass", "centroid_fold", "combine", "combine_intrinsic", "scale_masses",
+    "PointMass", "centroid_fold", "combine_intrinsic", "scale_masses",
     "RegularSimplex", "build", "classify_point", "metrics",
     "MassSequence", "build_sequence", "eval_g", "eval_h", "solve_y0",
     "BilliardOrbit", "construct_orbit", "midpoint_trajectory_defect",

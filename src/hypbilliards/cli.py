@@ -59,7 +59,6 @@ class RunConfig:
     dir_coords: tuple[float, ...] | None = None
     perturb: float = 0.0
     seed: int = 0
-    workers: int | None = None
 
     @property
     def dim(self) -> int:
@@ -144,17 +143,17 @@ def cmd_simplex(cfg: RunConfig) -> int:
 def cmd_orbit(cfg: RunConfig) -> int:
     s = simplex_mod.build(cfg.dim, cfg.edge)
     seq = weights_mod.build_sequence(cfg.dim, cfg.edge)
-    doc, passed = report_mod.orbit_document(s, seq, _tolerances(cfg))
+    orb = orbit_mod.construct_orbit(s, seq)
+    doc, passed = report_mod.orbit_document(s, seq, orb, _tolerances(cfg))
     _emit_json(doc, cfg.json_path, cfg.precision)
     if cfg.disk_path:
-        orb = orbit_mod.construct_orbit(s, seq)
         header, rows = report_mod.orbit_rows(s, orb, cfg.precision)
         _emit_csv(header, rows, cfg.disk_path)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    rep = report_mod.run_sweep(cfg.dims, cfg.edges, _tolerances(cfg), cfg.workers)
+    rep = report_mod.run_sweep(cfg.dims, cfg.edges, _tolerances(cfg))
     doc = report_mod.sweep_document(rep)
     _emit_json(doc, cfg.report_path, cfg.precision)
     for cell in rep.cells:
@@ -255,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override all verification tolerances")
     p_verify.add_argument("--report", dest="report_path", default=None,
                           help="write the JSON report here instead of stdout")
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="thread count for concurrent cells")
 
     p_sim = sub.add_parser("simulate", help="run the billiard flow, emit CSV")
     add_cell_args(p_sim)
@@ -309,7 +306,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         dir_coords=coords(getattr(args, "dir_coords", None)),
         perturb=getattr(args, "perturb", 0.0),
         seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", None),
     )
 
 

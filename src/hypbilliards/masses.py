@@ -9,11 +9,11 @@ carrying total weight  z = x cosh d(X,Z) + y cosh d(Y,Z).
 
 In the hyperboloid model this law is linear: the combined location is the
 renormalized weighted Minkowski sum x X + y Y and the combined weight is
-the Minkowski magnitude of that sum.  `combine` uses the linear form;
-`combine_intrinsic` solves the balance equation on the segment directly and
-exists as an independent cross-check of the same operation.  The operation
-is commutative and associative, so the n-ary fold `centroid_fold` is
-order-independent and can be evaluated as a single weighted sum.
+the Minkowski magnitude of that sum.  The operation is commutative and
+associative, so `centroid_fold` evaluates any number of masses, two
+included, as a single weighted sum.  `combine_intrinsic` solves the
+two-mass balance equation on the segment directly and exists as an
+independent cross-check of the same operation.
 """
 
 from __future__ import annotations
@@ -41,23 +41,13 @@ class PointMass:
         object.__setattr__(self, "weight", w)
 
 
-def combine(p: PointMass, q: PointMass) -> PointMass:
-    """Combine two point masses (closed form: weighted Minkowski sum)."""
-    s = p.weight * p.location.coords + q.weight * q.location.coords
-    m2 = -mink_inner(s, s)
-    if m2 <= 0.0:
-        raise ValueError("total mass is zero; combination undefined")
-    m = math.sqrt(m2)
-    return PointMass(HPoint.from_vector(s), m)
-
-
 def combine_intrinsic(p: PointMass, q: PointMass, *, width: float = 1e-14) -> PointMass:
     """Combine two point masses by bisecting the sinh balance on the segment.
 
     Solves  f(t) = x sinh t - y sinh(d - t) = 0  for t in [0, d], where
     d = d(X, Y); f is strictly increasing with f(0) <= 0 <= f(d), so plain
     bisection to bracket width ``width`` suffices.  Deliberately avoids the
-    linear form used by `combine` so the two can check each other.
+    linear form used by `centroid_fold` so the two can check each other.
     """
     x, y = p.weight, q.weight
     if x == 0.0 and y == 0.0:
@@ -92,8 +82,9 @@ def combine_intrinsic(p: PointMass, q: PointMass, *, width: float = 1e-14) -> Po
 def centroid_fold(items: Iterable[PointMass]) -> PointMass:
     """Centroid of finitely many point masses.
 
-    Equals any bracketing of pairwise `combine` calls (associativity), so it
-    is computed in one shot from the total weighted sum.  Zero-weight
+    The combination law is associative, so every bracketing of pairwise
+    combinations gives the same result, and it is computed in one shot from
+    the total weighted sum; a list of two is the two-mass law.  Zero-weight
     entries are legal and do not move the centroid; at least one weight
     must be positive.
     """

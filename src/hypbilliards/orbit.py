@@ -29,7 +29,7 @@ from .geometry import (
     segment_defect,
     unit_tangent,
 )
-from .masses import PointMass, centroid_fold, combine
+from .masses import PointMass, centroid_fold
 from .simplex import Region, RegularSimplex, classify_point
 from .weights import MassSequence
 
@@ -167,8 +167,8 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-
 
         incidence[j] = abs(hp.margin(pj))
         collinearity[j] = segment_defect(pj, prev_pt, mirrored)
-        merged = combine(
-            PointMass(prev_pt, orbit.mass(j - 1)), PointMass(mirrored, orbit.mass(j + 1))
+        merged = centroid_fold(
+            [PointMass(prev_pt, orbit.mass(j - 1)), PointMass(mirrored, orbit.mass(j + 1))]
         )
         target_mass = orbit.multiplier * orbit.mass(j)
         centroid_dist[j] = chord_dist(merged.location, pj)

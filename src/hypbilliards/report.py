@@ -1,10 +1,10 @@
 """Cell-by-cell verification, sweeps over (n, edge) grids, and serialization.
 
-A "cell" is one choice of dimension and edge length.  `evaluate_cell`
-rebuilds everything for the cell from scratch, measures every identity the
-construction is supposed to satisfy, and compares against `Tolerances`;
-`run_sweep` fans cells out over a thread pool and assembles the reports in
-lexicographic (n, edge) order regardless of completion order.
+A "cell" is one choice of dimension and edge length, built once as a
+simplex, a weight sequence and an orbit.  `evaluate_cell` takes that built
+cell, measures every identity the construction is supposed to satisfy, and
+compares against `Tolerances`; `run_sweep` builds and evaluates the cells
+one after another in lexicographic (n, edge) order.
 
 JSON documents serialize floats at full round-trip precision (17
 significant digits) unless a lower precision is requested; reloading a
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +81,15 @@ class VerificationReport:
         return all(c.passed for c in self.cells)
 
 
-def evaluate_cell(n: int, edge: float, tol: Tolerances | None = None) -> CellReport:
-    """Rebuild one (n, edge) cell and measure every identity against the tolerances."""
+def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
+                  orb: orbit_mod.BilliardOrbit, tol: Tolerances | None = None) -> CellReport:
+    """Measure every identity of one built cell against the tolerances.
+
+    ``seq`` and ``orb`` must be the weight sequence and orbit built for the
+    simplex ``s``; nothing is rebuilt here.
+    """
     tol = tol or Tolerances()
+    n, edge = s.n, s.edge
     residuals: dict[str, float] = {}
     failures: list[str] = []
 
@@ -93,7 +98,6 @@ def evaluate_cell(n: int, edge: float, tol: Tolerances | None = None) -> CellRep
         if not value < limit:
             failures.append(f"{name} = {value:.6e}, needs < {limit:.1e}")
 
-    s = simplex_mod.build(n, edge)
     c = math.cosh(edge)
     m = simplex_mod.metrics(s)
 
@@ -113,7 +117,6 @@ def evaluate_cell(n: int, edge: float, tol: Tolerances | None = None) -> CellRep
          max(simplex_mod.vertex_reflection_identity_residual(s, j) for j in range(n + 1)),
          tol.vertex_reflection)
 
-    seq = weights_mod.build_sequence(n, edge)
     gate("root_residual", abs(weights_mod.eval_g(seq.root, n, edge)), tol.root_residual)
     if not seq.multiplier > 2.0:
         failures.append(f"multiplier {seq.multiplier} not above 2")
@@ -129,7 +132,6 @@ def evaluate_cell(n: int, edge: float, tol: Tolerances | None = None) -> CellRep
     if not interior_min > 0.0:
         failures.append(f"interior weight {interior_min} not positive")
 
-    orb = orbit_mod.construct_orbit(s, seq)
     ver = orbit_mod.verify_orbit(s, orb, facet_tol=tol.classify)
     if not ver.clean_facets:
         failures.append("bounce points do not hit each facet interior exactly once")
@@ -159,20 +161,17 @@ def evaluate_cell(n: int, edge: float, tol: Tolerances | None = None) -> CellRep
     return CellReport(n, edge, residuals, tuple(failures))
 
 
-def run_sweep(
-    dims,
-    edges,
-    tol: Tolerances | None = None,
-    max_workers: int | None = None,
-) -> VerificationReport:
-    """Evaluate every (n, edge) cell concurrently; results in lexicographic order."""
+def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
+    """Build and evaluate every (n, edge) cell; results in lexicographic order."""
     tol = tol or Tolerances()
     cells = [(int(n), float(a)) for n in sorted(set(dims)) for a in sorted(set(edges))]
     if not cells:
         raise ValueError("empty sweep: need at least one dimension and one edge")
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(evaluate_cell, n, a, tol) for n, a in cells]
-        reports = [f.result() for f in futures]
+    reports = []
+    for n, a in cells:
+        s = simplex_mod.build(n, a)
+        seq = weights_mod.build_sequence(n, a)
+        reports.append(evaluate_cell(s, seq, orbit_mod.construct_orbit(s, seq), tol))
     return VerificationReport(tol, tuple(reports))
 
 
@@ -274,15 +273,14 @@ def sequence_document(seq: weights_mod.MassSequence) -> dict:
 
 
 def orbit_document(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
+                   orb: orbit_mod.BilliardOrbit,
                    tol: Tolerances | None = None) -> tuple[dict, bool]:
-    """Full document for one cell: simplex, weights, orbit, and verification checks.
+    """Full document for one built cell: simplex, weights, orbit, and verification checks.
 
     Returns the document and whether every check passed.
     """
-    tol = tol or Tolerances()
     doc = simplex_document(s)
-    orb = orbit_mod.construct_orbit(s, seq)
-    cell = evaluate_cell(s.n, s.edge, tol)
+    cell = evaluate_cell(s, seq, orb, tol)
     doc["mass_sequence"] = sequence_document(seq)
     doc["orbit"] = {
         "points": [p.coords for p in orb.points],

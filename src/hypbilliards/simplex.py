@@ -19,13 +19,18 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import HPoint, Hyperplane, chord_dist, dist, reflect, safe_arccosh
-from .masses import PointMass, centroid_fold, combine
+from .masses import PointMass, centroid_fold
 from .weights import pair_mass_constant
+
+
+# Longest edge whose cosh is a finite double.
+MAX_EDGE = math.acosh(sys.float_info.max)
 
 
 def simplex_directions(n: int) -> np.ndarray:
@@ -98,6 +103,8 @@ def build(n: int, edge: float) -> RegularSimplex:
         raise ValueError(f"need n >= 1, got {n}")
     if not (edge > 0.0) or not math.isfinite(edge):
         raise ValueError(f"need a positive finite edge length, got {edge!r}")
+    if edge > MAX_EDGE:
+        raise ValueError(f"edge length {edge!r} exceeds {MAX_EDGE!r}, where cosh overflows")
     cosh_a = math.cosh(edge)
     sinh_r = math.sqrt(n * (cosh_a - 1.0) / (n + 1.0))
     cosh_r = math.sqrt(1.0 + sinh_r * sinh_r)
@@ -169,7 +176,7 @@ def vertex_reflection_identity_residual(s: RegularSimplex, j: int) -> float:
     """
     facet = s.facet(j)
     v = s.vertex(j)
-    lhs = combine(PointMass(v, 1.0), PointMass(reflect(facet.hyperplane, v), 1.0))
+    lhs = centroid_fold([PointMass(v, 1.0), PointMass(reflect(facet.hyperplane, v), 1.0)])
     w = pair_mass_constant(s.n, math.cosh(s.edge))
     rhs = centroid_fold([PointMass(s.vertices[k], w) for k in facet.vertex_indices])
     return max(

@@ -13,7 +13,7 @@ import numpy as np
 
 from hypbilliards.flow import closure_error, iterate, state_toward
 from hypbilliards.geometry import chord_dist, geodesic_point, reflect
-from hypbilliards.masses import PointMass, centroid_fold, combine, combine_intrinsic, scale_masses
+from hypbilliards.masses import PointMass, centroid_fold, combine_intrinsic, scale_masses
 from hypbilliards.orbit import (
     construct_orbit,
     midpoint_trajectory_defect,
@@ -122,7 +122,7 @@ def test_criterion_07_center_of_mass_oracle_equivalence():
         m = int(rng.integers(2, 6))
         p = PointMass(random_hpoint(rng, m), float(rng.uniform(0.05, 20.0)))
         q = PointMass(random_hpoint(rng, m), float(rng.uniform(0.05, 20.0)))
-        u, v = combine(p, q), combine_intrinsic(p, q)
+        u, v = centroid_fold([p, q]), combine_intrinsic(p, q)
         assert chord_dist(u.location, v.location) < 1e-10
         assert abs(u.weight - v.weight) / u.weight < 1e-10
 
@@ -131,23 +131,23 @@ def test_criterion_07_center_of_mass_oracle_equivalence():
         pa = PointMass(random_hpoint(rng, m), float(rng.uniform(0.1, 10.0)))
         pb = PointMass(random_hpoint(rng, m), float(rng.uniform(0.1, 10.0)))
         pc = PointMass(random_hpoint(rng, m), float(rng.uniform(0.1, 10.0)))
-        ab, ba = combine(pa, pb), combine(pb, pa)
+        ab, ba = centroid_fold([pa, pb]), centroid_fold([pb, pa])
         assert chord_dist(ab.location, ba.location) < 1e-10
         assert abs(ab.weight - ba.weight) / ab.weight < 1e-10
-        left = combine(combine(pa, pb), pc)
-        right = combine(pa, combine(pb, pc))
+        left = centroid_fold([centroid_fold([pa, pb]), pc])
+        right = centroid_fold([pa, centroid_fold([pb, pc])])
         assert chord_dist(left.location, right.location) < 1e-10
         assert abs(left.weight - right.weight) / left.weight < 1e-10
         factor = float(rng.uniform(0.1, 10.0))
         sa, sb = scale_masses([pa, pb], factor)
-        scaled = combine(sa, sb)
+        scaled = centroid_fold([sa, sb])
         assert chord_dist(scaled.location, ab.location) < 1e-10
         assert abs(scaled.weight - factor * ab.weight) / scaled.weight < 1e-10
         h = random_hyperplane(rng, m)
-        mirrored = combine(
+        mirrored = centroid_fold([
             PointMass(reflect(h, pa.location), pa.weight),
             PointMass(reflect(h, pb.location), pb.weight),
-        )
+        ])
         assert chord_dist(mirrored.location, reflect(h, ab.location)) < 1e-10
         assert abs(mirrored.weight - ab.weight) / ab.weight < 1e-10
 

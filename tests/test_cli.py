@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hypbilliards import orbit, simplex, weights
 from hypbilliards.cli import main, parse_dims, parse_floats
 from hypbilliards.simplex import build
 
@@ -68,6 +69,7 @@ def test_simplex_precision_flag(capsys):
     ("orbit", "--dim", "1", "--edge", "1"),           # no weight profile below n=2
     ("verify", "--dims", "1..3", "--edges", "1"),     # sweep includes n=1
     ("simplex", "--dim", "3", "--edge", "1", "--precision", "0"),
+    ("orbit", "--dim", "3", "--edge", "800"),        # cosh of the edge overflows
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -99,6 +101,34 @@ def test_orbit_verifies_and_writes_files(capsys, tmp_path):
     lines = cpath.read_text().splitlines()
     assert lines[0] == "index,mass,disk0,disk1,disk2"
     assert len(lines) == 5
+
+
+def count_builds(monkeypatch):
+    """Count calls to the three cell builders, wherever they are called from."""
+    counts = {}
+    for mod, name in ((simplex, "build"), (weights, "build_sequence"),
+                      (orbit, "construct_orbit")):
+        def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_orbit_builds_each_part_once(capsys, monkeypatch, tmp_path):
+    counts = count_builds(monkeypatch)
+    code, _, _ = run(capsys, "orbit", "--dim", "3", "--edge", "1",
+                     "--json", str(tmp_path / "orbit.json"),
+                     "--disk-coords", str(tmp_path / "orbit.csv"))
+    assert code == 0
+    assert counts == {"build": 1, "build_sequence": 1, "construct_orbit": 1}
+
+
+def test_verify_builds_each_cell_once(capsys, monkeypatch):
+    counts = count_builds(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--dims", "2..3", "--edges", "1")
+    assert code == 0
+    assert counts == {"build": 2, "build_sequence": 2, "construct_orbit": 2}
 
 
 def test_orbit_impossible_tolerance_fails(capsys):

@@ -30,6 +30,12 @@ from hypbilliards.simplex import build
 from hypbilliards.weights import build_sequence
 
 
+def built_cell(n, a):
+    s = build(n, a)
+    seq = build_sequence(n, a)
+    return s, seq, construct_orbit(s, seq)
+
+
 def test_tolerances_uniform_keeps_structural_knobs():
     t = Tolerances.uniform(1e-6)
     assert t.facet_incidence == 1e-6
@@ -41,7 +47,7 @@ def test_tolerances_uniform_keeps_structural_knobs():
 
 @pytest.mark.parametrize("n,a", [(2, 0.5), (3, 1.0), (5, 2.0)])
 def test_evaluate_cell_passes(n, a):
-    rep = evaluate_cell(n, a)
+    rep = evaluate_cell(*built_cell(n, a))
     assert isinstance(rep, CellReport)
     assert rep.passed and rep.failures == ()
     for key in ("facet_incidence", "collinearity", "centroid_location",
@@ -53,7 +59,7 @@ def test_evaluate_cell_passes(n, a):
 
 
 def test_evaluate_cell_reports_failures_under_impossible_gates():
-    rep = evaluate_cell(3, 1.0, Tolerances.uniform(1e-30))
+    rep = evaluate_cell(*built_cell(3, 1.0), Tolerances.uniform(1e-30))
     assert not rep.passed
     assert any("closure" in f for f in rep.failures)
     # honest reporting: the residuals are still recorded
@@ -122,13 +128,12 @@ def test_sequence_document_keys():
 
 
 def test_orbit_document_pass_and_fail():
-    s = build(2, 1.0)
-    seq = build_sequence(2, 1.0)
-    doc, ok = orbit_document(s, seq)
+    s, seq, orb = built_cell(2, 1.0)
+    doc, ok = orbit_document(s, seq, orb)
     assert ok and doc["checks"]["passed"]
     assert len(doc["orbit"]["points"]) == 3
     assert "failures" not in doc["checks"]
-    doc_bad, ok_bad = orbit_document(s, seq, Tolerances.uniform(1e-30))
+    doc_bad, ok_bad = orbit_document(s, seq, orb, Tolerances.uniform(1e-30))
     assert not ok_bad and doc_bad["checks"]["failures"]
 
 
