@@ -25,6 +25,17 @@ the facet hyperplanes bound in the full ambient space.
 Hits that land on the lower-dimensional boundary (edges, vertices) or
 arrive tangentially are outside the scope of the mirror law and raise
 `NonSmoothHitError`.
+
+All bounces run through one loop, `_run`, on bare coordinate arrays: the
+public `iterate`, `step`, `next_collision` and `reflect_at` are thin
+wrappers over its helpers.  Per bounce it builds only the `HPoint` and the
+`Bounce` it records, yet makes every check the point and tangent classes
+make, through the same functions in `geometry`.  The facet margins of each
+bounce point serve both to classify it and as the next flight's margins.
+Every Minkowski product is one `mink_dot` per pair of vectors (a single
+BLAS ``ddot``), never a matrix product over all facet normals at once:
+``gemv`` rounds differently in the last bit for most vectors, and the
+orbit residuals pinned under ``tests/golden/`` would move.
 """
 
 from __future__ import annotations
@@ -34,12 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HPoint, TangentVec, chord_dist, mink_inner, unit_tangent
+from .geometry import (HPoint, TangentVec, check_on_sheet, check_unit_tangent, chord_dist,
+                       mink_dot, mink_inner, tangent_part, to_sheet, unit_tangent)
 from .orbit import BilliardOrbit
-from .simplex import Region, RegularSimplex, classify_point
+from .simplex import Region, RegularSimplex, classify_point, region_of
 
 # Flights shorter than this re-hit the departure facet and are discarded.
 T_MIN = 1e-9
+_TANH_T_MIN = math.tanh(T_MIN)
 
 # Inward margin slack: a state may sit this far on the wrong side of a
 # facet (it happens right after a bounce) and still count as inside.
@@ -54,6 +67,14 @@ class NonSmoothHitError(RuntimeError):
         self.step = step
 
 
+def _check_unit_speed(vv: float, xv: float) -> None:
+    """`FlowState`'s fixed-tolerance checks of <v,v> = 1 and <x,v> = 0."""
+    if abs(vv - 1.0) > 1e-10:
+        raise ValueError(f"direction must be unit spacelike: <v,v> = {vv!r}")
+    if abs(xv) > 1e-10:
+        raise ValueError(f"direction must be tangent to position: <x,v> = {xv!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FlowState:
     """Unit-speed billiard state; ``last_facet`` names the facet just bounced off, if any."""
@@ -66,12 +87,7 @@ class FlowState:
         d = np.array(np.asarray(self.direction, dtype=np.float64), copy=True)
         d.setflags(write=False)
         object.__setattr__(self, "direction", d)
-        q = mink_inner(d, d)
-        if abs(q - 1.0) > 1e-10:
-            raise ValueError(f"direction must be unit spacelike: <v,v> = {q!r}")
-        t = mink_inner(self.position.coords, d)
-        if abs(t) > 1e-10:
-            raise ValueError(f"direction must be tangent to position: <x,v> = {t!r}")
+        _check_unit_speed(mink_inner(d, d), mink_inner(self.position.coords, d))
 
     @property
     def tangent(self) -> TangentVec:
@@ -83,8 +99,8 @@ def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowSta
     return FlowState(a, unit_tangent(a, b), last_facet)
 
 
-def _facet_hit_time(mu: float, nu: float, t_min: float = 0.0) -> float | None:
-    """First flight time above ``t_min`` with mu cosh t + nu sinh t = 0, or None.
+def _crossing_ratio(mu: float, nu: float, lo: float) -> float | None:
+    """tanh of the flight time at which mu cosh t + nu sinh t = 0, if it lies in (lo, 1).
 
     Requires the margin to be decreasing (nu < 0) and the crossing to be
     reachable (|mu| < |nu|, otherwise the geodesic approaches the
@@ -93,43 +109,68 @@ def _facet_hit_time(mu: float, nu: float, t_min: float = 0.0) -> float | None:
     if nu >= 0.0:
         return None
     ratio = -mu / nu
-    if ratio >= 1.0 or ratio <= math.tanh(t_min):
-        return None
-    return math.atanh(ratio)
+    return ratio if lo < ratio < 1.0 else None
 
 
-def next_collision(s: RegularSimplex, state: FlowState) -> tuple[int, HPoint, float]:
-    """Facet index, collision point, and flight time of the next boundary hit.
+def _facet_hit_time(mu: float, nu: float, t_min: float = 0.0) -> float | None:
+    """First flight time above ``t_min`` with mu cosh t + nu sinh t = 0, or None."""
+    ratio = _crossing_ratio(mu, nu, math.tanh(t_min))
+    return None if ratio is None else math.atanh(ratio)
+
+
+def _normals(s: RegularSimplex) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Per facet: the normal's timelike entry, its spacelike slice, and the whole normal."""
+    return [(float(u[0]), u[1:], u) for u in (f.hyperplane.normal for f in s.facets)]
+
+
+def _products(y: np.ndarray, normals) -> list[float]:
+    """<y, u_k> for every facet normal, each computed exactly as `mink_inner` does."""
+    y0, ys = y[0], y[1:]
+    return [float(-y0 * u0 + ys @ us) for u0, us, _ in normals]
+
+
+def _next_hit(mus: list[float], v: np.ndarray, normals, last: int | None) -> tuple[int, float]:
+    """Facet and flight time of the first forward crossing from margins ``mus`` along v.
 
     The T_MIN floor applies only to the facet the state just bounced off,
     so rounding cannot re-register the departure as a fresh hit; genuinely
     short flights onto other facets (deep corner visits) are kept and left
-    for the arrival classification to reject as non-smooth.
+    for the arrival classification to reject as non-smooth.  atanh is
+    increasing, so the smallest ratio marks the first hit.
     """
-    x = state.position.coords
-    v = state.direction
-    best_k, best_t = -1, math.inf
-    for k, facet in enumerate(s.facets):
-        mu = mink_inner(x, facet.hyperplane.normal)
+    best_k, best = -1, math.inf
+    for k, (mu, nu) in enumerate(zip(mus, _products(v, normals))):
         if mu < -BOUNDARY_SLACK:
             raise ValueError(f"state is outside the simplex (margin {mu} at facet {k})")
-        nu = mink_inner(v, facet.hyperplane.normal)
-        t = _facet_hit_time(mu, nu, T_MIN if k == state.last_facet else 0.0)
-        if t is not None and t < best_t:
-            best_k, best_t = k, t
+        ratio = _crossing_ratio(mu, nu, _TANH_T_MIN if k == last else 0.0)
+        if ratio is not None and ratio < best:
+            best_k, best = k, ratio
     if best_k < 0:
         raise ValueError("no forward facet crossing; state does not point into the simplex")
-    q = HPoint.from_vector(math.cosh(best_t) * x + math.sinh(best_t) * v)
-    return best_k, q, best_t
+    return best_k, math.atanh(best)
 
 
-def reflect_at(
-    s: RegularSimplex,
-    k: int,
-    q: HPoint,
-    v_in: TangentVec,
-    graze_tol: float = 1e-9,
-) -> TangentVec:
+def _mirror(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float,
+            graze_tol: float = 1e-9) -> np.ndarray:
+    """Direction d at x, on facet k with normal u and margin <x,u>, mirrored and re-projected."""
+    if abs(margin) > 1e-9:
+        raise ValueError(f"reflection point is not on facet {k}")
+    nu = mink_dot(d, u)
+    if abs(nu) <= graze_tol:
+        raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu})")
+    return tangent_part(x, d - 2.0 * nu * u)
+
+
+def next_collision(s: RegularSimplex, state: FlowState) -> tuple[int, HPoint, float]:
+    """Facet index, collision point, and flight time of the next boundary hit."""
+    normals = _normals(s)
+    x, v = state.position.coords, state.direction
+    k, t = _next_hit(_products(x, normals), v, normals, state.last_facet)
+    return k, HPoint.from_vector(math.cosh(t) * x + math.sinh(t) * v), t
+
+
+def reflect_at(s: RegularSimplex, k: int, q: HPoint, v_in: TangentVec,
+               graze_tol: float = 1e-9) -> TangentVec:
     """Specular reflection of an arriving direction at a point of facet k.
 
     The arrival point must lie on the facet hyperplane and the incidence
@@ -137,14 +178,9 @@ def reflect_at(
     grazing hit and raises `NonSmoothHitError`.
     """
     hp = s.facet(k).hyperplane
-    if abs(hp.margin(q)) > 1e-9:
-        raise ValueError(f"reflection point is not on facet {k}")
     if not np.allclose(v_in.base.coords, q.coords, atol=1e-9):
         raise ValueError("arriving tangent is not based at the reflection point")
-    nu = mink_inner(v_in.direction, hp.normal)
-    if abs(nu) <= graze_tol:
-        raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu})")
-    return TangentVec.from_raw(q, v_in.direction - 2.0 * nu * hp.normal)
+    return TangentVec(q, _mirror(q.coords, v_in.direction, k, hp.normal, hp.margin(q), graze_tol))
 
 
 @dataclass(frozen=True)
@@ -180,60 +216,69 @@ class Trajectory:
         return sum(b.arclength for b in self.bounces)
 
 
+def _run(s: RegularSimplex, state: FlowState, steps: int, first: int = 0):
+    """The billiard loop: ``steps`` bounces numbered from ``first``, and the final state."""
+    normals = _normals(s)
+    ones = s.slice_vector()
+    m, unit = s.n + 1.0, math.sqrt(s.n + 1.0)
+    x, v, last = state.position.coords, state.direction, state.last_facet
+    mus = _products(x, normals)
+    bounces = []
+    for i in range(first, first + steps):
+        try:
+            k, t = _next_hit(mus, v, normals, last)
+            ch, sh = math.cosh(t), math.sinh(t)
+            x_raw, v_raw = ch * x + sh * v, sh * x + ch * v
+            check_on_sheet(to_sheet(x_raw))
+
+            # slice maintenance: measure, guard, project (see module docstring)
+            cx = mink_dot(x_raw, ones) / m
+            cv = mink_dot(v_raw, ones) / m
+            defect = max(abs(cx), abs(cv)) * unit
+            if defect > 1e-9:
+                raise ValueError(f"bounce {i}: state has left the simplex slice (defect {defect:.3e})")
+            drift = (
+                abs(mink_dot(x_raw, x_raw) + 1.0),
+                abs(mink_dot(v_raw, v_raw) - 1.0),
+                abs(mink_dot(x_raw, v_raw)),
+                abs(cx) * unit,
+                abs(cv) * unit,
+            )
+            q = HPoint.from_vector(x_raw - cx * ones)
+            x = q.coords
+
+            mus = _products(x, normals)
+            region, facet = region_of(mus)
+            if region is not Region.FACET_INTERIOR:
+                raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
+            if facet != k:
+                raise NonSmoothHitError(
+                    f"bounce {i}: collision facet {k} disagrees with classification {facet}"
+                )
+            d = tangent_part(x, v_raw - cv * ones)
+            check_unit_tangent(x, d)
+            v = _mirror(x, d, k, normals[k][2], mus[k])
+            _check_unit_speed(*check_unit_tangent(x, v))
+        except NonSmoothHitError as err:
+            err.step = i
+            raise
+        last = k
+        bounces.append(Bounce(i, k, q, t, drift))
+    return bounces, (FlowState(q, v, last) if bounces else state)
+
+
 def step(s: RegularSimplex, state: FlowState, index: int = 0) -> tuple[Bounce, FlowState]:
     """Advance to the next bounce; raises `NonSmoothHitError` off the smooth regime."""
-    k, _, t = next_collision(s, state)
-    x, v = state.position.coords, state.direction
-    x_raw = math.cosh(t) * x + math.sinh(t) * v
-    v_raw = math.sinh(t) * x + math.cosh(t) * v
-
-    # slice maintenance: measure, guard, project (see module docstring)
-    ones = s.slice_vector()
-    unit = math.sqrt(s.n + 1.0)
-    cx = mink_inner(x_raw, ones) / (s.n + 1.0)
-    cv = mink_inner(v_raw, ones) / (s.n + 1.0)
-    if max(abs(cx), abs(cv)) * unit > 1e-9:
-        raise ValueError(
-            f"bounce {index}: state has left the simplex slice (defect {max(abs(cx), abs(cv)) * unit:.3e})"
-        )
-    drift = (
-        abs(mink_inner(x_raw, x_raw) + 1.0),
-        abs(mink_inner(v_raw, v_raw) - 1.0),
-        abs(mink_inner(x_raw, v_raw)),
-        abs(cx) * unit,
-        abs(cv) * unit,
-    )
-    x_raw = x_raw - cx * ones
-    v_raw = v_raw - cv * ones
-    q = HPoint.from_vector(x_raw)
-    cls = classify_point(s, q)
-    if cls.region is not Region.FACET_INTERIOR:
-        raise NonSmoothHitError(
-            f"bounce {index}: hit the {cls.region.value} region of the boundary", step=index
-        )
-    if cls.facet != k:
-        raise NonSmoothHitError(
-            f"bounce {index}: collision facet {k} disagrees with classification {cls.facet}",
-            step=index,
-        )
-    v_arr = TangentVec.from_raw(q, v_raw)
-    v_out = reflect_at(s, k, q, v_arr)
-    return Bounce(index, k, q, t, drift), FlowState(q, v_out.direction, k)
+    (bounce,), nxt = _run(s, state, 1, index)
+    return bounce, nxt
 
 
 def iterate(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
     """Run ``steps`` bounces of the billiard flow."""
     if steps < 0:
         raise ValueError(f"need a non-negative bounce count, got {steps}")
-    bounces = []
-    for i in range(steps):
-        try:
-            bounce, state = step(s, state, index=i)
-        except NonSmoothHitError as err:
-            err.step = i
-            raise
-        bounces.append(bounce)
-    return Trajectory(tuple(bounces), state)
+    bounces, final = _run(s, state, steps)
+    return Trajectory(tuple(bounces), final)
 
 
 def launch_state(s: RegularSimplex, orbit: BilliardOrbit) -> FlowState:

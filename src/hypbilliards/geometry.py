@@ -37,7 +37,17 @@ def mink_inner(x, y) -> float:
     yv = _as_vector(y)
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    return float(-xv[0] * yv[0] + xv[1:] @ yv[1:])
+    return mink_dot(xv, yv)
+
+
+def mink_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """`mink_inner` of two flat float64 arrays of equal length, without re-checking them.
+
+    The spacelike part is one ``ddot`` per pair of vectors.  Keep it that way:
+    a matrix product over a stack of vectors rounds differently in the last
+    bit, which moves every pinned residual downstream.
+    """
+    return float(-x[0] * y[0] + x[1:] @ y[1:])
 
 
 def safe_arccosh(c: float, tol: float = REP_TOL) -> float:
@@ -64,23 +74,12 @@ class HPoint:
         v = np.array(_as_vector(self.coords), dtype=np.float64, copy=True)
         v.setflags(write=False)
         object.__setattr__(self, "coords", v)
-        q = mink_inner(v, v)
-        if abs(q + 1.0) > REP_TOL * max(1.0, v[0] * v[0]):
-            raise ValueError(f"not on the unit hyperboloid: <x,x> = {q!r}")
-        if v[0] <= 0.0:
-            raise ValueError("timelike coordinate must be positive (upper sheet)")
+        check_on_sheet(v)
 
     @classmethod
     def from_vector(cls, v) -> "HPoint":
         """Rescale a timelike vector onto the upper sheet (the canonical renormalization)."""
-        w = _as_vector(v)
-        q = mink_inner(w, w)
-        if q >= 0.0:
-            raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {q!r})")
-        w = w / np.sqrt(-q)
-        if w[0] < 0.0:
-            raise ValueError("timelike vector points into the lower sheet")
-        return cls(w)
+        return cls(to_sheet(_as_vector(v)))
 
     @classmethod
     def basepoint(cls, ambient_dim: int) -> "HPoint":
@@ -92,6 +91,26 @@ class HPoint:
     @property
     def ambient_dim(self) -> int:
         return self.coords.shape[0]
+
+
+def check_on_sheet(v: np.ndarray) -> None:
+    """The `HPoint` invariant: on the unit hyperboloid, on its upper sheet."""
+    q = mink_dot(v, v)
+    if abs(q + 1.0) > REP_TOL * max(1.0, v[0] * v[0]):
+        raise ValueError(f"not on the unit hyperboloid: <x,x> = {q!r}")
+    if v[0] <= 0.0:
+        raise ValueError("timelike coordinate must be positive (upper sheet)")
+
+
+def to_sheet(w: np.ndarray) -> np.ndarray:
+    """A timelike vector rescaled to ``<w,w> = -1``; raises unless it is future-pointing."""
+    q = mink_dot(w, w)
+    if q >= 0.0:
+        raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {q!r})")
+    w = w / np.sqrt(-q)
+    if w[0] < 0.0:
+        raise ValueError("timelike vector points into the lower sheet")
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,27 +160,45 @@ class TangentVec:
         object.__setattr__(self, "direction", d)
         if d.shape != self.base.coords.shape:
             raise ValueError("direction dimension does not match base point")
-        x0 = self.base.coords[0]
-        q = mink_inner(d, d)
-        if abs(q - 1.0) > REP_TOL * max(1.0, d[0] * d[0]):
-            raise ValueError(f"direction must be unit spacelike: <v,v> = {q!r}")
-        t = mink_inner(self.base.coords, d)
-        if abs(t) > REP_TOL * max(1.0, abs(x0 * d[0])):
-            raise ValueError(f"direction must be tangent to base point: <x,v> = {t!r}")
+        check_unit_tangent(self.base.coords, d)
 
     @classmethod
     def toward(cls, a: HPoint, b: HPoint) -> "TangentVec":
-        return cls(a, unit_tangent(a, b))
+        # re-project: for nearby points the cancellation in `unit_tangent`
+        # leaves a tangency error of order eps / d(A,B)
+        return cls.from_raw(a, unit_tangent(a, b))
 
     @classmethod
     def from_raw(cls, base: HPoint, v) -> "TangentVec":
         """Project an ambient vector onto the tangent space at ``base`` and normalize."""
-        w = _as_vector(v).astype(np.float64, copy=True)
-        w = w + mink_inner(base.coords, w) * base.coords
-        q = mink_inner(w, w)
-        if q <= 0.0:
-            raise ValueError("vector has no spacelike tangential component")
-        return cls(base, w / np.sqrt(q))
+        w = _as_vector(v)
+        if w.shape != base.coords.shape:
+            raise ValueError(f"dimension mismatch: {base.coords.shape} vs {w.shape}")
+        return cls(base, tangent_part(base.coords, w))
+
+
+def tangent_part(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The unit vector along the part of ``v`` tangent to the sheet at ``x``."""
+    w = v + mink_dot(x, v) * x
+    q = mink_dot(w, w)
+    if q <= 0.0:
+        raise ValueError("vector has no spacelike tangential component")
+    return w / np.sqrt(q)
+
+
+def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """The `TangentVec` invariants of direction d at x; returns ``<d,d>`` and ``<x,d>``.
+
+    Both tolerances scale like `HPoint`'s: far from the basepoint each
+    product cancels terms of size d0^2 and x0*d0.
+    """
+    q = mink_dot(d, d)
+    if abs(q - 1.0) > REP_TOL * max(1.0, d[0] * d[0]):
+        raise ValueError(f"direction must be unit spacelike: <v,v> = {q!r}")
+    t = mink_dot(x, d)
+    if abs(t) > REP_TOL * max(1.0, abs(x[0] * d[0])):
+        raise ValueError(f"direction must be tangent to base point: <x,v> = {t!r}")
+    return q, t
 
 
 def dist(a: HPoint, b: HPoint) -> float:

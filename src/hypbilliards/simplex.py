@@ -18,6 +18,7 @@ as a cross-check.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,13 +46,18 @@ def simplex_directions(n: int) -> np.ndarray:
     return e / math.sqrt(n / (n + 1))
 
 
+@functools.cache
 def helmert_basis(n: int) -> np.ndarray:
-    """Orthonormal rows spanning the orthocomplement of the all-ones vector in R^(n+1)."""
+    """Orthonormal rows spanning the orthocomplement of the all-ones vector in R^(n+1).
+
+    Built once per n and shared, hence read-only.
+    """
     h = np.zeros((n, n + 1))
     for k in range(1, n + 1):
         h[k - 1, :k] = 1.0
         h[k - 1, k] = -float(k)
         h[k - 1] /= math.sqrt(k * (k + 1.0))
+    h.setflags(write=False)
     return h
 
 
@@ -200,23 +206,27 @@ class PointClass:
 
 
 def classify_point(s: RegularSimplex, p: HPoint, tol: float = 1e-9) -> PointClass:
-    """Locate a point relative to the closed simplex by its facet margins.
+    """Locate a point relative to the closed simplex by its facet margins (see `region_of`)."""
+    margins = [f.hyperplane.margin(p) for f in s.facets]
+    return PointClass(*region_of(margins, tol), np.array(margins))
+
+
+def region_of(margins, tol: float = 1e-9) -> tuple[Region, int | None]:
+    """Region, and facet if on exactly one, of a point with the given facet margins.
 
     Outside if any margin is below -tol; interior if all are above tol;
     on the relative interior of facet j if only margin j vanishes; on the
     lower-dimensional boundary (edges, vertices, corners) if two or more
     margins vanish simultaneously.
     """
-    margins = np.array([f.hyperplane.margin(p) for f in s.facets])
-    if np.any(margins < -tol):
-        return PointClass(Region.OUTSIDE, None, margins)
-    near = np.abs(margins) <= tol
-    hits = int(near.sum())
-    if hits == 0:
-        return PointClass(Region.INTERIOR, None, margins)
-    if hits == 1:
-        return PointClass(Region.FACET_INTERIOR, int(np.argmax(near)), margins)
-    return PointClass(Region.LOWER_BOUNDARY, None, margins)
+    if any(m < -tol for m in margins):
+        return Region.OUTSIDE, None
+    near = [j for j, m in enumerate(margins) if abs(m) <= tol]
+    if not near:
+        return Region.INTERIOR, None
+    if len(near) == 1:
+        return Region.FACET_INTERIOR, near[0]
+    return Region.LOWER_BOUNDARY, None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from hypbilliards.flow import (
     state_toward,
     step,
 )
-from hypbilliards.geometry import TangentVec, chord_dist, dist, geodesic_point, reflect
+from hypbilliards.geometry import HPoint, TangentVec, chord_dist, dist, geodesic_point, reflect
 from hypbilliards.orbit import construct_orbit, orbit_edge_lengths
 from hypbilliards.simplex import build
 from hypbilliards.weights import build_sequence
@@ -180,3 +180,43 @@ def test_step_returns_bounce_record():
     assert bounce.facet == nxt.last_facet
     assert len(bounce.drift) == 5
     assert chord_dist(bounce.point, orb.point(1)) < 1e-10
+
+
+def test_off_slice_state_raises():
+    """A state 1e-8 off the simplex slice is caught at the first bounce."""
+    s = build(3, 1.0)
+    eps = 1e-8
+    x = HPoint(np.array([math.sqrt(1.0 + eps * eps), eps, 0.0, 0.0, 0.0]))
+    d = np.array([0.0, 0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="left the simplex slice"):
+        iterate(s, FlowState(x, d), 3)
+
+
+def test_vertex_on_second_bounce_raises_with_step_one():
+    """Aimed at the mirror image of vertex 0 across facet 0, the flow bounces
+    off facet 0 and then runs straight into vertex 0."""
+    s = build(3, 1.0)
+    image = reflect(s.facets[0].hyperplane, s.vertices[0])
+    st = state_toward(s.circumcenter, image)
+    assert iterate(s, st, 1).facets == [0]
+    with pytest.raises(NonSmoothHitError) as exc:
+        iterate(s, st, 5)
+    assert exc.value.step == 1
+
+
+def test_step_equals_one_bounce_of_iterate_bitwise():
+    s, orb = make_orbit(3, 1.0)
+    target = geodesic_point(orb.point(1), orb.point(2), 0.3)
+    st = state_toward(orb.point(0), target, last_facet=0)
+    bounce, nxt = step(s, st, index=7)
+    tr = iterate(s, st, 1)
+    ref = tr.bounces[0]
+    assert (bounce.index, ref.index) == (7, 0)
+    assert bounce.facet == ref.facet
+    assert bounce.arclength.hex() == ref.arclength.hex()
+    assert [x.hex() for x in bounce.drift] == [x.hex() for x in ref.drift]
+    assert bounce.point.coords.tobytes() == ref.point.coords.tobytes()
+    fin = tr.final_state
+    assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
+    assert nxt.direction.tobytes() == fin.direction.tobytes()
+    assert nxt.last_facet == fin.last_facet == bounce.facet

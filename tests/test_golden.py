@@ -2,7 +2,9 @@
 
 The files under ``tests/golden/`` were written by `main(argv)` with the
 argument lists below.  Any change to the arithmetic that moves a single
-bit of a residual, a weight or a bounce point fails here.
+bit of a residual, a weight or a bounce point fails here.  The `simulate`
+fixtures pin long flows (200 bounces from a perturbed launch, where
+rounding differences grow by e^t per flight) and the stderr summary line.
 """
 
 from pathlib import Path
@@ -33,4 +35,19 @@ def test_orbit_disk_coords(tmp_path):
     argv = ["orbit", "--dim", "3", "--edge", "1",
             "--json", str(tmp_path / "orbit.json"), "--disk-coords", str(out)]
     assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("simulate_n3_a1_p0.3_s7", ["--dim", "3", "--edge", "1", "--steps", "200",
+                                "--perturb", "0.3", "--seed", "7"]),
+    ("simulate_n8_a1_p0.3_s7", ["--dim", "8", "--edge", "1", "--steps", "200",
+                                "--perturb", "0.3", "--seed", "7"]),
+    ("simulate_n3_a1_launch", ["--dim", "3", "--edge", "1", "--steps", "12"]),
+])
+def test_simulate_csv_and_summary(capsys, tmp_path, name, argv):
+    out = tmp_path / f"{name}.csv"
+    capsys.readouterr()
+    assert main(["simulate", *argv, "--csv", str(out)]) == 0
+    assert capsys.readouterr().err == (GOLDEN / f"{name}.stderr").read_text()
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
