@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,34 +38,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_NONSMOOTH = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command options in one place."""
-
-    command: str
-    dims: tuple[int, ...]
-    edges: tuple[float, ...]
-    precision: int
-    tol: float | None = None
-    steps: int = 0
-    json_path: str | None = None
-    csv_path: str | None = None
-    report_path: str | None = None
-    disk_path: str | None = None
-    start_coords: tuple[float, ...] | None = None
-    dir_coords: tuple[float, ...] | None = None
-    perturb: float = 0.0
-    seed: int = 0
-
-    @property
-    def dim(self) -> int:
-        return self.dims[0]
-
-    @property
-    def edge(self) -> float:
-        return self.edges[0]
 
 
 def parse_dims(spec: str) -> tuple[int, ...]:
@@ -97,12 +68,10 @@ def parse_floats(spec: str) -> tuple[float, ...]:
 def _resolve_edges(edges, cosh_edges) -> tuple[float, ...]:
     """Edge lengths, preferring --cosh-edge values when both forms are given."""
     if cosh_edges is not None:
-        vals = []
         for c in cosh_edges:
             if c <= 1.0:
                 raise ValueError(f"cosh of a positive edge must exceed 1, got {c}")
-            vals.append(math.acosh(c))
-        return tuple(vals)
+        return tuple(math.acosh(c) for c in cosh_edges)
     if edges is None:
         raise ValueError("need --edge or --cosh-edge")
     for a in edges:
@@ -128,34 +97,34 @@ def _emit_csv(header, rows, path: str | None) -> None:
         report_mod.write_csv(sys.stdout, header, rows)
 
 
-def _tolerances(cfg: RunConfig) -> report_mod.Tolerances:
-    if cfg.tol is not None:
-        return report_mod.Tolerances.uniform(cfg.tol)
+def _tolerances(args: argparse.Namespace) -> report_mod.Tolerances:
+    if args.tol is not None:
+        return report_mod.Tolerances.uniform(args.tol)
     return report_mod.Tolerances()
 
 
-def cmd_simplex(cfg: RunConfig) -> int:
-    s = simplex_mod.build(cfg.dim, cfg.edge)
-    _emit_json(report_mod.simplex_document(s), cfg.json_path, cfg.precision)
+def cmd_simplex(args: argparse.Namespace) -> int:
+    s = simplex_mod.build(args.dim, args.edge)
+    _emit_json(report_mod.simplex_document(s), args.json_path, args.precision)
     return EXIT_OK
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
-    s = simplex_mod.build(cfg.dim, cfg.edge)
-    seq = weights_mod.build_sequence(cfg.dim, cfg.edge)
+def cmd_orbit(args: argparse.Namespace) -> int:
+    s = simplex_mod.build(args.dim, args.edge)
+    seq = weights_mod.build_sequence(args.dim, args.edge)
     orb = orbit_mod.construct_orbit(s, seq)
-    doc, passed = report_mod.orbit_document(s, seq, orb, _tolerances(cfg))
-    _emit_json(doc, cfg.json_path, cfg.precision)
-    if cfg.disk_path:
-        header, rows = report_mod.orbit_rows(s, orb, cfg.precision)
-        _emit_csv(header, rows, cfg.disk_path)
+    doc, passed = report_mod.orbit_document(s, seq, orb, _tolerances(args))
+    _emit_json(doc, args.json_path, args.precision)
+    if args.disk_path:
+        header, rows = report_mod.orbit_rows(s, orb, args.precision)
+        _emit_csv(header, rows, args.disk_path)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    rep = report_mod.run_sweep(cfg.dims, cfg.edges, _tolerances(cfg))
+def cmd_verify(args: argparse.Namespace) -> int:
+    rep = report_mod.run_sweep(args.dims, args.edges, _tolerances(args))
     doc = report_mod.sweep_document(rep)
-    _emit_json(doc, cfg.report_path, cfg.precision)
+    _emit_json(doc, args.report_path, args.precision)
     for cell in rep.cells:
         status = "pass" if cell.passed else "FAIL"
         print(f"cell n={cell.n} edge={cell.edge:g}: {status}", file=sys.stderr)
@@ -184,27 +153,27 @@ def _perturbed(state: flow_mod.FlowState, s: simplex_mod.RegularSimplex,
     )
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    s = simplex_mod.build(cfg.dim, cfg.edge)
-    if cfg.start_coords is not None or cfg.dir_coords is not None:
-        if cfg.start_coords is None or cfg.dir_coords is None:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    s = simplex_mod.build(args.dim, args.edge)
+    if args.start_coords is not None or args.dir_coords is not None:
+        if args.start_coords is None or args.dir_coords is None:
             raise ValueError("--start-coords and --dir-coords must be given together")
-        p = HPoint(np.array(cfg.start_coords))
+        p = HPoint(args.start_coords)
         if abs(simplex_mod.slice_defect(s, p)) > 1e-9:
             raise ValueError("start point is outside the simplex slice")
-        tv = TangentVec.from_raw(p, np.array(cfg.dir_coords))
+        tv = TangentVec.from_raw(p, args.dir_coords)
         if abs(mink_inner(tv.direction, s.slice_vector())) > 1e-9:
             raise ValueError("direction points out of the simplex slice")
         state = flow_mod.FlowState(p, tv.direction)
     else:
-        seq = weights_mod.build_sequence(cfg.dim, cfg.edge)
+        seq = weights_mod.build_sequence(args.dim, args.edge)
         orb = orbit_mod.construct_orbit(s, seq)
         state = flow_mod.launch_state(s, orb)
-    if cfg.perturb:
-        state = _perturbed(state, s, cfg.perturb, cfg.seed)
-    traj = flow_mod.iterate(s, state, cfg.steps)
-    header, rows = report_mod.trajectory_rows(s, traj, cfg.precision)
-    _emit_csv(header, rows, cfg.csv_path)
+    if args.perturb:
+        state = _perturbed(state, s, args.perturb, args.seed)
+    traj = flow_mod.iterate(s, state, args.steps)
+    header, rows = report_mod.trajectory_rows(s, traj, args.precision)
+    _emit_csv(header, rows, args.csv_path)
     print(
         f"{len(traj.bounces)} bounces, total length {traj.total_length:.6g}, "
         f"max invariant drift {traj.max_drift:.3e}",
@@ -220,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cell_args(p, plural=False):
+    def add_command(name, func, summary, plural=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         if plural:
             p.add_argument("--dims", default="2..8",
                            help="dimensions, e.g. '3', '2..5', '2,4,7' (default 2..8)")
@@ -235,28 +206,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cosh of the edge; takes precedence over --edge")
         p.add_argument("--precision", type=int, default=17,
                        help="significant digits for serialized floats (default 17)")
+        return p
 
-    p_simplex = sub.add_parser("simplex", help="build one simplex, print JSON")
-    add_cell_args(p_simplex)
+    p_simplex = add_command("simplex", cmd_simplex, "build one simplex, print JSON")
     p_simplex.add_argument("--json", dest="json_path", default=None, help="write JSON here")
 
-    p_orbit = sub.add_parser("orbit", help="construct and verify the closed orbit")
-    add_cell_args(p_orbit)
+    p_orbit = add_command("orbit", cmd_orbit, "construct and verify the closed orbit")
     p_orbit.add_argument("--json", dest="json_path", default=None, help="write JSON here")
     p_orbit.add_argument("--disk-coords", dest="disk_path", default=None,
                          help="write bounce points as CSV in disk coordinates")
     p_orbit.add_argument("--tol", type=float, default=None,
                          help="override all verification tolerances")
 
-    p_verify = sub.add_parser("verify", help="sweep a grid of cells")
-    add_cell_args(p_verify, plural=True)
+    p_verify = add_command("verify", cmd_verify, "sweep a grid of cells", plural=True)
     p_verify.add_argument("--tol", type=float, default=None,
                           help="override all verification tolerances")
     p_verify.add_argument("--report", dest="report_path", default=None,
                           help="write the JSON report here instead of stdout")
 
-    p_sim = sub.add_parser("simulate", help="run the billiard flow, emit CSV")
-    add_cell_args(p_sim)
+    p_sim = add_command("simulate", cmd_simulate, "run the billiard flow, emit CSV")
     p_sim.add_argument("--steps", type=int, default=100, help="number of bounces")
     p_sim.add_argument("--csv", dest="csv_path", default=None, help="write CSV here")
     p_sim.add_argument("--start-coords", default=None,
@@ -270,60 +238,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def check_args(args: argparse.Namespace) -> None:
+    """Parse the list options in place and reject values out of range."""
     if args.command == "verify":
-        dims = parse_dims(args.dims)
+        args.dims = parse_dims(args.dims)
         cosh = parse_floats(args.cosh_edges) if args.cosh_edges else None
-        edges = _resolve_edges(parse_floats(args.edges), cosh)
+        args.edges = _resolve_edges(parse_floats(args.edges), cosh)
+        if any(n < 2 for n in args.dims):
+            raise ValueError("orbit verification needs n >= 2 in every cell")
     else:
         if args.dim < 1:
             raise ValueError(f"dimension must be at least 1, got {args.dim}")
-        dims = (args.dim,)
-        edges = _resolve_edges(
+        (args.edge,) = _resolve_edges(
             None if args.edge is None else (args.edge,),
             None if args.cosh_edge is None else (args.cosh_edge,),
         )
-    if args.command == "verify" and any(n < 2 for n in dims):
-        raise ValueError("orbit verification needs n >= 2 in every cell")
     if not 1 <= args.precision <= 17:
         raise ValueError(f"precision must be in 1..17, got {args.precision}")
-
-    def coords(text):
-        return None if text is None else tuple(float(x) for x in text.split(","))
-
-    return RunConfig(
-        command=args.command,
-        dims=dims,
-        edges=edges,
-        precision=args.precision,
-        tol=getattr(args, "tol", None),
-        steps=getattr(args, "steps", 0),
-        json_path=getattr(args, "json_path", None),
-        csv_path=getattr(args, "csv_path", None),
-        report_path=getattr(args, "report_path", None),
-        disk_path=getattr(args, "disk_path", None),
-        start_coords=coords(getattr(args, "start_coords", None)),
-        dir_coords=coords(getattr(args, "dir_coords", None)),
-        perturb=getattr(args, "perturb", 0.0),
-        seed=getattr(args, "seed", 0),
-    )
+    if args.command == "simulate":
+        for name in ("start_coords", "dir_coords"):
+            text = getattr(args, name)
+            if text is not None:
+                setattr(args, name, np.array([float(x) for x in text.split(",")]))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code is not None else EXIT_OK
     try:
-        cfg = config_from_args(args)
-        handler = {
-            "simplex": cmd_simplex,
-            "orbit": cmd_orbit,
-            "verify": cmd_verify,
-            "simulate": cmd_simulate,
-        }[cfg.command]
-        return handler(cfg)
+        check_args(args)
+        return args.func(args)
     except RootBracketError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER

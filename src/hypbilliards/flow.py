@@ -58,6 +58,9 @@ _TANH_T_MIN = math.tanh(T_MIN)
 # facet (it happens right after a bounce) and still count as inside.
 BOUNDARY_SLACK = 1e-9
 
+# A normal component this small or smaller at a facet is a grazing hit.
+GRAZE_TOL = 1e-9
+
 
 class NonSmoothHitError(RuntimeError):
     """Trajectory left the smooth billiard regime (corner hit or grazing incidence)."""
@@ -112,12 +115,6 @@ def _crossing_ratio(mu: float, nu: float, lo: float) -> float | None:
     return ratio if lo < ratio < 1.0 else None
 
 
-def _facet_hit_time(mu: float, nu: float, t_min: float = 0.0) -> float | None:
-    """First flight time above ``t_min`` with mu cosh t + nu sinh t = 0, or None."""
-    ratio = _crossing_ratio(mu, nu, math.tanh(t_min))
-    return None if ratio is None else math.atanh(ratio)
-
-
 def _normals(s: RegularSimplex) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Per facet: the normal's timelike entry, its spacelike slice, and the whole normal."""
     return [(float(u[0]), u[1:], u) for u in (f.hyperplane.normal for f in s.facets)]
@@ -150,13 +147,12 @@ def _next_hit(mus: list[float], v: np.ndarray, normals, last: int | None) -> tup
     return best_k, math.atanh(best)
 
 
-def _mirror(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float,
-            graze_tol: float = 1e-9) -> np.ndarray:
+def _mirror(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float) -> np.ndarray:
     """Direction d at x, on facet k with normal u and margin <x,u>, mirrored and re-projected."""
     if abs(margin) > 1e-9:
         raise ValueError(f"reflection point is not on facet {k}")
     nu = mink_dot(d, u)
-    if abs(nu) <= graze_tol:
+    if abs(nu) <= GRAZE_TOL:
         raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu})")
     return tangent_part(x, d - 2.0 * nu * u)
 
@@ -169,18 +165,17 @@ def next_collision(s: RegularSimplex, state: FlowState) -> tuple[int, HPoint, fl
     return k, HPoint.from_vector(math.cosh(t) * x + math.sinh(t) * v), t
 
 
-def reflect_at(s: RegularSimplex, k: int, q: HPoint, v_in: TangentVec,
-               graze_tol: float = 1e-9) -> TangentVec:
+def reflect_at(s: RegularSimplex, k: int, q: HPoint, v_in: TangentVec) -> TangentVec:
     """Specular reflection of an arriving direction at a point of facet k.
 
     The arrival point must lie on the facet hyperplane and the incidence
-    must be transversal; a normal component below ``graze_tol`` is a
+    must be transversal; a normal component up to ``GRAZE_TOL`` is a
     grazing hit and raises `NonSmoothHitError`.
     """
     hp = s.facet(k).hyperplane
-    if not np.allclose(v_in.base.coords, q.coords, atol=1e-9):
+    if not np.allclose(v_in.base.coords, q.coords, rtol=0.0, atol=1e-9):
         raise ValueError("arriving tangent is not based at the reflection point")
-    return TangentVec(q, _mirror(q.coords, v_in.direction, k, hp.normal, hp.margin(q), graze_tol))
+    return TangentVec(q, _mirror(q.coords, v_in.direction, k, hp.normal, hp.margin(q)))
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,10 @@ def mink_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(-x[0] * y[0] + x[1:] @ y[1:])
 
 
-def safe_arccosh(c: float, tol: float = REP_TOL) -> float:
-    """arccosh that forgives arguments within ``tol`` below 1, and no more."""
+def safe_arccosh(c: float) -> float:
+    """arccosh that forgives arguments within ``REP_TOL`` below 1, and no more."""
     if c < 1.0:
-        if c < 1.0 - tol:
+        if c < 1.0 - REP_TOL:
             raise ValueError(f"arccosh argument {c!r} below 1 beyond tolerance")
         return 0.0
     return float(np.arccosh(c))

@@ -41,12 +41,16 @@ class PointMass:
         object.__setattr__(self, "weight", w)
 
 
-def combine_intrinsic(p: PointMass, q: PointMass, *, width: float = 1e-14) -> PointMass:
+# `combine_intrinsic` bisects until its bracket is no wider than this.
+BISECT_WIDTH = 1e-14
+
+
+def combine_intrinsic(p: PointMass, q: PointMass) -> PointMass:
     """Combine two point masses by bisecting the sinh balance on the segment.
 
     Solves  f(t) = x sinh t - y sinh(d - t) = 0  for t in [0, d], where
     d = d(X, Y); f is strictly increasing with f(0) <= 0 <= f(d), so plain
-    bisection to bracket width ``width`` suffices.  Deliberately avoids the
+    bisection to bracket width ``BISECT_WIDTH`` suffices.  Deliberately avoids the
     linear form used by `centroid_fold` so the two can check each other.
     """
     x, y = p.weight, q.weight
@@ -66,7 +70,7 @@ def combine_intrinsic(p: PointMass, q: PointMass, *, width: float = 1e-14) -> Po
         return x * math.sinh(t) - y * math.sinh(d - t)
 
     lo, hi = 0.0, d
-    while hi - lo > width:
+    while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

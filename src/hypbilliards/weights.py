@@ -75,21 +75,26 @@ def eval_g(y: float, n: int, edge: float) -> float:
     return eval_h(xi, n) - 1.0 + (y - 1.0) * (n - 1.0 + 1.0 / math.cosh(edge))
 
 
-def solve_y0(n: int, edge: float, *, start_offset: float = 1e-6, max_y: float = 2.0**60) -> float:
+# The root scan of `solve_y0` starts at y = 1 + START_OFFSET and gives up above MAX_Y.
+START_OFFSET = 1e-6
+MAX_Y = 2.0**60
+
+
+def solve_y0(n: int, edge: float) -> float:
     """Smallest root of g above 1, by bracket scan and bisection to machine width.
 
-    Starts the scan at ``1 + start_offset``; if g is already non-negative
+    Starts the scan at ``1 + START_OFFSET``; if g is already non-negative
     there the offset is halved until the search lands inside the negative
     dip next to 1 (the dip is shallow for small edges).  The upper bracket
     end comes from doubling the offset until g turns positive.  Raises
     `RootBracketError` when no dip is found above offset 1e-15 or no sign
-    change occurs below ``max_y``.
+    change occurs below ``MAX_Y``.
     """
 
     def g(y: float) -> float:
         return eval_g(y, n, edge)
 
-    off = start_offset
+    off = START_OFFSET
     while g(1.0 + off) >= 0.0:
         off *= 0.5
         if off < 1e-15:
@@ -101,8 +106,8 @@ def solve_y0(n: int, edge: float, *, start_offset: float = 1e-6, max_y: float = 
     while g(hi) <= 0.0:
         off *= 2.0
         hi = 1.0 + off
-        if hi > max_y:
-            raise RootBracketError(f"no sign change of g below {max_y} (n={n}, edge={edge})")
+        if hi > MAX_Y:
+            raise RootBracketError(f"no sign change of g below {MAX_Y} (n={n}, edge={edge})")
     # bisect until the bracket cannot be split at float resolution
     while True:
         mid = 0.5 * (lo + hi)

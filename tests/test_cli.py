@@ -70,6 +70,16 @@ def test_simplex_precision_flag(capsys):
     ("verify", "--dims", "1..3", "--edges", "1"),     # sweep includes n=1
     ("simplex", "--dim", "3", "--edge", "1", "--precision", "0"),
     ("orbit", "--dim", "3", "--edge", "800"),        # cosh of the edge overflows
+    ("simplex", "--dim", "3", "--edge", "1", "--precision", "18"),
+    ("verify", "--dims", "3..2"),                     # empty range
+    ("verify", "--dims", ""),                         # no dimensions
+    ("verify", "--cosh-edges", "1"),                  # cosh not above 1
+    ("verify", "--edges", "0"),                       # zero edge
+    ("simulate", "--dim", "2", "--edge", "1",         # direction without start
+     "--dir-coords", "0,1,-1,0"),
+    ("simulate", "--dim", "2", "--edge", "1",         # empty coordinate
+     "--start-coords", "1,0,,0", "--dir-coords", "0,1,-1,0"),
+    ("simulate", "--dim", "2", "--edge", "1", "--steps", "-1"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)

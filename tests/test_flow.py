@@ -9,7 +9,7 @@ from hypbilliards.flow import (
     FlowState,
     NonSmoothHitError,
     Trajectory,
-    _facet_hit_time,
+    _crossing_ratio,
     iterate,
     launch_state,
     next_collision,
@@ -30,20 +30,20 @@ def make_orbit(n, a):
     return s, construct_orbit(s, build_sequence(n, a))
 
 
-def test_facet_hit_time_unit_cases():
+def test_crossing_ratio_unit_cases():
     # receding or parallel: no hit
-    assert _facet_hit_time(0.5, 0.0) is None
-    assert _facet_hit_time(0.5, 0.3) is None
+    assert _crossing_ratio(0.5, 0.0, 0.0) is None
+    assert _crossing_ratio(0.5, 0.3, 0.0) is None
     # margin too large to ever cross: asymptotic approach
-    assert _facet_hit_time(1.0, -0.5) is None
+    assert _crossing_ratio(1.0, -0.5, 0.0) is None
     # clean crossing at t = atanh(mu) for nu = -1
-    t = _facet_hit_time(math.tanh(0.7), -1.0)
-    assert t == pytest.approx(0.7, rel=1e-12)
+    ratio = _crossing_ratio(math.tanh(0.7), -1.0, 0.0)
+    assert math.atanh(ratio) == pytest.approx(0.7, rel=1e-12)
     # a minimum flight time filters the same crossing out
-    assert _facet_hit_time(math.tanh(0.7), -1.0, t_min=0.8) is None
+    assert _crossing_ratio(math.tanh(0.7), -1.0, math.tanh(0.8)) is None
     # sitting exactly on the facet and leaving: not a forward hit
-    assert _facet_hit_time(0.0, -1.0) is None
-    assert _facet_hit_time(-1e-12, -1.0) is None
+    assert _crossing_ratio(0.0, -1.0, 0.0) is None
+    assert _crossing_ratio(-1e-12, -1.0, 0.0) is None
 
 
 def test_next_collision_center_to_facet_center():
@@ -88,6 +88,16 @@ def test_reflect_at_rejects_bad_input():
     inside = TangentVec.toward(w, s.vertices[1])
     with pytest.raises(NonSmoothHitError):
         reflect_at(s, 0, w, inside)
+
+
+def test_reflect_at_rejects_nearby_base():
+    # the base check is absolute: 1e-7 off is far outside its 1e-9
+    s = build(3, 1.0)
+    w = s.facets[0].center
+    near = geodesic_point(w, s.vertices[1], 1e-7)
+    assert chord_dist(near, w) == pytest.approx(1e-7, rel=1e-6)
+    with pytest.raises(ValueError, match="not based at the reflection point"):
+        reflect_at(s, 0, w, TangentVec.toward(near, s.vertices[0]))
 
 
 def test_flow_retraces_constructed_orbit():

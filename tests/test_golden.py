@@ -51,3 +51,38 @@ def test_simulate_csv_and_summary(capsys, tmp_path, name, argv):
     assert main(["simulate", *argv, "--csv", str(out)]) == 0
     assert capsys.readouterr().err == (GOLDEN / f"{name}.stderr").read_text()
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+# Paths through argument parsing and dispatch: each case pins the exit code,
+# stdout and stderr, and the file written to OUT (named by its extension).
+OUT = "<out>"
+CLI_CASES = [
+    ("cli_simplex_n3_a1", 0, None,
+     ["simplex", "--dim", "3", "--edge", "1"]),
+    ("cli_simplex_n2_c2_p5", 0, None,
+     ["simplex", "--dim", "2", "--cosh-edge", "2", "--precision", "5"]),
+    ("cli_verify_n2-3_c1.5-3_p6", 0, ".json",
+     ["verify", "--dims", "2..3", "--cosh-edges", "1.5,3", "--precision", "6",
+      "--report", OUT]),
+    ("cli_orbit_n3_a1_tol1e-30", 1, None,
+     ["orbit", "--dim", "3", "--edge", "1", "--tol", "1e-30"]),
+    ("cli_orbit_n4_a0.7_p9", 0, ".csv",
+     ["orbit", "--dim", "4", "--edge", "0.7", "--precision", "9",
+      "--disk-coords", OUT]),
+    ("cli_simulate_n2_a1_coords", 0, None,
+     ["simulate", "--dim", "2", "--edge", "1", "--steps", "20",
+      "--start-coords", "1,0,0,0", "--dir-coords", "0,1,-1,0"]),
+]
+
+
+@pytest.mark.parametrize("name,code,ext,argv", CLI_CASES,
+                         ids=[case[0] for case in CLI_CASES])
+def test_cli_paths(capsys, tmp_path, name, code, ext, argv):
+    out = tmp_path / f"{name}{ext}"
+    capsys.readouterr()
+    assert main([str(out) if a == OUT else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert captured.err.encode() == (GOLDEN / f"{name}.stderr").read_bytes()
+    if ext:
+        assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
