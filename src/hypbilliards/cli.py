@@ -255,7 +255,11 @@ def check_args(args: argparse.Namespace) -> None:
         )
     if not 1 <= args.precision <= 17:
         raise ValueError(f"precision must be in 1..17, got {args.precision}")
+    if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
     if args.command == "simulate":
+        if not math.isfinite(args.perturb):
+            raise ValueError(f"perturbation angle must be finite, got {args.perturb}")
         for name in ("start_coords", "dir_coords"):
             text = getattr(args, name)
             if text is not None:

@@ -14,6 +14,7 @@ computation chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,9 @@ def mink_dot(x: np.ndarray, y: np.ndarray) -> float:
 
     The spacelike part is one ``ddot`` per pair of vectors.  Keep it that way:
     a matrix product over a stack of vectors rounds differently in the last
-    bit, which moves every pinned residual downstream.
+    bit, which moves every pinned residual downstream.  Use it on data that
+    is already validated (`HPoint` coordinates, `Hyperplane` normals, vertex
+    rows): the results match `mink_inner` bit for bit, minus its re-checks.
     """
     return float(-x[0] * y[0] + x[1:] @ y[1:])
 
@@ -202,8 +205,12 @@ def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
 
 
 def dist(a: HPoint, b: HPoint) -> float:
-    """Hyperbolic distance ``arccosh(-<A,B>)``."""
-    return safe_arccosh(-mink_inner(a.coords, b.coords))
+    """Hyperbolic distance ``arccosh(-<A,B>)``, or ``2 asinh(chord/2)`` where
+    ``-<A,B> < 1 + 1e-6`` and arccosh would round distances below ~1e-8 to 0."""
+    c = -mink_dot(a.coords, b.coords)
+    if c < 1.0 + 1e-6:
+        return 2.0 * math.asinh(0.5 * chord_dist(a, b))
+    return safe_arccosh(c)
 
 
 def chord_dist(a: HPoint, b: HPoint) -> float:
@@ -215,7 +222,7 @@ def chord_dist(a: HPoint, b: HPoint) -> float:
     metric of choice whenever two points are expected to coincide.
     """
     d = a.coords - b.coords
-    return float(np.sqrt(max(mink_inner(d, d), 0.0)))
+    return float(np.sqrt(max(mink_dot(d, d), 0.0)))
 
 
 def geodesic_point(a: HPoint, b: HPoint, s: float) -> HPoint:

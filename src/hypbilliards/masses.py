@@ -9,22 +9,25 @@ carrying total weight  z = x cosh d(X,Z) + y cosh d(Y,Z).
 
 In the hyperboloid model this law is linear: the combined location is the
 renormalized weighted Minkowski sum x X + y Y and the combined weight is
-the Minkowski magnitude of that sum.  The operation is commutative and
-associative, so `centroid_fold` evaluates any number of masses, two
-included, as a single weighted sum.  `combine_intrinsic` solves the
-two-mass balance equation on the segment directly and exists as an
-independent cross-check of the same operation.
+the Minkowski magnitude of that sum.  The law is commutative and associative,
+so `centroid_fold`, the package's only centroid sum, evaluates any number of
+masses as ``np.add.reduce(w[:, None] * X, axis=0, initial=0.0)`` over a stack.
+Not ``w @ X``: gemv rounds differently and moves every pinned residual.  numpy
+reduces axis 0 of a C-contiguous stack row by row, the order of the loop
+``s = 0; s = s + w_k X_k`` (signed zeros included); as numpy does not document
+this, a test pins it.  `combine_intrinsic` solves the two-mass balance on the
+segment directly, as an independent cross-check of the same operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import HPoint, chord_dist, dist, geodesic_point, mink_inner
+from .geometry import HPoint, chord_dist, dist, geodesic_point, mink_dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,22 +86,21 @@ def combine_intrinsic(p: PointMass, q: PointMass) -> PointMass:
     return PointMass(geodesic_point(p.location, q.location, t), z)
 
 
-def centroid_fold(items: Iterable[PointMass]) -> PointMass:
-    """Centroid of finitely many point masses.
+def centroid_fold(weights, coords) -> PointMass:
+    """Centroid of the masses ``weights[k]`` at the points ``coords[k]``.
 
-    The combination law is associative, so every bracketing of pairwise
-    combinations gives the same result, and it is computed in one shot from
-    the total weighted sum; a list of two is the two-mass law.  Zero-weight
-    entries are legal and do not move the centroid; at least one weight
-    must be positive.
+    ``coords`` is a ``(k, m)`` stack of points on the upper sheet, not
+    re-checked; two rows are the two-mass law.  Zero weights are legal and
+    do not move the centroid; at least one weight must be positive.
     """
-    pms = list(items)
-    if not pms:
-        raise ValueError("need at least one point mass")
-    s = np.zeros(pms[0].location.ambient_dim)
-    for pm in pms:
-        s = s + pm.weight * pm.location.coords
-    m2 = -mink_inner(s, s)
+    w = np.asarray(weights, dtype=np.float64)
+    x = np.ascontiguousarray(coords, dtype=np.float64)
+    if x.ndim != 2 or w.shape != x.shape[:1]:
+        raise ValueError(f"need k weights and a (k, m) stack, got {w.shape} and {x.shape}")
+    if not all(0.0 <= v < math.inf for v in w.tolist()):
+        raise ValueError(f"weights must be finite and non-negative, got {w}")
+    s = np.add.reduce(w[:, None] * x, axis=0, initial=0.0)
+    m2 = -mink_dot(s, s)
     if m2 <= 0.0:
         raise ValueError("total mass is zero; centroid undefined")
     return PointMass(HPoint.from_vector(s), math.sqrt(m2))

@@ -29,7 +29,7 @@ from .geometry import (
     segment_defect,
     unit_tangent,
 )
-from .masses import PointMass, centroid_fold
+from .masses import centroid_fold
 from .simplex import Region, RegularSimplex, classify_point
 from .weights import MassSequence
 
@@ -118,17 +118,11 @@ def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
         raise ValueError(
             f"simplex (n={s.n}, edge={s.edge}) and weights (n={seq.n}, edge={seq.edge}) disagree"
         )
-    n = s.n
-    pts = []
-    ms = []
-    # only w_1..w_n matter: w_0 = w_{n+1} = 0 and index k = n+1 wraps onto k = 0
-    for j in range(n + 1):
-        pm = centroid_fold(
-            PointMass(s.vertex(k + j), seq.weight(k)) for k in range(n + 1)
-        )
-        pts.append(pm.location)
-        ms.append(pm.weight)
-    return BilliardOrbit(tuple(pts), np.array(ms), seq.multiplier)
+    # w_{n+1} = 0, so k = 0..n suffices; row k of the rolled stack is vertex k + j
+    vc, w = s.vertex_coords, seq.weights[:-1]
+    pms = [centroid_fold(w, np.concatenate((vc[j:], vc[:j]))) for j in range(s.n + 1)]
+    return BilliardOrbit(tuple(pm.location for pm in pms), np.array([pm.weight for pm in pms]),
+                         seq.multiplier)
 
 
 def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-9) -> OrbitVerification:
@@ -167,9 +161,8 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-
 
         incidence[j] = abs(hp.margin(pj))
         collinearity[j] = segment_defect(pj, prev_pt, mirrored)
-        merged = centroid_fold(
-            [PointMass(prev_pt, orbit.mass(j - 1)), PointMass(mirrored, orbit.mass(j + 1))]
-        )
+        merged = centroid_fold((orbit.mass(j - 1), orbit.mass(j + 1)),
+                               np.array((prev_pt.coords, mirrored.coords)))
         target_mass = orbit.multiplier * orbit.mass(j)
         centroid_dist[j] = chord_dist(merged.location, pj)
         centroid_mass_rel[j] = abs(merged.weight - target_mass) / target_mass

@@ -23,7 +23,7 @@ from . import flow as flow_mod
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
-from .geometry import angle_at, chord_dist, dist, segment_defect
+from .geometry import angle_at, chord_dist, dist, mink_dot, segment_defect
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,8 @@ def jsonable(obj, sig: int = 17):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v, sig) for v in obj]
     if isinstance(obj, np.ndarray):
+        if sig >= 17 and obj.dtype == np.float64:
+            return obj.tolist()  # `round_sig` is the identity at 17 digits
         return [jsonable(v, sig) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -204,6 +206,16 @@ def jsonable(obj, sig: int = 17):
 
 def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
     """Geometry, measured metrics, and internal consistency checks of one simplex."""
+    doc = _simplex_body(s)
+    doc["checks"]["facet_incidence"] = max(
+        abs(mink_dot(s.vertex_coords[k], f.hyperplane.normal))
+        for f in s.facets for k in f.vertex_indices
+    )
+    return doc
+
+
+def _simplex_body(s: simplex_mod.RegularSimplex) -> dict:
+    """`simplex_document` minus the vertex ``facet_incidence``, which `orbit_document` replaces."""
     n = s.n
     c = math.cosh(s.edge)
     m = simplex_mod.metrics(s)
@@ -212,10 +224,6 @@ def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
         dist(s.vertices[i], s.vertices[j])
         for i in range(n + 1) for j in range(i + 1, n + 1)
     ]
-    incidence = max(
-        abs(f.hyperplane.margin(s.vertices[k]))
-        for f in s.facets for k in f.vertex_indices
-    )
     min_margin = min(f.hyperplane.margin(s.vertices[f.index]) for f in s.facets)
 
     # right angles at a facet center: the apex direction is perpendicular to
@@ -254,7 +262,7 @@ def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
         },
         "checks": {
             "edge_spread": max(abs(d - s.edge) for d in pair_dists),
-            "facet_incidence": incidence,
+            "facet_incidence": None,
             "min_opposite_margin": min_margin,
             "right_angle": right_angle,
             "center_between": center_between,
@@ -279,7 +287,7 @@ def orbit_document(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
 
     Returns the document and whether every check passed.
     """
-    doc = simplex_document(s)
+    doc = _simplex_body(s)
     cell = evaluate_cell(s, seq, orb, tol)
     doc["mass_sequence"] = sequence_document(seq)
     doc["orbit"] = {

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HPoint, Hyperplane, chord_dist, dist, reflect, safe_arccosh
-from .masses import PointMass, centroid_fold
+from .geometry import HPoint, Hyperplane, chord_dist, dist, mink_dot, reflect, safe_arccosh
+from .masses import centroid_fold
 from .weights import pair_mass_constant
 
 
@@ -83,6 +83,7 @@ class RegularSimplex:
     vertices: tuple[HPoint, ...]
     facets: tuple[FacetData, ...]
     circumcenter: HPoint
+    vertex_coords: np.ndarray  # read-only rows: the coordinates of `vertices`
 
     @property
     def ambient_dim(self) -> int:
@@ -116,9 +117,9 @@ def build(n: int, edge: float) -> RegularSimplex:
     cosh_r = math.sqrt(1.0 + sinh_r * sinh_r)
     e = simplex_directions(n)
 
-    vertices = tuple(
-        HPoint(np.concatenate(([cosh_r], sinh_r * e[j]))) for j in range(n + 1)
-    )
+    vc = np.column_stack((np.full(n + 1, cosh_r), sinh_r * e))
+    vc.setflags(write=False)
+    vertices = tuple(HPoint(row) for row in vc)
 
     # Facet normal opposite vertex j shares the vertex's symmetry axis:
     # u_j = (p, q e_j) with t = sinh r / (n cosh r) kills <V_k, u_j> for k != j
@@ -130,10 +131,10 @@ def build(n: int, edge: float) -> RegularSimplex:
     for j in range(n + 1):
         hp = Hyperplane(np.concatenate(([p], q * e[j])))
         others = tuple(k for k in range(n + 1) if k != j)
-        center = centroid_fold([PointMass(vertices[k], 1.0) for k in others]).location
+        center = centroid_fold(np.ones(n), vc[list(others)]).location
         facets.append(FacetData(j, hp, center, others))
 
-    return RegularSimplex(n, edge, vertices, tuple(facets), HPoint.basepoint(n + 2))
+    return RegularSimplex(n, edge, vertices, tuple(facets), HPoint.basepoint(n + 2), vc)
 
 
 # Closed-form squared hyperbolic cosines of the simplex measurements, as
@@ -168,7 +169,7 @@ def metrics(s: RegularSimplex) -> SimplexMetrics:
     """Measure the characteristic distances and the centroid weight directly."""
     vc = np.array([dist(v, s.circumcenter) for v in s.vertices])
     vf = np.array([dist(s.vertices[j], s.facets[j].center) for j in range(s.n + 1)])
-    w = centroid_fold([PointMass(v, 1.0) for v in s.vertices]).weight
+    w = centroid_fold(np.ones(s.n + 1), s.vertex_coords).weight
     return SimplexMetrics(vc, vf, w)
 
 
@@ -182,9 +183,9 @@ def vertex_reflection_identity_residual(s: RegularSimplex, j: int) -> float:
     """
     facet = s.facet(j)
     v = s.vertex(j)
-    lhs = centroid_fold([PointMass(v, 1.0), PointMass(reflect(facet.hyperplane, v), 1.0)])
+    lhs = centroid_fold((1.0, 1.0), np.array((v.coords, reflect(facet.hyperplane, v).coords)))
     w = pair_mass_constant(s.n, math.cosh(s.edge))
-    rhs = centroid_fold([PointMass(s.vertices[k], w) for k in facet.vertex_indices])
+    rhs = centroid_fold(np.full(s.n, w), s.vertex_coords[list(facet.vertex_indices)])
     return max(
         chord_dist(lhs.location, rhs.location),
         abs(lhs.weight - rhs.weight) / rhs.weight,
@@ -207,7 +208,7 @@ class PointClass:
 
 def classify_point(s: RegularSimplex, p: HPoint, tol: float = 1e-9) -> PointClass:
     """Locate a point relative to the closed simplex by its facet margins (see `region_of`)."""
-    margins = [f.hyperplane.margin(p) for f in s.facets]
+    margins = [mink_dot(p.coords, f.hyperplane.normal) for f in s.facets]
     return PointClass(*region_of(margins, tol), np.array(margins))
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: random hyperboloid data for property tests."""
+"""Shared helpers: random hyperboloid data for property tests, and `fold`."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hypbilliards.geometry import HPoint, Hyperplane
+from hypbilliards.masses import PointMass, centroid_fold
 
 coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -44,3 +45,8 @@ def random_hyperplane(rng: np.random.Generator, spacelike_dim: int) -> Hyperplan
     w /= np.linalg.norm(w)
     t = rng.uniform(-2.0, 2.0)
     return Hyperplane(np.concatenate(([t], math.sqrt(1.0 + t * t) * w)))
+
+
+def fold(items) -> PointMass:
+    """`centroid_fold` of a list of point masses."""
+    return centroid_fold([p.weight for p in items], np.array([p.location.coords for p in items]))

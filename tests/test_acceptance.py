@@ -13,7 +13,7 @@ import numpy as np
 
 from hypbilliards.flow import closure_error, iterate, state_toward
 from hypbilliards.geometry import chord_dist, geodesic_point, reflect
-from hypbilliards.masses import PointMass, centroid_fold, combine_intrinsic, scale_masses
+from hypbilliards.masses import PointMass, combine_intrinsic, scale_masses
 from hypbilliards.orbit import (
     construct_orbit,
     midpoint_trajectory_defect,
@@ -32,7 +32,7 @@ from hypbilliards.simplex import (
 )
 from hypbilliards.weights import build_sequence, eval_g, forward_weights
 
-from conftest import random_hpoint, random_hyperplane
+from conftest import fold, random_hpoint, random_hyperplane
 
 GRID = [(n, a) for n in range(2, 9) for a in (0.5, 1.0, 2.0)]
 
@@ -78,7 +78,7 @@ def test_criterion_03_centroid_mass_formula():
     """Folding unit vertex masses collects weight sqrt((n+1)(n cosh a + 1))."""
     for n, a in GRID + [(1, 1.0)]:
         s = build(n, a)
-        w = centroid_fold([PointMass(v, 1.0) for v in s.vertices]).weight
+        w = fold([PointMass(v, 1.0) for v in s.vertices]).weight
         assert abs(w / centroid_weight_formula(n, math.cosh(a)) - 1.0) < 1e-10, (n, a)
 
 
@@ -122,7 +122,7 @@ def test_criterion_07_center_of_mass_oracle_equivalence():
         m = int(rng.integers(2, 6))
         p = PointMass(random_hpoint(rng, m), float(rng.uniform(0.05, 20.0)))
         q = PointMass(random_hpoint(rng, m), float(rng.uniform(0.05, 20.0)))
-        u, v = centroid_fold([p, q]), combine_intrinsic(p, q)
+        u, v = fold([p, q]), combine_intrinsic(p, q)
         assert chord_dist(u.location, v.location) < 1e-10
         assert abs(u.weight - v.weight) / u.weight < 1e-10
 
@@ -131,20 +131,20 @@ def test_criterion_07_center_of_mass_oracle_equivalence():
         pa = PointMass(random_hpoint(rng, m), float(rng.uniform(0.1, 10.0)))
         pb = PointMass(random_hpoint(rng, m), float(rng.uniform(0.1, 10.0)))
         pc = PointMass(random_hpoint(rng, m), float(rng.uniform(0.1, 10.0)))
-        ab, ba = centroid_fold([pa, pb]), centroid_fold([pb, pa])
+        ab, ba = fold([pa, pb]), fold([pb, pa])
         assert chord_dist(ab.location, ba.location) < 1e-10
         assert abs(ab.weight - ba.weight) / ab.weight < 1e-10
-        left = centroid_fold([centroid_fold([pa, pb]), pc])
-        right = centroid_fold([pa, centroid_fold([pb, pc])])
+        left = fold([fold([pa, pb]), pc])
+        right = fold([pa, fold([pb, pc])])
         assert chord_dist(left.location, right.location) < 1e-10
         assert abs(left.weight - right.weight) / left.weight < 1e-10
         factor = float(rng.uniform(0.1, 10.0))
         sa, sb = scale_masses([pa, pb], factor)
-        scaled = centroid_fold([sa, sb])
+        scaled = fold([sa, sb])
         assert chord_dist(scaled.location, ab.location) < 1e-10
         assert abs(scaled.weight - factor * ab.weight) / scaled.weight < 1e-10
         h = random_hyperplane(rng, m)
-        mirrored = centroid_fold([
+        mirrored = fold([
             PointMass(reflect(h, pa.location), pa.weight),
             PointMass(reflect(h, pb.location), pb.weight),
         ])

@@ -80,6 +80,9 @@ def test_simplex_precision_flag(capsys):
     ("simulate", "--dim", "2", "--edge", "1",         # empty coordinate
      "--start-coords", "1,0,,0", "--dir-coords", "0,1,-1,0"),
     ("simulate", "--dim", "2", "--edge", "1", "--steps", "-1"),
+    ("orbit", "--dim", "3", "--edge", "1", "--tol", "nan"),
+    ("orbit", "--dim", "3", "--edge", "1", "--tol", "-1"),
+    ("simulate", "--dim", "3", "--edge", "1", "--steps", "2", "--perturb", "nan"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import hpoint_pairs, hpoint_triples, lift, random_hpoint, random_hyperplane
 from hypbilliards.geometry import (
@@ -83,6 +83,7 @@ def test_dist_symmetric_and_nonnegative(pair):
 
 
 @given(hpoint_triples())
+@example((lift([0.0, 1.0]), lift([1.5, 1e-8]), lift([1.5, 0.0])))
 def test_triangle_inequality(triple):
     a, b, c = triple
     assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-10

@@ -5,8 +5,11 @@ argument lists below.  Any change to the arithmetic that moves a single
 bit of a residual, a weight or a bounce point fails here.  The `simulate`
 fixtures pin long flows (200 bounces from a perturbed launch, where
 rounding differences grow by e^t per flight) and the stderr summary line.
+Documents of large cells (0.16-2.3 MB) are pinned by their SHA-256 in
+``large_docs.sha256`` instead of committed whole.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,28 @@ def test_cli_paths(capsys, tmp_path, name, code, ext, argv):
     assert captured.err.encode() == (GOLDEN / f"{name}.stderr").read_bytes()
     if ext:
         assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+# Name in large_docs.sha256 -> argv; OUT is the --json file, else stdout is hashed.
+LARGE_DOCS = {
+    "orbit_n32_a1.json": ["orbit", "--dim", "32", "--edge", "1", "--json", OUT],
+    "orbit_n128_a2.json": ["orbit", "--dim", "128", "--edge", "2", "--json", OUT],
+    "orbit_n64_a1_p9.json": ["orbit", "--dim", "64", "--edge", "1", "--precision", "9",
+                             "--json", OUT],
+    "simplex_n64_a1.3.stdout": ["simplex", "--dim", "64", "--edge", "1.3"],
+}
+
+
+def _large_doc_hashes() -> dict[str, str]:
+    lines = (GOLDEN / "large_docs.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_DOCS))
+def test_large_document_sha256(capsys, tmp_path, name):
+    out = tmp_path / name
+    argv = LARGE_DOCS[name]
+    capsys.readouterr()
+    assert main([str(out) if a == OUT else a for a in argv]) == 0
+    data = out.read_bytes() if OUT in argv else capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == _large_doc_hashes()[name]

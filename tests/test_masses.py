@@ -1,5 +1,6 @@
 """Tests for the hyperbolic center-of-mass calculus."""
 
+import dataclasses
 import math
 from functools import reduce
 
@@ -8,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypbilliards.geometry import chord_dist, dist, geodesic_point, reflect
+from hypbilliards.geometry import HPoint, chord_dist, dist, geodesic_point, mink_dot, reflect
 from hypbilliards.masses import (
     PointMass,
     centroid_fold,
     combine_intrinsic,
     scale_masses,
 )
+from hypbilliards.orbit import construct_orbit
+from hypbilliards.simplex import build
+from hypbilliards.weights import build_sequence
 
-from conftest import hpoint_pairs, hpoint_triples, random_hpoint, random_hyperplane
+from conftest import fold, hpoint_pairs, hpoint_triples, random_hpoint, random_hyperplane
 
 weight = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -31,7 +35,7 @@ def test_pointmass_rejects_bad_weights():
 
 def test_combine_same_location_adds_weights():
     p = random_hpoint(np.random.default_rng(1), 3)
-    z = centroid_fold([PointMass(p, 2.0), PointMass(p, 3.5)])
+    z = fold([PointMass(p, 2.0), PointMass(p, 3.5)])
     assert chord_dist(z.location, p) < 1e-14
     assert z.weight == pytest.approx(5.5, rel=1e-14)
 
@@ -39,7 +43,7 @@ def test_combine_same_location_adds_weights():
 def test_combine_zero_weight_returns_other():
     rng = np.random.default_rng(2)
     a, b = random_hpoint(rng, 3), random_hpoint(rng, 3)
-    z = centroid_fold([PointMass(a, 0.0), PointMass(b, 1.25)])
+    z = fold([PointMass(a, 0.0), PointMass(b, 1.25)])
     assert chord_dist(z.location, b) < 1e-12
     assert z.weight == pytest.approx(1.25, rel=1e-12)
 
@@ -50,7 +54,7 @@ def test_combine_equal_masses_meet_at_midpoint():
     for _ in range(20):
         a, b = random_hpoint(rng, 4), random_hpoint(rng, 4)
         x = float(rng.uniform(0.1, 5.0))
-        z = centroid_fold([PointMass(a, x), PointMass(b, x)])
+        z = fold([PointMass(a, x), PointMass(b, x)])
         d = dist(a, b)
         mid = geodesic_point(a, b, 0.5 * d)
         assert chord_dist(z.location, mid) < 1e-10
@@ -65,7 +69,7 @@ def test_combine_satisfies_balance_equations():
         m = int(rng.integers(2, 6))
         a, b = random_hpoint(rng, m), random_hpoint(rng, m)
         x, y = rng.uniform(0.05, 20.0, 2)
-        z = centroid_fold([PointMass(a, x), PointMass(b, y)])
+        z = fold([PointMass(a, x), PointMass(b, y)])
         da, db = dist(a, z.location), dist(b, z.location)
         assert x * math.sinh(da) - y * math.sinh(db) == pytest.approx(
             0.0, abs=1e-9 * (x + y)
@@ -84,7 +88,7 @@ def test_combine_matches_intrinsic_bisection():
         m = int(rng.integers(2, 6))
         a, b = random_hpoint(rng, m), random_hpoint(rng, m)
         x, y = rng.uniform(0.05, 20.0, 2)
-        u = centroid_fold([PointMass(a, x), PointMass(b, y)])
+        u = fold([PointMass(a, x), PointMass(b, y)])
         v = combine_intrinsic(PointMass(a, x), PointMass(b, y))
         worst_loc = max(worst_loc, chord_dist(u.location, v.location))
         worst_w = max(worst_w, abs(u.weight - v.weight) / u.weight)
@@ -110,7 +114,7 @@ def test_zero_total_mass_raises():
     rng = np.random.default_rng(8)
     a, b = random_hpoint(rng, 3), random_hpoint(rng, 3)
     with pytest.raises(ValueError):
-        centroid_fold([PointMass(a, 0.0), PointMass(b, 0.0)])
+        fold([PointMass(a, 0.0), PointMass(b, 0.0)])
     with pytest.raises(ValueError):
         combine_intrinsic(PointMass(a, 0.0), PointMass(b, 0.0))
 
@@ -119,8 +123,8 @@ def test_zero_total_mass_raises():
 @given(hpoint_pairs(), weight, weight)
 def test_combine_commutative(pair, x, y):
     a, b = pair
-    u = centroid_fold([PointMass(a, x), PointMass(b, y)])
-    v = centroid_fold([PointMass(b, y), PointMass(a, x)])
+    u = fold([PointMass(a, x), PointMass(b, y)])
+    v = fold([PointMass(b, y), PointMass(a, x)])
     assert chord_dist(u.location, v.location) < 1e-10
     assert u.weight == pytest.approx(v.weight, rel=1e-12)
 
@@ -130,8 +134,8 @@ def test_combine_commutative(pair, x, y):
 def test_combine_associative(triple, x, y, z):
     a, b, c = triple
     pa, pb, pc = PointMass(a, x), PointMass(b, y), PointMass(c, z)
-    u = centroid_fold([centroid_fold([pa, pb]), pc])
-    v = centroid_fold([pa, centroid_fold([pb, pc])])
+    u = fold([fold([pa, pb]), pc])
+    v = fold([pa, fold([pb, pc])])
     assert chord_dist(u.location, v.location) < 1e-9
     assert u.weight == pytest.approx(v.weight, rel=1e-10)
 
@@ -147,8 +151,8 @@ def test_fold_equals_pairwise_combination():
     rng = np.random.default_rng(9)
     for _ in range(20):
         items = _random_masses(rng, 5, 3)
-        u = centroid_fold(items)
-        v = reduce(lambda p, q: centroid_fold([p, q]), items)
+        u = fold(items)
+        v = reduce(lambda p, q: fold([p, q]), items)
         assert chord_dist(u.location, v.location) < 1e-11
         assert u.weight == pytest.approx(v.weight, rel=1e-12)
 
@@ -156,10 +160,10 @@ def test_fold_equals_pairwise_combination():
 def test_fold_permutation_invariant():
     rng = np.random.default_rng(10)
     items = _random_masses(rng, 6, 4)
-    u = centroid_fold(items)
+    u = fold(items)
     for _ in range(10):
         perm = rng.permutation(len(items))
-        v = centroid_fold([items[i] for i in perm])
+        v = fold([items[i] for i in perm])
         assert chord_dist(u.location, v.location) < 1e-12
         assert u.weight == pytest.approx(v.weight, rel=1e-13)
 
@@ -167,27 +171,27 @@ def test_fold_permutation_invariant():
 def test_fold_singleton_and_zero_entries():
     rng = np.random.default_rng(11)
     items = _random_masses(rng, 4, 3)
-    single = centroid_fold(items[:1])
+    single = fold(items[:1])
     assert chord_dist(single.location, items[0].location) < 1e-14
     assert single.weight == pytest.approx(items[0].weight, rel=1e-14)
     # zero-weight entries leave the centroid untouched
     padded = items + [PointMass(random_hpoint(rng, 3), 0.0)]
-    u, v = centroid_fold(items), centroid_fold(padded)
+    u, v = fold(items), fold(padded)
     assert chord_dist(u.location, v.location) < 1e-14
     assert u.weight == v.weight
 
 
 def test_fold_empty_raises():
     with pytest.raises(ValueError):
-        centroid_fold([])
+        fold([])
 
 
 def test_scaling_moves_weight_not_location():
     rng = np.random.default_rng(12)
     items = _random_masses(rng, 5, 3)
-    u = centroid_fold(items)
+    u = fold(items)
     for factor in (0.25, 3.0, 1e4):
-        v = centroid_fold(scale_masses(items, factor))
+        v = fold(scale_masses(items, factor))
         assert chord_dist(u.location, v.location) < 1e-12
         assert v.weight == pytest.approx(factor * u.weight, rel=1e-12)
 
@@ -207,7 +211,50 @@ def test_combination_commutes_with_isometries():
         h = random_hyperplane(rng, m)
         a, b = random_hpoint(rng, m), random_hpoint(rng, m)
         x, y = rng.uniform(0.1, 10.0, 2)
-        direct = centroid_fold([PointMass(reflect(h, a), x), PointMass(reflect(h, b), y)])
-        pushed = centroid_fold([PointMass(a, x), PointMass(b, y)])
+        direct = fold([PointMass(reflect(h, a), x), PointMass(reflect(h, b), y)])
+        pushed = fold([PointMass(a, x), PointMass(b, y)])
         assert chord_dist(direct.location, reflect(h, pushed.location)) < 1e-9
         assert direct.weight == pytest.approx(pushed.weight, rel=1e-10)
+
+
+def _loop_fold(w, x):
+    """The sequential sum `centroid_fold` must reproduce bit for bit."""
+    s = np.zeros(x.shape[1])
+    for k in range(len(w)):
+        s = s + w[k] * x[k]
+    return s
+
+
+@pytest.mark.parametrize("n", [*range(2, 20), 32, 64, 128])
+def test_fold_matches_sequential_sum_bitwise(n):
+    """numpy's axis-0 reduction order is undocumented; pin it on the stacks the package folds.
+
+    Compared by bytes, so a -0.0 where the loop has 0.0 counts as a difference.
+    """
+    for a in (0.5, 1.0, 2.0, 7.3):
+        s = build(n, a)
+        seq = build_sequence(n, a)
+        stacks = [(np.ones(n), np.delete(s.vertex_coords, j, axis=0)) for j in range(n + 1)]
+        stacks += [(seq.weights[:-1], np.roll(s.vertex_coords, -j, axis=0)) for j in range(n + 1)]
+        for w, x in stacks:
+            got = centroid_fold(w, x)
+            ref = _loop_fold(w, x)
+            assert got.location.coords.tobytes() == HPoint.from_vector(ref).coords.tobytes()
+            assert got.weight == math.sqrt(-mink_dot(ref, ref))
+
+
+def test_fold_starts_from_positive_zero():
+    """Like the loop, the sum starts at +0.0, so a column of -0.0 sums to +0.0."""
+    w, x = np.array([1.0]), np.array([[1.0, -0.0, 0.0]])
+    got = centroid_fold(w, x).location.coords
+    assert got.tobytes() == HPoint.from_vector(_loop_fold(w, x)).coords.tobytes()
+    assert math.copysign(1.0, got[1]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [-1e-3, math.nan])
+def test_construct_orbit_rejects_bad_interior_weight(bad):
+    seq = build_sequence(5, 1.0)
+    w = seq.weights.copy()
+    w[3] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        construct_orbit(build(5, 1.0), dataclasses.replace(seq, weights=w))
