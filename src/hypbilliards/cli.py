@@ -18,7 +18,6 @@ digits by default so documents round-trip bit for bit.  CSV uses commas,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -81,12 +80,14 @@ def _resolve_edges(edges, cosh_edges) -> tuple[float, ...]:
 
 
 def _emit_json(doc, path: str | None, precision: int) -> None:
-    text = json.dumps(report_mod.jsonable(doc, precision), indent=2)
+    obj = report_mod.jsonable(doc, precision)
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            report_mod.write_json(fh, obj)
+            fh.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        report_mod.write_json(sys.stdout, obj)
+        sys.stdout.write("\n")
 
 
 def _emit_csv(header, rows, path: str | None) -> None:
@@ -264,6 +265,10 @@ def check_args(args: argparse.Namespace) -> None:
             text = getattr(args, name)
             if text is not None:
                 setattr(args, name, np.array([float(x) for x in text.split(",")]))
+    # last, so every earlier message wins as it would without this check; in a
+    # sweep, an edge that no cell can build is a usage error, not a failed cell
+    for a in args.edges if args.command == "verify" else (args.edge,):
+        simplex_mod.check_edge(a)
 
 
 def main(argv=None) -> int:

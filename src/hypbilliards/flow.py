@@ -32,10 +32,12 @@ wrappers over its helpers.  Per bounce it builds only the `HPoint` and the
 `Bounce` it records, yet makes every check the point and tangent classes
 make, through the same functions in `geometry`.  The facet margins of each
 bounce point serve both to classify it and as the next flight's margins.
-Every Minkowski product is one `mink_dot` per pair of vectors (a single
-BLAS ``ddot``), never a matrix product over all facet normals at once:
-``gemv`` rounds differently in the last bit for most vectors, and the
-orbit residuals pinned under ``tests/golden/`` would move.
+Every Minkowski product is one BLAS ``ddot`` per pair of vectors: margins
+against all facets are one `mink_dots` over the simplex's normal stack,
+a stacked vector-vector matmul that numpy runs as one ``ddot`` per row.
+They are never a 2-D matrix-vector product over the normals: ``gemv``
+rounds differently in the last bit for most vectors, and the orbit
+residuals pinned under ``tests/golden/`` would move.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HPoint, TangentVec, check_on_sheet, check_unit_tangent, chord_dist,
-                       mink_dot, mink_inner, tangent_part, to_sheet, unit_tangent)
+                       mink_dot, mink_dots, mink_inner, tangent_part, to_sheet, unit_tangent)
 from .orbit import BilliardOrbit
 from .simplex import Region, RegularSimplex, classify_point, region_of
 
@@ -115,18 +117,8 @@ def _crossing_ratio(mu: float, nu: float, lo: float) -> float | None:
     return ratio if lo < ratio < 1.0 else None
 
 
-def _normals(s: RegularSimplex) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Per facet: the normal's timelike entry, its spacelike slice, and the whole normal."""
-    return [(float(u[0]), u[1:], u) for u in (f.hyperplane.normal for f in s.facets)]
-
-
-def _products(y: np.ndarray, normals) -> list[float]:
-    """<y, u_k> for every facet normal, each computed exactly as `mink_inner` does."""
-    y0, ys = y[0], y[1:]
-    return [float(-y0 * u0 + ys @ us) for u0, us, _ in normals]
-
-
-def _next_hit(mus: list[float], v: np.ndarray, normals, last: int | None) -> tuple[int, float]:
+def _next_hit(mus: list[float], v: np.ndarray, normals: np.ndarray,
+              last: int | None) -> tuple[int, float]:
     """Facet and flight time of the first forward crossing from margins ``mus`` along v.
 
     The T_MIN floor applies only to the facet the state just bounced off,
@@ -136,7 +128,7 @@ def _next_hit(mus: list[float], v: np.ndarray, normals, last: int | None) -> tup
     increasing, so the smallest ratio marks the first hit.
     """
     best_k, best = -1, math.inf
-    for k, (mu, nu) in enumerate(zip(mus, _products(v, normals))):
+    for k, (mu, nu) in enumerate(zip(mus, mink_dots(v, normals).tolist())):
         if mu < -BOUNDARY_SLACK:
             raise ValueError(f"state is outside the simplex (margin {mu} at facet {k})")
         ratio = _crossing_ratio(mu, nu, _TANH_T_MIN if k == last else 0.0)
@@ -159,9 +151,9 @@ def _mirror(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float) 
 
 def next_collision(s: RegularSimplex, state: FlowState) -> tuple[int, HPoint, float]:
     """Facet index, collision point, and flight time of the next boundary hit."""
-    normals = _normals(s)
+    normals = s.normal_coords
     x, v = state.position.coords, state.direction
-    k, t = _next_hit(_products(x, normals), v, normals, state.last_facet)
+    k, t = _next_hit(mink_dots(x, normals).tolist(), v, normals, state.last_facet)
     return k, HPoint.from_vector(math.cosh(t) * x + math.sinh(t) * v), t
 
 
@@ -213,11 +205,11 @@ class Trajectory:
 
 def _run(s: RegularSimplex, state: FlowState, steps: int, first: int = 0):
     """The billiard loop: ``steps`` bounces numbered from ``first``, and the final state."""
-    normals = _normals(s)
+    normals = s.normal_coords
     ones = s.slice_vector()
     m, unit = s.n + 1.0, math.sqrt(s.n + 1.0)
     x, v, last = state.position.coords, state.direction, state.last_facet
-    mus = _products(x, normals)
+    mus = mink_dots(x, normals).tolist()
     bounces = []
     for i in range(first, first + steps):
         try:
@@ -242,7 +234,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int, first: int = 0):
             q = HPoint.from_vector(x_raw - cx * ones)
             x = q.coords
 
-            mus = _products(x, normals)
+            mus = mink_dots(x, normals).tolist()
             region, facet = region_of(mus)
             if region is not Region.FACET_INTERIOR:
                 raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
@@ -252,7 +244,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int, first: int = 0):
                 )
             d = tangent_part(x, v_raw - cv * ones)
             check_unit_tangent(x, d)
-            v = _mirror(x, d, k, normals[k][2], mus[k])
+            v = _mirror(x, d, k, normals[k], mus[k])
             _check_unit_speed(*check_unit_tangent(x, v))
         except NonSmoothHitError as err:
             err.step = i

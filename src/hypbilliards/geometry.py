@@ -44,13 +44,25 @@ def mink_inner(x, y) -> float:
 def mink_dot(x: np.ndarray, y: np.ndarray) -> float:
     """`mink_inner` of two flat float64 arrays of equal length, without re-checking them.
 
-    The spacelike part is one ``ddot`` per pair of vectors.  Keep it that way:
-    a matrix product over a stack of vectors rounds differently in the last
-    bit, which moves every pinned residual downstream.  Use it on data that
-    is already validated (`HPoint` coordinates, `Hyperplane` normals, vertex
-    rows): the results match `mink_inner` bit for bit, minus its re-checks.
+    The spacelike part is one BLAS ``ddot``.  Use it on data that is already
+    validated (`HPoint` coordinates, `Hyperplane` normals, vertex rows): the
+    results match `mink_inner` bit for bit, minus its re-checks.  For one
+    vector against many, use `mink_dots`.
     """
     return float(-x[0] * y[0] + x[1:] @ y[1:])
+
+
+def mink_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`mink_dot` of x with every row of the ``(k, len(x))`` stack ys, bit for bit.
+
+    numpy runs the stacked matmul ``(k, 1, L) @ (L, 1)`` as one vector-vector
+    ``ddot`` per row, the call `mink_dot` makes.  Never write it as the 2-D
+    product ``ys[:, 1:] @ x[1:]``: that is one ``gemv``, which rounds
+    differently in the last bit for most rows and moves every pinned
+    residual downstream.  numpy does not document this routing;
+    `tests/test_geometry.py` pins it.
+    """
+    return -x[0] * ys[:, 0] + np.matmul(ys[:, None, 1:], x[1:, None])[:, 0, 0]
 
 
 def safe_arccosh(c: float) -> float:

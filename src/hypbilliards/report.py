@@ -8,12 +8,15 @@ one after another in lexicographic (n, edge) order.
 
 JSON documents serialize floats at full round-trip precision (17
 significant digits) unless a lower precision is requested; reloading a
-document therefore reproduces the emitted values bit for bit.
+document therefore reproduces the emitted values bit for bit.  `write_json`
+writes them in the layout of ``json.dumps(obj, indent=2)``, byte for byte,
+without falling back to the pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass
 
@@ -23,7 +26,7 @@ from . import flow as flow_mod
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
-from .geometry import angle_at, chord_dist, dist, mink_dot, segment_defect
+from .geometry import angle_at, chord_dist, dist, mink_dots, segment_defect
 
 
 @dataclass(frozen=True)
@@ -162,16 +165,25 @@ def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
 
 
 def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
-    """Build and evaluate every (n, edge) cell; results in lexicographic order."""
+    """Build and evaluate every (n, edge) cell; results in lexicographic order.
+
+    A cell whose build or evaluation breaks down numerically (`ValueError`,
+    `ArithmeticError`, `RootBracketError`) is reported as failed, with
+    ``"<ExceptionClass>: <message>"`` as its failure and no residuals, and
+    the sweep goes on with the next cell.
+    """
     tol = tol or Tolerances()
     cells = [(int(n), float(a)) for n in sorted(set(dims)) for a in sorted(set(edges))]
     if not cells:
         raise ValueError("empty sweep: need at least one dimension and one edge")
     reports = []
     for n, a in cells:
-        s = simplex_mod.build(n, a)
-        seq = weights_mod.build_sequence(n, a)
-        reports.append(evaluate_cell(s, seq, orbit_mod.construct_orbit(s, seq), tol))
+        try:
+            s = simplex_mod.build(n, a)
+            seq = weights_mod.build_sequence(n, a)
+            reports.append(evaluate_cell(s, seq, orbit_mod.construct_orbit(s, seq), tol))
+        except (ValueError, ArithmeticError, weights_mod.RootBracketError) as err:
+            reports.append(CellReport(n, a, {}, (f"{type(err).__name__}: {err}",)))
     return VerificationReport(tol, tuple(reports))
 
 
@@ -190,6 +202,8 @@ def jsonable(obj, sig: int = 17):
     if isinstance(obj, dict):
         return {k: jsonable(v, sig) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {int}:
+            return list(obj)
         return [jsonable(v, sig) for v in obj]
     if isinstance(obj, np.ndarray):
         if sig >= 17 and obj.dtype == np.float64:
@@ -204,12 +218,82 @@ def jsonable(obj, sig: int = 17):
     return obj
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def write_json(fh, obj) -> None:
+    """Write ``json.dumps(obj, indent=2)`` to fh, byte for byte, for what `jsonable` returns.
+
+    Writes str, int, float, bool and None scalars and dicts with str keys
+    and lists or tuples of them, exactly as ``json`` does; anything else,
+    non-str keys included, raises `TypeError`.  ``json`` falls back to its
+    pure-Python encoder whenever ``indent`` is set.  Here a list of plain
+    ints or of finite floats is one ``str.join``, and the text goes out in
+    pieces, never held whole.
+    """
+    fh.writelines(_json_chunks(obj, "\n"))
+
+
+def _json_chunks(obj, newline: str):
+    if not isinstance(obj, (dict, list, tuple)):
+        yield _json_scalar(obj)
+    elif not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            yield sep + _escape(k) + ": "
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield newline + "}"
+    else:
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
+        elif kinds == {float} and math.isfinite(sum(obj)):  # inf or nan make the sum non-finite
+            yield "[" + inner + ("," + inner).join(map(float.__repr__, obj)) + newline + "]"
+        else:
+            sep = "[" + inner
+            for v in obj:
+                yield sep
+                yield from _json_chunks(v, inner)
+                sep = "," + inner
+            yield newline + "]"
+
+
+def _json_scalar(obj) -> str:
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
     """Geometry, measured metrics, and internal consistency checks of one simplex."""
     doc = _simplex_body(s)
+    vc = s.vertex_coords
     doc["checks"]["facet_incidence"] = max(
-        abs(mink_dot(s.vertex_coords[k], f.hyperplane.normal))
-        for f in s.facets for k in f.vertex_indices
+        float(np.max(np.abs(mink_dots(f.hyperplane.normal, vc[list(f.vertex_indices)]))))
+        for f in s.facets
     )
     return doc
 
@@ -220,10 +304,7 @@ def _simplex_body(s: simplex_mod.RegularSimplex) -> dict:
     c = math.cosh(s.edge)
     m = simplex_mod.metrics(s)
 
-    pair_dists = [
-        dist(s.vertices[i], s.vertices[j])
-        for i in range(n + 1) for j in range(i + 1, n + 1)
-    ]
+    pair_dists = np.concatenate([_dists_from(s, i) for i in range(n)])
     min_margin = min(f.hyperplane.margin(s.vertices[f.index]) for f in s.facets)
 
     # right angles at a facet center: the apex direction is perpendicular to
@@ -261,13 +342,23 @@ def _simplex_body(s: simplex_mod.RegularSimplex) -> dict:
             "expected_centroid_weight": simplex_mod.centroid_weight_formula(n, c),
         },
         "checks": {
-            "edge_spread": max(abs(d - s.edge) for d in pair_dists),
+            "edge_spread": float(np.max(np.abs(pair_dists - s.edge))),
             "facet_incidence": None,
             "min_opposite_margin": min_margin,
             "right_angle": right_angle,
             "center_between": center_between,
         },
     }
+
+
+def _dists_from(s: simplex_mod.RegularSimplex, i: int) -> np.ndarray:
+    """`dist` from vertex i to each later vertex, bit for bit, with one stacked product."""
+    c = -mink_dots(s.vertex_coords[i], s.vertex_coords[i + 1:])
+    near = c < 1.0 + 1e-6  # where `dist` takes the chord route
+    d = np.arccosh(np.where(near, 1.0, c))
+    for j in np.flatnonzero(near).tolist():
+        d[j] = dist(s.vertices[i], s.vertices[i + 1 + j])
+    return d
 
 
 def sequence_document(seq: weights_mod.MassSequence) -> dict:
@@ -330,13 +421,13 @@ def trajectory_rows(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
                     sig: int = 17) -> tuple[list[str], list[list[str]]]:
     """CSV header and rows for a simulated trajectory, points in intrinsic disk coordinates."""
     header = ["step", "facet", "arclength"] + [f"disk{i}" for i in range(s.n)]
-    rows = []
-    for b in traj.bounces:
-        d = simplex_mod.disk_coords(s, b.point)
-        rows.append(
-            [str(b.index), str(b.facet), format_float(b.arclength, sig)]
-            + [format_float(x, sig) for x in d]
-        )
+    coords = np.reshape([b.point.coords for b in traj.bounces], (-1, s.ambient_dim))  # k = 0 too
+    disk = simplex_mod.disk_coords(s, coords)
+    rows = [
+        [str(b.index), str(b.facet), format_float(b.arclength, sig)]
+        + [format_float(x, sig) for x in d.tolist()]
+        for b, d in zip(traj.bounces, disk)
+    ]
     return header, rows
 
 
@@ -344,12 +435,11 @@ def orbit_rows(s: simplex_mod.RegularSimplex, orb: orbit_mod.BilliardOrbit,
                sig: int = 17) -> tuple[list[str], list[list[str]]]:
     """CSV header and rows for the bounce points of a constructed orbit."""
     header = ["index", "mass"] + [f"disk{i}" for i in range(s.n)]
-    rows = []
-    for j, p in enumerate(orb.points):
-        d = simplex_mod.disk_coords(s, p)
-        rows.append(
-            [str(j), format_float(orb.mass(j), sig)] + [format_float(x, sig) for x in d]
-        )
+    disk = simplex_mod.disk_coords(s, np.array([p.coords for p in orb.points]))
+    rows = [
+        [str(j), format_float(orb.mass(j), sig)] + [format_float(x, sig) for x in d.tolist()]
+        for j, d in enumerate(disk)
+    ]
     return header, rows
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HPoint, Hyperplane, chord_dist, dist, mink_dot, reflect, safe_arccosh
+from .geometry import HPoint, Hyperplane, chord_dist, dist, mink_dots, reflect, safe_arccosh
 from .masses import centroid_fold
 from .weights import pair_mass_constant
 
@@ -84,6 +84,7 @@ class RegularSimplex:
     facets: tuple[FacetData, ...]
     circumcenter: HPoint
     vertex_coords: np.ndarray  # read-only rows: the coordinates of `vertices`
+    normal_coords: np.ndarray  # read-only rows: the facet normals, in facet order
 
     @property
     def ambient_dim(self) -> int:
@@ -104,14 +105,19 @@ class RegularSimplex:
         return v
 
 
-def build(n: int, edge: float) -> RegularSimplex:
-    """Construct the regular n-simplex with the given edge, circumcenter at the basepoint."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+def check_edge(edge: float) -> None:
+    """Raise `ValueError` unless the edge is positive and its cosh a finite double."""
     if not (edge > 0.0) or not math.isfinite(edge):
         raise ValueError(f"need a positive finite edge length, got {edge!r}")
     if edge > MAX_EDGE:
         raise ValueError(f"edge length {edge!r} exceeds {MAX_EDGE!r}, where cosh overflows")
+
+
+def build(n: int, edge: float) -> RegularSimplex:
+    """Construct the regular n-simplex with the given edge, circumcenter at the basepoint."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    check_edge(edge)
     cosh_a = math.cosh(edge)
     sinh_r = math.sqrt(n * (cosh_a - 1.0) / (n + 1.0))
     cosh_r = math.sqrt(1.0 + sinh_r * sinh_r)
@@ -127,14 +133,16 @@ def build(n: int, edge: float) -> RegularSimplex:
     t = sinh_r / (n * cosh_r)
     q = 1.0 / math.sqrt(1.0 - t * t)
     p = -q * t
+    nc = np.column_stack((np.full(n + 1, p), q * e))
+    nc.setflags(write=False)
     facets = []
     for j in range(n + 1):
-        hp = Hyperplane(np.concatenate(([p], q * e[j])))
+        hp = Hyperplane(nc[j])
         others = tuple(k for k in range(n + 1) if k != j)
         center = centroid_fold(np.ones(n), vc[list(others)]).location
         facets.append(FacetData(j, hp, center, others))
 
-    return RegularSimplex(n, edge, vertices, tuple(facets), HPoint.basepoint(n + 2), vc)
+    return RegularSimplex(n, edge, vertices, tuple(facets), HPoint.basepoint(n + 2), vc, nc)
 
 
 # Closed-form squared hyperbolic cosines of the simplex measurements, as
@@ -208,8 +216,8 @@ class PointClass:
 
 def classify_point(s: RegularSimplex, p: HPoint, tol: float = 1e-9) -> PointClass:
     """Locate a point relative to the closed simplex by its facet margins (see `region_of`)."""
-    margins = [mink_dot(p.coords, f.hyperplane.normal) for f in s.facets]
-    return PointClass(*region_of(margins, tol), np.array(margins))
+    margins = mink_dots(p.coords, s.normal_coords)
+    return PointClass(*region_of(margins.tolist(), tol), margins)
 
 
 def region_of(margins, tol: float = 1e-9) -> tuple[Region, int | None]:
@@ -276,16 +284,22 @@ def circumradius_step_residual(args: CircumradiusStep) -> float:
     return math.cosh(gamma - delta) ** 2 * math.cosh(beta) ** 2 - math.cosh(delta) ** 2
 
 
-def disk_coords(s: RegularSimplex, p: HPoint) -> np.ndarray:
-    """Intrinsic Poincare-disk coordinates (n of them) of a point of the simplex slice.
+def disk_coords(s: RegularSimplex, points) -> np.ndarray:
+    """Intrinsic Poincare-disk coordinates of points of the simplex slice.
 
+    Takes one `HPoint` (n coordinates back) or a ``(k, n+2)`` stack of
+    point coordinates (``(k, n)`` back); one point is the one-row case.
     Rotates the spacelike part into an orthonormal basis of the slice, then
-    applies the ball chart; the result lies in the open unit n-ball.
+    applies the ball chart; the result lies in the open unit n-ball.  The
+    stacked matmul is one ``gemv`` per row, so each row matches
+    ``helmert_basis(n) @ x[1:]`` bit for bit.
     """
-    if p.ambient_dim != s.ambient_dim:
+    x = points.coords if isinstance(points, HPoint) else np.asarray(points, dtype=np.float64)
+    if x.shape[-1] != s.ambient_dim:
         raise ValueError("point does not live in the simplex ambient space")
-    y = helmert_basis(s.n) @ p.coords[1:]
-    return y / (1.0 + p.coords[0])
+    xs = x.reshape(-1, s.ambient_dim)
+    d = np.matmul(helmert_basis(s.n), xs[:, 1:, None])[:, :, 0] / (1.0 + xs[:, :1])
+    return d.reshape(x.shape[:-1] + (s.n,))
 
 
 def slice_defect(s: RegularSimplex, p: HPoint) -> float:

@@ -173,6 +173,29 @@ def test_verify_failure_exit_code(capsys):
     assert "FAIL" in err
 
 
+@pytest.mark.parametrize("edges,bad,failure", [
+    ("1,40", 40.0, "ValueError: cannot normalize non-timelike vector"),
+    ("1e-9,1", 1e-9, "RootBracketError: "),
+])
+def test_verify_reports_broken_cell_and_goes_on(capsys, tmp_path, edges, bad, failure):
+    rpath = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--dims", "3", "--edges", edges,
+                         "--report", str(rpath))
+    assert code == 1
+    assert out == ""
+    cells = {c["edge"]: c for c in json.loads(rpath.read_text())["cells"]}
+    assert cells[1.0]["passed"] is True
+    assert cells[bad]["passed"] is False and cells[bad]["residuals"] == {}
+    assert len(cells[bad]["failures"]) == 1 and cells[bad]["failures"][0].startswith(failure)
+    assert err.strip().splitlines()[-1] == "sweep over 2 cells: FAIL"
+
+
+def test_verify_edge_beyond_cosh_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--dims", "3", "--edges", "1,800")
+    assert (code, out) == (2, "")
+    assert err == f"error: edge length 800.0 exceeds {simplex.MAX_EDGE!r}, where cosh overflows\n"
+
+
 def test_simulate_retraces_orbit(capsys):
     code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1",
                          "--steps", "8")

@@ -15,6 +15,8 @@ from hypbilliards.geometry import (
     foot_of_perpendicular,
     geodesic_point,
     hyperplane_through,
+    mink_dot,
+    mink_dots,
     mink_inner,
     reflect,
     reflect_tangent,
@@ -23,6 +25,7 @@ from hypbilliards.geometry import (
     to_poincare_ball,
     unit_tangent,
 )
+from hypbilliards.simplex import build
 
 
 def test_mink_inner_examples():
@@ -314,3 +317,30 @@ def test_to_poincare_ball_distance_roundtrip():
         assert np.linalg.norm(u) < 1.0 and np.linalg.norm(v) < 1.0
         cosh_d = 1 + 2 * np.sum((u - v) ** 2) / ((1 - u @ u) * (1 - v @ v))
         assert cosh_d == pytest.approx(math.cosh(dist(a, b)), rel=1e-9)
+
+
+def _rowwise(x, ys):
+    return np.array([mink_dot(x, y) for y in ys])
+
+
+def test_mink_dots_matches_mink_dot_bitwise():
+    """numpy runs the stacked matmul as one ``ddot`` per row; it does not document
+    that routing, so pin it by bytes on fresh, read-only and column-sliced stacks."""
+    rng = np.random.default_rng(7)
+    for length in range(3, 131):
+        x = rng.standard_normal(length)
+        for k in (length - 1, length):
+            fresh = rng.standard_normal((k, length))
+            frozen = fresh.copy()
+            frozen.setflags(write=False)
+            wide = rng.standard_normal((k, length + 3))
+            for ys in (fresh, frozen, wide[:, 2:2 + length], wide[:, :length]):
+                assert mink_dots(x, ys).tobytes() == _rowwise(x, ys).tobytes(), (length, k)
+
+
+@pytest.mark.parametrize("n", [*range(2, 20), 32, 64, 128])
+def test_mink_dots_on_simplex_stacks_bitwise(n):
+    s = build(n, 1.0)
+    for ys in (s.vertex_coords, s.normal_coords):
+        for x in (*s.vertex_coords, *s.normal_coords, s.facets[0].center.coords):
+            assert mink_dots(x, ys).tobytes() == _rowwise(x, ys).tobytes()

@@ -7,12 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypbilliards.flow import iterate, launch_state
+from hypbilliards.geometry import dist, mink_dot
 from hypbilliards.orbit import construct_orbit
 from hypbilliards.report import (
     CellReport,
     Tolerances,
+    _dists_from,
     evaluate_cell,
     format_float,
     jsonable,
@@ -25,6 +29,7 @@ from hypbilliards.report import (
     sweep_document,
     trajectory_rows,
     write_csv,
+    write_json,
 )
 from hypbilliards.simplex import build
 from hypbilliards.weights import build_sequence
@@ -74,6 +79,20 @@ def test_run_sweep_orders_and_dedupes_cells():
     assert rep.passed
 
 
+def test_run_sweep_reports_broken_cells_and_goes_on():
+    rep = run_sweep((3,), (1e-9, 1.0, 40.0))
+    assert [(c.n, c.edge, c.passed) for c in rep.cells] == [
+        (3, 1e-9, False), (3, 1.0, True), (3, 40.0, False)
+    ]
+    solver, _, spacelike = rep.cells
+    assert solver.residuals == {} and len(solver.failures) == 1
+    assert solver.failures[0].startswith("RootBracketError: ")
+    assert spacelike.residuals == {}
+    assert len(spacelike.failures) == 1
+    assert spacelike.failures[0].startswith("ValueError: cannot normalize non-timelike vector")
+    assert not rep.passed
+
+
 def test_run_sweep_empty_raises():
     with pytest.raises(ValueError):
         run_sweep((), (1.0,))
@@ -99,6 +118,14 @@ def test_jsonable_handles_numpy_types():
     out = jsonable(doc)
     dumped = json.loads(json.dumps(out))
     assert dumped == {"a": [0, 1, 2], "b": 0.5, "c": [7, [True]], "d": "text"}
+
+
+def test_jsonable_int_lists_in_one_step():
+    out = jsonable({"v": (3, 1, 2), "w": [0, 7], "b": [True, 2], "f": [1, 2.0]})
+    assert out == {"v": [3, 1, 2], "w": [0, 7], "b": [True, 2], "f": [1, 2.0]}
+    assert type(out["v"]) is list
+    assert [type(x) for x in out["b"]] == [bool, int]
+    assert jsonable([]) == []
 
 
 def test_jsonable_rounding():
@@ -165,3 +192,96 @@ def test_csv_helpers_round_trip():
     assert lines[0] == "step,facet,arclength,disk0,disk1"
     assert len(lines) == 4
     assert float(lines[1].split(",")[2]) == traj.bounces[0].arclength
+
+
+@pytest.mark.parametrize("a", [1e-4, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
+def test_pair_distances_match_scalar_dist_bitwise(n, a):
+    """One stacked product per vertex, then `dist`'s own route per pair (chord when close)."""
+    s = build(n, a)
+    for i in range(n):
+        ref = np.array([dist(s.vertices[i], s.vertices[j]) for j in range(i + 1, n + 1)])
+        assert _dists_from(s, i).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_vertex_facet_incidence_matches_scalar_products(n):
+    s = build(n, 1.3)
+    ref = max(abs(mink_dot(s.vertex_coords[k], f.hyperplane.normal))
+              for f in s.facets for k in f.vertex_indices)
+    assert simplex_document(s)["checks"]["facet_incidence"] == ref
+
+
+# ---------------------------------------------------------------------------
+# the indent=2 writer against json.dumps
+
+def json_text(obj) -> str:
+    buf = io.StringIO()
+    write_json(buf, obj)
+    return buf.getvalue()
+
+
+json_scalars = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028é€😀 \t\n\r')),
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1 + 0.2, 1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf, 0.30000000000000004, 1e16, 1.2345678901234567e-89]),
+    st.integers(),
+    st.integers(min_value=-10**60, max_value=10**60),
+    st.booleans(),
+    st.none(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=6),
+        st.lists(kids, max_size=4).map(tuple),
+        st.lists(st.floats(allow_subnormal=True), max_size=6),
+        st.lists(st.integers(), max_size=6),
+        st.dictionaries(st.text(), kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example([1e308, 1e308])  # finite floats whose sum overflows
+@example([math.inf, -math.inf, 1.0])
+@example({"": {}, "a": [], "b": [[]], "c": [{}]})
+def test_write_json_matches_json_dumps_indent_2(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+class _OddFloat(float):
+    def __repr__(self):
+        return "odd"
+
+
+class _OddStr(str):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    _OddFloat(1.5), [_OddFloat(0.1), 2.0], {"x": _OddFloat(-0.0)}, [np.float64(0.1)],
+    [_OddStr("a\"b")], {_OddStr("k"): 1},
+    {1: 2}, {1.5: "x"}, {None: 1}, {True: 0}, {(1, 2): 3}, {"a": {2: []}},
+    [np.int64(3)], [np.bool_(True)], {1, 2}, [b"bytes"], [np.array([1.0])],
+])
+def test_write_json_matches_json_or_raises_type_error(obj):
+    """Odd inputs either give json's bytes or a TypeError, never other bytes."""
+    try:
+        got = json_text(obj)
+    except TypeError:
+        return
+    assert got == json.dumps(obj, indent=2)
+
+
+def test_write_json_on_documents():
+    s, seq, orb = built_cell(8, 0.5)
+    for sig in (17, 9, 3):
+        for doc in (orbit_document(s, seq, orb)[0], simplex_document(s),
+                    sweep_document(run_sweep((2, 3), (1.0, 40.0)))):
+            obj = jsonable(doc, sig)
+            assert json_text(obj) == json.dumps(obj, indent=2)

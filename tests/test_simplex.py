@@ -30,6 +30,8 @@ from hypbilliards.simplex import (
     slice_defect,
     vertex_reflection_identity_residual,
 )
+from hypbilliards.orbit import construct_orbit
+from hypbilliards.weights import build_sequence
 
 GRID = [(n, a) for n in (1, 2, 3, 5, 8) for a in (0.5, 1.0, 2.0)]
 
@@ -238,6 +240,27 @@ def test_disk_coords_center_and_radius():
         )
     with pytest.raises(ValueError):
         disk_coords(s, build(2, 1.0).circumcenter)
+
+
+@pytest.mark.parametrize("n,a", GRID)
+def test_coordinate_stacks_hold_vertices_and_normals(n, a):
+    s = build(n, a)
+    assert s.vertex_coords.tobytes() == np.array([v.coords for v in s.vertices]).tobytes()
+    assert s.normal_coords.tobytes() == np.array([f.hyperplane.normal for f in s.facets]).tobytes()
+    assert not s.vertex_coords.flags.writeable and not s.normal_coords.flags.writeable
+
+
+@pytest.mark.parametrize("n", [*range(2, 20), 32, 64, 128])
+def test_stacked_disk_coords_match_per_point_gemv_bitwise(n):
+    """The stacked matmul is one ``gemv`` per row, the call the per-point chart makes."""
+    s = build(n, 1.0)
+    orb = construct_orbit(s, build_sequence(n, 1.0))
+    pts = [*orb.points, *s.vertices, *(f.center for f in s.facets), s.circumcenter]
+    stack = np.array([p.coords for p in pts])
+    ref = np.array([helmert_basis(n) @ x[1:] / (1.0 + x[0]) for x in stack])
+    assert disk_coords(s, stack).tobytes() == ref.tobytes()
+    assert disk_coords(s, pts[0]).tobytes() == ref[0].tobytes()
+    assert disk_coords(s, stack[:0]).shape == (0, n)
 
 
 @pytest.mark.parametrize("n,a", GRID)
