@@ -8,7 +8,8 @@ Four subcommands:
   simulate   run the billiard flow and emit bounce points as CSV
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 root-solver
-failure, 4 non-smooth trajectory hit (corner or grazing).
+failure, 4 non-smooth trajectory hit (corner or grazing), 5 numerical
+breakdown of a valid `orbit` cell.
 
 JSON goes to stdout (or --json/--report FILE); floats carry 17 significant
 digits by default so documents round-trip bit for bit.  CSV uses commas,
@@ -37,6 +38,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_NONSMOOTH = 4
+EXIT_NUMERIC = 5
 
 
 def parse_dims(spec: str) -> tuple[int, ...]:
@@ -111,10 +113,15 @@ def cmd_simplex(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    s = simplex_mod.build(args.dim, args.edge)
-    seq = weights_mod.build_sequence(args.dim, args.edge)
-    orb = orbit_mod.construct_orbit(s, seq)
-    doc, passed = report_mod.orbit_document(s, seq, orb, _tolerances(args))
+    # `check_args` accepted the input, so an error here is the arithmetic's
+    try:
+        s = simplex_mod.build(args.dim, args.edge)
+        seq = weights_mod.build_sequence(args.dim, args.edge)
+        orb = orbit_mod.construct_orbit(s, seq)
+        doc, passed = report_mod.orbit_document(s, seq, orb, _tolerances(args))
+    except (ValueError, ArithmeticError) as err:
+        print(f"numerical breakdown: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
     _emit_json(doc, args.json_path, args.precision)
     if args.disk_path:
         header, rows = report_mod.orbit_rows(s, orb, args.precision)
@@ -250,6 +257,8 @@ def check_args(args: argparse.Namespace) -> None:
     else:
         if args.dim < 1:
             raise ValueError(f"dimension must be at least 1, got {args.dim}")
+        if args.command == "orbit" and args.dim < 2:
+            raise ValueError(f"orbit construction needs n >= 2, got {args.dim}")
         (args.edge,) = _resolve_edges(
             None if args.edge is None else (args.edge,),
             None if args.cosh_edge is None else (args.cosh_edge,),
@@ -266,9 +275,11 @@ def check_args(args: argparse.Namespace) -> None:
             if text is not None:
                 setattr(args, name, np.array([float(x) for x in text.split(",")]))
     # last, so every earlier message wins as it would without this check; in a
-    # sweep, an edge that no cell can build is a usage error, not a failed cell
+    # sweep, an edge that no cell can build is a usage error, and one beyond
+    # only the larger dimensions' bounds fails those cells
+    n = min(args.dims) if args.command == "verify" else args.dim
     for a in args.edges if args.command == "verify" else (args.edge,):
-        simplex_mod.check_edge(a)
+        simplex_mod.check_edge(n, a)
 
 
 def main(argv=None) -> int:

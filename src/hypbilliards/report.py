@@ -11,6 +11,10 @@ significant digits) unless a lower precision is requested; reloading a
 document therefore reproduces the emitted values bit for bit.  `write_json`
 writes them in the layout of ``json.dumps(obj, indent=2)``, byte for byte,
 without falling back to the pure-Python encoder that ``indent`` selects.
+The symmetric coordinates make documents repetitive (a few hundred distinct
+floats among tens of thousands), so each call formats each distinct nonzero
+float of its float lists once; zeros are never cached, because ``0.0`` and
+``-0.0`` are one dict key.
 """
 
 from __future__ import annotations
@@ -229,12 +233,14 @@ def write_json(fh, obj) -> None:
     non-str keys included, raises `TypeError`.  ``json`` falls back to its
     pure-Python encoder whenever ``indent`` is set.  Here a list of plain
     ints or of finite floats is one ``str.join``, and the text goes out in
-    pieces, never held whole.
+    pieces, never held whole.  Within one call, each distinct float of those
+    lists is formatted once and its text reused; a list holding ``0.0`` or
+    ``-0.0`` formats every entry, because the two zeros are one dict key.
     """
-    fh.writelines(_json_chunks(obj, "\n"))
+    fh.writelines(_json_chunks(obj, "\n", {}))
 
 
-def _json_chunks(obj, newline: str):
+def _json_chunks(obj, newline: str, reprs: dict[float, str]):
     if not isinstance(obj, (dict, list, tuple)):
         yield _json_scalar(obj)
     elif not obj:
@@ -246,7 +252,7 @@ def _json_chunks(obj, newline: str):
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             yield sep + _escape(k) + ": "
-            yield from _json_chunks(v, inner)
+            yield from _json_chunks(v, inner, reprs)
             sep = "," + inner
         yield newline + "}"
     else:
@@ -255,12 +261,19 @@ def _json_chunks(obj, newline: str):
         if kinds == {int}:
             yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
         elif kinds == {float} and math.isfinite(sum(obj)):  # inf or nan make the sum non-finite
-            yield "[" + inner + ("," + inner).join(map(float.__repr__, obj)) + newline + "]"
+            distinct = set(obj)
+            if 0.0 in distinct:  # -0.0 == 0.0, so a dict would print one zero for both
+                text = map(float.__repr__, obj)
+            else:
+                for x in distinct.difference(reprs):
+                    reprs[x] = float.__repr__(x)
+                text = map(reprs.__getitem__, obj)
+            yield "[" + inner + ("," + inner).join(text) + newline + "]"
         else:
             sep = "[" + inner
             for v in obj:
                 yield sep
-                yield from _json_chunks(v, inner)
+                yield from _json_chunks(v, inner, reprs)
                 sep = "," + inner
             yield newline + "]"
 

@@ -105,19 +105,43 @@ class RegularSimplex:
         return v
 
 
-def check_edge(edge: float) -> None:
-    """Raise `ValueError` unless the edge is positive and its cosh a finite double."""
+def max_edge(n: int) -> float:
+    """Longest edge of a regular n-simplex that `build` and `metrics` represent.
+
+    Folding the n+1 unit vertex masses squares the timelike coordinate
+    (n+1) cosh r of their sum; that square, (n+1)(n cosh a + 1), must stay
+    a finite double, and the 1e-9 margin covers the rounding of the sum.  At n = 1 the
+    facet normals give out long before: their scale 1/sqrt(1 - t^2), with
+    t = tanh r, keeps at most one correct bit once cosh a reaches 1/eps.
+    """
+    if n == 1:
+        return math.acosh(1.0 / sys.float_info.epsilon)
+    return math.acosh(sys.float_info.max / (n * (n + 1.0))) - 1e-9
+
+
+def check_edge(n: int, edge: float) -> None:
+    """Raise `ValueError` unless `build(n, edge)` can represent the edge.
+
+    The edge must be positive, its cosh a finite double, and it must not
+    exceed `max_edge(n)`.
+    """
     if not (edge > 0.0) or not math.isfinite(edge):
         raise ValueError(f"need a positive finite edge length, got {edge!r}")
     if edge > MAX_EDGE:
         raise ValueError(f"edge length {edge!r} exceeds {MAX_EDGE!r}, where cosh overflows")
+    bound = max_edge(n)
+    if edge > bound:
+        raise ValueError(
+            f"edge length {edge!r} exceeds {bound!r}, the longest edge of a regular "
+            f"{n}-simplex in double precision"
+        )
 
 
 def build(n: int, edge: float) -> RegularSimplex:
     """Construct the regular n-simplex with the given edge, circumcenter at the basepoint."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    check_edge(edge)
+    check_edge(n, edge)
     cosh_a = math.cosh(edge)
     sinh_r = math.sqrt(n * (cosh_a - 1.0) / (n + 1.0))
     cosh_r = math.sqrt(1.0 + sinh_r * sinh_r)

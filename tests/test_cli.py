@@ -196,6 +196,42 @@ def test_verify_edge_beyond_cosh_range_is_usage_error(capsys):
     assert err == f"error: edge length 800.0 exceeds {simplex.MAX_EDGE!r}, where cosh overflows\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,n,edge", [
+    (("simplex", "--dim", "1", "--edge", "38"), 1, 38.0),
+    (("simplex", "--dim", "2", "--edge", "709"), 2, 709.0),
+    (("orbit", "--dim", "3", "--edge", "708.5"), 3, 708.5),
+    (("simulate", "--dim", "1", "--edge", "38"), 1, 38.0),
+])
+def test_edge_beyond_dimension_bound_is_usage_error(capsys, argv, n, edge):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: edge length {edge!r} exceeds {simplex.max_edge(n)!r}, "
+                   f"the longest edge of a regular {n}-simplex in double precision\n")
+
+
+def test_verify_edge_beyond_larger_dimensions_fails_those_cells(capsys):
+    code, out, err = run(capsys, "verify", "--dims", "2,128", "--edges", "705")
+    assert code == 1
+    cells = {c["n"]: c for c in json.loads(out)["cells"]}
+    assert cells[128]["failures"] == [
+        f"ValueError: edge length 705.0 exceeds {simplex.max_edge(128)!r}, "
+        "the longest edge of a regular 128-simplex in double precision"
+    ]
+    assert cells[2]["residuals"] == {} and cells[2]["failures"][0].startswith("ValueError: ")
+    assert err.strip().splitlines()[-1] == "sweep over 2 cells: FAIL"
+
+
+@pytest.mark.parametrize("edge,code,prefix", [
+    ("40", 5, "numerical breakdown: cannot normalize non-timelike vector"),
+    ("1e-9", 3, "solver failure: "),
+])
+def test_orbit_breakdown_exit_codes(capsys, edge, code, prefix):
+    got, out, err = run(capsys, "orbit", "--dim", "3", "--edge", edge)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_simulate_retraces_orbit(capsys):
     code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1",
                          "--steps", "8")

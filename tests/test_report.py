@@ -254,6 +254,32 @@ def test_write_json_matches_json_dumps_indent_2(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
 
 
+# Float lists drawn from one small pool per document, so sibling lists repeat
+# the same values; the pool always holds both zeros and a subnormal.
+pooled_documents = st.lists(st.floats(allow_subnormal=True), max_size=4).flatmap(
+    lambda extra: st.recursive(
+        st.sampled_from([0.0, -0.0, 5e-324, -1.5, *extra]),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=8),
+            st.dictionaries(st.text(max_size=2), kids, max_size=4),
+        ),
+        max_leaves=40,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pooled_documents)
+def test_write_json_matches_json_dumps_on_repeated_floats(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_write_json_keeps_signed_zeros_apart():
+    obj = {"a": [0.0, 1.5], "b": [-0.0, 1.5], "c": [1.5, -0.0], "d": [[1.5, 2.5], [-0.0], [0.0]]}
+    assert json_text(obj) == json.dumps(obj, indent=2)
+    assert json_text(obj).count("-0.0") == 3
+
+
 class _OddFloat(float):
     def __repr__(self):
         return "odd"

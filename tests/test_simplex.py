@@ -25,6 +25,7 @@ from hypbilliards.simplex import (
     cosh_sq_vertex_to_facet_center,
     disk_coords,
     helmert_basis,
+    max_edge,
     metrics,
     simplex_directions,
     slice_defect,
@@ -90,6 +91,25 @@ def test_build_rejects_bad_arguments():
     for n, a in [(0, 1.0), (-2, 1.0), (3, 0.0), (3, -1.0), (3, math.inf)]:
         with pytest.raises(ValueError):
             build(n, a)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 3, 18, 128])
+def test_build_and_metrics_up_to_max_edge(n):
+    """The per-n edge bound is the last edge whose centroid sums stay finite."""
+    a = max_edge(n)
+    s = build(n, a)
+    metrics(s)
+    with pytest.raises(ValueError, match=f"exceeds {a!r}, the longest edge of a regular {n}-simplex"):
+        build(n, math.nextafter(a, math.inf))
+
+
+def test_max_edge_shrinks_with_dimension():
+    assert max_edge(1) == pytest.approx(36.7368, abs=1e-4)  # cosh a = 1/eps
+    bounds = [max_edge(n) for n in range(2, 129)]
+    assert bounds == sorted(bounds, reverse=True)
+    assert bounds[0] == pytest.approx(708.684, abs=1e-3)
+    assert bounds[-1] == pytest.approx(700.764, abs=1e-3)
 
 
 def test_cyclic_accessors_and_slice_vector():
