@@ -9,7 +9,7 @@ Four subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 root-solver
 failure, 4 non-smooth trajectory hit (corner or grazing), 5 numerical
-breakdown of a valid `orbit` cell.
+breakdown of a valid `simplex` or `orbit` cell.
 
 JSON goes to stdout (or --json/--report FILE); floats carry 17 significant
 digits by default so documents round-trip bit for bit.  CSV uses commas,
@@ -107,8 +107,13 @@ def _tolerances(args: argparse.Namespace) -> report_mod.Tolerances:
 
 
 def cmd_simplex(args: argparse.Namespace) -> int:
-    s = simplex_mod.build(args.dim, args.edge)
-    _emit_json(report_mod.simplex_document(s), args.json_path, args.precision)
+    # `check_args` accepted the input, so an error here is the arithmetic's
+    try:
+        doc = report_mod.simplex_document(simplex_mod.build(args.dim, args.edge))
+    except (ValueError, ArithmeticError) as err:
+        print(f"numerical breakdown: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    _emit_json(doc, args.json_path, args.precision)
     return EXIT_OK
 
 

@@ -65,6 +65,25 @@ def mink_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return -x[0] * ys[:, 0] + np.matmul(ys[:, None, 1:], x[1:, None])[:, 0, 0]
 
 
+def mink_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`mink_dot` of row i of xs with row i of ys, for every i, bit for bit.
+
+    The stacked matmul ``(k, 1, L) @ (k, L, 1)`` is one ``ddot`` per pair,
+    as in `mink_dots`.  Either stack may be a broadcast view of one vector.
+    """
+    return -xs[:, 0] * ys[:, 0] + np.matmul(xs[:, None, 1:], ys[:, 1:, None])[:, 0, 0]
+
+
+def mink_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``(p, q)`` table of `mink_dot` over every row of xs against every row of ys, bit for bit.
+
+    ``(p, 1, 1, L) @ (1, q, L, 1)`` is one ``ddot`` per entry; the 2-D
+    ``xs[:, 1:] @ ys[:, 1:].T`` would be one ``gemm`` and round differently.
+    """
+    return (-xs[:, None, 0] * ys[None, :, 0]
+            + np.matmul(xs[:, None, None, 1:], ys[None, :, 1:, None])[:, :, 0, 0])
+
+
 def safe_arccosh(c: float) -> float:
     """arccosh that forgives arguments within ``REP_TOL`` below 1, and no more."""
     if c < 1.0:
@@ -126,6 +145,81 @@ def to_sheet(w: np.ndarray) -> np.ndarray:
     if w[0] < 0.0:
         raise ValueError("timelike vector points into the lower sheet")
     return w
+
+
+# Row-wise forms of the point operations, for ``(k, m)`` coordinate stacks.
+# Each row gets the arithmetic of the one-point function bit for bit, and
+# each check raises that function's error, with the values of the first row
+# that fails it.
+
+def check_on_sheet_rows(x: np.ndarray) -> None:
+    """`check_on_sheet` for every row of x."""
+    q = mink_pairs(x, x)
+    bad = np.flatnonzero(np.abs(q + 1.0) > REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0]))
+    if bad.size:
+        raise ValueError(f"not on the unit hyperboloid: <x,x> = {float(q[bad[0]])!r}")
+    if np.any(x[:, 0] <= 0.0):
+        raise ValueError("timelike coordinate must be positive (upper sheet)")
+
+
+def hpoints(x: np.ndarray) -> tuple[HPoint, ...]:
+    """The `HPoint` of each row of a float64 ``(k, m)`` stack, checked in one pass.
+
+    Makes x read-only and uses its rows as the points' coordinates, so pass
+    a stack that nothing else holds for writing.
+    """
+    check_on_sheet_rows(x)
+    x.setflags(write=False)
+    points = []
+    for row in x:
+        p = object.__new__(HPoint)
+        object.__setattr__(p, "coords", row)
+        points.append(p)
+    return tuple(points)
+
+
+def reflect_rows(normals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`reflect` of row i of x across the hyperplane with normal row i, for every i."""
+    return from_vector_rows(x - (2.0 * mink_pairs(x, normals))[:, None] * normals)
+
+
+def from_vector_rows(w: np.ndarray) -> np.ndarray:
+    """The coordinates of `HPoint.from_vector` of every row of w: `to_sheet`, then
+    `check_on_sheet`."""
+    q = mink_pairs(w, w)
+    bad = np.flatnonzero(q >= 0.0)
+    if bad.size:
+        raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {float(q[bad[0]])!r})")
+    x = w / np.sqrt(-q)[:, None]
+    if np.any(x[:, 0] < 0.0):
+        raise ValueError("timelike vector points into the lower sheet")
+    check_on_sheet_rows(x)
+    return x
+
+
+def unit_tangent_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`unit_tangent` at row i of a toward row i of b, for every i."""
+    w = b + mink_pairs(a, b)[:, None] * a
+    q = mink_pairs(w, w)
+    if np.any(q <= 0.0):
+        raise ValueError("points coincide; tangent direction undefined")
+    return w / np.sqrt(q)[:, None]
+
+
+def dist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`dist` between row i of a and row i of b, for every i, taking the same route per row."""
+    c = -mink_pairs(a, b)
+    near = c < 1.0 + 1e-6
+    d = np.arccosh(np.where(near, 1.0, c))
+    if near.any():
+        d[near] = [2.0 * math.asinh(0.5 * h) for h in chord_dist_rows(a[near], b[near]).tolist()]
+    return d
+
+
+def chord_dist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`chord_dist` between row i of a and row i of b, for every i."""
+    d = a - b
+    return np.sqrt(np.maximum(mink_pairs(d, d), 0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,12 +10,18 @@ carrying total weight  z = x cosh d(X,Z) + y cosh d(Y,Z).
 In the hyperboloid model this law is linear: the combined location is the
 renormalized weighted Minkowski sum x X + y Y and the combined weight is
 the Minkowski magnitude of that sum.  The law is commutative and associative,
-so `centroid_fold`, the package's only centroid sum, evaluates any number of
-masses as ``np.add.reduce(w[:, None] * X, axis=0, initial=0.0)`` over a stack.
+so `centroid_fold` evaluates any number of masses as
+``np.add.reduce(w[:, None] * X, axis=0, initial=0.0)`` over a stack.
 Not ``w @ X``: gemv rounds differently and moves every pinned residual.  numpy
 reduces axis 0 of a C-contiguous stack row by row, the order of the loop
 ``s = 0; s = s + w_k X_k`` (signed zeros included); as numpy does not document
-this, a test pins it.  `combine_intrinsic` solves the two-mass balance on the
+this, a test pins it.
+
+A cell needs one fold per bounce point, facet or vertex.  `cyclic_folds`,
+`omit_one_folds` and `pair_folds` run all of them at once on a ``(p, m)``
+accumulator, one ``acc += w_k X_k`` step per mass, so that row j gets exactly
+the sequential sum `centroid_fold` computes for fold j, without ever holding a
+``(p, k, m)`` stack.  `combine_intrinsic` solves the two-mass balance on the
 segment directly, as an independent cross-check of the same operation.
 """
 
@@ -27,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import HPoint, chord_dist, dist, geodesic_point, mink_dot
+from .geometry import (HPoint, chord_dist, dist, from_vector_rows, geodesic_point, mink_dot,
+                       mink_pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +104,77 @@ def centroid_fold(weights, coords) -> PointMass:
     x = np.ascontiguousarray(coords, dtype=np.float64)
     if x.ndim != 2 or w.shape != x.shape[:1]:
         raise ValueError(f"need k weights and a (k, m) stack, got {w.shape} and {x.shape}")
-    if not all(0.0 <= v < math.inf for v in w.tolist()):
-        raise ValueError(f"weights must be finite and non-negative, got {w}")
+    _check_weights(w)
     s = np.add.reduce(w[:, None] * x, axis=0, initial=0.0)
     m2 = -mink_dot(s, s)
     if m2 <= 0.0:
         raise ValueError("total mass is zero; centroid undefined")
     return PointMass(HPoint.from_vector(s), math.sqrt(m2))
+
+
+def cyclic_folds(weights, coords) -> tuple[np.ndarray, np.ndarray]:
+    """Row j: `centroid_fold` of ``weights[k]`` at ``coords[(j + k) % p]``, for every j.
+
+    Returns the ``(p, m)`` stack of centroid locations and their p weights,
+    bit for bit those of the p separate folds.
+    """
+    w = _stack_weights(weights, coords)
+    p = len(coords)
+    twice = np.concatenate((coords, coords))
+    acc = np.zeros(coords.shape)
+    for k, wk in enumerate(w.tolist()):
+        acc += wk * twice[k:k + p]
+    return _centroids(acc)
+
+
+def omit_one_folds(weights, coords) -> tuple[np.ndarray, np.ndarray]:
+    """Row j: `centroid_fold` of ``weights[k]`` at ``coords[k]`` over every k except j.
+
+    Returns the ``(p, m)`` stack of centroid locations and their p weights,
+    bit for bit those of the p separate folds.
+    """
+    w = _stack_weights(weights, coords)
+    terms = w[:, None] * coords
+    acc = np.zeros(coords.shape)
+    for r, term in enumerate(terms):
+        acc[:r] += term
+        acc[r + 1:] += term
+    return _centroids(acc)
+
+
+def pair_folds(wa, xa, wb, xb) -> tuple[np.ndarray, np.ndarray]:
+    """Row j: `centroid_fold` of ``wa[j]`` at ``xa[j]`` and ``wb[j]`` at ``xb[j]``, for every j.
+
+    Returns the ``(p, m)`` stack of centroid locations and their p weights.
+    """
+    _check_weights(np.concatenate((wa, wb)))
+    return _centroids((0.0 + wa[:, None] * xa) + wb[:, None] * xb)
+
+
+def _stack_weights(weights, coords: np.ndarray) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    if coords.ndim != 2 or w.shape != coords.shape[:1]:
+        raise ValueError(f"need p weights and a (p, m) stack, got {w.shape} and {coords.shape}")
+    _check_weights(w)
+    return w
+
+
+def _check_weights(w: np.ndarray) -> None:
+    if not all(0.0 <= v < math.inf for v in w.tolist()):
+        raise ValueError(f"weights must be finite and non-negative, got {w}")
+
+
+def _centroids(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`centroid_fold`'s location and weight for each row of summed masses, with its checks."""
+    m2 = -mink_pairs(acc, acc)
+    if np.any(m2 <= 0.0):
+        raise ValueError("total mass is zero; centroid undefined")
+    x = from_vector_rows(acc)
+    z = np.sqrt(m2)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"weight must be finite and non-negative, got {float(z[bad[0]])!r}")
+    return x, z
 
 
 def scale_masses(items: Sequence[PointMass], factor: float) -> list[PointMass]:

@@ -10,6 +10,14 @@ on facet j; the recurrence satisfied by the weights makes consecutive
 bounce points obey the mirror law.  `verify_orbit` measures all of this
 geometrically and reports residuals; it assumes nothing about how the
 orbit was produced beyond "one bounce point per facet".
+
+Every certificate is an (n+1)-fold identity, one per bounce point, so each
+runs as one pass over ``(n+1, n+2)`` coordinate stacks: `construct_orbit`
+folds all bounce points with `masses.cyclic_folds`, and `verify_orbit` and
+`midpoint_defects` evaluate every bounce with the row-wise forms of the
+`geometry` operations (`mink_pairs`, `mink_table`, `reflect_rows`,
+`dist_rows`, ...).  Each row reproduces the one-point computation bit for
+bit, and every check keeps its threshold and error.
 """
 
 from __future__ import annotations
@@ -21,16 +29,18 @@ import numpy as np
 from .geometry import (
     HPoint,
     Hyperplane,
-    chord_dist,
+    chord_dist_rows,
     dist,
+    dist_rows,
     foot_of_perpendicular,
-    mink_inner,
-    reflect,
-    segment_defect,
-    unit_tangent,
+    hpoints,
+    mink_pairs,
+    mink_table,
+    reflect_rows,
+    unit_tangent_rows,
 )
-from .masses import centroid_fold
-from .simplex import Region, RegularSimplex, classify_point
+from .masses import cyclic_folds, pair_folds
+from .simplex import RegularSimplex, facet_hits
 from .weights import MassSequence
 
 
@@ -40,10 +50,18 @@ def specular_defect(h: Hyperplane, prev_pt: HPoint, at: HPoint, next_pt: HPoint)
     Zero exactly when the path prev -> at -> next reflects off the
     hyperplane according to the equal-angles law.
     """
-    w_in = -unit_tangent(at, prev_pt)
-    w_out = unit_tangent(at, next_pt)
-    w_ref = w_in - 2.0 * mink_inner(w_in, h.normal) * h.normal
-    return float(np.arccos(np.clip(mink_inner(w_ref, w_out), -1.0, 1.0)))
+    rows = (x[None] for x in (h.normal, prev_pt.coords, at.coords, next_pt.coords))
+    return float(specular_defects(*rows)[0])
+
+
+def specular_defects(normals: np.ndarray, prev: np.ndarray, at: np.ndarray,
+                     nxt: np.ndarray) -> np.ndarray:
+    """`specular_defect` at every row: the path ``prev[i] -> at[i] -> nxt[i]`` off the
+    hyperplane with normal ``normals[i]``."""
+    w_in = -unit_tangent_rows(at, prev)
+    w_out = unit_tangent_rows(at, nxt)
+    w_ref = w_in - (2.0 * mink_pairs(w_in, normals))[:, None] * normals
+    return np.arccos(np.clip(mink_pairs(w_ref, w_out), -1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +136,9 @@ def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
         raise ValueError(
             f"simplex (n={s.n}, edge={s.edge}) and weights (n={seq.n}, edge={seq.edge}) disagree"
         )
-    # w_{n+1} = 0, so k = 0..n suffices; row k of the rolled stack is vertex k + j
-    vc, w = s.vertex_coords, seq.weights[:-1]
-    pms = [centroid_fold(w, np.concatenate((vc[j:], vc[:j]))) for j in range(s.n + 1)]
-    return BilliardOrbit(tuple(pm.location for pm in pms), np.array([pm.weight for pm in pms]),
-                         seq.multiplier)
+    # w_{n+1} = 0, so k = 0..n suffices
+    points, masses = cyclic_folds(seq.weights[:-1], s.vertex_coords)
+    return BilliardOrbit(hpoints(points), masses, seq.multiplier)
 
 
 def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-9) -> OrbitVerification:
@@ -135,38 +151,30 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-
                        (P_j, multiplier * m_j), split into location distance
                        and relative mass error
       - angle_defect:  deviation from the equal-angles law at P_j
+
+    A point that is not in exactly one facet's relative interior is measured
+    against the facet of its smallest margin in absolute value.
     """
-    p = orbit.period
-    facet_of = np.full(p, -1, dtype=int)
-    facet_ok = np.zeros(p, dtype=bool)
-    incidence = np.zeros(p)
-    collinearity = np.zeros(p)
-    centroid_dist = np.zeros(p)
-    centroid_mass_rel = np.zeros(p)
-    angle_defect = np.zeros(p)
+    pts = np.array([p.coords for p in orbit.points])
+    prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
+    margins = mink_table(pts, s.normal_coords)
+    hit = facet_hits(margins, facet_tol)
+    facet_ok = hit >= 0
+    facet_of = np.where(facet_ok, hit, np.argmin(np.abs(margins), axis=1))
+    normals = s.normal_coords[facet_of]
+    mirrored = reflect_rows(normals, nxt)
 
-    for j in range(p):
-        pj = orbit.point(j)
-        cls = classify_point(s, pj, tol=facet_tol)
-        if cls.region is Region.FACET_INTERIOR:
-            k = cls.facet
-            facet_ok[j] = True
-        else:
-            k = int(np.argmin(np.abs(cls.margins)))
-        facet_of[j] = k
-        hp = s.facet(k).hyperplane
-        prev_pt = orbit.point(j - 1)
-        next_pt = orbit.point(j + 1)
-        mirrored = reflect(hp, next_pt)
-
-        incidence[j] = abs(hp.margin(pj))
-        collinearity[j] = segment_defect(pj, prev_pt, mirrored)
-        merged = centroid_fold((orbit.mass(j - 1), orbit.mass(j + 1)),
-                               np.array((prev_pt.coords, mirrored.coords)))
-        target_mass = orbit.multiplier * orbit.mass(j)
-        centroid_dist[j] = chord_dist(merged.location, pj)
-        centroid_mass_rel[j] = abs(merged.weight - target_mass) / target_mass
-        angle_defect[j] = specular_defect(hp, prev_pt, pj, next_pt)
+    incidence = np.abs(margins[np.arange(len(pts)), facet_of])
+    # `segment_defect(P_j, P_{j-1}, mirrored)`
+    collinearity = dist_rows(prev, pts) + dist_rows(pts, mirrored) - dist_rows(prev, mirrored)
+    m = orbit.masses
+    merged, merged_mass = pair_folds(np.roll(m, 1), prev, np.roll(m, -1), mirrored)
+    target_mass = orbit.multiplier * m
+    if np.any(target_mass == 0.0):  # as the float quotient of one bounce would
+        raise ZeroDivisionError("float division by zero")
+    centroid_dist = chord_dist_rows(merged, pts)
+    centroid_mass_rel = np.abs(merged_mass - target_mass) / target_mass
+    angle_defect = specular_defects(normals, prev, pts, nxt)
 
     return OrbitVerification(
         facet_of, facet_ok, incidence, collinearity, centroid_dist, centroid_mass_rel, angle_defect
@@ -184,17 +192,8 @@ def orthic_points(s: RegularSimplex) -> tuple[HPoint, HPoint, HPoint]:
 
 def midpoint_defects(s: RegularSimplex) -> np.ndarray:
     """Mirror-law angle defects of the facet-center polygon W_0 W_1 ... W_n."""
-    n = s.n
-    centers = [f.center for f in s.facets]
-    out = np.zeros(n + 1)
-    for j in range(n + 1):
-        out[j] = specular_defect(
-            s.facets[j].hyperplane,
-            centers[(j - 1) % (n + 1)],
-            centers[j],
-            centers[(j + 1) % (n + 1)],
-        )
-    return out
+    w = s.center_coords
+    return specular_defects(s.normal_coords, np.roll(w, 1, axis=0), w, np.roll(w, -1, axis=0))
 
 
 def midpoint_trajectory_defect(s: RegularSimplex) -> float:

@@ -30,7 +30,8 @@ from . import flow as flow_mod
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
-from .geometry import angle_at, chord_dist, dist, mink_dots, segment_defect
+from .geometry import (chord_dist, dist_rows, mink_dots, mink_pairs, segment_defect,
+                       unit_tangent_rows)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
          abs(m.centroid_weight / simplex_mod.centroid_weight_formula(n, c) - 1.0),
          tol.metrics_rel)
     gate("vertex_reflection",
-         max(simplex_mod.vertex_reflection_identity_residual(s, j) for j in range(n + 1)),
+         max(simplex_mod.vertex_reflection_identity_residual(s).tolist()),
          tol.vertex_reflection)
 
     gate("root_residual", abs(weights_mod.eval_g(seq.root, n, edge)), tol.root_residual)
@@ -318,18 +319,8 @@ def _simplex_body(s: simplex_mod.RegularSimplex) -> dict:
     m = simplex_mod.metrics(s)
 
     pair_dists = np.concatenate([_dists_from(s, i) for i in range(n)])
-    min_margin = min(f.hyperplane.margin(s.vertices[f.index]) for f in s.facets)
-
-    # right angles at a facet center: the apex direction is perpendicular to
-    # every direction inside the facet (degenerate for n = 1, where the facet
-    # is a single point)
-    w0 = s.facets[0].center
-    angle_terms = [
-        abs(angle_at(w0, s.vertices[0], s.vertices[k]) - 0.5 * math.pi)
-        for k in s.facets[0].vertex_indices
-        if dist(w0, s.vertices[k]) > 1e-12
-    ]
-    right_angle = max(angle_terms) if angle_terms else 0.0
+    min_margin = min(mink_pairs(s.vertex_coords, s.normal_coords).tolist())
+    right_angle = _right_angle(s) if n >= 2 else 0.0  # at n = 1 the facet is a single point
     center_between = segment_defect(s.circumcenter, s.vertices[0], s.facets[0].center)
 
     return {
@@ -365,13 +356,27 @@ def _simplex_body(s: simplex_mod.RegularSimplex) -> dict:
 
 
 def _dists_from(s: simplex_mod.RegularSimplex, i: int) -> np.ndarray:
-    """`dist` from vertex i to each later vertex, bit for bit, with one stacked product."""
-    c = -mink_dots(s.vertex_coords[i], s.vertex_coords[i + 1:])
-    near = c < 1.0 + 1e-6  # where `dist` takes the chord route
-    d = np.arccosh(np.where(near, 1.0, c))
-    for j in np.flatnonzero(near).tolist():
-        d[j] = dist(s.vertices[i], s.vertices[i + 1 + j])
-    return d
+    """`dist` from vertex i to each later vertex, bit for bit."""
+    later = s.vertex_coords[i + 1:]
+    return dist_rows(np.broadcast_to(s.vertex_coords[i], later.shape), later)
+
+
+def _right_angle(s: simplex_mod.RegularSimplex) -> float:
+    """Largest deviation from pi/2 of the angles V_0 W_0 V_k at the center W_0 of facet 0.
+
+    The apex direction is perpendicular to every direction inside the facet.
+    A vertex within 1e-12 of W_0 has no direction and is left out.
+    """
+    w0 = s.center_coords[0]
+    others = s.vertex_coords[1:]
+    at = np.broadcast_to(w0, others.shape)
+    keep = dist_rows(at, others) > 1e-12
+    if not keep.any():
+        return 0.0
+    apex = unit_tangent_rows(w0[None], s.vertex_coords[:1])[0]
+    towards = unit_tangent_rows(at[keep], others[keep])
+    angles = np.arccos(np.clip(mink_dots(apex, towards), -1.0, 1.0))
+    return max(np.abs(angles - 0.5 * math.pi).tolist())
 
 
 def sequence_document(seq: weights_mod.MassSequence) -> dict:

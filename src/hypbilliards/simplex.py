@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HPoint, Hyperplane, chord_dist, dist, mink_dots, reflect, safe_arccosh
-from .masses import centroid_fold
+from .geometry import (HPoint, Hyperplane, chord_dist_rows, dist_rows, hpoints, mink_dots,
+                       reflect_rows, safe_arccosh)
+from .masses import centroid_fold, omit_one_folds, pair_folds
 from .weights import pair_mass_constant
 
 
@@ -85,6 +86,7 @@ class RegularSimplex:
     circumcenter: HPoint
     vertex_coords: np.ndarray  # read-only rows: the coordinates of `vertices`
     normal_coords: np.ndarray  # read-only rows: the facet normals, in facet order
+    center_coords: np.ndarray  # read-only rows: the facet centers, in facet order
 
     @property
     def ambient_dim(self) -> int:
@@ -148,8 +150,7 @@ def build(n: int, edge: float) -> RegularSimplex:
     e = simplex_directions(n)
 
     vc = np.column_stack((np.full(n + 1, cosh_r), sinh_r * e))
-    vc.setflags(write=False)
-    vertices = tuple(HPoint(row) for row in vc)
+    vertices = hpoints(vc)
 
     # Facet normal opposite vertex j shares the vertex's symmetry axis:
     # u_j = (p, q e_j) with t = sinh r / (n cosh r) kills <V_k, u_j> for k != j
@@ -159,14 +160,15 @@ def build(n: int, edge: float) -> RegularSimplex:
     p = -q * t
     nc = np.column_stack((np.full(n + 1, p), q * e))
     nc.setflags(write=False)
-    facets = []
-    for j in range(n + 1):
-        hp = Hyperplane(nc[j])
-        others = tuple(k for k in range(n + 1) if k != j)
-        center = centroid_fold(np.ones(n), vc[list(others)]).location
-        facets.append(FacetData(j, hp, center, others))
-
-    return RegularSimplex(n, edge, vertices, tuple(facets), HPoint.basepoint(n + 2), vc, nc)
+    planes = [Hyperplane(u) for u in nc]
+    # the center of facet j folds unit masses on every vertex but j
+    cc = omit_one_folds(np.ones(n + 1), vc)[0]
+    centers = hpoints(cc)
+    facets = tuple(
+        FacetData(j, planes[j], centers[j], tuple(range(j)) + tuple(range(j + 1, n + 1)))
+        for j in range(n + 1)
+    )
+    return RegularSimplex(n, edge, vertices, facets, HPoint.basepoint(n + 2), vc, nc, cc)
 
 
 # Closed-form squared hyperbolic cosines of the simplex measurements, as
@@ -199,29 +201,29 @@ class SimplexMetrics:
 
 def metrics(s: RegularSimplex) -> SimplexMetrics:
     """Measure the characteristic distances and the centroid weight directly."""
-    vc = np.array([dist(v, s.circumcenter) for v in s.vertices])
-    vf = np.array([dist(s.vertices[j], s.facets[j].center) for j in range(s.n + 1)])
+    vc = dist_rows(s.vertex_coords, np.broadcast_to(s.circumcenter.coords, s.vertex_coords.shape))
+    vf = dist_rows(s.vertex_coords, s.center_coords)
     w = centroid_fold(np.ones(s.n + 1), s.vertex_coords).weight
     return SimplexMetrics(vc, vf, w)
 
 
-def vertex_reflection_identity_residual(s: RegularSimplex, j: int) -> float:
-    """Residual of the vertex-plus-mirror balance at facet j.
+def vertex_reflection_identity_residual(s: RegularSimplex, j: int | None = None):
+    """Residual of the vertex-plus-mirror balance at facet j, or at every facet.
 
     Unit masses at V_j and at its mirror image across the opposite facet
     combine to the same point mass as weight 2/(n-1+1/cosh a) placed on
-    each remaining vertex.  Returns the larger of the location distance and
-    the relative weight mismatch.
+    each remaining vertex.  The residual is the larger of the location
+    distance and the relative weight mismatch.  With j omitted, returns the
+    ``(n+1,)`` array of residuals in facet order, all computed in one pass.
     """
-    facet = s.facet(j)
-    v = s.vertex(j)
-    lhs = centroid_fold((1.0, 1.0), np.array((v.coords, reflect(facet.hyperplane, v).coords)))
+    v, ones = s.vertex_coords, np.ones(s.n + 1)
+    lhs, lhs_w = pair_folds(ones, v, ones, reflect_rows(s.normal_coords, v))
     w = pair_mass_constant(s.n, math.cosh(s.edge))
-    rhs = centroid_fold(np.full(s.n, w), s.vertex_coords[list(facet.vertex_indices)])
-    return max(
-        chord_dist(lhs.location, rhs.location),
-        abs(lhs.weight - rhs.weight) / rhs.weight,
-    )
+    rhs, rhs_w = omit_one_folds(np.full(s.n + 1, w), v)
+    loc = chord_dist_rows(lhs, rhs)
+    rel = np.abs(lhs_w - rhs_w) / rhs_w
+    res = np.where(rel > loc, rel, loc)  # max(loc, rel), which keeps loc when rel is nan
+    return res if j is None else float(res[j % (s.n + 1)])
 
 
 class Region(enum.Enum):
@@ -260,6 +262,14 @@ def region_of(margins, tol: float = 1e-9) -> tuple[Region, int | None]:
     if len(near) == 1:
         return Region.FACET_INTERIOR, near[0]
     return Region.LOWER_BOUNDARY, None
+
+
+def facet_hits(margins: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
+    the point (`region_of` gives `Region.FACET_INTERIOR`), or -1."""
+    near = np.abs(margins) <= tol
+    hit = ~np.any(margins < -tol, axis=1) & (np.count_nonzero(near, axis=1) == 1)
+    return np.where(hit, np.argmax(near, axis=1), -1)
 
 
 @dataclass(frozen=True)

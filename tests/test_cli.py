@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hypbilliards import orbit, simplex, weights
+from hypbilliards import orbit, report, simplex, weights
 from hypbilliards.cli import main, parse_dims, parse_floats
 from hypbilliards.simplex import build
 
@@ -230,6 +230,27 @@ def test_orbit_breakdown_exit_codes(capsys, edge, code, prefix):
     got, out, err = run(capsys, "orbit", "--dim", "3", "--edge", edge)
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_simplex_breakdown_exits_five(capsys, monkeypatch):
+    def broken(n, edge):
+        raise ValueError("cannot normalize non-timelike vector (<v,v> = 64.0)")
+
+    monkeypatch.setattr(simplex, "build", broken)
+    code, out, err = run(capsys, "simplex", "--dim", "3", "--edge", "1")
+    assert (code, out) == (5, "")
+    assert err == "numerical breakdown: cannot normalize non-timelike vector (<v,v> = 64.0)\n"
+
+
+def test_segment_simplex_documents_build_on_the_whole_edge_grid(capsys):
+    """At n = 1 each facet is one vertex, so the right-angle check has no terms,
+    however the distance from the facet center to that vertex rounds."""
+    for i in range(3623):  # edges 0.5, 0.51, ..., 36.72 below max_edge(1)
+        doc = report.simplex_document(build(1, round(0.5 + 0.01 * i, 2)))
+        assert doc["checks"]["right_angle"] == 0.0
+    code, out, err = run(capsys, "simplex", "--dim", "1", "--edge", "10.418")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"]["right_angle"] == 0.0
 
 
 def test_simulate_retraces_orbit(capsys):

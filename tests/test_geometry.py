@@ -15,9 +15,20 @@ from hypbilliards.geometry import (
     foot_of_perpendicular,
     geodesic_point,
     hyperplane_through,
+    check_on_sheet,
+    check_on_sheet_rows,
+    chord_dist_rows,
+    dist_rows,
+    from_vector_rows,
+    hpoints,
     mink_dot,
     mink_dots,
     mink_inner,
+    mink_pairs,
+    mink_table,
+    reflect_rows,
+    to_sheet,
+    unit_tangent_rows,
     reflect,
     reflect_tangent,
     safe_arccosh,
@@ -344,3 +355,96 @@ def test_mink_dots_on_simplex_stacks_bitwise(n):
     for ys in (s.vertex_coords, s.normal_coords):
         for x in (*s.vertex_coords, *s.normal_coords, s.facets[0].center.coords):
             assert mink_dots(x, ys).tobytes() == _rowwise(x, ys).tobytes()
+
+
+def test_mink_pairs_and_table_match_mink_dot_bitwise():
+    """Row-paired ``(k, 1, L) @ (k, L, 1)`` and all-pairs ``(p, 1, 1, L) @ (1, q, L, 1)``
+    stacked matmuls: numpy runs each as one ``ddot`` per pair, undocumented, so pin it."""
+    rng = np.random.default_rng(11)
+    for length in range(3, 131):
+        p = length - 1
+        xs = rng.standard_normal((p, length))
+        wide = rng.standard_normal((p, length + 3))
+        for ys in (rng.standard_normal((p, length)), wide[:, 1:1 + length],
+                   np.broadcast_to(xs[0], xs.shape)):
+            ref = np.array([mink_dot(x, y) for x, y in zip(xs, ys)])
+            assert mink_pairs(xs, ys).tobytes() == ref.tobytes(), length
+            assert mink_pairs(ys, xs).tobytes() == ref.tobytes(), length
+        ys = rng.standard_normal((length, length))
+        ref = np.array([[mink_dot(x, y) for y in ys] for x in xs[:3]])
+        assert mink_table(xs[:3], ys).tobytes() == ref.tobytes(), length
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 16, 32, 64, 128])
+def test_mink_pairs_and_table_on_simplex_stacks_bitwise(n):
+    s = build(n, 1.0)
+    stacks = (s.vertex_coords, s.normal_coords, s.center_coords)
+    for xs in stacks:
+        for ys in stacks:
+            ref = np.array([mink_dot(x, y) for x, y in zip(xs, ys)])
+            assert mink_pairs(xs, ys).tobytes() == ref.tobytes()
+            table = np.array([[mink_dot(x, y) for y in ys] for x in xs])
+            assert mink_table(xs, ys).tobytes() == table.tobytes()
+
+
+def test_row_operations_match_point_operations_bitwise():
+    rng = np.random.default_rng(12)
+    for m in (3, 4, 9, 33, 130):
+        a = np.array([random_hpoint(rng, m - 1).coords for _ in range(6)])
+        b = np.array([random_hpoint(rng, m - 1).coords for _ in range(6)])
+        b[1] = a[1]  # coincident: `dist` takes its chord route
+        b[2] = HPoint.from_vector(a[2] + 1e-7 * b[2]).coords  # near: chord route
+        normals = np.array([random_hyperplane(rng, m - 1).normal for _ in range(6)])
+        pa, pb = [HPoint(x) for x in a], [HPoint(x) for x in b]
+        d = dist_rows(a, b)
+        assert d[1] == 0.0 and 0.0 < d[2] and -mink_dot(a[2], b[2]) < 1.0 + 1e-6
+        assert d.tobytes() == np.array([dist(x, y) for x, y in zip(pa, pb)]).tobytes()
+        assert chord_dist_rows(a, b).tobytes() == np.array(
+            [chord_dist(x, y) for x, y in zip(pa, pb)]).tobytes()
+        keep = [0, 2, 3, 4, 5]
+        assert unit_tangent_rows(a[keep], b[keep]).tobytes() == np.array(
+            [unit_tangent(pa[i], pb[i]) for i in keep]).tobytes()
+        assert reflect_rows(normals, a).tobytes() == np.array(
+            [reflect(Hyperplane(u), x).coords for u, x in zip(normals, pa)]).tobytes()
+        w = 1.7 * a + 0.4 * b
+        assert from_vector_rows(w).tobytes() == np.array(
+            [HPoint.from_vector(x).coords for x in w]).tobytes()
+
+
+def test_row_checks_raise_the_point_errors():
+    rng = np.random.default_rng(13)
+    a = np.array([random_hpoint(rng, 3).coords for _ in range(4)])
+    with pytest.raises(ValueError, match="points coincide; tangent direction undefined"):
+        unit_tangent_rows(a, a[[0, 1, 1, 3]])
+    bad = a.copy()
+    bad[2, 0] *= 1.5
+    with pytest.raises(ValueError) as rows_err:
+        check_on_sheet_rows(bad)
+    with pytest.raises(ValueError) as point_err:
+        check_on_sheet(bad[2])
+    assert str(rows_err.value) == str(point_err.value)
+    with pytest.raises(ValueError, match="upper sheet"):
+        check_on_sheet_rows(np.array([a[0], -a[1]]))
+    spacelike = a.copy()
+    spacelike[3, 0] = 0.0
+    with pytest.raises(ValueError) as rows_err:
+        from_vector_rows(spacelike)
+    with pytest.raises(ValueError) as point_err:
+        to_sheet(spacelike[3])
+    assert str(rows_err.value) == str(point_err.value)
+    assert str(rows_err.value).startswith("cannot normalize non-timelike vector (<v,v> = ")
+    with pytest.raises(ValueError, match="lower sheet"):
+        from_vector_rows(np.array([a[0], -a[1]]))
+
+
+def test_hpoints_share_one_checked_read_only_stack():
+    rng = np.random.default_rng(14)
+    x = np.array([random_hpoint(rng, 4).coords for _ in range(3)])
+    pts = hpoints(x)
+    assert [p.coords.tobytes() for p in pts] == [row.tobytes() for row in x]
+    assert all(isinstance(p, HPoint) and not p.coords.flags.writeable for p in pts)
+    assert not x.flags.writeable
+    y = x.copy()
+    y[1, 0] += 1e-3
+    with pytest.raises(ValueError, match="not on the unit hyperboloid"):
+        hpoints(y)

@@ -14,6 +14,9 @@ from hypbilliards.masses import (
     PointMass,
     centroid_fold,
     combine_intrinsic,
+    cyclic_folds,
+    omit_one_folds,
+    pair_folds,
     scale_masses,
 )
 from hypbilliards.orbit import construct_orbit
@@ -249,6 +252,58 @@ def test_fold_starts_from_positive_zero():
     got = centroid_fold(w, x).location.coords
     assert got.tobytes() == HPoint.from_vector(_loop_fold(w, x)).coords.tobytes()
     assert math.copysign(1.0, got[1]) == 1.0
+
+
+def _assert_rows_are_folds(got, folds):
+    """Each row of a stacked fold against its own `centroid_fold`, by bytes."""
+    x, z = got
+    assert x.shape == (len(folds), folds[0][1].shape[1]) and z.shape == (len(folds),)
+    for j, (w, coords) in enumerate(folds):
+        ref = centroid_fold(w, coords)
+        assert x[j].tobytes() == ref.location.coords.tobytes(), j
+        assert z[j].tobytes() == np.float64(ref.weight).tobytes(), j
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 16, 32, 64, 128])
+def test_stacked_folds_match_centroid_fold_bitwise(n):
+    """The rolled, omit-one and two-mass accumulations give row j the sum of fold j."""
+    for a in (0.5, 1.0, 2.0, 7.3):
+        s = build(n, a)
+        vc, p = s.vertex_coords, n + 1
+        w = build_sequence(n, a).weights[:-1]
+        _assert_rows_are_folds(cyclic_folds(w, vc),
+                               [(w, np.roll(vc, -j, axis=0)) for j in range(p)])
+        for u in (np.ones(p), np.full(p, 0.731), w):
+            _assert_rows_are_folds(omit_one_folds(u, vc),
+                                   [(np.delete(u, j), np.delete(vc, j, axis=0)) for j in range(p)])
+        wa, wb = np.roll(w, 1) + 0.5, np.roll(w, -1)
+        ca, cb = np.roll(vc, 1, axis=0), s.center_coords
+        _assert_rows_are_folds(pair_folds(wa, ca, wb, cb),
+                               [((wa[j], wb[j]), np.array((ca[j], cb[j]))) for j in range(p)])
+
+
+def test_stacked_folds_start_from_positive_zero():
+    """Like `centroid_fold`, each row starts at +0.0, so a column of -0.0 sums to +0.0."""
+    x = np.array([[1.0, -0.0, 0.0], [1.0, -0.0, 0.0], [1.0, -0.0, 0.0]])
+    w = np.array([0.0, 1.0, 2.0])
+    for got in (cyclic_folds(w, x), omit_one_folds(w + 1.0, x), pair_folds(w, x, w + 1.0, x)):
+        assert got[0].tobytes() == np.tile(centroid_fold(w + 1.0, x).location.coords, (3, 1)).tobytes()
+        assert all(math.copysign(1.0, v) == 1.0 for v in got[0][:, 1])
+
+
+def test_stacked_folds_keep_the_fold_checks():
+    vc = build(3, 1.0).vertex_coords
+    for bad in (-1e-3, math.nan, math.inf):
+        w = np.array([1.0, bad, 1.0, 1.0])
+        for fold_all in (cyclic_folds, omit_one_folds):
+            with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+                fold_all(w, vc)
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            pair_folds(w, vc, np.ones(4), vc)
+    with pytest.raises(ValueError, match="total mass is zero"):
+        pair_folds(np.zeros(4), vc, np.zeros(4), vc)
+    with pytest.raises(ValueError, match="need p weights"):
+        omit_one_folds(np.ones(3), vc)
 
 
 @pytest.mark.parametrize("bad", [-1e-3, math.nan])

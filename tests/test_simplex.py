@@ -267,7 +267,9 @@ def test_coordinate_stacks_hold_vertices_and_normals(n, a):
     s = build(n, a)
     assert s.vertex_coords.tobytes() == np.array([v.coords for v in s.vertices]).tobytes()
     assert s.normal_coords.tobytes() == np.array([f.hyperplane.normal for f in s.facets]).tobytes()
-    assert not s.vertex_coords.flags.writeable and not s.normal_coords.flags.writeable
+    assert s.center_coords.tobytes() == np.array([f.center.coords for f in s.facets]).tobytes()
+    for stack in (s.vertex_coords, s.normal_coords, s.center_coords):
+        assert not stack.flags.writeable
 
 
 @pytest.mark.parametrize("n", [*range(2, 20), 32, 64, 128])
