@@ -80,8 +80,9 @@ def mink_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ``(p, 1, 1, L) @ (1, q, L, 1)`` is one ``ddot`` per entry; the 2-D
     ``xs[:, 1:] @ ys[:, 1:].T`` would be one ``gemm`` and round differently.
     """
-    return (-xs[:, None, 0] * ys[None, :, 0]
-            + np.matmul(xs[:, None, None, 1:], ys[None, :, 1:, None])[:, :, 0, 0])
+    t = np.matmul(xs[:, None, None, 1:], ys[None, :, 1:, None])[:, :, 0, 0]
+    t -= np.multiply.outer(xs[:, 0], ys[:, 0])  # the same sum as -x0 y0 + ddot
+    return t
 
 
 def safe_arccosh(c: float) -> float:
@@ -150,7 +151,8 @@ def to_sheet(w: np.ndarray) -> np.ndarray:
 # Row-wise forms of the point operations, for ``(k, m)`` coordinate stacks.
 # Each row gets the arithmetic of the one-point function bit for bit, and
 # each check raises that function's error, with the values of the first row
-# that fails it.
+# that fails it.  A pass runs each check over all rows before the next, so
+# where different rows fail different checks, the earlier check is raised.
 
 def check_on_sheet_rows(x: np.ndarray) -> None:
     """`check_on_sheet` for every row of x."""
@@ -180,7 +182,8 @@ def hpoints(x: np.ndarray) -> tuple[HPoint, ...]:
 
 def reflect_rows(normals: np.ndarray, x: np.ndarray) -> np.ndarray:
     """`reflect` of row i of x across the hyperplane with normal row i, for every i."""
-    return from_vector_rows(x - (2.0 * mink_pairs(x, normals))[:, None] * normals)
+    w = (2.0 * mink_pairs(x, normals))[:, None] * normals
+    return from_vector_rows(np.subtract(x, w, out=w))
 
 
 def from_vector_rows(w: np.ndarray) -> np.ndarray:
@@ -199,11 +202,13 @@ def from_vector_rows(w: np.ndarray) -> np.ndarray:
 
 def unit_tangent_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`unit_tangent` at row i of a toward row i of b, for every i."""
-    w = b + mink_pairs(a, b)[:, None] * a
+    w = mink_pairs(a, b)[:, None] * a
+    w += b  # b + <a,b> a: the sum is the same either way round
     q = mink_pairs(w, w)
     if np.any(q <= 0.0):
         raise ValueError("points coincide; tangent direction undefined")
-    return w / np.sqrt(q)[:, None]
+    w /= np.sqrt(q)[:, None]
+    return w
 
 
 def dist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

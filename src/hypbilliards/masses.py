@@ -148,7 +148,10 @@ def pair_folds(wa, xa, wb, xb) -> tuple[np.ndarray, np.ndarray]:
     Returns the ``(p, m)`` stack of centroid locations and their p weights.
     """
     _check_weights(np.concatenate((wa, wb)))
-    return _centroids((0.0 + wa[:, None] * xa) + wb[:, None] * xb)
+    acc = wa[:, None] * xa
+    acc += 0.0  # the fold starts from +0.0
+    acc += wb[:, None] * xb
+    return _centroids(acc)
 
 
 def _stack_weights(weights, coords: np.ndarray) -> np.ndarray:

@@ -58,10 +58,10 @@ def specular_defects(normals: np.ndarray, prev: np.ndarray, at: np.ndarray,
                      nxt: np.ndarray) -> np.ndarray:
     """`specular_defect` at every row: the path ``prev[i] -> at[i] -> nxt[i]`` off the
     hyperplane with normal ``normals[i]``."""
-    w_in = -unit_tangent_rows(at, prev)
-    w_out = unit_tangent_rows(at, nxt)
-    w_ref = w_in - (2.0 * mink_pairs(w_in, normals))[:, None] * normals
-    return np.arccos(np.clip(mink_pairs(w_ref, w_out), -1.0, 1.0))
+    w_in = unit_tangent_rows(at, prev)
+    np.negative(w_in, out=w_in)
+    w_in -= (2.0 * mink_pairs(w_in, normals))[:, None] * normals  # now its mirror image
+    return np.arccos(np.clip(mink_pairs(w_in, unit_tangent_rows(at, nxt)), -1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +155,13 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-
     A point that is not in exactly one facet's relative interior is measured
     against the facet of its smallest margin in absolute value.
     """
-    pts = np.array([p.coords for p in orbit.points])
-    prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
-    margins = mink_table(pts, s.normal_coords)
-    hit = facet_hits(margins, facet_tol)
-    facet_ok = hit >= 0
-    facet_of = np.where(facet_ok, hit, np.argmin(np.abs(margins), axis=1))
+    ring = np.array([p.coords for p in (orbit.point(-1), *orbit.points, orbit.point(0))])
+    prev, pts, nxt = ring[:-2], ring[1:-1], ring[2:]  # P_{j-1}, P_j, P_{j+1}
+    facet_of, facet_ok, incidence = _facets_of(s, pts, facet_tol)
     normals = s.normal_coords[facet_of]
+    angle_defect = specular_defects(normals, prev, pts, nxt)
     mirrored = reflect_rows(normals, nxt)
 
-    incidence = np.abs(margins[np.arange(len(pts)), facet_of])
     # `segment_defect(P_j, P_{j-1}, mirrored)`
     collinearity = dist_rows(prev, pts) + dist_rows(pts, mirrored) - dist_rows(prev, mirrored)
     m = orbit.masses
@@ -174,11 +171,20 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-
         raise ZeroDivisionError("float division by zero")
     centroid_dist = chord_dist_rows(merged, pts)
     centroid_mass_rel = np.abs(merged_mass - target_mass) / target_mass
-    angle_defect = specular_defects(normals, prev, pts, nxt)
 
     return OrbitVerification(
         facet_of, facet_ok, incidence, collinearity, centroid_dist, centroid_mass_rel, angle_defect
     )
+
+
+def _facets_of(s: RegularSimplex, pts: np.ndarray, tol: float):
+    """Per point: its facet (or, off every facet interior, the facet of smallest
+    |margin|), whether it is in that facet's relative interior, and |margin| there."""
+    margins = mink_table(pts, s.normal_coords)
+    hit = facet_hits(margins, tol)
+    facet_ok = hit >= 0
+    facet_of = np.where(facet_ok, hit, np.argmin(np.abs(margins), axis=1))
+    return facet_of, facet_ok, np.abs(margins[np.arange(len(pts)), facet_of])
 
 
 def orthic_points(s: RegularSimplex) -> tuple[HPoint, HPoint, HPoint]:
@@ -193,7 +199,8 @@ def orthic_points(s: RegularSimplex) -> tuple[HPoint, HPoint, HPoint]:
 def midpoint_defects(s: RegularSimplex) -> np.ndarray:
     """Mirror-law angle defects of the facet-center polygon W_0 W_1 ... W_n."""
     w = s.center_coords
-    return specular_defects(s.normal_coords, np.roll(w, 1, axis=0), w, np.roll(w, -1, axis=0))
+    ring = np.concatenate((w[-1:], w, w[:1]))
+    return specular_defects(s.normal_coords, ring[:-2], w, ring[2:])
 
 
 def midpoint_trajectory_defect(s: RegularSimplex) -> float:

@@ -1,7 +1,5 @@
 """The stacked cell certificates against the per-point loops of `loop_reference`, bit for bit."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,9 +130,3 @@ def test_breakdown_cell_raises_the_loop_error():
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("cannot normalize non-timelike vector")
 
-
-def test_right_angle_skips_only_coincident_vertices():
-    s = build(5, 1.0)
-    assert report._right_angle(s) == ref.simplex_checks(s)[1]
-    assert report._right_angle(s) < 1e-9
-    assert not math.isnan(report._right_angle(build(2, 0.5)))
