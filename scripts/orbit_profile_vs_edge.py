@@ -34,7 +34,7 @@ def profile_row(n: int, a: float) -> dict | None:
         "edge": a,
         "multiplier": seq.multiplier,
         "orbit_side": float(orbit_edge_lengths(orb).mean()),
-        "circumradius": dist(s.vertices[0], s.circumcenter),
+        "circumradius": dist(s.vertex(0), s.circumcenter),
         "midpoint_defect": midpoint_trajectory_defect(s),
         "closure": closure_error(s, orb),
     }

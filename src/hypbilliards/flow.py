@@ -44,13 +44,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (HPoint, TangentVec, check_on_sheet, check_unit_tangent, chord_dist,
-                       mink_dot, mink_dots, mink_inner, tangent_part, to_sheet, unit_tangent)
-from .orbit import BilliardOrbit
+from .geometry import (HPoint, Hyperplane, TangentVec, check_on_sheet, check_unit_tangent,
+                       chord_dist, mink_dot, mink_dots, mink_inner, tangent_part, to_sheet,
+                       unit_tangent)
 from .simplex import Region, RegularSimplex, classify_point, region_of
+
+if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's algebra
+    from .orbit import BilliardOrbit
 
 # Flights shorter than this re-hit the departure facet and are discarded.
 T_MIN = 1e-9
@@ -164,7 +168,7 @@ def reflect_at(s: RegularSimplex, k: int, q: HPoint, v_in: TangentVec) -> Tangen
     must be transversal; a normal component up to ``GRAZE_TOL`` is a
     grazing hit and raises `NonSmoothHitError`.
     """
-    hp = s.facet(k).hyperplane
+    hp = Hyperplane(s.normal_coords[k % (s.n + 1)])
     if not np.allclose(v_in.base.coords, q.coords, rtol=0.0, atol=1e-9):
         raise ValueError("arriving tangent is not based at the reflection point")
     return TangentVec(q, _mirror(q.coords, v_in.direction, k, hp.normal, hp.margin(q)))
@@ -270,8 +274,8 @@ def iterate(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
 
 def launch_state(s: RegularSimplex, orbit: BilliardOrbit) -> FlowState:
     """Initial flow state of a closed polygon: at P_0, aimed at P_1."""
-    start_cls = classify_point(s, orbit.point(0))
-    return state_toward(orbit.point(0), orbit.point(1), last_facet=start_cls.facet)
+    p0 = orbit.point(0)
+    return state_toward(p0, orbit.point(1), last_facet=classify_point(s, p0).facet)
 
 
 @dataclass(frozen=True)

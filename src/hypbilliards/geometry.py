@@ -164,20 +164,15 @@ def check_on_sheet_rows(x: np.ndarray) -> None:
         raise ValueError("timelike coordinate must be positive (upper sheet)")
 
 
-def hpoints(x: np.ndarray) -> tuple[HPoint, ...]:
-    """The `HPoint` of each row of a float64 ``(k, m)`` stack, checked in one pass.
+def check_unit_normal_rows(u: np.ndarray) -> None:
+    """`Hyperplane`'s unit-spacelike check, for every row of u.
 
-    Makes x read-only and uses its rows as the points' coordinates, so pass
-    a stack that nothing else holds for writing.
+    The tolerance scales like `HPoint`'s: cancellation in <u,u> grows as u0^2.
     """
-    check_on_sheet_rows(x)
-    x.setflags(write=False)
-    points = []
-    for row in x:
-        p = object.__new__(HPoint)
-        object.__setattr__(p, "coords", row)
-        points.append(p)
-    return tuple(points)
+    q = mink_pairs(u, u)
+    bad = np.flatnonzero(np.abs(q - 1.0) > REP_TOL * np.maximum(1.0, u[:, 0] * u[:, 0]))
+    if bad.size:
+        raise ValueError(f"normal must be unit spacelike: <u,u> = {float(q[bad[0]])!r}")
 
 
 def reflect_rows(normals: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,10 +236,7 @@ class Hyperplane:
         u = np.array(_as_vector(self.normal), dtype=np.float64, copy=True)
         u.setflags(write=False)
         object.__setattr__(self, "normal", u)
-        q = mink_inner(u, u)
-        # same scale-aware tolerance as HPoint: cancellation in <u,u> grows as u0^2
-        if abs(q - 1.0) > REP_TOL * max(1.0, u[0] * u[0]):
-            raise ValueError(f"normal must be unit spacelike: <u,u> = {q!r}")
+        check_unit_normal_rows(u[None])
 
     def margin(self, p: HPoint) -> float:
         """Signed incidence margin ``<P, u>``; zero exactly on the hyperplane."""
@@ -357,16 +349,6 @@ def segment_defect(p: HPoint, a: HPoint, b: HPoint) -> float:
 def reflect(h: Hyperplane, p: HPoint) -> HPoint:
     """Reflect a point across the hyperplane: ``P - 2<P,u>u`` (isometric involution)."""
     return HPoint.from_vector(p.coords - 2.0 * h.margin(p) * h.normal)
-
-
-def reflect_vector(h: Hyperplane, v) -> np.ndarray:
-    w = _as_vector(v)
-    return w - 2.0 * mink_inner(w, h.normal) * h.normal
-
-
-def reflect_tangent(h: Hyperplane, t: TangentVec) -> TangentVec:
-    """Push a tangent vector through the reflection (base and direction both move)."""
-    return TangentVec(reflect(h, t.base), reflect_vector(h, t.direction))
 
 
 def hyperplane_through(points, orthogonal_to=()) -> Hyperplane:

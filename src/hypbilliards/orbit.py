@@ -12,12 +12,14 @@ geometrically and reports residuals; it assumes nothing about how the
 orbit was produced beyond "one bounce point per facet".
 
 Every certificate is an (n+1)-fold identity, one per bounce point, so each
-runs as one pass over ``(n+1, n+2)`` coordinate stacks: `construct_orbit`
-folds all bounce points with `masses.cyclic_folds`, and `verify_orbit` and
-`midpoint_defects` evaluate every bounce with the row-wise forms of the
-`geometry` operations (`mink_pairs`, `mink_table`, `reflect_rows`,
-`dist_rows`, ...).  Each row reproduces the one-point computation bit for
-bit, and every check keeps its threshold and error.
+runs as one pass over ``(n+1, n+2)`` coordinate stacks.  A `BilliardOrbit`
+holds its bounce points only as such a stack, checked once and read-only;
+`point(j)` wraps a row as an `HPoint` when one point is wanted.
+`construct_orbit` folds all bounce points with `masses.cyclic_folds`, and
+`verify_orbit` and `midpoint_defects` evaluate every bounce with the
+row-wise forms of the `geometry` operations (`mink_pairs`, `mink_table`,
+`reflect_rows`, `dist_rows`, ...).  Each row reproduces the one-point
+computation bit for bit, and every check keeps its threshold and error.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 from .geometry import (
     HPoint,
     Hyperplane,
+    check_on_sheet_rows,
     chord_dist_rows,
     dist,
     dist_rows,
     foot_of_perpendicular,
-    hpoints,
     mink_pairs,
     mink_table,
     reflect_rows,
@@ -66,25 +68,37 @@ def specular_defects(normals: np.ndarray, prev: np.ndarray, at: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class BilliardOrbit:
-    """Cyclic sequence of bounce points with their centroid masses."""
+    """Cyclic sequence of bounce points with their centroid masses.
 
-    points: tuple[HPoint, ...]
+    Row j of the ``(p, m)`` stack ``coords`` is the bounce point P_j.  Both
+    ``coords`` and ``masses`` are read-only copies of what was passed, and
+    every row is checked to lie on the upper sheet, as an `HPoint` would be.
+    """
+
+    coords: np.ndarray
     masses: np.ndarray
     multiplier: float
 
     def __post_init__(self):
+        x = np.array(self.coords, dtype=np.float64, copy=True)
+        if x.ndim != 2:
+            raise ValueError(f"expected a (p, m) stack of bounce points, got shape {x.shape}")
+        check_on_sheet_rows(x)
+        x.setflags(write=False)
+        object.__setattr__(self, "coords", x)
         m = np.array(np.asarray(self.masses, dtype=np.float64), copy=True)
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
-        if m.shape != (len(self.points),):
+        if m.shape != (len(x),):
             raise ValueError("one mass per bounce point required")
 
     @property
     def period(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def point(self, j: int) -> HPoint:
-        return self.points[j % self.period]
+        """Bounce point j, indices cyclic mod the period."""
+        return HPoint(self.coords[j % self.period])
 
     def mass(self, j: int) -> float:
         return float(self.masses[j % self.period])
@@ -92,9 +106,7 @@ class BilliardOrbit:
     def reversed(self) -> "BilliardOrbit":
         """The same closed polygon traversed backwards (P_0, P_n, ..., P_1)."""
         idx = [(-j) % self.period for j in range(self.period)]
-        return BilliardOrbit(
-            tuple(self.points[i] for i in idx), self.masses[idx], self.multiplier
-        )
+        return BilliardOrbit(self.coords[idx], self.masses[idx], self.multiplier)
 
 
 @dataclass(frozen=True)
@@ -138,7 +150,7 @@ def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
         )
     # w_{n+1} = 0, so k = 0..n suffices
     points, masses = cyclic_folds(seq.weights[:-1], s.vertex_coords)
-    return BilliardOrbit(hpoints(points), masses, seq.multiplier)
+    return BilliardOrbit(points, masses, seq.multiplier)
 
 
 def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-9) -> OrbitVerification:
@@ -155,7 +167,8 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-
     A point that is not in exactly one facet's relative interior is measured
     against the facet of its smallest margin in absolute value.
     """
-    ring = np.array([p.coords for p in (orbit.point(-1), *orbit.points, orbit.point(0))])
+    x = orbit.coords
+    ring = np.concatenate((x[-1:], x, x[:1]))
     prev, pts, nxt = ring[:-2], ring[1:-1], ring[2:]  # P_{j-1}, P_j, P_{j+1}
     facet_of, facet_ok, incidence = _facets_of(s, pts, facet_tol)
     normals = s.normal_coords[facet_of]
@@ -192,7 +205,7 @@ def orthic_points(s: RegularSimplex) -> tuple[HPoint, HPoint, HPoint]:
     if s.n != 2:
         raise ValueError(f"altitude feet are a triangle construction; got n = {s.n}")
     return tuple(
-        foot_of_perpendicular(s.facets[j].hyperplane, s.vertices[j]) for j in range(3)
+        foot_of_perpendicular(Hyperplane(s.normal_coords[j]), s.vertex(j)) for j in range(3)
     )
 
 

@@ -30,8 +30,8 @@ from . import flow as flow_mod
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
-from .geometry import (chord_dist, dist_rows, mink_dots, mink_pairs, segment_defect,
-                       unit_tangent_rows)
+from .geometry import (HPoint, chord_dist, dist_rows, mink_dots, mink_pairs, mink_table,
+                       segment_defect, unit_tangent_rows)
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,14 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class CellReport:
+    """Residuals and failed gates of one cell, with the metrics `evaluate_cell` measured
+    (None for a cell that broke down before they were measured)."""
+
     n: int
     edge: float
     residuals: dict[str, float]
     failures: tuple[str, ...]
+    metrics: simplex_mod.SimplexMetrics | None
 
     @property
     def passed(self) -> bool:
@@ -166,7 +170,7 @@ def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
                 f"midpoint defect {md:.6e} suspiciously small, needs > {tol.min_midpoint_defect:.1e}"
             )
 
-    return CellReport(n, edge, residuals, tuple(failures))
+    return CellReport(n, edge, residuals, tuple(failures), m)
 
 
 def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
@@ -188,7 +192,7 @@ def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
             seq = weights_mod.build_sequence(n, a)
             reports.append(evaluate_cell(s, seq, orbit_mod.construct_orbit(s, seq), tol))
         except (ValueError, ArithmeticError, weights_mod.RootBracketError) as err:
-            reports.append(CellReport(n, a, {}, (f"{type(err).__name__}: {err}",)))
+            reports.append(CellReport(n, a, {}, (f"{type(err).__name__}: {err}",), None))
     return VerificationReport(tol, tuple(reports))
 
 
@@ -303,39 +307,41 @@ def _json_scalar(obj) -> str:
 
 def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
     """Geometry, measured metrics, and internal consistency checks of one simplex."""
-    doc = _simplex_body(s)
-    vc = s.vertex_coords
-    doc["checks"]["facet_incidence"] = max(
-        float(np.max(np.abs(mink_dots(f.hyperplane.normal, vc[list(f.vertex_indices)]))))
-        for f in s.facets
-    )
+    doc = _simplex_body(s, simplex_mod.metrics(s))
+    # <u_j, V_k> for every facet j and each of its vertices k != j
+    table = mink_table(s.normal_coords, s.vertex_coords)
+    doc["checks"]["facet_incidence"] = float(np.max(np.abs(table[~np.eye(s.n + 1, dtype=bool)])))
     return doc
 
 
-def _simplex_body(s: simplex_mod.RegularSimplex) -> dict:
-    """`simplex_document` minus the vertex ``facet_incidence``, which `orbit_document` replaces."""
+def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics) -> dict:
+    """`simplex_document` minus the vertex ``facet_incidence``, which `orbit_document`
+    replaces, with the metrics ``m`` measured on ``s``."""
     n = s.n
     c = math.cosh(s.edge)
-    m = simplex_mod.metrics(s)
+    vc = s.vertex_coords
 
-    pair_dists = np.concatenate([_dists_from(s, i) for i in range(n)])
-    min_margin = min(mink_pairs(s.vertex_coords, s.normal_coords).tolist())
+    # vertex k against every later vertex, on a broadcast view of row k: gathering both
+    # ends of all n(n+1)/2 pairs at once would hold two such stacks, 17 MB at n = 128
+    pair_dists = np.concatenate(
+        [dist_rows(np.broadcast_to(vc[k], vc[k + 1:].shape), vc[k + 1:]) for k in range(n)])
+    min_margin = min(mink_pairs(vc, s.normal_coords).tolist())
     right_angle = _right_angle(s) if n >= 2 else 0.0  # at n = 1 the facet is a single point
-    center_between = segment_defect(s.circumcenter, s.vertices[0], s.facets[0].center)
+    center_between = segment_defect(s.circumcenter, s.vertex(0), HPoint(s.center_coords[0]))
 
     return {
         "n": n,
         "edge": s.edge,
-        "vertices": [v.coords for v in s.vertices],
+        "vertices": vc,
         "circumcenter": s.circumcenter.coords,
         "facets": [
             {
-                "index": f.index,
-                "normal": f.hyperplane.normal,
-                "center": f.center.coords,
-                "vertex_indices": list(f.vertex_indices),
+                "index": k,
+                "normal": s.normal_coords[k],
+                "center": s.center_coords[k],
+                "vertex_indices": [v for v in range(n + 1) if v != k],
             }
-            for f in s.facets
+            for k in range(n + 1)
         ],
         "metrics": {
             "vertex_center": m.vertex_center,
@@ -353,12 +359,6 @@ def _simplex_body(s: simplex_mod.RegularSimplex) -> dict:
             "center_between": center_between,
         },
     }
-
-
-def _dists_from(s: simplex_mod.RegularSimplex, i: int) -> np.ndarray:
-    """`dist` from vertex i to each later vertex, bit for bit."""
-    later = s.vertex_coords[i + 1:]
-    return dist_rows(np.broadcast_to(s.vertex_coords[i], later.shape), later)
 
 
 def _right_angle(s: simplex_mod.RegularSimplex) -> float:
@@ -396,11 +396,11 @@ def orbit_document(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
 
     Returns the document and whether every check passed.
     """
-    doc = _simplex_body(s)
     cell = evaluate_cell(s, seq, orb, tol)
+    doc = _simplex_body(s, cell.metrics)
     doc["mass_sequence"] = sequence_document(seq)
     doc["orbit"] = {
-        "points": [p.coords for p in orb.points],
+        "points": orb.coords,
         "masses": orb.masses,
         "lambda": orb.multiplier,
     }
@@ -453,7 +453,7 @@ def orbit_rows(s: simplex_mod.RegularSimplex, orb: orbit_mod.BilliardOrbit,
                sig: int = 17) -> tuple[list[str], list[list[str]]]:
     """CSV header and rows for the bounce points of a constructed orbit."""
     header = ["index", "mass"] + [f"disk{i}" for i in range(s.n)]
-    disk = simplex_mod.disk_coords(s, np.array([p.coords for p in orb.points]))
+    disk = simplex_mod.disk_coords(s, orb.coords)
     rows = [
         [str(j), format_float(orb.mass(j), sig)] + [format_float(x, sig) for x in d.tolist()]
         for j, d in enumerate(disk)

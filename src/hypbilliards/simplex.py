@@ -13,6 +13,12 @@ what makes every pairwise vertex distance come out to a.  Facet normals
 have the same symmetric shape as the vertices and are written down in
 closed form; `hyperplane_through` can rederive them from vertex incidence
 as a cross-check.
+
+A `RegularSimplex` holds its data only as coordinate stacks, one row per
+vertex or facet: `build` checks every row once (on the sheet, or unit
+spacelike for the normals) and freezes the stacks.  The facet opposite
+vertex j has the other n vertices; `vertex(j)` and `circumcenter` wrap a
+row or the basepoint as an `HPoint` when one point is wanted.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (HPoint, Hyperplane, chord_dist_rows, dist_rows, hpoints, mink_dots,
-                       reflect_rows, safe_arccosh)
+from .geometry import (HPoint, check_on_sheet_rows, check_unit_normal_rows, chord_dist_rows,
+                       dist_rows, mink_dots, reflect_rows, safe_arccosh)
 from .masses import centroid_fold, omit_one_folds, pair_folds
 from .weights import pair_mass_constant
 
@@ -63,42 +69,34 @@ def helmert_basis(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FacetData:
-    """One facet: its supporting hyperplane, circumcenter, and vertex indices.
+class RegularSimplex:
+    """The simplex as three read-only ``(n+1, n+2)`` coordinate stacks.
 
-    The hyperplane normal is oriented so the opposite vertex has strictly
+    Row j of `vertex_coords` is vertex j, and row j of `normal_coords` and
+    `center_coords` is the unit normal and the center of the facet opposite
+    vertex j.  The normal is oriented so the opposite vertex has strictly
     positive margin; interior points of the simplex then have all margins
     positive.
     """
 
-    index: int
-    hyperplane: Hyperplane
-    center: HPoint
-    vertex_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class RegularSimplex:
     n: int
     edge: float
-    vertices: tuple[HPoint, ...]
-    facets: tuple[FacetData, ...]
-    circumcenter: HPoint
-    vertex_coords: np.ndarray  # read-only rows: the coordinates of `vertices`
-    normal_coords: np.ndarray  # read-only rows: the facet normals, in facet order
-    center_coords: np.ndarray  # read-only rows: the facet centers, in facet order
+    vertex_coords: np.ndarray
+    normal_coords: np.ndarray
+    center_coords: np.ndarray
 
     @property
     def ambient_dim(self) -> int:
         return self.n + 2
 
+    @property
+    def circumcenter(self) -> HPoint:
+        """The model basepoint (1, 0, ..., 0)."""
+        return HPoint.basepoint(self.ambient_dim)
+
     def vertex(self, j: int) -> HPoint:
         """Vertex j, indices cyclic mod n+1."""
-        return self.vertices[j % (self.n + 1)]
-
-    def facet(self, j: int) -> FacetData:
-        """Facet opposite vertex j, indices cyclic mod n+1."""
-        return self.facets[j % (self.n + 1)]
+        return HPoint(self.vertex_coords[j % (self.n + 1)])
 
     def slice_vector(self) -> np.ndarray:
         """Spacelike all-ones vector whose Minkowski orthocomplement holds the simplex."""
@@ -150,7 +148,7 @@ def build(n: int, edge: float) -> RegularSimplex:
     e = simplex_directions(n)
 
     vc = np.column_stack((np.full(n + 1, cosh_r), sinh_r * e))
-    vertices = hpoints(vc)
+    check_on_sheet_rows(vc)
 
     # Facet normal opposite vertex j shares the vertex's symmetry axis:
     # u_j = (p, q e_j) with t = sinh r / (n cosh r) kills <V_k, u_j> for k != j
@@ -159,16 +157,13 @@ def build(n: int, edge: float) -> RegularSimplex:
     q = 1.0 / math.sqrt(1.0 - t * t)
     p = -q * t
     nc = np.column_stack((np.full(n + 1, p), q * e))
-    nc.setflags(write=False)
-    planes = [Hyperplane(u) for u in nc]
+    check_unit_normal_rows(nc)
     # the center of facet j folds unit masses on every vertex but j
     cc = omit_one_folds(np.ones(n + 1), vc)[0]
-    centers = hpoints(cc)
-    facets = tuple(
-        FacetData(j, planes[j], centers[j], tuple(range(j)) + tuple(range(j + 1, n + 1)))
-        for j in range(n + 1)
-    )
-    return RegularSimplex(n, edge, vertices, facets, HPoint.basepoint(n + 2), vc, nc, cc)
+    check_on_sheet_rows(cc)
+    for x in (vc, nc, cc):
+        x.setflags(write=False)
+    return RegularSimplex(n, edge, vc, nc, cc)
 
 
 # Closed-form squared hyperbolic cosines of the simplex measurements, as

@@ -1,4 +1,5 @@
-"""Shared helpers: random hyperboloid data for property tests, and `fold`."""
+"""Shared helpers: random hyperboloid data for property tests, `fold`, and the facets
+of a simplex as point objects wrapped from its coordinate rows."""
 
 import math
 
@@ -50,3 +51,18 @@ def random_hyperplane(rng: np.random.Generator, spacelike_dim: int) -> Hyperplan
 def fold(items) -> PointMass:
     """`centroid_fold` of a list of point masses."""
     return centroid_fold([p.weight for p in items], np.array([p.location.coords for p in items]))
+
+
+def facet_plane(s, j) -> Hyperplane:
+    """The hyperplane of facet j of the simplex s, wrapped from its normal row."""
+    return Hyperplane(s.normal_coords[j % (s.n + 1)])
+
+
+def facet_center(s, j) -> HPoint:
+    """The center of facet j of the simplex s, wrapped from its row."""
+    return HPoint(s.center_coords[j % (s.n + 1)])
+
+
+def facet_vertices(s, j) -> list[int]:
+    """The vertices of facet j of the simplex s: every vertex but j."""
+    return [k for k in range(s.n + 1) if k != j % (s.n + 1)]

@@ -3,13 +3,15 @@
 Each function evaluates one bounce, facet or vertex at a time with the
 scalar primitives of `geometry` and with `centroid_fold`, as the package
 did before its cell certificates ran on coordinate stacks.  The tests
-compare the stacked results with these bit for bit.
+compare the stacked results with these bit for bit.  The facets and bounce
+points they take one at a time are wrapped from the rows of the stacks.
 """
 
 import math
 
 import numpy as np
 
+from conftest import facet_center, facet_plane, facet_vertices
 from hypbilliards.geometry import (
     angle_at,
     chord_dist,
@@ -35,7 +37,7 @@ def specular_defect(h, prev_pt, at, next_pt):
 def facet_centers(s):
     """Location of the fold of unit masses on each facet's vertices."""
     vc = s.vertex_coords
-    return [centroid_fold(np.ones(s.n), vc[list(f.vertex_indices)]).location for f in s.facets]
+    return [centroid_fold(np.ones(s.n), vc[facet_vertices(s, j)]).location for j in range(s.n + 1)]
 
 
 def construct_orbit(s, seq):
@@ -64,7 +66,7 @@ def verify_orbit(s, orbit, facet_tol=1e-9):
         else:
             k = int(np.argmin(np.abs(cls.margins)))
         facet_of[j] = k
-        hp = s.facet(k).hyperplane
+        hp = facet_plane(s, k)
         prev_pt = orbit.point(j - 1)
         next_pt = orbit.point(j + 1)
         mirrored = reflect(hp, next_pt)
@@ -85,20 +87,19 @@ def verify_orbit(s, orbit, facet_tol=1e-9):
 
 def midpoint_defects(s):
     n = s.n
-    centers = [f.center for f in s.facets]
+    centers = [facet_center(s, j) for j in range(n + 1)]
     return np.array([
-        specular_defect(s.facets[j].hyperplane, centers[(j - 1) % (n + 1)], centers[j],
+        specular_defect(facet_plane(s, j), centers[(j - 1) % (n + 1)], centers[j],
                         centers[(j + 1) % (n + 1)])
         for j in range(n + 1)
     ])
 
 
 def vertex_reflection_identity_residual(s, j):
-    facet = s.facet(j)
     v = s.vertex(j)
-    lhs = centroid_fold((1.0, 1.0), np.array((v.coords, reflect(facet.hyperplane, v).coords)))
+    lhs = centroid_fold((1.0, 1.0), np.array((v.coords, reflect(facet_plane(s, j), v).coords)))
     w = pair_mass_constant(s.n, math.cosh(s.edge))
-    rhs = centroid_fold(np.full(s.n, w), s.vertex_coords[list(facet.vertex_indices)])
+    rhs = centroid_fold(np.full(s.n, w), s.vertex_coords[facet_vertices(s, j)])
     return max(
         chord_dist(lhs.location, rhs.location),
         abs(lhs.weight - rhs.weight) / rhs.weight,
@@ -107,19 +108,19 @@ def vertex_reflection_identity_residual(s, j):
 
 def metrics(s):
     """Vertex-to-circumcenter and vertex-to-opposite-facet-center distances."""
-    vc = np.array([dist(v, s.circumcenter) for v in s.vertices])
-    vf = np.array([dist(s.vertices[j], s.facets[j].center) for j in range(s.n + 1)])
+    vc = np.array([dist(s.vertex(j), s.circumcenter) for j in range(s.n + 1)])
+    vf = np.array([dist(s.vertex(j), facet_center(s, j)) for j in range(s.n + 1)])
     return vc, vf
 
 
 def simplex_checks(s):
     """`min_opposite_margin` and `right_angle` of the simplex document (n >= 2)."""
-    min_margin = min(f.hyperplane.margin(s.vertices[f.index]) for f in s.facets)
-    w0 = s.facets[0].center
+    min_margin = min(facet_plane(s, j).margin(s.vertex(j)) for j in range(s.n + 1))
+    w0 = facet_center(s, 0)
     angle_terms = [
-        abs(angle_at(w0, s.vertices[0], s.vertices[k]) - 0.5 * math.pi)
-        for k in s.facets[0].vertex_indices
-        if dist(w0, s.vertices[k]) > 1e-12
+        abs(angle_at(w0, s.vertex(0), s.vertex(k)) - 0.5 * math.pi)
+        for k in facet_vertices(s, 0)
+        if dist(w0, s.vertex(k)) > 1e-12
     ]
     return min_margin, max(angle_terms) if angle_terms else 0.0
 

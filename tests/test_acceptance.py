@@ -78,7 +78,7 @@ def test_criterion_03_centroid_mass_formula():
     """Folding unit vertex masses collects weight sqrt((n+1)(n cosh a + 1))."""
     for n, a in GRID + [(1, 1.0)]:
         s = build(n, a)
-        w = fold([PointMass(v, 1.0) for v in s.vertices]).weight
+        w = fold([PointMass(s.vertex(j), 1.0) for j in range(n + 1)]).weight
         assert abs(w / centroid_weight_formula(n, math.cosh(a)) - 1.0) < 1e-10, (n, a)
 
 
@@ -159,7 +159,7 @@ def test_criterion_08_triangle_orbit_is_orthic():
         feet = orthic_points(s)
         ver = verify_orbit(s, orb)
         for j, k in enumerate(ver.facet_of):
-            assert chord_dist(orb.points[j], feet[k]) < 1e-9, a
+            assert chord_dist(orb.point(j), feet[k]) < 1e-9, a
 
 
 def test_criterion_09_facet_center_polygon_fails_above_two():

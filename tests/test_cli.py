@@ -277,7 +277,7 @@ def test_simulate_zero_steps_header_only(capsys):
 def test_simulate_corner_shot_exits_four(capsys):
     s = build(2, 1.0)
     start = ",".join(repr(float(x)) for x in s.circumcenter.coords)
-    aim = ",".join(repr(float(x)) for x in s.vertices[0].coords)
+    aim = ",".join(repr(float(x)) for x in s.vertex(0).coords)
     code, _, err = run(capsys, "simulate", "--dim", "2", "--edge", "1",
                        "--steps", "5", "--start-coords", start,
                        "--dir-coords", aim)

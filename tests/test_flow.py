@@ -1,10 +1,14 @@
 """Tests for the geodesic billiard-flow simulator."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import facet_center, facet_plane
+from hypbilliards import flow as flow_mod
 from hypbilliards.flow import (
     FlowState,
     NonSmoothHitError,
@@ -48,7 +52,7 @@ def test_crossing_ratio_unit_cases():
 
 def test_next_collision_center_to_facet_center():
     s = build(3, 1.0)
-    w = s.facets[2].center
+    w = facet_center(s, 2)
     state = state_toward(s.circumcenter, w)
     k, q, t = next_collision(s, state)
     assert k == 2
@@ -58,14 +62,14 @@ def test_next_collision_center_to_facet_center():
 
 def test_next_collision_rejects_outside_state():
     s = build(3, 1.0)
-    out = reflect(s.facets[0].hyperplane, s.circumcenter)
+    out = reflect(facet_plane(s, 0), s.circumcenter)
     with pytest.raises(ValueError):
-        next_collision(s, state_toward(out, s.vertices[0]))
+        next_collision(s, state_toward(out, s.vertex(0)))
 
 
 def test_reflect_at_involution():
     s = build(3, 1.0)
-    w = s.facets[0].center
+    w = facet_center(s, 0)
     t = dist(s.circumcenter, w)
     x, v = s.circumcenter.coords, TangentVec.toward(s.circumcenter, w).direction
     arrive = TangentVec.from_raw(w, math.sinh(t) * x + math.cosh(t) * v)
@@ -78,14 +82,14 @@ def test_reflect_at_involution():
 
 def test_reflect_at_rejects_bad_input():
     s = build(3, 1.0)
-    w = s.facets[0].center
-    good = TangentVec.toward(w, s.vertices[0])
+    w = facet_center(s, 0)
+    good = TangentVec.toward(w, s.vertex(0))
     with pytest.raises(ValueError):
         reflect_at(s, 0, s.circumcenter, TangentVec.toward(s.circumcenter, w))
     with pytest.raises(ValueError):
         reflect_at(s, 0, w, TangentVec.toward(s.circumcenter, w))
     # direction inside the facet plane: grazing
-    inside = TangentVec.toward(w, s.vertices[1])
+    inside = TangentVec.toward(w, s.vertex(1))
     with pytest.raises(NonSmoothHitError):
         reflect_at(s, 0, w, inside)
 
@@ -93,11 +97,11 @@ def test_reflect_at_rejects_bad_input():
 def test_reflect_at_rejects_nearby_base():
     # the base check is absolute: 1e-7 off is far outside its 1e-9
     s = build(3, 1.0)
-    w = s.facets[0].center
-    near = geodesic_point(w, s.vertices[1], 1e-7)
+    w = facet_center(s, 0)
+    near = geodesic_point(w, s.vertex(1), 1e-7)
     assert chord_dist(near, w) == pytest.approx(1e-7, rel=1e-6)
     with pytest.raises(ValueError, match="not based at the reflection point"):
-        reflect_at(s, 0, w, TangentVec.toward(near, s.vertices[0]))
+        reflect_at(s, 0, w, TangentVec.toward(near, s.vertex(0)))
 
 
 def test_flow_retraces_constructed_orbit():
@@ -141,7 +145,7 @@ def test_perturbed_launch_does_not_close():
 
 def test_corner_shot_raises_non_smooth():
     s = build(3, 1.0)
-    st = state_toward(s.circumcenter, s.vertices[0])
+    st = state_toward(s.circumcenter, s.vertex(0))
     with pytest.raises(NonSmoothHitError) as exc:
         iterate(s, st, 10)
     assert exc.value.step == 0
@@ -172,13 +176,13 @@ def test_iterate_zero_and_negative_steps():
 
 def test_flow_state_validation():
     s = build(2, 1.0)
-    good = state_toward(s.circumcenter, s.vertices[0])
+    good = state_toward(s.circumcenter, s.vertex(0))
     with pytest.raises(ValueError):
         FlowState(good.position, 2.0 * good.direction)
     unit_but_not_tangent = np.array([0.0, 1.0, 0.0, 0.0])
-    assert abs(s.vertices[0].coords[1]) > 0.1  # so <x, v> is clearly nonzero
+    assert abs(s.vertex(0).coords[1]) > 0.1  # so <x, v> is clearly nonzero
     with pytest.raises(ValueError):
-        FlowState(s.vertices[0], unit_but_not_tangent)
+        FlowState(s.vertex(0), unit_but_not_tangent)
     assert not good.direction.flags.writeable
     assert isinstance(good.tangent, TangentVec)
 
@@ -206,7 +210,7 @@ def test_vertex_on_second_bounce_raises_with_step_one():
     """Aimed at the mirror image of vertex 0 across facet 0, the flow bounces
     off facet 0 and then runs straight into vertex 0."""
     s = build(3, 1.0)
-    image = reflect(s.facets[0].hyperplane, s.vertices[0])
+    image = reflect(facet_plane(s, 0), s.vertex(0))
     st = state_toward(s.circumcenter, image)
     assert iterate(s, st, 1).facets == [0]
     with pytest.raises(NonSmoothHitError) as exc:
@@ -230,3 +234,43 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
     assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
     assert nxt.direction.tobytes() == fin.direction.tobytes()
     assert nxt.last_facet == fin.last_facet == bounce.facet
+
+
+def _runtime_imports(path: Path) -> set[str]:
+    """The `hypbilliards` modules a source file imports outside ``if TYPE_CHECKING:``."""
+    tree = ast.parse(path.read_text())
+    typing_only = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING",
+                                                                   "typing.TYPE_CHECKING"):
+            typing_only.update(id(sub) for stmt in node.body for sub in ast.walk(stmt))
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("hypbilliards."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:  # absolute: keep only hypbilliards, minus its name
+                if not (module + ".").startswith("hypbilliards."):
+                    continue
+                module = module.removeprefix("hypbilliards").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)  # from . import orbit
+    return found
+
+
+def test_flow_imports_no_center_of_mass_algebra():
+    """`flow` itself imports none of `masses`, `weights` or `orbit` at run time, so the
+    flow certificate stays independent of the construction it checks.
+
+    This covers `flow`'s own imports only: `simplex`, which `flow` imports, still
+    imports `masses` for the facet centers that `build` folds.
+    """
+    imported = _runtime_imports(Path(flow_mod.__file__))
+    assert {"geometry", "simplex"} <= imported  # the walk sees the real imports
+    assert imported.isdisjoint({"masses", "weights", "orbit"}), imported

@@ -17,10 +17,10 @@ from hypbilliards.geometry import (
     hyperplane_through,
     check_on_sheet,
     check_on_sheet_rows,
+    check_unit_normal_rows,
     chord_dist_rows,
     dist_rows,
     from_vector_rows,
-    hpoints,
     mink_dot,
     mink_dots,
     mink_inner,
@@ -30,7 +30,6 @@ from hypbilliards.geometry import (
     to_sheet,
     unit_tangent_rows,
     reflect,
-    reflect_tangent,
     safe_arccosh,
     segment_defect,
     to_poincare_ball,
@@ -185,23 +184,6 @@ def test_reflect_involution_and_isometry():
         assert dist(reflect(h, a), reflect(h, b)) == pytest.approx(dist(a, b), abs=1e-10)
 
 
-def test_reflect_tangent_moves_base_and_direction():
-    h = Hyperplane([0.0, 0.0, 1.0])
-    a = HPoint([math.cosh(0.5), math.sinh(0.5), 0.0])
-    b = HPoint.from_vector([math.cosh(1.0), 0.2, 0.9])
-    tv = TangentVec.toward(a, b)
-    out = reflect_tangent(h, tv)
-    assert abs(mink_inner(out.direction, out.direction) - 1.0) < 1e-12
-    assert abs(mink_inner(out.base.coords, out.direction)) < 1e-12
-    assert chord_dist(out.base, reflect(h, a)) < 1e-15
-    # reflecting the carried geodesic matches carrying the reflected one
-    end = HPoint.from_vector(math.cosh(0.4) * a.coords + math.sinh(0.4) * tv.direction)
-    end_ref = HPoint.from_vector(
-        math.cosh(0.4) * out.base.coords + math.sinh(0.4) * out.direction
-    )
-    assert chord_dist(reflect(h, end), end_ref) < 1e-12
-
-
 def test_hyperplane_through_basic_example():
     a = HPoint.basepoint(3)
     b = HPoint([math.cosh(1.0), math.sinh(1.0), 0.0])
@@ -353,7 +335,7 @@ def test_mink_dots_matches_mink_dot_bitwise():
 def test_mink_dots_on_simplex_stacks_bitwise(n):
     s = build(n, 1.0)
     for ys in (s.vertex_coords, s.normal_coords):
-        for x in (*s.vertex_coords, *s.normal_coords, s.facets[0].center.coords):
+        for x in (*s.vertex_coords, *s.normal_coords, s.center_coords[0]):
             assert mink_dots(x, ys).tobytes() == _rowwise(x, ys).tobytes()
 
 
@@ -437,14 +419,19 @@ def test_row_checks_raise_the_point_errors():
         from_vector_rows(np.array([a[0], -a[1]]))
 
 
-def test_hpoints_share_one_checked_read_only_stack():
-    rng = np.random.default_rng(14)
-    x = np.array([random_hpoint(rng, 4).coords for _ in range(3)])
-    pts = hpoints(x)
-    assert [p.coords.tobytes() for p in pts] == [row.tobytes() for row in x]
-    assert all(isinstance(p, HPoint) and not p.coords.flags.writeable for p in pts)
-    assert not x.flags.writeable
-    y = x.copy()
-    y[1, 0] += 1e-3
-    with pytest.raises(ValueError, match="not on the unit hyperboloid"):
-        hpoints(y)
+def test_normal_row_check_raises_the_hyperplane_error():
+    rng = np.random.default_rng(15)
+    u = np.array([random_hyperplane(rng, 3).normal for _ in range(4)])
+    check_unit_normal_rows(u)
+    t = 1e7  # far from the basepoint the tolerance scales with u0^2
+    check_unit_normal_rows(np.array([[t, math.sqrt(1.0 + t * t), 0.0, 0.0]]))
+    bad = u.copy()
+    bad[1] *= 1.01
+    bad[3] *= 2.0
+    with pytest.raises(ValueError) as rows_err:
+        check_unit_normal_rows(bad)
+    q = mink_inner(bad[1], bad[1])
+    assert str(rows_err.value) == f"normal must be unit spacelike: <u,u> = {q!r}"
+    with pytest.raises(ValueError) as point_err:
+        Hyperplane(bad[1])
+    assert str(point_err.value) == str(rows_err.value)

@@ -19,7 +19,7 @@ from hypbilliards.orbit import (
 from hypbilliards.simplex import build
 from hypbilliards.weights import build_sequence
 
-from conftest import random_hpoint, random_hyperplane
+from conftest import facet_center, facet_vertices, random_hpoint, random_hyperplane
 
 CELLS = [(n, a) for n in range(2, 9) for a in (0.5, 1.0, 2.0)]
 
@@ -72,8 +72,8 @@ def test_construct_orbit_mismatch_raises():
 def test_reversed_orbit_verifies_identically():
     s, orb = make_orbit(4, 1.0)
     rev = orb.reversed()
-    assert rev.point(0) is orb.point(0)
-    assert rev.point(1) is orb.point(-1)
+    assert rev.point(0).coords.tobytes() == orb.point(0).coords.tobytes()
+    assert rev.point(1).coords.tobytes() == orb.point(-1).coords.tobytes()
     res_f = verify_orbit(s, orb).max_residuals()
     res_r = verify_orbit(s, rev).max_residuals()
     assert verify_orbit(s, rev).clean_facets
@@ -85,11 +85,9 @@ def test_vertex_swap_image_verifies():
     """Swapping two spacelike axes is a simplex symmetry; the image polygon
     is again a verified orbit."""
     s, orb = make_orbit(3, 1.0)
-    def swap(p):
-        c = p.coords.copy()
-        c[1], c[2] = c[2], c[1]
-        return HPoint(c)
-    image = BilliardOrbit(tuple(swap(p) for p in orb.points), orb.masses, orb.multiplier)
+    swapped = orb.coords.copy()
+    swapped[:, [1, 2]] = swapped[:, [2, 1]]
+    image = BilliardOrbit(swapped, orb.masses, orb.multiplier)
     ver = verify_orbit(s, image)
     assert ver.clean_facets
     res = ver.max_residuals()
@@ -99,8 +97,7 @@ def test_vertex_swap_image_verifies():
 def test_verification_measures_rather_than_assumes():
     # the facet-center polygon lies on the facets but breaks the mirror law
     s = build(4, 1.0)
-    centers = tuple(f.center for f in s.facets)
-    fake = BilliardOrbit(centers, np.ones(5), 2.5)
+    fake = BilliardOrbit(s.center_coords, np.ones(5), 2.5)
     ver = verify_orbit(s, fake)
     assert ver.clean_facets
     assert ver.max_residuals()["angle_defect"] > 1e-3
@@ -112,22 +109,22 @@ def test_orthic_feet_match_triangle_orbit():
         feet = orthic_points(s)
         ver = verify_orbit(s, orb)
         for j, k in enumerate(ver.facet_of):
-            assert chord_dist(orb.points[j], feet[k]) < 1e-9
+            assert chord_dist(orb.point(j), feet[k]) < 1e-9
 
 
 def test_orthic_feet_are_facet_centers_for_triangles():
     s = build(2, 1.5)
     feet = orthic_points(s)
     for j in range(3):
-        assert chord_dist(feet[j], s.facets[j].center) < 1e-12
+        assert chord_dist(feet[j], facet_center(s, j)) < 1e-12
 
 
 def test_orthic_feet_right_angles():
     s = build(2, 1.0)
     feet = orthic_points(s)
     for j in range(3):
-        for k in s.facets[j].vertex_indices:
-            ang = angle_at(feet[j], s.vertices[j], s.vertices[k])
+        for k in facet_vertices(s, j):
+            ang = angle_at(feet[j], s.vertex(j), s.vertex(k))
             assert ang == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
@@ -171,11 +168,49 @@ def test_specular_defect_zero_on_mirror_pairs():
 
 def test_orbit_cyclic_accessors_and_validation():
     _, orb = make_orbit(3, 1.0)
-    assert orb.point(4) is orb.points[0]
-    assert orb.point(-1) is orb.points[3]
+    assert orb.point(4).coords.tobytes() == orb.coords[0].tobytes()
+    assert orb.point(-1).coords.tobytes() == orb.coords[3].tobytes()
     assert orb.mass(7) == orb.mass(3)
     assert not orb.masses.flags.writeable
     with pytest.raises(ValueError):
-        BilliardOrbit(orb.points, np.ones(3), orb.multiplier)
+        BilliardOrbit(orb.coords, np.ones(3), orb.multiplier)
     total = orbit_edge_lengths(orb).sum()
     assert total == pytest.approx(4.0 * dist(orb.point(0), orb.point(1)), rel=1e-12)
+
+
+def test_orbit_coords_are_a_checked_read_only_copy():
+    _, orb = make_orbit(3, 1.0)
+    coords, masses = orb.coords.copy(), orb.masses.copy()
+    copy = BilliardOrbit(coords, masses, orb.multiplier)
+    coords[0, 0] += 1.0
+    masses[0] += 1.0
+    assert copy.coords.tobytes() == orb.coords.tobytes()
+    assert copy.masses.tobytes() == orb.masses.tobytes()
+    assert not copy.coords.flags.writeable and not copy.masses.flags.writeable
+    assert copy.coords.shape == (4, 5) and copy.period == 4
+
+
+def test_orbit_rejects_a_row_off_the_sheet_like_hpoint():
+    _, orb = make_orbit(3, 1.0)
+    bad = orb.coords.copy()
+    bad[2, 0] += 1e-3
+    with pytest.raises(ValueError) as got:
+        BilliardOrbit(bad, orb.masses, orb.multiplier)
+    with pytest.raises(ValueError) as want:
+        HPoint(bad[2])
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("not on the unit hyperboloid: <x,x> = ")
+    lower = orb.coords.copy()
+    lower[1] = -lower[1]
+    with pytest.raises(ValueError, match="upper sheet"):
+        BilliardOrbit(lower, orb.masses, orb.multiplier)
+
+
+def test_orbit_rejects_a_flat_stack_and_a_wrong_mass_count():
+    _, orb = make_orbit(3, 1.0)
+    with pytest.raises(ValueError, match="stack of bounce points"):
+        BilliardOrbit(orb.coords[0], orb.masses[:1], orb.multiplier)
+    with pytest.raises(ValueError, match="one mass per bounce point"):
+        BilliardOrbit(orb.coords, orb.masses[:3], orb.multiplier)
+    with pytest.raises(ValueError, match="one mass per bounce point"):
+        BilliardOrbit(orb.coords, np.ones((4, 1)), orb.multiplier)

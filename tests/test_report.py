@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypbilliards.flow import iterate, launch_state
+from conftest import facet_plane, facet_vertices
+from hypbilliards import simplex as simplex_mod
 from hypbilliards.geometry import dist, mink_dot
 from hypbilliards.orbit import construct_orbit
 from hypbilliards.report import (
     CellReport,
     Tolerances,
-    _dists_from,
     evaluate_cell,
     format_float,
     jsonable,
@@ -164,6 +165,24 @@ def test_orbit_document_pass_and_fail():
     assert not ok_bad and doc_bad["checks"]["failures"]
 
 
+def test_orbit_document_measures_the_metrics_once(monkeypatch):
+    s, seq, orb = built_cell(3, 1.0)
+    measured, measure = [], simplex_mod.metrics
+
+    def counted(x):
+        measured.append(measure(x))
+        return measured[-1]
+
+    monkeypatch.setattr(simplex_mod, "metrics", counted)
+    doc, _ = orbit_document(s, seq, orb)
+    assert len(measured) == 1
+    assert doc["metrics"]["vertex_center"] is measured[0].vertex_center
+    cell = evaluate_cell(s, seq, orb)
+    assert cell.metrics is measured[1]
+    assert cell.metrics.vertex_center.tobytes() == measure(s).vertex_center.tobytes()
+    assert run_sweep((3,), (40.0,)).cells[0].metrics is None
+
+
 def test_sweep_document_shape():
     rep = run_sweep((2,), (1.0,))
     doc = jsonable(sweep_document(rep))
@@ -197,18 +216,19 @@ def test_csv_helpers_round_trip():
 @pytest.mark.parametrize("a", [1e-4, 1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
 def test_pair_distances_match_scalar_dist_bitwise(n, a):
-    """One stacked product per vertex, then `dist`'s own route per pair (chord when close)."""
+    """One stacked product per vertex pair, then `dist`'s own route per pair (chord when
+    close): the document's ``edge_spread`` is the scalar loop's, bit for bit."""
     s = build(n, a)
-    for i in range(n):
-        ref = np.array([dist(s.vertices[i], s.vertices[j]) for j in range(i + 1, n + 1)])
-        assert _dists_from(s, i).tobytes() == ref.tobytes()
+    ref = np.array([dist(s.vertex(i), s.vertex(j))
+                    for i in range(n + 1) for j in range(i + 1, n + 1)])
+    assert simplex_document(s)["checks"]["edge_spread"] == float(np.max(np.abs(ref - a)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64])
 def test_vertex_facet_incidence_matches_scalar_products(n):
     s = build(n, 1.3)
-    ref = max(abs(mink_dot(s.vertex_coords[k], f.hyperplane.normal))
-              for f in s.facets for k in f.vertex_indices)
+    ref = max(abs(mink_dot(s.vertex_coords[k], facet_plane(s, j).normal))
+              for j in range(n + 1) for k in facet_vertices(s, j))
     assert simplex_document(s)["checks"]["facet_incidence"] == ref
 
 

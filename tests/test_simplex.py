@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import facet_center, facet_plane, facet_vertices
 from hypbilliards.geometry import (
+    HPoint,
+    Hyperplane,
     angle_at,
     dist,
     hyperplane_through,
@@ -32,6 +35,7 @@ from hypbilliards.simplex import (
     vertex_reflection_identity_residual,
 )
 from hypbilliards.orbit import construct_orbit
+from hypbilliards.report import simplex_document
 from hypbilliards.weights import build_sequence
 
 GRID = [(n, a) for n in (1, 2, 3, 5, 8) for a in (0.5, 1.0, 2.0)]
@@ -61,13 +65,13 @@ def test_build_pairwise_distances_equal_edge(n, a):
     s = build(n, a)
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            assert dist(s.vertices[i], s.vertices[j]) == pytest.approx(a, abs=1e-12)
+            assert dist(s.vertex(i), s.vertex(j)) == pytest.approx(a, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,a", GRID)
 def test_build_circumcenter_equidistant(n, a):
     s = build(n, a)
-    ds = [dist(v, s.circumcenter) for v in s.vertices]
+    ds = [dist(s.vertex(j), s.circumcenter) for j in range(n + 1)]
     assert max(ds) - min(ds) < 1e-14
     assert ds[0] ** 2 == pytest.approx(
         math.asinh(math.sqrt(n * (math.cosh(a) - 1) / (n + 1))) ** 2, rel=1e-10
@@ -77,14 +81,15 @@ def test_build_circumcenter_equidistant(n, a):
 @pytest.mark.parametrize("n,a", GRID)
 def test_build_facet_incidence_and_orientation(n, a):
     s = build(n, a)
-    for f in s.facets:
+    for j in range(n + 1):
+        h = facet_plane(s, j)
         for k in range(n + 1):
-            m = f.hyperplane.margin(s.vertices[k])
-            if k == f.index:
+            m = h.margin(s.vertex(k))
+            if k == j:
                 assert m > 0.1 * math.tanh(a)  # opposite vertex well inside
             else:
                 assert abs(m) < 1e-13
-        assert f.hyperplane.margin(s.circumcenter) > 0.0
+        assert h.margin(s.circumcenter) > 0.0
 
 
 def test_build_rejects_bad_arguments():
@@ -115,12 +120,13 @@ def test_max_edge_shrinks_with_dimension():
 def test_cyclic_accessors_and_slice_vector():
     s = build(3, 1.0)
     assert s.ambient_dim == 5
-    assert s.vertex(4) is s.vertices[0]
-    assert s.facet(-1) is s.facets[3]
+    assert s.vertex(4).coords.tobytes() == s.vertex_coords[0].tobytes()
+    assert s.vertex(-1).coords.tobytes() == s.vertex_coords[3].tobytes()
+    assert s.circumcenter.coords.tobytes() == np.array([1.0, 0.0, 0.0, 0.0, 0.0]).tobytes()
     ones = s.slice_vector()
     assert ones[0] == 0.0 and np.all(ones[1:] == 1.0)
-    for v in s.vertices:
-        assert abs(mink_inner(v.coords, ones)) < 1e-13
+    for v in s.vertex_coords:
+        assert abs(mink_inner(v, ones)) < 1e-13
 
 
 @pytest.mark.parametrize("n,a", GRID)
@@ -169,7 +175,7 @@ def test_classify_interior_and_facets():
     assert c.region is Region.INTERIOR and c.facet is None
     assert np.all(c.margins > 0.0)
     for j in range(4):
-        c = classify_point(s, s.facets[j].center)
+        c = classify_point(s, facet_center(s, j))
         assert c.region is Region.FACET_INTERIOR
         assert c.facet == j
 
@@ -177,13 +183,13 @@ def test_classify_interior_and_facets():
 def test_classify_vertices_and_outside():
     s = build(3, 1.0)
     # a vertex lies on the n facets it belongs to: lower-dimensional boundary
-    c = classify_point(s, s.vertices[1])
+    c = classify_point(s, s.vertex(1))
     assert c.region is Region.LOWER_BOUNDARY and c.facet is None
-    out = reflect(s.facets[0].hyperplane, s.circumcenter)
+    out = reflect(facet_plane(s, 0), s.circumcenter)
     assert classify_point(s, out).region is Region.OUTSIDE
     # for a segment each facet is a single vertex
     s1 = build(1, 1.0)
-    c1 = classify_point(s1, s1.vertices[0])
+    c1 = classify_point(s1, s1.vertex(0))
     assert c1.region is Region.FACET_INTERIOR and c1.facet == 1
 
 
@@ -192,9 +198,8 @@ def test_facet_centers_make_right_angles():
     for n in (2, 4, 6):
         s = build(n, 1.5)
         for j in (0, n):
-            f = s.facets[j]
-            for k in f.vertex_indices:
-                ang = angle_at(f.center, s.vertices[j], s.vertices[k])
+            for k in facet_vertices(s, j):
+                ang = angle_at(facet_center(s, j), s.vertex(j), s.vertex(k))
                 assert ang == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
@@ -202,7 +207,7 @@ def test_circumcenter_on_vertex_to_facet_center_segment():
     for n in (2, 3, 7):
         s = build(n, 0.8)
         for j in range(n + 1):
-            assert segment_defect(s.circumcenter, s.facets[j].center, s.vertices[j]) < 1e-12
+            assert segment_defect(s.circumcenter, facet_center(s, j), s.vertex(j)) < 1e-12
 
 
 def test_closed_form_normals_match_fitted_hyperplanes():
@@ -210,10 +215,10 @@ def test_closed_form_normals_match_fitted_hyperplanes():
     for n in (1, 2, 4, 7):
         for a in (0.5, 2.0):
             s = build(n, a)
-            for f in s.facets:
-                pts = [s.vertices[k] for k in f.vertex_indices]
+            for j in range(n + 1):
+                pts = [s.vertex(k) for k in facet_vertices(s, j)]
                 fit = hyperplane_through(pts, orthogonal_to=(s.slice_vector(),))
-                u, v = f.hyperplane.normal, fit.normal
+                u, v = s.normal_coords[j], fit.normal
                 assert min(np.abs(u - v).max(), np.abs(u + v).max()) < 1e-12
 
 
@@ -231,14 +236,14 @@ def test_circumradius_step_geometric_cross_check():
     zeta = math.cosh(a)
     big = build(n + 1, a)
     args = CircumradiusStep(n, zeta)
-    assert dist(big.vertices[0], big.circumcenter) == pytest.approx(
+    assert dist(big.vertex(0), big.circumcenter) == pytest.approx(
         args.next_radius, abs=1e-12
     )
-    assert dist(big.vertices[0], big.facets[0].center) == pytest.approx(
+    assert dist(big.vertex(0), facet_center(big, 0)) == pytest.approx(
         args.apex_to_base_center, abs=1e-12
     )
     small = build(n, a)
-    assert dist(small.vertices[0], small.circumcenter) == pytest.approx(
+    assert dist(small.vertex(0), small.circumcenter) == pytest.approx(
         args.base_radius, abs=1e-12
     )
 
@@ -253,8 +258,8 @@ def test_circumradius_step_rejects_bad_arguments():
 def test_disk_coords_center_and_radius():
     s = build(3, 1.0)
     assert np.allclose(disk_coords(s, s.circumcenter), 0.0, atol=1e-15)
-    r = dist(s.vertices[0], s.circumcenter)
-    for v in s.vertices:
+    r = dist(s.vertex(0), s.circumcenter)
+    for v in map(s.vertex, range(4)):
         assert np.linalg.norm(disk_coords(s, v)) == pytest.approx(
             math.tanh(r / 2.0), abs=1e-13
         )
@@ -264,11 +269,14 @@ def test_disk_coords_center_and_radius():
 
 @pytest.mark.parametrize("n,a", GRID)
 def test_coordinate_stacks_hold_vertices_and_normals(n, a):
+    """The stacks hold checked points and unit normals; one-point views wrap rows."""
     s = build(n, a)
-    assert s.vertex_coords.tobytes() == np.array([v.coords for v in s.vertices]).tobytes()
-    assert s.normal_coords.tobytes() == np.array([f.hyperplane.normal for f in s.facets]).tobytes()
-    assert s.center_coords.tobytes() == np.array([f.center.coords for f in s.facets]).tobytes()
+    for j in range(n + 1):
+        assert s.vertex(j).coords.tobytes() == s.vertex_coords[j].tobytes()
+        assert Hyperplane(s.normal_coords[j]).normal.tobytes() == s.normal_coords[j].tobytes()
+        assert HPoint(s.center_coords[j]).coords.tobytes() == s.center_coords[j].tobytes()
     for stack in (s.vertex_coords, s.normal_coords, s.center_coords):
+        assert stack.shape == (n + 1, n + 2)
         assert not stack.flags.writeable
 
 
@@ -277,18 +285,18 @@ def test_stacked_disk_coords_match_per_point_gemv_bitwise(n):
     """The stacked matmul is one ``gemv`` per row, the call the per-point chart makes."""
     s = build(n, 1.0)
     orb = construct_orbit(s, build_sequence(n, 1.0))
-    pts = [*orb.points, *s.vertices, *(f.center for f in s.facets), s.circumcenter]
-    stack = np.array([p.coords for p in pts])
+    stack = np.concatenate(
+        (orb.coords, s.vertex_coords, s.center_coords, s.circumcenter.coords[None]))
     ref = np.array([helmert_basis(n) @ x[1:] / (1.0 + x[0]) for x in stack])
     assert disk_coords(s, stack).tobytes() == ref.tobytes()
-    assert disk_coords(s, pts[0]).tobytes() == ref[0].tobytes()
+    assert disk_coords(s, orb.point(0)).tobytes() == ref[0].tobytes()
     assert disk_coords(s, stack[:0]).shape == (0, n)
 
 
 @pytest.mark.parametrize("n,a", GRID)
 def test_simplex_data_stays_on_slice(n, a):
     s = build(n, a)
-    pts = list(s.vertices) + [f.center for f in s.facets] + [s.circumcenter]
+    pts = [*map(HPoint, s.vertex_coords), *map(HPoint, s.center_coords), s.circumcenter]
     for p in pts:
         assert abs(slice_defect(s, p)) < 1e-12
 
@@ -296,5 +304,5 @@ def test_simplex_data_stays_on_slice(n, a):
 def test_dataclass_shape():
     s = build(2, 1.0)
     assert isinstance(s, RegularSimplex)
-    assert len(s.vertices) == 3 and len(s.facets) == 3
-    assert s.facets[1].vertex_indices == (0, 2)
+    assert s.vertex_coords.shape == s.normal_coords.shape == s.center_coords.shape == (3, 4)
+    assert simplex_document(s)["facets"][1]["vertex_indices"] == [0, 2]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
+from conftest import facet_plane
 from hypbilliards import report
 from hypbilliards.geometry import HPoint, mink_dot, reflect
 from hypbilliards.orbit import BilliardOrbit, construct_orbit, midpoint_defects, verify_orbit
@@ -28,10 +29,8 @@ def assert_same_verification(got, want):
 
 def assert_cell_matches_loops(n, a):
     s = build(n, a)
-    assert same([p.coords for p in s.vertices], s.vertex_coords)
-    assert same([f.center.coords for f in s.facets], s.center_coords)
+    assert same([s.vertex(j).coords for j in range(n + 1)], s.vertex_coords)
     assert same(s.center_coords, [c.coords for c in ref.facet_centers(s)])
-    assert all(f.vertex_indices == tuple(k for k in range(n + 1) if k != f.index) for f in s.facets)
 
     m = metrics(s)
     vc, vf = ref.metrics(s)
@@ -45,11 +44,14 @@ def assert_cell_matches_loops(n, a):
     seq = build_sequence(n, a)
     orb = construct_orbit(s, seq)
     points, masses = ref.construct_orbit(s, seq)
-    assert same([p.coords for p in orb.points], [p.coords for p in points])
+    assert same(orb.coords, [p.coords for p in points])
     assert same(orb.masses, masses)
     assert_same_verification(verify_orbit(s, orb), ref.verify_orbit(s, orb))
 
-    checks = report.simplex_document(s)["checks"]
+    doc = report.simplex_document(s)
+    assert [f["vertex_indices"] for f in doc["facets"]] == [
+        [k for k in range(n + 1) if k != j] for j in range(n + 1)]
+    checks = doc["checks"]
     assert (checks["min_opposite_margin"], checks["right_angle"]) == ref.simplex_checks(s)
     return s, orb
 
@@ -70,7 +72,7 @@ def test_cell_matches_per_point_loops_over_edges(n, a):
 def test_short_sides_take_the_chord_route(n, a):
     """Sides shorter than ~1.4e-3 make `dist` use its chord route inside the collinearity."""
     _, orb = assert_cell_matches_loops(n, a)
-    assert -mink_dot(orb.points[0].coords, orb.points[1].coords) < 1.0 + 1e-6
+    assert -mink_dot(orb.coords[0], orb.coords[1]) < 1.0 + 1e-6
 
 
 def off_facet_orbits(n, a):
@@ -80,13 +82,13 @@ def off_facet_orbits(n, a):
     orb = construct_orbit(s, build_sequence(n, a))
 
     def polygon(coords, masses=orb.masses):
-        return BilliardOrbit(tuple(HPoint(c) for c in coords), masses, orb.multiplier)
+        return BilliardOrbit(coords, masses, orb.multiplier)
 
-    swapped = np.array([p.coords for p in orb.points])
+    points = [orb.point(j) for j in range(n + 1)]
+    swapped = orb.coords.copy()
     swapped[:, [1, 2]] = swapped[:, [2, 1]]
-    mirrored = [reflect(s.facets[0].hyperplane, p).coords for p in orb.points]
-    pulled = [HPoint.from_vector(p.coords + 0.3 * s.circumcenter.coords).coords
-              for p in orb.points]
+    mirrored = [reflect(facet_plane(s, 0), p).coords for p in points]
+    pulled = [HPoint.from_vector(p.coords + 0.3 * s.circumcenter.coords).coords for p in points]
     corners = list(s.vertex_coords)
     return s, [
         polygon(swapped),  # the vertex-swap image
@@ -113,7 +115,7 @@ def test_zero_target_mass_raises_like_the_loop():
     orb = construct_orbit(s, build_sequence(3, 1.0))
     masses = orb.masses.copy()
     masses[2] = 0.0
-    broken = BilliardOrbit(orb.points, masses, orb.multiplier)
+    broken = BilliardOrbit(orb.coords, masses, orb.multiplier)
     with pytest.raises(ZeroDivisionError):
         ref.verify_orbit(s, broken)
     with pytest.raises(ZeroDivisionError):
