@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from hypbilliards.flow import iterate, run_closure, state_toward
-from hypbilliards.geometry import chord_dist, geodesic_point
+from hypbilliards.geometry import chord_dist_rows, geodesic_point
 from hypbilliards.orbit import construct_orbit, orbit_edge_lengths
 from hypbilliards.simplex import build
 from hypbilliards.weights import build_sequence
@@ -31,9 +31,8 @@ def separation_curve(s, orb, offset: float, bounces: int) -> np.ndarray:
     target = geodesic_point(orb.point(1), orb.point(2), offset)
     state = state_toward(orb.point(0), target, last_facet=0)
     traj = iterate(s, state, bounces)
-    return np.array(
-        [chord_dist(b.point, orb.point(i + 1)) for i, b in enumerate(traj.bounces)]
-    )
+    ahead = np.take(orb.coords, np.arange(1, len(traj) + 1), axis=0, mode="wrap")
+    return chord_dist_rows(traj.points, ahead)
 
 
 def main() -> int:

@@ -188,7 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header, rows = report_mod.trajectory_rows(s, traj, args.precision)
     _emit_csv(header, rows, args.csv_path)
     print(
-        f"{len(traj.bounces)} bounces, total length {traj.total_length:.6g}, "
+        f"{len(traj)} bounces, total length {traj.total_length:.6g}, "
         f"max invariant drift {traj.max_drift:.3e}",
         file=sys.stderr,
     )

@@ -26,12 +26,17 @@ Hits that land on the lower-dimensional boundary (edges, vertices) or
 arrive tangentially are outside the scope of the mirror law and raise
 `NonSmoothHitError`.
 
-All bounces run through one loop, `_run`, on bare coordinate arrays: the
-public `iterate`, `step`, `next_collision` and `reflect_at` are thin
-wrappers over its helpers.  Per bounce it builds only the `HPoint` and the
-`Bounce` it records, yet makes every check the point and tangent classes
-make, through the same functions in `geometry`.  The facet margins of each
-bounce point serve both to classify it and as the next flight's margins.
+All bounces run through one loop, `_run`, on bare coordinate arrays.  A
+run comes out as a `Trajectory` of read-only stacks, row i for bounce i:
+facets, points, arclengths and invariant drifts.  The loop builds no
+`HPoint` and no record per bounce, yet makes every check the point and
+tangent classes make, through the same functions in `geometry`.  The
+facet margins of each bounce point serve both to classify it and as the
+next flight's margins.  `iterate` is the loop; `step` is one bounce of
+it, and `next_collision` and `reflect_at` run its flight and its mirror
+on one point object.  Those three stay public as the one-bounce entry
+points: tests drive single bounces through them, and
+``perfbench/tracer.py`` wraps them by name.
 Every Minkowski product is one BLAS ``ddot`` per pair of vectors: margins
 against all facets are one `mink_dots` over the simplex's normal stack,
 a stacked vector-vector matmul that numpy runs as one ``ddot`` per row.
@@ -97,10 +102,6 @@ class FlowState:
         d.setflags(write=False)
         object.__setattr__(self, "direction", d)
         _check_unit_speed(mink_inner(d, d), mink_inner(self.position.coords, d))
-
-    @property
-    def tangent(self) -> TangentVec:
-        return TangentVec.from_raw(self.position, self.direction)
 
 
 def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowState:
@@ -174,48 +175,47 @@ def reflect_at(s: RegularSimplex, k: int, q: HPoint, v_in: TangentVec) -> Tangen
     return TangentVec(q, _mirror(q.coords, v_in.direction, k, hp.normal, hp.margin(q)))
 
 
-@dataclass(frozen=True)
-class Bounce:
-    """One boundary hit.  ``drift`` holds the pre-normalization invariant errors
-    accumulated over the incoming flight: |<x,x>+1|, |<v,v>-1|, |<x,v>|, and
-    the slice-orthogonal components of position and direction."""
-
-    index: int
-    facet: int
-    point: HPoint
-    arclength: float
-    drift: tuple[float, float, float, float, float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    bounces: tuple[Bounce, ...]
+    """The bounces of one run as read-only stacks, row i for bounce i, and the state after them.
+
+    ``facets`` is ``(k,)`` intp, ``points`` ``(k, n+2)``, ``arclengths`` ``(k,)``.
+    ``drifts`` is ``(k, 5)``: the pre-normalization invariant errors accumulated
+    over each incoming flight, |<x,x>+1|, |<v,v>-1|, |<x,v>|, and the
+    slice-orthogonal components of position and direction.
+    """
+
+    facets: np.ndarray
+    points: np.ndarray
+    arclengths: np.ndarray
+    drifts: np.ndarray
     final_state: FlowState
 
-    @property
-    def facets(self) -> list[int]:
-        return [b.facet for b in self.bounces]
+    def __len__(self) -> int:
+        return len(self.facets)
 
     @property
     def max_drift(self) -> float:
-        if not self.bounces:
-            return 0.0
-        return max(max(b.drift) for b in self.bounces)
+        return float(self.drifts.max(initial=0.0))
 
     @property
     def total_length(self) -> float:
-        return sum(b.arclength for b in self.bounces)
+        # summed left to right as floats, not numpy's pairwise sum: the bits of a loop
+        return sum(self.arclengths.tolist())
 
 
-def _run(s: RegularSimplex, state: FlowState, steps: int, first: int = 0):
-    """The billiard loop: ``steps`` bounces numbered from ``first``, and the final state."""
+def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
+    """The billiard loop: ``steps`` bounces from ``state``."""
     normals = s.normal_coords
     ones = s.slice_vector()
     m, unit = s.n + 1.0, math.sqrt(s.n + 1.0)
     x, v, last = state.position.coords, state.direction, state.last_facet
     mus = mink_dots(x, normals).tolist()
-    bounces = []
-    for i in range(first, first + steps):
+    facets = np.empty(steps, dtype=np.intp)
+    points = np.empty((steps, s.ambient_dim))
+    arclengths = np.empty(steps)
+    drifts = np.empty((steps, 5))
+    for i in range(steps):
         try:
             k, t = _next_hit(mus, v, normals, last)
             ch, sh = math.cosh(t), math.sinh(t)
@@ -228,15 +228,15 @@ def _run(s: RegularSimplex, state: FlowState, steps: int, first: int = 0):
             defect = max(abs(cx), abs(cv)) * unit
             if defect > 1e-9:
                 raise ValueError(f"bounce {i}: state has left the simplex slice (defect {defect:.3e})")
-            drift = (
+            drifts[i] = (
                 abs(mink_dot(x_raw, x_raw) + 1.0),
                 abs(mink_dot(v_raw, v_raw) - 1.0),
                 abs(mink_dot(x_raw, v_raw)),
                 abs(cx) * unit,
                 abs(cv) * unit,
             )
-            q = HPoint.from_vector(x_raw - cx * ones)
-            x = q.coords
+            x = to_sheet(x_raw - cx * ones)
+            check_on_sheet(x)
 
             mus = mink_dots(x, normals).tolist()
             region, facet = region_of(mus)
@@ -253,23 +253,25 @@ def _run(s: RegularSimplex, state: FlowState, steps: int, first: int = 0):
         except NonSmoothHitError as err:
             err.step = i
             raise
-        last = k
-        bounces.append(Bounce(i, k, q, t, drift))
-    return bounces, (FlowState(q, v, last) if bounces else state)
+        last = facets[i] = k
+        points[i] = x
+        arclengths[i] = t
+    for a in (facets, points, arclengths, drifts):
+        a.setflags(write=False)
+    final = FlowState(HPoint(x), v, last) if steps else state
+    return Trajectory(facets, points, arclengths, drifts, final)
 
 
-def step(s: RegularSimplex, state: FlowState, index: int = 0) -> tuple[Bounce, FlowState]:
-    """Advance to the next bounce; raises `NonSmoothHitError` off the smooth regime."""
-    (bounce,), nxt = _run(s, state, 1, index)
-    return bounce, nxt
+def step(s: RegularSimplex, state: FlowState) -> Trajectory:
+    """One bounce; raises `NonSmoothHitError` off the smooth regime."""
+    return _run(s, state, 1)
 
 
 def iterate(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
     """Run ``steps`` bounces of the billiard flow."""
     if steps < 0:
         raise ValueError(f"need a non-negative bounce count, got {steps}")
-    bounces, final = _run(s, state, steps)
-    return Trajectory(tuple(bounces), final)
+    return _run(s, state, steps)
 
 
 def launch_state(s: RegularSimplex, orbit: BilliardOrbit) -> FlowState:

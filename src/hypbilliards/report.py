@@ -439,12 +439,10 @@ def trajectory_rows(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
                     sig: int = 17) -> tuple[list[str], list[list[str]]]:
     """CSV header and rows for a simulated trajectory, points in intrinsic disk coordinates."""
     header = ["step", "facet", "arclength"] + [f"disk{i}" for i in range(s.n)]
-    coords = np.reshape([b.point.coords for b in traj.bounces], (-1, s.ambient_dim))  # k = 0 too
-    disk = simplex_mod.disk_coords(s, coords)
+    disk = simplex_mod.disk_coords(s, traj.points)
     rows = [
-        [str(b.index), str(b.facet), format_float(b.arclength, sig)]
-        + [format_float(x, sig) for x in d.tolist()]
-        for b, d in zip(traj.bounces, disk)
+        [str(i), str(k), format_float(t, sig)] + [format_float(x, sig) for x in d.tolist()]
+        for i, (k, t, d) in enumerate(zip(traj.facets.tolist(), traj.arclengths.tolist(), disk))
     ]
     return header, rows
 

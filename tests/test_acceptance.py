@@ -177,5 +177,5 @@ def test_criterion_10_flow_invariant_drift():
     target = geodesic_point(orb.point(1), orb.point(2), 0.3)
     state = state_toward(orb.point(0), target, last_facet=0)
     traj = iterate(s, state, 1000)
-    assert len(traj.bounces) == 1000
+    assert len(traj) == 1000
     assert traj.max_drift < 1e-8

@@ -6,15 +6,23 @@ bit of a residual, a weight or a bounce point fails here.  The `simulate`
 fixtures pin long flows (200 bounces from a perturbed launch, where
 rounding differences grow by e^t per flight) and the stderr summary line.
 Documents of large cells (0.16-2.3 MB) are pinned by their SHA-256 in
-``large_docs.sha256`` instead of committed whole.
+``large_docs.sha256`` instead of committed whole.  The flow's raw output
+(every stack of a `Trajectory` and its final state) is pinned in
+``flow_stacks.sha256``: the CSV sees bounce points only through the disk
+chart and drifts only through a rounded maximum.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hypbilliards import flow as flow_mod
 from hypbilliards.cli import main
+from hypbilliards.orbit import construct_orbit
+from hypbilliards.simplex import build
+from hypbilliards.weights import build_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,13 +49,16 @@ def test_orbit_disk_coords(tmp_path):
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
-@pytest.mark.parametrize("name,argv", [
+SIMULATE_CASES = [
     ("simulate_n3_a1_p0.3_s7", ["--dim", "3", "--edge", "1", "--steps", "200",
                                 "--perturb", "0.3", "--seed", "7"]),
     ("simulate_n8_a1_p0.3_s7", ["--dim", "8", "--edge", "1", "--steps", "200",
                                 "--perturb", "0.3", "--seed", "7"]),
     ("simulate_n3_a1_launch", ["--dim", "3", "--edge", "1", "--steps", "12"]),
-])
+]
+
+
+@pytest.mark.parametrize("name,argv", SIMULATE_CASES)
 def test_simulate_csv_and_summary(capsys, tmp_path, name, argv):
     out = tmp_path / f"{name}.csv"
     capsys.readouterr()
@@ -101,9 +112,9 @@ LARGE_DOCS = {
 }
 
 
-def _large_doc_hashes() -> dict[str, str]:
-    lines = (GOLDEN / "large_docs.sha256").read_text().splitlines()
-    return {name: digest for digest, name in (line.split() for line in lines)}
+def _sha256_pins(name: str) -> dict[str, str]:
+    lines = (GOLDEN / name).read_text().splitlines()
+    return {key: digest for digest, key in (line.split() for line in lines)}
 
 
 @pytest.mark.parametrize("name", sorted(LARGE_DOCS))
@@ -113,4 +124,61 @@ def test_large_document_sha256(capsys, tmp_path, name):
     capsys.readouterr()
     assert main([str(out) if a == OUT else a for a in argv]) == 0
     data = out.read_bytes() if OUT in argv else capsys.readouterr().out.encode()
-    assert hashlib.sha256(data).hexdigest() == _large_doc_hashes()[name]
+    assert hashlib.sha256(data).hexdigest() == _sha256_pins("large_docs.sha256")[name]
+
+
+def _flow_stack_bytes(traj: flow_mod.Trajectory) -> dict[str, bytes]:
+    fin = traj.final_state
+    return {
+        "points": np.ascontiguousarray(traj.points, dtype=np.float64).tobytes(),
+        "facets": traj.facets.astype(np.int64).tobytes(),
+        "arclengths": np.ascontiguousarray(traj.arclengths, dtype=np.float64).tobytes(),
+        "drifts": np.ascontiguousarray(traj.drifts, dtype=np.float64).tobytes(),
+        "final_position": fin.position.coords.tobytes(),
+        "final_direction": fin.direction.tobytes(),
+        "final_last_facet": np.array([fin.last_facet], dtype=np.int64).tobytes(),
+    }
+
+
+def _simulate_run(monkeypatch, tmp_path, argv):
+    """The simplex, launch state and trajectory of one `simulate` call."""
+    runs, iterate = [], flow_mod.iterate
+
+    def recording_iterate(s, state, steps):
+        runs.append((s, state, iterate(s, state, steps)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(flow_mod, "iterate", recording_iterate)
+    assert main(["simulate", *argv, "--csv", str(tmp_path / "run.csv")]) == 0
+    (run,) = runs
+    return run
+
+
+CLOSURE_CASES = {"closure_n32_a1.3": (32, 1.3), "closure_n128_a1.3": (128, 1.3)}
+
+
+def _closure_run(n: int, edge: float):
+    """The simplex, launch state and trajectory of one flowed period of the orbit."""
+    s = build(n, edge)
+    orb = construct_orbit(s, build_sequence(n, edge))
+    return s, flow_mod.launch_state(s, orb), flow_mod.run_closure(s, orb).trajectory
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SIMULATE_CASES] + sorted(CLOSURE_CASES))
+def test_flow_stacks_sha256(capsys, monkeypatch, tmp_path, name):
+    """Each stack and the final state of a run, bit for bit; the stacks are read-only,
+    and zero bounces from the same launch give empty stacks and the launch back."""
+    if name in CLOSURE_CASES:
+        s, start, traj = _closure_run(*CLOSURE_CASES[name])
+    else:
+        s, start, traj = _simulate_run(monkeypatch, tmp_path, dict(SIMULATE_CASES)[name])
+        capsys.readouterr()
+    pins = _sha256_pins("flow_stacks.sha256")
+    for field, data in _flow_stack_bytes(traj).items():
+        assert hashlib.sha256(data).hexdigest() == pins[f"{name}.{field}"], field
+    empty = flow_mod.iterate(s, start, 0)
+    assert empty.points.shape == (0, s.ambient_dim)
+    assert empty.final_state is start
+    for t in (traj, empty):
+        for stack in (t.facets, t.points, t.arclengths, t.drifts):
+            assert not stack.flags.writeable

@@ -203,14 +203,14 @@ def test_csv_helpers_round_trip():
     traj = iterate(s, launch_state(s, orb), 3)
     theader, trows = trajectory_rows(s, traj)
     assert theader == ["step", "facet", "arclength", "disk0", "disk1"]
-    assert [r[1] for r in trows] == [str(f) for f in traj.facets]
+    assert [r[1] for r in trows] == [str(f) for f in traj.facets.tolist()]
 
     buf = io.StringIO()
     write_csv(buf, theader, trows)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "step,facet,arclength,disk0,disk1"
     assert len(lines) == 4
-    assert float(lines[1].split(",")[2]) == traj.bounces[0].arclength
+    assert float(lines[1].split(",")[2]) == traj.arclengths[0]
 
 
 @pytest.mark.parametrize("a", [1e-4, 1.0, 2.0])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import facet_center, facet_plane, facet_vertices
+from hypbilliards import geometry as geometry_mod
+from hypbilliards import simplex as simplex_mod
 from hypbilliards.geometry import (
     HPoint,
     Hyperplane,
@@ -257,14 +259,16 @@ def test_circumradius_step_rejects_bad_arguments():
 
 def test_disk_coords_center_and_radius():
     s = build(3, 1.0)
-    assert np.allclose(disk_coords(s, s.circumcenter), 0.0, atol=1e-15)
+    assert np.allclose(disk_coords(s, s.circumcenter.coords[None]), 0.0, atol=1e-15)
     r = dist(s.vertex(0), s.circumcenter)
     for v in map(s.vertex, range(4)):
-        assert np.linalg.norm(disk_coords(s, v)) == pytest.approx(
+        assert np.linalg.norm(disk_coords(s, v.coords[None])) == pytest.approx(
             math.tanh(r / 2.0), abs=1e-13
         )
     with pytest.raises(ValueError):
-        disk_coords(s, build(2, 1.0).circumcenter)
+        disk_coords(s, build(2, 1.0).circumcenter.coords[None])
+    with pytest.raises(ValueError):
+        disk_coords(s, s.circumcenter.coords)  # one point is a one-row stack
 
 
 @pytest.mark.parametrize("n,a", GRID)
@@ -280,6 +284,21 @@ def test_coordinate_stacks_hold_vertices_and_normals(n, a):
         assert not stack.flags.writeable
 
 
+def test_build_checks_each_stack_on_the_sheet_once(monkeypatch):
+    """The vertex stack in `build`, the center stack where its folds make it."""
+    shapes = []
+    real = geometry_mod.check_on_sheet_rows
+
+    def counting(x):
+        shapes.append(x.shape)
+        real(x)
+
+    monkeypatch.setattr(geometry_mod, "check_on_sheet_rows", counting)
+    monkeypatch.setattr(simplex_mod, "check_on_sheet_rows", counting)
+    build(128, 1.3)
+    assert shapes == [(129, 130), (129, 130)]
+
+
 @pytest.mark.parametrize("n", [*range(2, 20), 32, 64, 128])
 def test_stacked_disk_coords_match_per_point_gemv_bitwise(n):
     """The stacked matmul is one ``gemv`` per row, the call the per-point chart makes."""
@@ -289,7 +308,7 @@ def test_stacked_disk_coords_match_per_point_gemv_bitwise(n):
         (orb.coords, s.vertex_coords, s.center_coords, s.circumcenter.coords[None]))
     ref = np.array([helmert_basis(n) @ x[1:] / (1.0 + x[0]) for x in stack])
     assert disk_coords(s, stack).tobytes() == ref.tobytes()
-    assert disk_coords(s, orb.point(0)).tobytes() == ref[0].tobytes()
+    assert disk_coords(s, orb.point(0).coords[None]).tobytes() == ref[:1].tobytes()
     assert disk_coords(s, stack[:0]).shape == (0, n)
 
 
