@@ -4,8 +4,8 @@
 For each edge length on a log grid this prints the recurrence multiplier,
 the orbit side length, the circumradius, the facet-center polygon's mirror
 defect, and the flow closure error.  Near a -> 0 the multiplier collapses
-toward 2 (the weight profile flattens and the root solver runs out of
-room); for large a everything grows like the edge itself.
+toward 2 (the weight profile flattens toward the Euclidean j(n+1-j)/n);
+for large a everything grows like the edge itself.
 """
 
 import argparse
@@ -18,17 +18,14 @@ from hypbilliards.flow import closure_error
 from hypbilliards.geometry import dist
 from hypbilliards.orbit import construct_orbit, midpoint_trajectory_defect, orbit_edge_lengths
 from hypbilliards.simplex import build
-from hypbilliards.weights import RootBracketError, build_sequence
+from hypbilliards.weights import build_sequence
 
 COLUMNS = ["edge", "multiplier", "orbit_side", "circumradius", "midpoint_defect", "closure"]
 
 
-def profile_row(n: int, a: float) -> dict | None:
+def profile_row(n: int, a: float) -> dict:
     s = build(n, a)
-    try:
-        seq = build_sequence(n, a)
-    except RootBracketError:
-        return None
+    seq = build_sequence(n, a)
     orb = construct_orbit(s, seq)
     return {
         "edge": a,
@@ -56,9 +53,10 @@ def main() -> int:
     print(f"n = {args.dim}")
     print(" ".join(f"{c:>16}" for c in COLUMNS))
     for a in edges:
-        row = profile_row(args.dim, float(a))
-        if row is None:
-            print(f"{a:16.6g}  (root solver found no multiplier above 2)")
+        try:
+            row = profile_row(args.dim, float(a))
+        except (ValueError, ArithmeticError) as err:
+            print(f"{a:16.6g}  (numerical breakdown: {err})")
             continue
         rows.append(row)
         print(" ".join(f"{row[c]:16.6g}" for c in COLUMNS))

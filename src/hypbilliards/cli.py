@@ -7,9 +7,9 @@ Four subcommands:
   verify     sweep an (n, edge) grid of cells and gate on tolerances
   simulate   run the billiard flow and emit bounce points as CSV
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 root-solver
-failure, 4 non-smooth trajectory hit (corner or grazing), 5 numerical
-breakdown of a valid `simplex` or `orbit` cell.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 4 non-smooth
+trajectory hit (corner or grazing), 5 numerical breakdown of a valid
+`simplex` or `orbit` cell.
 
 JSON goes to stdout (or --json/--report FILE); floats carry 17 significant
 digits by default so documents round-trip bit for bit.  CSV uses commas,
@@ -31,12 +31,10 @@ from . import simplex as simplex_mod
 from . import weights as weights_mod
 from .flow import NonSmoothHitError
 from .geometry import HPoint, TangentVec, mink_inner
-from .weights import RootBracketError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-EXIT_SOLVER = 3
 EXIT_NONSMOOTH = 4
 EXIT_NUMERIC = 5
 
@@ -295,9 +293,6 @@ def main(argv=None) -> int:
     try:
         check_args(args)
         return args.func(args)
-    except RootBracketError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
     except NonSmoothHitError as err:
         print(f"non-smooth trajectory: {err}", file=sys.stderr)
         return EXIT_NONSMOOTH

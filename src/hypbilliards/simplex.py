@@ -34,11 +34,7 @@ import numpy as np
 from .geometry import (HPoint, check_on_sheet_rows, check_unit_normal_rows, chord_dist_rows,
                        dist_rows, mink_dots, reflect_rows, safe_arccosh)
 from .masses import centroid_fold, omit_one_folds, pair_folds
-from .weights import pair_mass_constant
-
-
-# Longest edge whose cosh is a finite double.
-MAX_EDGE = math.acosh(sys.float_info.max)
+from .weights import MAX_EDGE, check_edge_length, pair_mass_constant
 
 
 def simplex_directions(n: int) -> np.ndarray:
@@ -125,10 +121,7 @@ def check_edge(n: int, edge: float) -> None:
     The edge must be positive, its cosh a finite double, and it must not
     exceed `max_edge(n)`.
     """
-    if not (edge > 0.0) or not math.isfinite(edge):
-        raise ValueError(f"need a positive finite edge length, got {edge!r}")
-    if edge > MAX_EDGE:
-        raise ValueError(f"edge length {edge!r} exceeds {MAX_EDGE!r}, where cosh overflows")
+    check_edge_length(edge)
     bound = max_edge(n)
     if edge > bound:
         raise ValueError(

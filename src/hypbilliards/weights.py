@@ -7,27 +7,42 @@ inhomogeneous three-term relation
 
     multiplier * w_j = w_{j-1} + w_{j+1} + shift,      1 <= j <= n,
 
-with shift = 2 / (n - 1 + 1/cosh a).  Writing the multiplier as 2*y, the
-admissible y > 1 is the nontrivial root of a scalar function g built from
-the rational function h below (y = 1 is always a root and is rejected: it
-gives multiplier 2, not > 2).  With xi = y + sqrt(y^2 - 1) the closed-form
-profile is
+with shift = 2 / (n - 1 + 1/cosh a).  Write N = n + 1 and the multiplier as
+2 cosh(theta).  The solution that vanishes at j = 0 and j = N is the sinh
+product
 
-    w_j = shift/(multiplier - 2) * (1 - (xi^(j-s) + xi^(s-j)) / (xi^s + xi^(-s))),
+    w_j = shift * sinh(j theta/2) sinh((N-j) theta/2) / (2 sinh^2(theta/2) cosh(N theta/2)),
 
-s = (n+1)/2, which is symmetric (w_j = w_{n+1-j}) and unimodal.
+symmetric and unimodal; w_1 = 1 fixes theta > 0 as the root of
+
+    F(theta) = 1/2 sum_{j=1..n} (1 - q^j)(1 - q^(N-j)) / (1 + q^N) - sinh^2(a/2)/cosh a,
+
+q = e^(-theta).  Every term of the sum lies in [0, 1] and grows with theta,
+so F rises from F(0) < 0 to n/2 - sinh^2(a/2)/cosh a > 0 and the root is
+unique.  No term cancels against another, and the factors 1 - q^j come from
+``expm1``, so theta comes out within 2 eps of the exact root at every edge.
+The paper's form of the same condition, the root y = cosh(theta) > 1 of
+`eval_g`, cancels badly near y = 1; it stays as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+# Longest edge whose cosh is a finite double.
+MAX_EDGE = math.acosh(sys.float_info.max)
 
-class RootBracketError(RuntimeError):
-    """The scalar root search failed to bracket a sign change."""
+
+def check_edge_length(edge: float) -> None:
+    """Raise `ValueError` unless the edge is positive and finite with a finite cosh."""
+    if not (edge > 0.0) or not math.isfinite(edge):
+        raise ValueError(f"need a positive finite edge length, got {edge!r}")
+    if edge > MAX_EDGE:
+        raise ValueError(f"edge length {edge!r} exceeds {MAX_EDGE!r}, where cosh overflows")
 
 
 def pair_mass_constant(n: int, cosh_edge: float) -> float:
@@ -59,7 +74,7 @@ def eval_h(x: float, n: int) -> float:
 
 
 def eval_g(y: float, n: int, edge: float) -> float:
-    """Root function whose zero above 1 fixes the recurrence multiplier.
+    """The paper's root function, whose zero above 1 is cosh(theta).
 
     g(y) = h(y + sqrt(y^2 - 1)) - 1 + (y - 1) * (n - 1 + 1/cosh a).
     g(1) = 0 with negative slope 1/cosh a - 1, and g -> +infinity, so the
@@ -75,62 +90,72 @@ def eval_g(y: float, n: int, edge: float) -> float:
     return eval_h(xi, n) - 1.0 + (y - 1.0) * (n - 1.0 + 1.0 / math.cosh(edge))
 
 
-# The root scan of `solve_y0` starts at y = 1 + START_OFFSET and gives up above MAX_Y.
-START_OFFSET = 1e-6
-MAX_Y = 2.0**60
+def solve_theta(n: int, edge: float) -> float:
+    """The root theta > 0 of F (module docstring), by bracketed Newton steps.
+
+    Starts from the small-edge asymptote theta_0 = sqrt(24 r / (N (N^2 - 1))),
+    r = sinh^2(a/2)/cosh a, which is exact as a -> 0.  A Newton step that
+    leaves the bracket [lo, hi] around the root is replaced by bisection.
+    Raises `ValueError` for a bad edge, and for an edge so short that r is
+    not a normal double (a below about 3e-154).
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    check_edge_length(edge)
+    half = math.sinh(0.5 * edge)
+    r = half * half / (1.0 + 2.0 * half * half)  # cosh a = 1 + 2 sinh^2(a/2)
+    if r < sys.float_info.min:
+        raise ValueError(
+            f"edge length {edge!r} is too short: sinh^2(a/2)/cosh a = {r!r} underflows")
+    big = n + 1
+    theta = math.sqrt(24.0 * r / (big * (big * big - 1.0)))
+    # F(3) > 0 for every n and edge: the sum is at least its j = 1 term,
+    # (1 - q)(1 - q^n)/(1 + q^N) > 0.9 at q = e^-3, and r < 1/2
+    lo, hi = 0.0, 3.0
+    while True:
+        f, slope = _theta_equation(theta, n, r)
+        if f < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        step = theta - f / slope  # theta itself when f = 0
+        if abs(step - theta) <= 4.0 * sys.float_info.epsilon * theta:
+            return step
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:  # the bracket is two adjacent doubles
+                return theta
+        theta = step
+
+
+def _theta_equation(theta: float, n: int, r: float) -> tuple[float, float]:
+    """F(theta) and F'(theta), with 1 - q^j from ``expm1``.
+
+    d(1 - q^j)/dtheta = j q^j and d(1 + q^N)/dtheta = -N q^N; the two factors
+    of each term contribute alike over the symmetric sum.
+    """
+    big = n + 1
+    rise = [-math.expm1(-j * theta) for j in range(big)]  # 1 - q^j
+    tail = math.exp(-big * theta)  # q^N
+    den = 1.0 + tail
+    total = math.fsum([rise[j] * rise[big - j] for j in range(1, big)])
+    slope = math.fsum([j * (1.0 - rise[j]) * rise[big - j] for j in range(1, big)])
+    return 0.5 * total / den - r, slope / den + 0.5 * big * tail * total / (den * den)
 
 
 def solve_y0(n: int, edge: float) -> float:
-    """Smallest root of g above 1, by bracket scan and bisection to machine width.
-
-    Starts the scan at ``1 + START_OFFSET``; if g is already non-negative
-    there the offset is halved until the search lands inside the negative
-    dip next to 1 (the dip is shallow for small edges).  The upper bracket
-    end comes from doubling the offset until g turns positive.  Raises
-    `RootBracketError` when no dip is found above offset 1e-15 or no sign
-    change occurs below ``MAX_Y``.
-    """
-
-    def g(y: float) -> float:
-        return eval_g(y, n, edge)
-
-    off = START_OFFSET
-    while g(1.0 + off) >= 0.0:
-        off *= 0.5
-        if off < 1e-15:
-            raise RootBracketError(
-                f"no negative dip of g found near 1 (n={n}, edge={edge}); root too close to 1"
-            )
-    lo = 1.0 + off
-    hi = lo
-    while g(hi) <= 0.0:
-        off *= 2.0
-        hi = 1.0 + off
-        if hi > MAX_Y:
-            raise RootBracketError(f"no sign change of g below {MAX_Y} (n={n}, edge={edge})")
-    # bisect until the bracket cannot be split at float resolution
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        v = g(mid)
-        if v > 0.0:
-            hi = mid
-        elif v < 0.0:
-            lo = mid
-        else:
-            return mid
-    return lo if abs(g(lo)) <= abs(g(hi)) else hi
+    """The root of `eval_g` above 1, as cosh of `solve_theta`."""
+    return math.cosh(solve_theta(n, edge))
 
 
 @dataclass(frozen=True, eq=False)
 class MassSequence:
     """Solved weight profile for one (n, edge) cell.
 
-    ``weights`` has length n+2 with exact zeros at both ends; ``multiplier``
-    is 2*root and ``char_root`` = root + sqrt(root^2 - 1) is the growth rate
-    of the homogeneous solutions of the recurrence (char_root + 1/char_root
-    = multiplier).
+    ``weights`` has length n+2 with exact zeros at both ends; ``root`` is
+    cosh(theta), ``multiplier`` is 2 cosh(theta) and ``char_root`` = e^theta is
+    the growth rate of the homogeneous solutions of the recurrence
+    (char_root + 1/char_root = multiplier).
     """
 
     n: int
@@ -176,30 +201,15 @@ def forward_weights(multiplier: float, shift: float, n: int) -> np.ndarray:
 
 
 def build_sequence(n: int, edge: float) -> MassSequence:
-    """Solve the root problem for one cell and evaluate the closed-form weights."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if edge <= 0.0:
-        raise ValueError(f"need a positive edge length, got {edge!r}")
+    """Solve for theta and evaluate the sinh-product weights of one cell."""
+    theta = solve_theta(n, edge)
     shift = pair_mass_constant(n, math.cosh(edge))
-    try:
-        root = solve_y0(n, edge)
-    except RootBracketError:
-        if n == 2:
-            # for n = 2 the admissible profile is known outright: w = (0,1,1,0)
-            # forces multiplier = 1 + shift by the j = 1 relation
-            multiplier = 1.0 + shift
-            root = 0.5 * multiplier
-            char_root = root + math.sqrt(root * root - 1.0)
-            return MassSequence(n, edge, shift, root, multiplier, char_root,
-                                np.array([0.0, 1.0, 1.0, 0.0]))
-        raise
-    multiplier = 2.0 * root
-    char_root = root + math.sqrt(root * root - 1.0)
-    s = 0.5 * (n + 1)
-    denom = char_root**s + char_root**-s
-    j = np.arange(n + 2, dtype=np.float64)
-    w = shift / (multiplier - 2.0) * (1.0 - (char_root ** (j - s) + char_root ** (s - j)) / denom)
-    w[0] = 0.0
-    w[n + 1] = 0.0
-    return MassSequence(n, edge, shift, root, multiplier, char_root, w)
+    big = n + 1
+    # sinh(j theta/2) / sinh(theta/2), about j for small theta; the product of
+    # two such ratios is formed first, so that w_j and w_{N-j} are the same double
+    unit = math.sinh(0.5 * theta)
+    ratio = [math.sinh(0.5 * j * theta) / unit for j in range(big + 1)]
+    scale = 0.5 * shift / math.cosh(0.5 * big * theta)
+    w = [scale * (ratio[j] * ratio[big - j]) for j in range(big + 1)]
+    root = math.cosh(theta)
+    return MassSequence(n, edge, shift, root, 2.0 * root, math.exp(theta), np.array(w))

@@ -175,7 +175,7 @@ def test_verify_failure_exit_code(capsys):
 
 @pytest.mark.parametrize("edges,bad,failure", [
     ("1,40", 40.0, "ValueError: cannot normalize non-timelike vector"),
-    ("1e-9,1", 1e-9, "RootBracketError: "),
+    ("1e-9,1", 1e-9, "ValueError: points coincide"),
 ])
 def test_verify_reports_broken_cell_and_goes_on(capsys, tmp_path, edges, bad, failure):
     rpath = tmp_path / "report.json"
@@ -224,12 +224,22 @@ def test_verify_edge_beyond_larger_dimensions_fails_those_cells(capsys):
 
 @pytest.mark.parametrize("edge,code,prefix", [
     ("40", 5, "numerical breakdown: cannot normalize non-timelike vector"),
-    ("1e-9", 3, "solver failure: "),
+    ("1e-9", 5, "numerical breakdown: points coincide"),
+    ("1e-200", 5, "numerical breakdown: edge length 1e-200 is too short"),
 ])
 def test_orbit_breakdown_exit_codes(capsys, edge, code, prefix):
     got, out, err = run(capsys, "orbit", "--dim", "3", "--edge", edge)
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,edge", [("8", "1e-3"), ("16", "1e-3"), ("64", "1e-3"),
+                                    ("128", "1e-2"), ("3", "1e-4"), ("3", "1e-5")])
+def test_orbit_small_edges_pass(capsys, tmp_path, n, edge):
+    code, out, err = run(capsys, "orbit", "--dim", n, "--edge", edge,
+                         "--json", str(tmp_path / "orbit.json"))
+    assert (code, out, err) == (0, "", "")
 
 
 def test_simplex_breakdown_exits_five(capsys, monkeypatch):

@@ -1,22 +1,26 @@
 """Tests for the bounce-weight recurrence: root solving and closed-form profiles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from hypbilliards import weights as weights_mod
 from hypbilliards.weights import (
+    MAX_EDGE,
     MassSequence,
-    RootBracketError,
     build_sequence,
     eval_g,
     eval_h,
     forward_weights,
     pair_mass_constant,
+    solve_theta,
     solve_y0,
 )
 
 CELLS = [(n, a) for n in range(2, 9) for a in (0.5, 1.0, 2.0)]
+EPS = sys.float_info.epsilon
 
 # frozen solver outputs for the (n=3, edge=1) cell, cross-checked once
 # against an independent root finder and the forward recurrence
@@ -98,12 +102,15 @@ def test_solve_y0_frozen_regression():
 
 
 def test_solve_y0_tiny_edge_raises():
-    # at edge 1e-9 the negative dip of g shrinks below detection for n = 3
-    with pytest.raises(RootBracketError):
-        solve_y0(3, 1e-9)
+    # theta ~ 3e-10 at edge 1e-9 solves, though cosh(theta) rounds to 1; below
+    # a ~ 3e-154, sinh^2(a/2)/cosh a is no longer a normal double
+    assert solve_theta(3, 1e-9) == pytest.approx(1e-9 * math.sqrt(6.0 / 60.0), rel=1e-15)
+    assert solve_y0(3, 1e-9) == 1.0
+    with pytest.raises(ValueError, match="edge length 1e-200 is too short"):
+        solve_y0(3, 1e-200)
 
 
-@pytest.mark.parametrize("n,a", CELLS)
+@pytest.mark.parametrize("n,a", CELLS + [(3, 1e-5), (16, 1e-3), (128, 1.0), (128, 700.0)])
 def test_sequence_profile_shape(n, a):
     seq = build_sequence(n, a)
     w = seq.weights
@@ -111,8 +118,8 @@ def test_sequence_profile_shape(n, a):
     assert w[0] == 0.0 and w[n + 1] == 0.0
     assert abs(w[1] - 1.0) < 1e-10 and abs(w[n] - 1.0) < 1e-10
     assert np.all(w[1:-1] > 0.0)
-    # symmetric and unimodal
-    assert np.abs(w - w[::-1]).max() < 1e-10
+    # symmetric, bit for bit, and unimodal
+    assert np.array_equal(w, w[::-1])
     mid = (n + 2) // 2
     assert np.all(np.diff(w[:mid]) > -1e-12)
     assert seq.multiplier > 2.0
@@ -171,3 +178,82 @@ def test_mass_sequence_validation_and_accessors():
         MassSequence(3, 1.0, seq.shift, seq.root, seq.multiplier, seq.char_root,
                      np.zeros(4))
     assert not seq.weights.flags.writeable
+
+
+@pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf, 0.0])
+def test_build_sequence_rejects_edges_before_solving(monkeypatch, edge):
+    def never(*args):
+        raise AssertionError("the Newton loop ran")
+
+    monkeypatch.setattr(weights_mod, "_theta_equation", never)
+    with pytest.raises(ValueError, match=f"need a positive finite edge length, got {edge!r}"):
+        build_sequence(3, edge)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_build_sequence_edge_limits():
+    with pytest.raises(ValueError, match=f"edge length 800.0 exceeds {MAX_EDGE!r}, where cosh"):
+        build_sequence(3, 800.0)
+    # sinh^2(a/2) underflows to 0 here; the check comes before any division
+    with pytest.raises(ValueError, match="edge length 1e-200 is too short"):
+        build_sequence(3, 1e-200)
+    for n in (2, 3, 128):
+        for a in (1e-150, MAX_EDGE):
+            w = build_sequence(n, a).weights
+            assert np.all(np.isfinite(w)) and np.all(w[1:-1] > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 128])
+def test_euclidean_limit(n):
+    """As a -> 0 the weights tend to j(N-j)/n, with an O(a^2) correction."""
+    big = n + 1
+    j = np.arange(big + 1)
+    flat = j * (big - j) / n
+    for a in (1e-2, 1e-3, 1e-6, 1e-9, 1e-12):
+        w = build_sequence(n, a).weights
+        err = np.max(np.abs(w - flat) / np.maximum(flat, 1.0))
+        assert err <= a * a / 100.0 + 4.0 * EPS, (a, err)
+
+
+ORACLE_DIMS = [2, 3, 8, 32, 128]
+ORACLE_EDGES = np.geomspace(1e-12, 700.0, 31).tolist()
+
+
+def oracle_theta(n, edge):
+    """50-digit root of 1/2 sum_j (1 - q^j)(1 - q^(N-j)) / (1 + q^N) = sinh^2(a/2)/cosh a."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    big = n + 1
+    a = mp.mpf(edge)
+    r = mp.sinh(a / 2) ** 2 / mp.cosh(a)
+    theta = mp.sqrt(24 * r / (big * (big * big - 1)))
+    for _ in range(100):
+        rise = [-mp.expm1(-j * theta) for j in range(big + 1)]
+        den = 2 - rise[big]
+        total = mp.fsum(rise[j] * rise[big - j] for j in range(1, big))
+        slope = (mp.fsum(j * (1 - rise[j]) * rise[big - j] for j in range(1, big)) / den
+                 + big * (1 - rise[big]) * total / (2 * den * den))
+        step = (total / (2 * den) - r) / slope
+        theta -= step
+        if abs(step) < mp.mpf(10) ** -45 * theta:
+            return theta
+    raise AssertionError("oracle Newton did not converge")
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+def test_theta_and_weights_match_oracle(n):
+    """theta to 2 eps relative (2 ulp of a double in [1, 2)) and every weight to 4 eps
+    relative, against 50-digit mpmath, on a log grid of a in [1e-12, 700]."""
+    mp = pytest.importorskip("mpmath").mp
+    big = n + 1
+    for a in ORACLE_EDGES:
+        exact = oracle_theta(n, a)
+        theta = solve_theta(n, a)
+        assert abs(mp.mpf(theta) - exact) <= 2 * EPS * exact, (a, theta)
+        seq = build_sequence(n, a)
+        shift = 2 / (n - 1 + 1 / mp.cosh(mp.mpf(a)))
+        scale = shift / (2 * mp.sinh(exact / 2) ** 2 * mp.cosh(big * exact / 2))
+        for j in range(1, big):
+            w = scale * mp.sinh(j * exact / 2) * mp.sinh((big - j) * exact / 2)
+            assert abs(mp.mpf(seq.weight(j)) - w) <= 4 * EPS * w, (a, j)
+        assert abs(eval_g(seq.root, n, a)) < 1e-13
