@@ -79,7 +79,7 @@ class Oracle:
         self.n, big = n, n + 1
         a = mp.mpf(edge)
         r = mp.sinh(a / 2) ** 2 / mp.cosh(a)
-        theta = _theta(n, r)
+        self.theta = theta = _theta(n, r)
         shift = 2 / (n - 1 + 1 / mp.cosh(a))
         self.root = mp.cosh(theta)
         self.multiplier = 2 * self.root

@@ -105,8 +105,8 @@ class FlowState:
 
 
 def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowState:
-    """State at A aimed along the geodesic toward B."""
-    return FlowState(a, unit_tangent(a, b), last_facet)
+    """State at A aimed toward B; `unit_tangent` leaves <x,v> ~ eps / d(A,B), so re-project."""
+    return FlowState(a, tangent_part(a.coords, unit_tangent(a, b)), last_facet)
 
 
 def _crossing_ratio(mu: float, nu: float, lo: float) -> float | None:

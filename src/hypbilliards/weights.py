@@ -19,10 +19,11 @@ symmetric and unimodal; w_1 = 1 fixes theta > 0 as the root of
 
 q = e^(-theta).  Every term of the sum lies in [0, 1] and grows with theta,
 so F rises from F(0) < 0 to n/2 - sinh^2(a/2)/cosh a > 0 and the root is
-unique.  No term cancels against another, and the factors 1 - q^j come from
-``expm1``, so theta comes out within 2 eps of the exact root at every edge.
-The paper's form of the same condition, the root y = cosh(theta) > 1 of
-`eval_g`, cancels badly near y = 1; it stays as a cross-check.
+unique.  No term cancels against another, the factors 1 - q^j come from
+``expm1``, and a last Newton step in decimal arithmetic leaves theta within
+about half an ulp of the root.  The paper's form of the same condition, the
+root y = cosh(theta) > 1 of `eval_g`, cancels badly near y = 1; it stays as
+a cross-check.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -95,9 +97,9 @@ def solve_theta(n: int, edge: float) -> float:
 
     Starts from the small-edge asymptote theta_0 = sqrt(24 r / (N (N^2 - 1))),
     r = sinh^2(a/2)/cosh a, which is exact as a -> 0.  A Newton step that
-    leaves the bracket [lo, hi] around the root is replaced by bisection.
-    Raises `ValueError` for a bad edge, and for an edge so short that r is
-    not a normal double (a below about 3e-154).
+    leaves the bracket [lo, hi] around the root is replaced by bisection, and
+    `_polish` takes the last step.  Raises `ValueError` for a bad edge, and
+    for an edge so short that r is not a normal double (a below about 3e-154).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -109,8 +111,8 @@ def solve_theta(n: int, edge: float) -> float:
             f"edge length {edge!r} is too short: sinh^2(a/2)/cosh a = {r!r} underflows")
     big = n + 1
     theta = math.sqrt(24.0 * r / (big * (big * big - 1.0)))
-    # F(3) > 0 for every n and edge: the sum is at least its j = 1 term,
-    # (1 - q)(1 - q^n)/(1 + q^N) > 0.9 at q = e^-3, and r < 1/2
+    # F(3) > 0 for every n and edge: at q = e^-3 the j = 1 and j = n terms are equal and
+    # (1 - q)(1 - q^n)/(1 + q^N) > 0.94, so half the sum is > 0.94 > 1/2 > r
     lo, hi = 0.0, 3.0
     while True:
         f, slope = _theta_equation(theta, n, r)
@@ -120,12 +122,28 @@ def solve_theta(n: int, edge: float) -> float:
             hi = theta
         step = theta - f / slope  # theta itself when f = 0
         if abs(step - theta) <= 4.0 * sys.float_info.epsilon * theta:
-            return step
+            return _polish(theta, n, edge, slope)
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
             if not lo < step < hi:  # the bracket is two adjacent doubles
-                return theta
+                return _polish(theta, n, edge, slope)
         theta = step
+
+
+def _polish(theta: float, n: int, edge: float, slope: float) -> float:
+    """One Newton step with F to about 20 digits, in decimal arithmetic: in doubles, the
+    rounding of sinh(a/2) and of the sum leaves theta up to 1.2 eps off.  The precision
+    covers the digits that 1 - q^j and e^a - 1 cancel when theta and a are small."""
+    big = n + 1
+    with localcontext() as ctx:
+        ctx.prec = 28 - 3 * min(0, math.frexp(theta)[1]) // 10
+        e, q = Decimal(edge).exp(), (-Decimal(theta)).exp()
+        powers = [Decimal(1)]  # q^j
+        for _ in range(big):
+            powers.append(powers[-1] * q)
+        total = sum((1 - powers[j]) * (1 - powers[big - j]) for j in range(1, big))
+        f = total / (2 * (1 + powers[big])) - (e - 1) ** 2 / (2 * (e * e + 1))
+    return theta - float(f) / slope
 
 
 def _theta_equation(theta: float, n: int, r: float) -> tuple[float, float]:

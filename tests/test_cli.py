@@ -235,7 +235,8 @@ def test_orbit_breakdown_exit_codes(capsys, edge, code, prefix):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n,edge", [("8", "1e-3"), ("16", "1e-3"), ("64", "1e-3"),
-                                    ("128", "1e-2"), ("3", "1e-4"), ("3", "1e-5")])
+                                    ("128", "1e-2"), ("3", "1e-4"), ("3", "1e-5"),
+                                    ("3", "1e-6"), ("3", "1e-7"), ("128", "1e-3")])
 def test_orbit_small_edges_pass(capsys, tmp_path, n, edge):
     code, out, err = run(capsys, "orbit", "--dim", n, "--edge", edge,
                          "--json", str(tmp_path / "orbit.json"))

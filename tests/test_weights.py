@@ -1,7 +1,9 @@
 """Tests for the bounce-weight recurrence: root solving and closed-form profiles."""
 
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,41 +221,27 @@ ORACLE_DIMS = [2, 3, 8, 32, 128]
 ORACLE_EDGES = np.geomspace(1e-12, 700.0, 31).tolist()
 
 
-def oracle_theta(n, edge):
-    """50-digit root of 1/2 sum_j (1 - q^j)(1 - q^(N-j)) / (1 + q^N) = sinh^2(a/2)/cosh a."""
-    mp = pytest.importorskip("mpmath").mp
-    mp.dps = 50
-    big = n + 1
-    a = mp.mpf(edge)
-    r = mp.sinh(a / 2) ** 2 / mp.cosh(a)
-    theta = mp.sqrt(24 * r / (big * (big * big - 1)))
-    for _ in range(100):
-        rise = [-mp.expm1(-j * theta) for j in range(big + 1)]
-        den = 2 - rise[big]
-        total = mp.fsum(rise[j] * rise[big - j] for j in range(1, big))
-        slope = (mp.fsum(j * (1 - rise[j]) * rise[big - j] for j in range(1, big)) / den
-                 + big * (1 - rise[big]) * total / (2 * den * den))
-        step = (total / (2 * den) - r) / slope
-        theta -= step
-        if abs(step) < mp.mpf(10) ** -45 * theta:
-            return theta
-    raise AssertionError("oracle Newton did not converge")
+@pytest.fixture(scope="module")
+def oracle():
+    """The 50-digit `Oracle` of ``scripts/repin_audit.py``."""
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parent.parent / "scripts" / "repin_audit.py"
+    spec = importlib.util.spec_from_file_location("repin_audit", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Oracle
 
 
 @pytest.mark.parametrize("n", ORACLE_DIMS)
-def test_theta_and_weights_match_oracle(n):
-    """theta to 2 eps relative (2 ulp of a double in [1, 2)) and every weight to 4 eps
-    relative, against 50-digit mpmath, on a log grid of a in [1e-12, 700]."""
-    mp = pytest.importorskip("mpmath").mp
-    big = n + 1
+def test_theta_and_weights_match_oracle(n, oracle):
+    """theta to 2 ulp and every weight to 4 eps relative, against 50-digit mpmath,
+    on a log grid of a in [1e-12, 700]."""
     for a in ORACLE_EDGES:
-        exact = oracle_theta(n, a)
+        exact = oracle(n, a)
         theta = solve_theta(n, a)
-        assert abs(mp.mpf(theta) - exact) <= 2 * EPS * exact, (a, theta)
+        assert abs(theta - exact.theta) <= 2 * math.ulp(theta), (a, theta)
         seq = build_sequence(n, a)
-        shift = 2 / (n - 1 + 1 / mp.cosh(mp.mpf(a)))
-        scale = shift / (2 * mp.sinh(exact / 2) ** 2 * mp.cosh(big * exact / 2))
-        for j in range(1, big):
-            w = scale * mp.sinh(j * exact / 2) * mp.sinh((big - j) * exact / 2)
-            assert abs(mp.mpf(seq.weight(j)) - w) <= 4 * EPS * w, (a, j)
+        for j in range(1, n + 1):
+            w = exact.weights[j]
+            assert abs(seq.weight(j) - w) <= 4 * EPS * w, (a, j)
         assert abs(eval_g(seq.root, n, a)) < 1e-13
