@@ -9,7 +9,7 @@ Four subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 4 non-smooth
 trajectory hit (corner or grazing), 5 numerical breakdown of a valid
-`simplex` or `orbit` cell.
+`simplex` or `orbit` cell or of `simulate`'s default launch.
 
 JSON goes to stdout (or --json/--report FILE); floats carry 17 significant
 digits by default so documents round-trip bit for bit.  CSV uses commas,
@@ -104,13 +104,17 @@ def _tolerances(args: argparse.Namespace) -> report_mod.Tolerances:
     return report_mod.Tolerances()
 
 
+def _breakdown(err: Exception) -> int:
+    print(f"numerical breakdown: {err}", file=sys.stderr)
+    return EXIT_NUMERIC
+
+
 def cmd_simplex(args: argparse.Namespace) -> int:
     # `check_args` accepted the input, so an error here is the arithmetic's
     try:
         doc = report_mod.simplex_document(simplex_mod.build(args.dim, args.edge))
     except (ValueError, ArithmeticError) as err:
-        print(f"numerical breakdown: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _breakdown(err)
     _emit_json(doc, args.json_path, args.precision)
     return EXIT_OK
 
@@ -123,8 +127,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         orb = orbit_mod.construct_orbit(s, seq)
         doc, passed = report_mod.orbit_document(s, seq, orb, _tolerances(args))
     except (ValueError, ArithmeticError) as err:
-        print(f"numerical breakdown: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _breakdown(err)
     _emit_json(doc, args.json_path, args.precision)
     if args.disk_path:
         header, rows = report_mod.orbit_rows(s, orb, args.precision)
@@ -165,8 +168,16 @@ def _perturbed(state: flow_mod.FlowState, s: simplex_mod.RegularSimplex,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    s = simplex_mod.build(args.dim, args.edge)
-    if args.start_coords is not None or args.dir_coords is not None:
+    # a launch the user gave fails as a usage error, the default one as a breakdown
+    given = args.start_coords is not None or args.dir_coords is not None
+    try:
+        s = simplex_mod.build(args.dim, args.edge)
+        if not given:
+            seq = weights_mod.build_sequence(args.dim, args.edge)
+            state = flow_mod.launch_state(s, orbit_mod.construct_orbit(s, seq))
+    except (ValueError, ArithmeticError) as err:
+        return _breakdown(err)
+    if given:
         if args.start_coords is None or args.dir_coords is None:
             raise ValueError("--start-coords and --dir-coords must be given together")
         p = HPoint(args.start_coords)
@@ -176,13 +187,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if abs(mink_inner(tv.direction, s.slice_vector())) > 1e-9:
             raise ValueError("direction points out of the simplex slice")
         state = flow_mod.FlowState(p, tv.direction)
-    else:
-        seq = weights_mod.build_sequence(args.dim, args.edge)
-        orb = orbit_mod.construct_orbit(s, seq)
-        state = flow_mod.launch_state(s, orb)
     if args.perturb:
         state = _perturbed(state, s, args.perturb, args.seed)
-    traj = flow_mod.iterate(s, state, args.steps)
+    try:
+        traj = flow_mod.iterate(s, state, args.steps)
+    except (ValueError, ArithmeticError) as err:
+        if given:
+            raise
+        return _breakdown(err)
     header, rows = report_mod.trajectory_rows(s, traj, args.precision)
     _emit_csv(header, rows, args.csv_path)
     print(
@@ -271,6 +283,8 @@ def check_args(args: argparse.Namespace) -> None:
     if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
     if args.command == "simulate":
+        if args.steps < 0:
+            raise ValueError(f"need a non-negative bounce count, got {args.steps}")
         if not math.isfinite(args.perturb):
             raise ValueError(f"perturbation angle must be finite, got {args.perturb}")
         for name in ("start_coords", "dir_coords"):

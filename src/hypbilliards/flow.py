@@ -35,8 +35,8 @@ facet margins of each bounce point serve both to classify it and as the
 next flight's margins.  `iterate` is the loop; `step` is one bounce of
 it, and `next_collision` and `reflect_at` run its flight and its mirror
 on one point object.  Those three stay public as the one-bounce entry
-points: tests drive single bounces through them, and
-``perfbench/tracer.py`` wraps them by name.
+points that tests drive single bounces through.  The loop calls none of
+them, so a profiler that wraps them by name sees no bounce of `iterate`.
 Every Minkowski product is one BLAS ``ddot`` per pair of vectors: margins
 against all facets are one `mink_dots` over the simplex's normal stack,
 a stacked vector-vector matmul that numpy runs as one ``ddot`` per row.
@@ -109,35 +109,24 @@ def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowSta
     return FlowState(a, tangent_part(a.coords, unit_tangent(a, b)), last_facet)
 
 
-def _crossing_ratio(mu: float, nu: float, lo: float) -> float | None:
-    """tanh of the flight time at which mu cosh t + nu sinh t = 0, if it lies in (lo, 1).
+def _next_hit(mus: list[float], nus: list[float], last: int | None) -> tuple[int, float]:
+    """Facet and flight time of the first forward crossing, from the position's
+    margins ``mus`` and the direction's margins ``nus`` against every facet.
 
-    Requires the margin to be decreasing (nu < 0) and the crossing to be
-    reachable (|mu| < |nu|, otherwise the geodesic approaches the
-    hyperplane asymptotically without crossing).
+    The margin mu cosh t + nu sinh t reaches 0 at tanh t = -mu/nu, a crossing
+    only if it decreases (nu < 0) and is reachable (|mu| < |nu|: otherwise the
+    geodesic approaches the hyperplane asymptotically without crossing).  The
+    T_MIN floor applies only to the facet the state just bounced off, so
+    rounding cannot re-register the departure as a fresh hit; genuinely short
+    flights onto other facets (deep corner visits) are kept and left for the
+    arrival classification to reject as non-smooth.  atanh is increasing, so
+    the smallest ratio marks the first hit; on a tie the lower index wins.
     """
-    if nu >= 0.0:
-        return None
-    ratio = -mu / nu
-    return ratio if lo < ratio < 1.0 else None
-
-
-def _next_hit(mus: list[float], v: np.ndarray, normals: np.ndarray,
-              last: int | None) -> tuple[int, float]:
-    """Facet and flight time of the first forward crossing from margins ``mus`` along v.
-
-    The T_MIN floor applies only to the facet the state just bounced off,
-    so rounding cannot re-register the departure as a fresh hit; genuinely
-    short flights onto other facets (deep corner visits) are kept and left
-    for the arrival classification to reject as non-smooth.  atanh is
-    increasing, so the smallest ratio marks the first hit.
-    """
-    best_k, best = -1, math.inf
-    for k, (mu, nu) in enumerate(zip(mus, mink_dots(v, normals).tolist())):
+    best_k, best = -1, 1.0  # tanh t < 1: a ratio of 1 or more is never reached
+    for k, (mu, nu) in enumerate(zip(mus, nus)):
         if mu < -BOUNDARY_SLACK:
             raise ValueError(f"state is outside the simplex (margin {mu} at facet {k})")
-        ratio = _crossing_ratio(mu, nu, _TANH_T_MIN if k == last else 0.0)
-        if ratio is not None and ratio < best:
+        if nu < 0.0 and (_TANH_T_MIN if k == last else 0.0) < (ratio := -mu / nu) < best:
             best_k, best = k, ratio
     if best_k < 0:
         raise ValueError("no forward facet crossing; state does not point into the simplex")
@@ -158,7 +147,8 @@ def next_collision(s: RegularSimplex, state: FlowState) -> tuple[int, HPoint, fl
     """Facet index, collision point, and flight time of the next boundary hit."""
     normals = s.normal_coords
     x, v = state.position.coords, state.direction
-    k, t = _next_hit(mink_dots(x, normals).tolist(), v, normals, state.last_facet)
+    k, t = _next_hit(mink_dots(x, normals).tolist(), mink_dots(v, normals).tolist(),
+                     state.last_facet)
     return k, HPoint.from_vector(math.cosh(t) * x + math.sinh(t) * v), t
 
 
@@ -217,7 +207,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
     drifts = np.empty((steps, 5))
     for i in range(steps):
         try:
-            k, t = _next_hit(mus, v, normals, last)
+            k, t = _next_hit(mus, mink_dots(v, normals).tolist(), last)
             ch, sh = math.cosh(t), math.sinh(t)
             x_raw, v_raw = ch * x + sh * v, sh * x + ch * v
             check_on_sheet(to_sheet(x_raw))

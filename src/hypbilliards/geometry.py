@@ -44,12 +44,18 @@ def mink_inner(x, y) -> float:
 def mink_dot(x: np.ndarray, y: np.ndarray) -> float:
     """`mink_inner` of two flat float64 arrays of equal length, without re-checking them.
 
-    The spacelike part is one BLAS ``ddot``.  Use it on data that is already
+    The spacelike part is one BLAS ``ddot``, the ``cblas_ddot`` that 1-D
+    ``.dot`` and 1-D ``@`` both call, and the timelike term is a Python float
+    product, which rounds as a numpy scalar's does without making one.  So
+    it is the numpy-scalar ``-x[0] * y[0] + x[1:] @ y[1:]`` bit for bit
+    (`tests/test_geometry.py` pins it), but for which of two NaNs survives
+    and the sign of a zero product of two-entry vectors, which ``.dot``
+    multiplies as scalars.  Use it on data that is already
     validated (`HPoint` coordinates, `Hyperplane` normals, vertex rows): the
     results match `mink_inner` bit for bit, minus its re-checks.  For one
     vector against many, use `mink_dots`.
     """
-    return float(-x[0] * y[0] + x[1:] @ y[1:])
+    return -x.item(0) * y.item(0) + float(x[1:].dot(y[1:]))
 
 
 def mink_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -62,7 +68,7 @@ def mink_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     residual downstream.  numpy does not document this routing;
     `tests/test_geometry.py` pins it.
     """
-    return -x[0] * ys[:, 0] + np.matmul(ys[:, None, 1:], x[1:, None])[:, 0, 0]
+    return -x.item(0) * ys[:, 0] + np.matmul(ys[:, None, 1:], x[1:, None])[:, 0, 0]
 
 
 def mink_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -131,9 +137,10 @@ class HPoint:
 def check_on_sheet(v: np.ndarray) -> None:
     """The `HPoint` invariant: on the unit hyperboloid, on its upper sheet."""
     q = mink_dot(v, v)
-    if abs(q + 1.0) > REP_TOL * max(1.0, v[0] * v[0]):
+    v0 = v.item(0)
+    if abs(q + 1.0) > REP_TOL * max(1.0, v0 * v0):
         raise ValueError(f"not on the unit hyperboloid: <x,x> = {q!r}")
-    if v[0] <= 0.0:
+    if v0 <= 0.0:
         raise ValueError("timelike coordinate must be positive (upper sheet)")
 
 
@@ -142,8 +149,8 @@ def to_sheet(w: np.ndarray) -> np.ndarray:
     q = mink_dot(w, w)
     if q >= 0.0:
         raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {q!r})")
-    w = w / np.sqrt(-q)
-    if w[0] < 0.0:
+    w = w / math.sqrt(-q)
+    if w.item(0) < 0.0:
         raise ValueError("timelike vector points into the lower sheet")
     return w
 
@@ -157,10 +164,10 @@ def to_sheet(w: np.ndarray) -> np.ndarray:
 def check_on_sheet_rows(x: np.ndarray) -> None:
     """`check_on_sheet` for every row of x."""
     q = mink_pairs(x, x)
-    bad = np.flatnonzero(np.abs(q + 1.0) > REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0]))
+    bad = (np.abs(q + 1.0) > REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0])).nonzero()[0]
     if bad.size:
         raise ValueError(f"not on the unit hyperboloid: <x,x> = {float(q[bad[0]])!r}")
-    if np.any(x[:, 0] <= 0.0):
+    if (x[:, 0] <= 0.0).any():
         raise ValueError("timelike coordinate must be positive (upper sheet)")
 
 
@@ -170,7 +177,7 @@ def check_unit_normal_rows(u: np.ndarray) -> None:
     The tolerance scales like `HPoint`'s: cancellation in <u,u> grows as u0^2.
     """
     q = mink_pairs(u, u)
-    bad = np.flatnonzero(np.abs(q - 1.0) > REP_TOL * np.maximum(1.0, u[:, 0] * u[:, 0]))
+    bad = (np.abs(q - 1.0) > REP_TOL * np.maximum(1.0, u[:, 0] * u[:, 0])).nonzero()[0]
     if bad.size:
         raise ValueError(f"normal must be unit spacelike: <u,u> = {float(q[bad[0]])!r}")
 
@@ -185,11 +192,11 @@ def from_vector_rows(w: np.ndarray) -> np.ndarray:
     """The coordinates of `HPoint.from_vector` of every row of w: `to_sheet`, then
     `check_on_sheet`."""
     q = mink_pairs(w, w)
-    bad = np.flatnonzero(q >= 0.0)
+    bad = (q >= 0.0).nonzero()[0]
     if bad.size:
         raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {float(q[bad[0]])!r})")
     x = w / np.sqrt(-q)[:, None]
-    if np.any(x[:, 0] < 0.0):
+    if (x[:, 0] < 0.0).any():
         raise ValueError("timelike vector points into the lower sheet")
     check_on_sheet_rows(x)
     return x
@@ -200,7 +207,7 @@ def unit_tangent_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     w = mink_pairs(a, b)[:, None] * a
     w += b  # b + <a,b> a: the sum is the same either way round
     q = mink_pairs(w, w)
-    if np.any(q <= 0.0):
+    if (q <= 0.0).any():
         raise ValueError("points coincide; tangent direction undefined")
     w /= np.sqrt(q)[:, None]
     return w
@@ -289,7 +296,7 @@ def tangent_part(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     q = mink_dot(w, w)
     if q <= 0.0:
         raise ValueError("vector has no spacelike tangential component")
-    return w / np.sqrt(q)
+    return w / math.sqrt(q)
 
 
 def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
@@ -299,10 +306,11 @@ def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     product cancels terms of size d0^2 and x0*d0.
     """
     q = mink_dot(d, d)
-    if abs(q - 1.0) > REP_TOL * max(1.0, d[0] * d[0]):
+    d0 = d.item(0)
+    if abs(q - 1.0) > REP_TOL * max(1.0, d0 * d0):
         raise ValueError(f"direction must be unit spacelike: <v,v> = {q!r}")
     t = mink_dot(x, d)
-    if abs(t) > REP_TOL * max(1.0, abs(x[0] * d[0])):
+    if abs(t) > REP_TOL * max(1.0, abs(x.item(0) * d0)):
         raise ValueError(f"direction must be tangent to base point: <x,v> = {t!r}")
     return q, t
 

@@ -170,11 +170,11 @@ def _check_weights(w: np.ndarray) -> None:
 def _centroids(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`centroid_fold`'s location and weight for each row of summed masses, with its checks."""
     m2 = -mink_pairs(acc, acc)
-    if np.any(m2 <= 0.0):
+    if (m2 <= 0.0).any():
         raise ValueError("total mass is zero; centroid undefined")
     x = from_vector_rows(acc)
     z = np.sqrt(m2)
-    bad = np.flatnonzero(~np.isfinite(z))
+    bad = (~np.isfinite(z)).nonzero()[0]
     if bad.size:
         raise ValueError(f"weight must be finite and non-negative, got {float(z[bad[0]])!r}")
     return x, z

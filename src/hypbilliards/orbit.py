@@ -180,7 +180,7 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-
     m = orbit.masses
     merged, merged_mass = pair_folds(np.roll(m, 1), prev, np.roll(m, -1), mirrored)
     target_mass = orbit.multiplier * m
-    if np.any(target_mass == 0.0):  # as the float quotient of one bounce would
+    if (target_mass == 0.0).any():  # as the float quotient of one bounce would
         raise ZeroDivisionError("float division by zero")
     centroid_dist = chord_dist_rows(merged, pts)
     centroid_mass_rel = np.abs(merged_mass - target_mass) / target_mass

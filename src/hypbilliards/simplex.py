@@ -255,7 +255,7 @@ def facet_hits(margins: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
     the point (`region_of` gives `Region.FACET_INTERIOR`), or -1."""
     near = np.abs(margins) <= tol
-    hit = ~np.any(margins < -tol, axis=1) & (np.count_nonzero(near, axis=1) == 1)
+    hit = ~(margins < -tol).any(axis=1) & (np.count_nonzero(near, axis=1) == 1)
     return np.where(hit, np.argmax(near, axis=1), -1)
 
 

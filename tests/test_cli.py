@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from hypbilliards import orbit, report, simplex, weights
+from hypbilliards import flow, orbit, report, simplex, weights
 from hypbilliards.cli import main, parse_dims, parse_floats
 from hypbilliards.simplex import build
 
@@ -312,6 +313,43 @@ def test_simulate_start_coords_validation(capsys):
     code, _, _ = run(capsys, "simulate", "--dim", "2", "--edge", "1",
                      "--start-coords", "1,0,0,0")
     assert code == 2
+
+
+def test_simulate_breakdown_exits_five(capsys):
+    code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1e-9", "--steps", "3")
+    assert (code, out) == (5, "")
+    assert err == "numerical breakdown: points coincide; tangent direction undefined\n"
+
+
+def test_simulate_flow_breakdown_exit_code_follows_the_launch(capsys, monkeypatch):
+    """Flowing the default launch, perturbed or not, breaks down with exit 5; a
+    launch from --start-coords/--dir-coords is the user's, so its errors stay exit 2."""
+    message = "bounce 0: state has left the simplex slice (defect 2.000e-09)"
+
+    def broken(s, state, steps):
+        raise ValueError(message)
+
+    monkeypatch.setattr(flow, "iterate", broken)
+    for extra in ((), ("--perturb", "0.1")):
+        code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1", *extra)
+        assert (code, out, err) == (5, "", f"numerical breakdown: {message}\n")
+    s = build(2, 1.0)
+    start = ",".join(repr(float(x)) for x in s.circumcenter.coords)
+    aim = ",".join(repr(float(x)) for x in s.vertex(0).coords)
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1",
+                         "--start-coords", start, "--dir-coords", aim)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_simulate_perturbation_seed_check_exits_two(capsys, monkeypatch):
+    class ZeroDraw:  # a seed whose draw has no part off the launch direction
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDraw())
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1", "--perturb", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "error: degenerate perturbation direction; change the seed\n"
 
 
 def test_simulate_perturbation_deterministic(capsys):

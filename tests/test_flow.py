@@ -13,7 +13,7 @@ from hypbilliards.flow import (
     FlowState,
     NonSmoothHitError,
     Trajectory,
-    _crossing_ratio,
+    _next_hit,
     iterate,
     launch_state,
     next_collision,
@@ -34,20 +34,45 @@ def make_orbit(n, a):
     return s, construct_orbit(s, build_sequence(n, a))
 
 
-def test_crossing_ratio_unit_cases():
-    # receding or parallel: no hit
-    assert _crossing_ratio(0.5, 0.0, 0.0) is None
-    assert _crossing_ratio(0.5, 0.3, 0.0) is None
+def test_next_hit_unit_cases():
+    # facet 1 is always a clean crossing at t = 0.9, so each case shows
+    # whether facet 0's crossing is taken or skipped
+    t1 = math.tanh(0.9)
+
+    def hit0(mu, nu, last=None):
+        k, t = _next_hit([mu, t1], [nu, -1.0], last)
+        return k == 0, t
+
+    # stationary (nu = 0) or receding: no hit
+    assert hit0(0.5, 0.0) == (False, pytest.approx(0.9, rel=1e-12))
+    assert not hit0(0.5, 0.3)[0]
     # margin too large to ever cross: asymptotic approach
-    assert _crossing_ratio(1.0, -0.5, 0.0) is None
+    for mu, nu in ((1.0, -0.5), (2.0, -2.0)):
+        assert not hit0(mu, nu)[0]
+        with pytest.raises(ValueError, match="no forward facet crossing"):
+            _next_hit([mu, 0.5], [nu, 0.0], None)
     # clean crossing at t = atanh(mu) for nu = -1
-    ratio = _crossing_ratio(math.tanh(0.7), -1.0, 0.0)
-    assert math.atanh(ratio) == pytest.approx(0.7, rel=1e-12)
-    # a minimum flight time filters the same crossing out
-    assert _crossing_ratio(math.tanh(0.7), -1.0, math.tanh(0.8)) is None
+    took, t = hit0(math.tanh(0.7), -1.0)
+    assert took and t == pytest.approx(0.7, rel=1e-12)
+    # the T_MIN floor filters a short flight off the departure facet only
+    mu = math.tanh(0.5 * flow_mod.T_MIN)
+    assert not hit0(mu, -1.0, last=0)[0]
+    took, t = hit0(mu, -1.0, last=1)
+    assert took and t == pytest.approx(0.5 * flow_mod.T_MIN, rel=1e-9)
     # sitting exactly on the facet and leaving: not a forward hit
-    assert _crossing_ratio(0.0, -1.0, 0.0) is None
-    assert _crossing_ratio(-1e-12, -1.0, 0.0) is None
+    assert not hit0(0.0, -1.0)[0]
+    assert not hit0(-1e-12, -1.0)[0]
+
+
+def test_next_hit_tie_goes_to_lower_index():
+    mu = math.tanh(0.4)
+    assert _next_hit([0.9, mu, mu], [0.0, -1.0, -1.0], None)[0] == 1
+    assert _next_hit([mu, mu], [-1.0, -1.0], None)[0] == 0
+
+
+def test_next_hit_names_first_facet_outside():
+    with pytest.raises(ValueError, match=r"margin -0\.5 at facet 1\)"):
+        _next_hit([0.2, -0.5, -0.7], [-1.0, -1.0, -1.0], None)
 
 
 def test_next_collision_center_to_facet_center():

@@ -18,6 +18,7 @@ from hypbilliards.geometry import (
     check_on_sheet,
     check_on_sheet_rows,
     check_unit_normal_rows,
+    check_unit_tangent,
     chord_dist_rows,
     dist_rows,
     from_vector_rows,
@@ -32,6 +33,7 @@ from hypbilliards.geometry import (
     reflect,
     safe_arccosh,
     segment_defect,
+    tangent_part,
     to_poincare_ball,
     unit_tangent,
 )
@@ -435,3 +437,95 @@ def test_normal_row_check_raises_the_hyperplane_error():
     with pytest.raises(ValueError) as point_err:
         Hyperplane(bad[1])
     assert str(point_err.value) == str(rows_err.value)
+
+
+# The numpy-scalar forms that `mink_dot`, `to_sheet` and `tangent_part` had
+# before their timelike term became a Python float product.  The pins below
+# rest on numpy's routing: a 1-D ``ndarray.dot`` and a 1-D ``@`` both call
+# ``cblas_ddot``, so the spacelike sum is the same call either way, and the
+# remaining product, sum and square root are single IEEE operations.
+def _old_mink_dot(x, y):
+    return float(-x[0] * y[0] + x[1:] @ y[1:])
+
+
+def _old_to_sheet(w):
+    return w / np.sqrt(-_old_mink_dot(w, w))
+
+
+def _old_tangent_part(x, v):
+    w = v + _old_mink_dot(x, v) * x
+    return w / np.sqrt(_old_mink_dot(w, w))
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def test_scalar_path_matches_numpy_scalar_forms_bitwise():
+    rng = np.random.default_rng(21)
+    for length in range(2, 131):
+        for _ in range(8):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, size=length)
+            x, y = scale * rng.standard_normal(length), rng.standard_normal(length)
+            assert _bits(mink_dot(x, y)) == _bits(_old_mink_dot(x, y)), length
+            w = x.copy()
+            w[0] = math.sqrt(1.0 + x[1:] @ x[1:]) * rng.uniform(1.0, 3.0)
+            assert _bits(to_sheet(w)) == _bits(_old_to_sheet(w)), length
+            p = to_sheet(w)
+            d = tangent_part(p, y)
+            assert _bits(d) == _bits(_old_tangent_part(p, y)), length
+            q, t = check_unit_tangent(p, d)
+            assert _bits((q, t)) == _bits((_old_mink_dot(d, d), _old_mink_dot(p, d))), length
+
+
+def test_scalar_path_signed_zeros_bitwise():
+    zeros = (0.0, -0.0)
+    for x0, y0, a, c in zip(*(np.array(np.meshgrid(zeros, (1.0, -1.0, *zeros), zeros,
+                                                   (1.0, -1.0, *zeros))).reshape(4, -1))):
+        for tail in ([0.0], [-0.0], [0.0, -0.0]):
+            x, y = np.array([x0, a, *tail]), np.array([y0, c, *tail])
+            assert _bits(mink_dot(x, y)) == _bits(_old_mink_dot(x, y)), (x, y)
+            assert _bits(mink_dot(y, x)) == _bits(_old_mink_dot(y, x)), (x, y)
+    # the one exception: numpy's ``.dot`` multiplies one-entry vectors as
+    # scalars, so at length 2 a zero spacelike product keeps its sign, where
+    # ``ddot`` adds it to a +0.0 start; every point of a simplex has n + 2 >= 3
+    x, y = np.array([0.0, 0.0]), np.array([1.0, -1.0])
+    assert (mink_dot(x, y), _old_mink_dot(x, y)) == (0.0, 0.0)
+    assert _bits(mink_dot(x, y)) == _bits(-0.0) and _bits(_old_mink_dot(x, y)) == _bits(0.0)
+
+
+def test_scalar_path_inf_and_nan_bitwise():
+    """Where one operand of each scalar operation is NaN, or none is, the bytes match.
+
+    Not pinned: a product or sum of two NaNs with different bits, such as
+    ``-x0 * x0`` for a NaN x0.  Which of the two NaNs comes out depends on
+    the order in which the compiler passed the operands, in numpy's build
+    and in Python's, so both forms give a NaN but not always the same one.
+    The `to_sheet` and `tangent_part` cases avoid such pairs: they differ
+    from the old forms only in the scalar operations.
+    """
+    nan, inf = math.nan, math.inf
+
+    def two_nans(a, b):
+        return math.isnan(a) and math.isnan(b) and _bits(a) != _bits(b)
+
+    specials = (0.0, -0.0, 1.5, -2.0, inf, -inf, nan, -nan)
+    pinned = 0
+    with np.errstate(invalid="ignore"):
+        for x0, y0, a, c in zip(*(np.array(np.meshgrid(*[specials] * 4)).reshape(4, -1))):
+            x, y = np.array([x0, a, 1.0]), np.array([y0, c, 2.0])
+            old, new = _old_mink_dot(x, y), mink_dot(x, y)
+            if two_nans(-x0, y0) or two_nans(-x0 * y0, float(x[1:] @ y[1:])):
+                assert math.isnan(old) and math.isnan(new), (x, y)
+            else:
+                assert _bits(new) == _bits(old), (x, y)
+                pinned += 1
+    assert pinned > 0.6 * len(specials) ** 4
+    with np.errstate(invalid="ignore"):
+        for w in ([inf, 1.0, 2.0], [3.0, 1.0, nan], [3.0, -nan, 1.0], [inf, inf, 0.0]):
+            w = np.array(w)
+            assert _bits(to_sheet(w)) == _bits(_old_to_sheet(w)), w
+        x = lift([0.3, -0.4]).coords
+        for v in ([0.0, inf, 1.0], [0.0, 1.0, -inf], [1.0, 0.5, -inf]):
+            v = np.array(v)
+            assert _bits(tangent_part(x, v)) == _bits(_old_tangent_part(x, v)), v
