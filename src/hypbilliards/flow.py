@@ -30,13 +30,11 @@ All bounces run through one loop, `_run`, on bare coordinate arrays.  A
 run comes out as a `Trajectory` of read-only stacks, row i for bounce i:
 facets, points, arclengths and invariant drifts.  The loop builds no
 `HPoint` and no record per bounce, yet makes every check the point and
-tangent classes make, through the same functions in `geometry`.  The
-facet margins of each bounce point serve both to classify it and as the
-next flight's margins.  `iterate` is the loop; `step` is one bounce of
-it, and `next_collision` and `reflect_at` run its flight and its mirror
-on one point object.  Those three stay public as the one-bounce entry
-points that tests drive single bounces through.  The loop calls none of
-them, so a profiler that wraps them by name sees no bounce of `iterate`.
+tangent classes make, through the same functions in `geometry`.  Each
+bounce is one call each of `next_collision` (the flight), `classify_point`
+(the arrival) and `reflect_at` (the mirror); the facet margins that
+`classify_point` returns serve as the next flight's margins.  `iterate`
+is the loop and `step` is one bounce of it.
 Every Minkowski product is one BLAS ``ddot`` per pair of vectors: margins
 against all facets are one `mink_dots` over the simplex's normal stack,
 a stacked vector-vector matmul that numpy runs as one ``ddot`` per row.
@@ -53,10 +51,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (HPoint, Hyperplane, TangentVec, check_on_sheet, check_unit_tangent,
-                       chord_dist, mink_dot, mink_dots, mink_inner, tangent_part, to_sheet,
-                       unit_tangent)
-from .simplex import Region, RegularSimplex, classify_point, region_of
+from .geometry import (HPoint, check_on_sheet, check_unit_tangent, chord_dist, mink_dot,
+                       mink_dots, mink_inner, tangent_part, to_sheet, unit_tangent)
+from .simplex import Region, RegularSimplex, classify_point
 
 if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's algebra
     from .orbit import BilliardOrbit
@@ -82,10 +79,10 @@ class NonSmoothHitError(RuntimeError):
 
 
 def _check_unit_speed(vv: float, xv: float) -> None:
-    """`FlowState`'s fixed-tolerance checks of <v,v> = 1 and <x,v> = 0."""
-    if abs(vv - 1.0) > 1e-10:
+    """`FlowState`'s fixed-tolerance checks of <v,v> = 1 and <x,v> = 0 (NaN fails both)."""
+    if not abs(vv - 1.0) <= 1e-10:
         raise ValueError(f"direction must be unit spacelike: <v,v> = {vv!r}")
-    if abs(xv) > 1e-10:
+    if not abs(xv) <= 1e-10:
         raise ValueError(f"direction must be tangent to position: <x,v> = {xv!r}")
 
 
@@ -109,7 +106,7 @@ def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowSta
     return FlowState(a, tangent_part(a.coords, unit_tangent(a, b)), last_facet)
 
 
-def _next_hit(mus: list[float], nus: list[float], last: int | None) -> tuple[int, float]:
+def next_collision(mus: list[float], nus: list[float], last: int | None) -> tuple[int, float]:
     """Facet and flight time of the first forward crossing, from the position's
     margins ``mus`` and the direction's margins ``nus`` against every facet.
 
@@ -133,7 +130,7 @@ def _next_hit(mus: list[float], nus: list[float], last: int | None) -> tuple[int
     return best_k, math.atanh(best)
 
 
-def _mirror(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float) -> np.ndarray:
+def reflect_at(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float) -> np.ndarray:
     """Direction d at x, on facet k with normal u and margin <x,u>, mirrored and re-projected."""
     if abs(margin) > 1e-9:
         raise ValueError(f"reflection point is not on facet {k}")
@@ -141,28 +138,6 @@ def _mirror(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float) 
     if abs(nu) <= GRAZE_TOL:
         raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu})")
     return tangent_part(x, d - 2.0 * nu * u)
-
-
-def next_collision(s: RegularSimplex, state: FlowState) -> tuple[int, HPoint, float]:
-    """Facet index, collision point, and flight time of the next boundary hit."""
-    normals = s.normal_coords
-    x, v = state.position.coords, state.direction
-    k, t = _next_hit(mink_dots(x, normals).tolist(), mink_dots(v, normals).tolist(),
-                     state.last_facet)
-    return k, HPoint.from_vector(math.cosh(t) * x + math.sinh(t) * v), t
-
-
-def reflect_at(s: RegularSimplex, k: int, q: HPoint, v_in: TangentVec) -> TangentVec:
-    """Specular reflection of an arriving direction at a point of facet k.
-
-    The arrival point must lie on the facet hyperplane and the incidence
-    must be transversal; a normal component up to ``GRAZE_TOL`` is a
-    grazing hit and raises `NonSmoothHitError`.
-    """
-    hp = Hyperplane(s.normal_coords[k % (s.n + 1)])
-    if not np.allclose(v_in.base.coords, q.coords, rtol=0.0, atol=1e-9):
-        raise ValueError("arriving tangent is not based at the reflection point")
-    return TangentVec(q, _mirror(q.coords, v_in.direction, k, hp.normal, hp.margin(q)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +182,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
     drifts = np.empty((steps, 5))
     for i in range(steps):
         try:
-            k, t = _next_hit(mus, mink_dots(v, normals).tolist(), last)
+            k, t = next_collision(mus, mink_dots(v, normals).tolist(), last)
             ch, sh = math.cosh(t), math.sinh(t)
             x_raw, v_raw = ch * x + sh * v, sh * x + ch * v
             check_on_sheet(to_sheet(x_raw))
@@ -228,8 +203,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
             x = to_sheet(x_raw - cx * ones)
             check_on_sheet(x)
 
-            mus = mink_dots(x, normals).tolist()
-            region, facet = region_of(mus)
+            region, facet, mus = classify_point(s, x)
             if region is not Region.FACET_INTERIOR:
                 raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
             if facet != k:
@@ -238,7 +212,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
                 )
             d = tangent_part(x, v_raw - cv * ones)
             check_unit_tangent(x, d)
-            v = _mirror(x, d, k, normals[k], mus[k])
+            v = reflect_at(x, d, k, normals[k], mus[k])
             _check_unit_speed(*check_unit_tangent(x, v))
         except NonSmoothHitError as err:
             err.step = i
@@ -267,7 +241,7 @@ def iterate(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
 def launch_state(s: RegularSimplex, orbit: BilliardOrbit) -> FlowState:
     """Initial flow state of a closed polygon: at P_0, aimed at P_1."""
     p0 = orbit.point(0)
-    return state_toward(p0, orbit.point(1), last_facet=classify_point(s, p0).facet)
+    return state_toward(p0, orbit.point(1), last_facet=classify_point(s, p0.coords)[1])
 
 
 @dataclass(frozen=True)

@@ -135,12 +135,12 @@ class HPoint:
 
 
 def check_on_sheet(v: np.ndarray) -> None:
-    """The `HPoint` invariant: on the unit hyperboloid, on its upper sheet."""
+    """The `HPoint` invariant: on the unit hyperboloid, on its upper sheet (NaN fails both)."""
     q = mink_dot(v, v)
     v0 = v.item(0)
-    if abs(q + 1.0) > REP_TOL * max(1.0, v0 * v0):
+    if not abs(q + 1.0) <= REP_TOL * max(1.0, v0 * v0):
         raise ValueError(f"not on the unit hyperboloid: <x,x> = {q!r}")
-    if v0 <= 0.0:
+    if not v0 > 0.0:
         raise ValueError("timelike coordinate must be positive (upper sheet)")
 
 
@@ -164,10 +164,10 @@ def to_sheet(w: np.ndarray) -> np.ndarray:
 def check_on_sheet_rows(x: np.ndarray) -> None:
     """`check_on_sheet` for every row of x."""
     q = mink_pairs(x, x)
-    bad = (np.abs(q + 1.0) > REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0])).nonzero()[0]
+    bad = (~(np.abs(q + 1.0) <= REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0]))).nonzero()[0]
     if bad.size:
         raise ValueError(f"not on the unit hyperboloid: <x,x> = {float(q[bad[0]])!r}")
-    if (x[:, 0] <= 0.0).any():
+    if not (x[:, 0] > 0.0).all():
         raise ValueError("timelike coordinate must be positive (upper sheet)")
 
 
@@ -177,7 +177,7 @@ def check_unit_normal_rows(u: np.ndarray) -> None:
     The tolerance scales like `HPoint`'s: cancellation in <u,u> grows as u0^2.
     """
     q = mink_pairs(u, u)
-    bad = (np.abs(q - 1.0) > REP_TOL * np.maximum(1.0, u[:, 0] * u[:, 0])).nonzero()[0]
+    bad = (~(np.abs(q - 1.0) <= REP_TOL * np.maximum(1.0, u[:, 0] * u[:, 0]))).nonzero()[0]
     if bad.size:
         raise ValueError(f"normal must be unit spacelike: <u,u> = {float(q[bad[0]])!r}")
 
@@ -307,10 +307,10 @@ def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     """
     q = mink_dot(d, d)
     d0 = d.item(0)
-    if abs(q - 1.0) > REP_TOL * max(1.0, d0 * d0):
+    if not abs(q - 1.0) <= REP_TOL * max(1.0, d0 * d0):
         raise ValueError(f"direction must be unit spacelike: <v,v> = {q!r}")
     t = mink_dot(x, d)
-    if abs(t) > REP_TOL * max(1.0, abs(x.item(0) * d0)):
+    if not abs(t) <= REP_TOL * max(1.0, abs(x.item(0) * d0)):
         raise ValueError(f"direction must be tangent to base point: <x,v> = {t!r}")
     return q, t
 

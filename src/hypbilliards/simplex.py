@@ -220,40 +220,29 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class PointClass:
-    region: Region
-    facet: int | None
-    margins: np.ndarray
-
-
-def classify_point(s: RegularSimplex, p: HPoint, tol: float = 1e-9) -> PointClass:
-    """Locate a point relative to the closed simplex by its facet margins (see `region_of`)."""
-    margins = mink_dots(p.coords, s.normal_coords)
-    return PointClass(*region_of(margins.tolist(), tol), margins)
-
-
-def region_of(margins, tol: float = 1e-9) -> tuple[Region, int | None]:
-    """Region, and facet if on exactly one, of a point with the given facet margins.
+def classify_point(s: RegularSimplex, x: np.ndarray,
+                   tol: float = 1e-9) -> tuple[Region, int | None, list[float]]:
+    """Region of the point with coordinates x, its facet if on exactly one, and its margins.
 
     Outside if any margin is below -tol; interior if all are above tol;
     on the relative interior of facet j if only margin j vanishes; on the
     lower-dimensional boundary (edges, vertices, corners) if two or more
-    margins vanish simultaneously.
+    margins vanish simultaneously.  The margins come back as a list.
     """
+    margins = mink_dots(x, s.normal_coords).tolist()
     if any(m < -tol for m in margins):
-        return Region.OUTSIDE, None
+        return Region.OUTSIDE, None, margins
     near = [j for j, m in enumerate(margins) if abs(m) <= tol]
     if not near:
-        return Region.INTERIOR, None
+        return Region.INTERIOR, None, margins
     if len(near) == 1:
-        return Region.FACET_INTERIOR, near[0]
-    return Region.LOWER_BOUNDARY, None
+        return Region.FACET_INTERIOR, near[0], margins
+    return Region.LOWER_BOUNDARY, None, margins
 
 
 def facet_hits(margins: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
-    the point (`region_of` gives `Region.FACET_INTERIOR`), or -1."""
+    the point (`classify_point` gives `Region.FACET_INTERIOR`), or -1."""
     near = np.abs(margins) <= tol
     hit = ~(margins < -tol).any(axis=1) & (np.count_nonzero(near, axis=1) == 1)
     return np.where(hit, np.argmax(near, axis=1), -1)

@@ -59,12 +59,11 @@ def verify_orbit(s, orbit, facet_tol=1e-9):
 
     for j in range(p):
         pj = orbit.point(j)
-        cls = classify_point(s, pj, tol=facet_tol)
-        if cls.region is Region.FACET_INTERIOR:
-            k = cls.facet
+        region, k, margins = classify_point(s, pj.coords, tol=facet_tol)
+        if region is Region.FACET_INTERIOR:
             facet_ok[j] = True
         else:
-            k = int(np.argmin(np.abs(cls.margins)))
+            k = int(np.argmin(np.abs(margins)))
         facet_of[j] = k
         hp = facet_plane(s, k)
         prev_pt = orbit.point(j - 1)

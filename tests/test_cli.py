@@ -315,6 +315,15 @@ def test_simulate_start_coords_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("i", range(4))
+def test_simulate_nan_start_is_usage_error(capsys, i):
+    start = ["1", "0", "0", "0"]
+    start[i] = "nan"
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1", "--steps", "2",
+                         "--start-coords", ",".join(start), "--dir-coords", "0,1,-1,0")
+    assert (code, out, err) == (2, "", "error: not on the unit hyperboloid: <x,x> = nan\n")
+
+
 def test_simulate_breakdown_exits_five(capsys):
     code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1e-9", "--steps", "3")
     assert (code, out) == (5, "")

@@ -2,6 +2,7 @@
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypbilliards.flow import (
     FlowState,
     NonSmoothHitError,
     Trajectory,
-    _next_hit,
     iterate,
     launch_state,
     next_collision,
@@ -23,9 +23,10 @@ from hypbilliards.flow import (
     state_toward,
     step,
 )
-from hypbilliards.geometry import HPoint, TangentVec, chord_dist, dist, geodesic_point, reflect
+from hypbilliards.geometry import (HPoint, TangentVec, chord_dist, dist, geodesic_point,
+                                  mink_dot, reflect)
 from hypbilliards.orbit import construct_orbit, orbit_edge_lengths
-from hypbilliards.simplex import build
+from hypbilliards.simplex import Region, build, classify_point
 from hypbilliards.weights import build_sequence
 
 
@@ -40,7 +41,7 @@ def test_next_hit_unit_cases():
     t1 = math.tanh(0.9)
 
     def hit0(mu, nu, last=None):
-        k, t = _next_hit([mu, t1], [nu, -1.0], last)
+        k, t = next_collision([mu, t1], [nu, -1.0], last)
         return k == 0, t
 
     # stationary (nu = 0) or receding: no hit
@@ -50,7 +51,7 @@ def test_next_hit_unit_cases():
     for mu, nu in ((1.0, -0.5), (2.0, -2.0)):
         assert not hit0(mu, nu)[0]
         with pytest.raises(ValueError, match="no forward facet crossing"):
-            _next_hit([mu, 0.5], [nu, 0.0], None)
+            next_collision([mu, 0.5], [nu, 0.0], None)
     # clean crossing at t = atanh(mu) for nu = -1
     took, t = hit0(math.tanh(0.7), -1.0)
     assert took and t == pytest.approx(0.7, rel=1e-12)
@@ -66,67 +67,68 @@ def test_next_hit_unit_cases():
 
 def test_next_hit_tie_goes_to_lower_index():
     mu = math.tanh(0.4)
-    assert _next_hit([0.9, mu, mu], [0.0, -1.0, -1.0], None)[0] == 1
-    assert _next_hit([mu, mu], [-1.0, -1.0], None)[0] == 0
+    assert next_collision([0.9, mu, mu], [0.0, -1.0, -1.0], None)[0] == 1
+    assert next_collision([mu, mu], [-1.0, -1.0], None)[0] == 0
 
 
 def test_next_hit_names_first_facet_outside():
     with pytest.raises(ValueError, match=r"margin -0\.5 at facet 1\)"):
-        _next_hit([0.2, -0.5, -0.7], [-1.0, -1.0, -1.0], None)
+        next_collision([0.2, -0.5, -0.7], [-1.0, -1.0, -1.0], None)
 
 
 def test_next_collision_center_to_facet_center():
     s = build(3, 1.0)
     w = facet_center(s, 2)
-    state = state_toward(s.circumcenter, w)
-    k, q, t = next_collision(s, state)
-    assert k == 2
-    assert chord_dist(q, w) < 1e-12
-    assert t == pytest.approx(dist(s.circumcenter, w), rel=1e-12)
+    tr = iterate(s, state_toward(s.circumcenter, w), 1)
+    assert tr.facets.tolist() == [2]
+    assert chord_dist(HPoint(tr.points[0]), w) < 1e-12
+    assert tr.arclengths[0] == pytest.approx(dist(s.circumcenter, w), rel=1e-12)
+    region, facet, margins = classify_point(s, tr.points[0])
+    assert (region, facet) == (Region.FACET_INTERIOR, 2)
+    assert abs(margins[2]) < 1e-12 and min(margins[:2] + margins[3:]) > 1e-3
 
 
 def test_next_collision_rejects_outside_state():
     s = build(3, 1.0)
     out = reflect(facet_plane(s, 0), s.circumcenter)
-    with pytest.raises(ValueError):
-        next_collision(s, state_toward(out, s.vertex(0)))
+    assert classify_point(s, out.coords)[0] is Region.OUTSIDE
+    with pytest.raises(ValueError, match="state is outside the simplex"):
+        iterate(s, state_toward(out, s.vertex(0)), 1)
+
+
+def _arrival_at_facet_center(s, j):
+    """Facet j's center, its unit normal and margin, and the direction arriving
+    there along the geodesic from the circumcenter."""
+    w = facet_center(s, j)
+    t = dist(s.circumcenter, w)
+    x, v = s.circumcenter.coords, TangentVec.toward(s.circumcenter, w).direction
+    arrive = TangentVec.from_raw(w, math.sinh(t) * x + math.cosh(t) * v).direction
+    u = s.normal_coords[j]
+    return w.coords, u, mink_dot(w.coords, u), arrive
 
 
 def test_reflect_at_involution():
     s = build(3, 1.0)
-    w = facet_center(s, 0)
-    t = dist(s.circumcenter, w)
-    x, v = s.circumcenter.coords, TangentVec.toward(s.circumcenter, w).direction
-    arrive = TangentVec.from_raw(w, math.sinh(t) * x + math.cosh(t) * v)
-    out = reflect_at(s, 0, w, arrive)
-    back = reflect_at(s, 0, w, out)
-    assert np.abs(back.direction - arrive.direction).max() < 1e-12
+    x, u, margin, arrive = _arrival_at_facet_center(s, 0)
+    out = reflect_at(x, arrive, 0, u, margin)
+    back = reflect_at(x, out, 0, u, margin)
+    assert np.abs(back - arrive).max() < 1e-12
     # the perpendicular arrival just reverses
-    assert np.abs(out.direction + arrive.direction).max() < 1e-9
+    assert np.abs(out + arrive).max() < 1e-9
 
 
 def test_reflect_at_rejects_bad_input():
     s = build(3, 1.0)
-    w = facet_center(s, 0)
-    good = TangentVec.toward(w, s.vertex(0))
-    with pytest.raises(ValueError):
-        reflect_at(s, 0, s.circumcenter, TangentVec.toward(s.circumcenter, w))
-    with pytest.raises(ValueError):
-        reflect_at(s, 0, w, TangentVec.toward(s.circumcenter, w))
+    x, u, margin, arrive = _arrival_at_facet_center(s, 0)
+    # the circumcenter is not on facet 0
+    c = s.circumcenter.coords
+    with pytest.raises(ValueError, match="reflection point is not on facet 0"):
+        reflect_at(c, TangentVec.toward(s.circumcenter, s.vertex(0)).direction, 0, u,
+                   mink_dot(c, u))
     # direction inside the facet plane: grazing
-    inside = TangentVec.toward(w, s.vertex(1))
-    with pytest.raises(NonSmoothHitError):
-        reflect_at(s, 0, w, inside)
-
-
-def test_reflect_at_rejects_nearby_base():
-    # the base check is absolute: 1e-7 off is far outside its 1e-9
-    s = build(3, 1.0)
-    w = facet_center(s, 0)
-    near = geodesic_point(w, s.vertex(1), 1e-7)
-    assert chord_dist(near, w) == pytest.approx(1e-7, rel=1e-6)
-    with pytest.raises(ValueError, match="not based at the reflection point"):
-        reflect_at(s, 0, w, TangentVec.toward(near, s.vertex(0)))
+    inside = TangentVec.toward(HPoint(x), s.vertex(1)).direction
+    with pytest.raises(NonSmoothHitError, match="grazing incidence at facet 0"):
+        reflect_at(x, inside, 0, u, margin)
 
 
 def test_flow_retraces_constructed_orbit():
@@ -211,6 +213,19 @@ def test_flow_state_validation():
     assert not good.direction.flags.writeable
 
 
+def test_flow_state_rejects_nan():
+    """Every comparison with NaN is false, so each check is written to fail on it."""
+    s = build(2, 1.0)
+    good = state_toward(s.circumcenter, s.vertex(0))
+    for i in range(s.ambient_dim):
+        d = good.direction.copy()
+        d[i] = math.nan
+        with pytest.raises(ValueError, match=r"unit spacelike: <v,v> = nan"):
+            FlowState(good.position, d)
+    with pytest.raises(ValueError, match=r"tangent to position: <x,v> = nan"):
+        flow_mod._check_unit_speed(1.0, math.nan)
+
+
 def test_step_returns_bounce_record():
     s, orb = make_orbit(2, 0.5)
     one = step(s, launch_state(s, orb))
@@ -256,6 +271,28 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
     assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
     assert nxt.direction.tobytes() == fin.direction.tobytes()
     assert nxt.last_facet == fin.last_facet == one.facets[0]
+
+
+def test_loop_runs_the_named_layers(monkeypatch):
+    """Each bounce of `iterate` is one call each of the `flow` module's `next_collision`,
+    `classify_point` and `reflect_at` bindings, so wrapping them by name sees every bounce."""
+    s, orb = make_orbit(3, 1.0)
+    target = geodesic_point(orb.point(1), orb.point(2), 0.3)
+    st = state_toward(orb.point(0), target, last_facet=0)
+    plain = iterate(s, st, 20)
+    calls = Counter()
+    for name in ("next_collision", "classify_point", "reflect_at"):
+        def counted(*args, _fn=getattr(flow_mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(flow_mod, name, counted)
+    wrapped = iterate(s, st, 20)
+    assert calls == {"next_collision": 20, "classify_point": 20, "reflect_at": 20}
+    for field in ("facets", "points", "arclengths", "drifts"):
+        assert getattr(wrapped, field).tobytes() == getattr(plain, field).tobytes()
+    fin, ref = wrapped.final_state, plain.final_state
+    assert fin.position.coords.tobytes() == ref.position.coords.tobytes()
+    assert fin.direction.tobytes() == ref.direction.tobytes()
 
 
 def _runtime_imports(path: Path) -> set[str]:

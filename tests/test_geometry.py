@@ -439,6 +439,26 @@ def test_normal_row_check_raises_the_hyperplane_error():
     assert str(point_err.value) == str(rows_err.value)
 
 
+def test_nan_fails_every_point_check():
+    """A NaN at any coordinate of a point, direction, normal or row fails its check:
+    each check is written as ``not (value <= tol)``, which NaN leaves true."""
+    x = np.array([math.cosh(0.5), math.sinh(0.5), 0.0])
+    d = np.array([0.0, 0.0, 1.0])  # unit, tangent at x, and a unit normal
+    check_unit_tangent(x, d)
+    for i in range(3):
+        bad_x, bad_d = x.copy(), d.copy()
+        bad_x[i] = bad_d[i] = math.nan
+        for check in (HPoint, check_on_sheet, lambda v: check_on_sheet_rows(np.array([x, v]))):
+            with pytest.raises(ValueError, match=r"not on the unit hyperboloid: <x,x> = nan$"):
+                check(bad_x)
+        with pytest.raises(ValueError, match=r"unit spacelike: <v,v> = nan$"):
+            check_unit_tangent(x, bad_d)
+        with pytest.raises(ValueError, match=r"tangent to base point: <x,v> = nan$"):
+            check_unit_tangent(bad_x, d)
+        with pytest.raises(ValueError, match=r"normal must be unit spacelike: <u,u> = nan$"):
+            check_unit_normal_rows(np.array([d, bad_d]))
+
+
 # The numpy-scalar forms that `mink_dot`, `to_sheet` and `tangent_part` had
 # before their timelike term became a Python float product.  The pins below
 # rest on numpy's routing: a 1-D ``ndarray.dot`` and a 1-D ``@`` both call

@@ -173,26 +173,23 @@ def test_vertex_reflection_identity(n, a):
 
 def test_classify_interior_and_facets():
     s = build(3, 1.0)
-    c = classify_point(s, s.circumcenter)
-    assert c.region is Region.INTERIOR and c.facet is None
-    assert np.all(c.margins > 0.0)
+    region, facet, margins = classify_point(s, s.circumcenter.coords)
+    assert region is Region.INTERIOR and facet is None
+    assert min(margins) > 0.0
+    assert margins == geometry_mod.mink_dots(s.circumcenter.coords, s.normal_coords).tolist()
     for j in range(4):
-        c = classify_point(s, facet_center(s, j))
-        assert c.region is Region.FACET_INTERIOR
-        assert c.facet == j
+        assert classify_point(s, facet_center(s, j).coords)[:2] == (Region.FACET_INTERIOR, j)
 
 
 def test_classify_vertices_and_outside():
     s = build(3, 1.0)
     # a vertex lies on the n facets it belongs to: lower-dimensional boundary
-    c = classify_point(s, s.vertex(1))
-    assert c.region is Region.LOWER_BOUNDARY and c.facet is None
+    assert classify_point(s, s.vertex_coords[1])[:2] == (Region.LOWER_BOUNDARY, None)
     out = reflect(facet_plane(s, 0), s.circumcenter)
-    assert classify_point(s, out).region is Region.OUTSIDE
+    assert classify_point(s, out.coords)[:2] == (Region.OUTSIDE, None)
     # for a segment each facet is a single vertex
     s1 = build(1, 1.0)
-    c1 = classify_point(s1, s1.vertex(0))
-    assert c1.region is Region.FACET_INTERIOR and c1.facet == 1
+    assert classify_point(s1, s1.vertex_coords[0])[:2] == (Region.FACET_INTERIOR, 1)
 
 
 def test_facet_centers_make_right_angles():
