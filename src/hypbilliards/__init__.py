@@ -13,7 +13,6 @@ command-line tool.
 from .geometry import (
     HPoint,
     Hyperplane,
-    TangentVec,
     angle_at,
     chord_dist,
     dist,
@@ -35,7 +34,7 @@ from .report import Tolerances, evaluate_cell, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "HPoint", "Hyperplane", "TangentVec",
+    "HPoint", "Hyperplane",
     "angle_at", "chord_dist", "dist", "foot_of_perpendicular", "geodesic_point",
     "hyperplane_through", "mink_inner", "reflect", "segment_defect",
     "to_poincare_ball",

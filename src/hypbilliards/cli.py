@@ -30,7 +30,7 @@ from . import report as report_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
 from .flow import NonSmoothHitError
-from .geometry import HPoint, TangentVec, mink_inner
+from .geometry import HPoint, mink_dot, mink_inner, tangent_part
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -180,13 +180,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if given:
         if args.start_coords is None or args.dir_coords is None:
             raise ValueError("--start-coords and --dir-coords must be given together")
-        p = HPoint(args.start_coords)
-        if abs(simplex_mod.slice_defect(s, p)) > 1e-9:
+        p, ones = HPoint(args.start_coords), s.slice_vector()
+        if abs(mink_dot(p.coords, ones)) > 1e-9:
             raise ValueError("start point is outside the simplex slice")
-        tv = TangentVec.from_raw(p, args.dir_coords)
-        if abs(mink_inner(tv.direction, s.slice_vector())) > 1e-9:
+        state = flow_mod.FlowState(p, tangent_part(p.coords, args.dir_coords))
+        if abs(mink_dot(state.direction, ones)) > 1e-9:
             raise ValueError("direction points out of the simplex slice")
-        state = flow_mod.FlowState(p, tv.direction)
     if args.perturb:
         state = _perturbed(state, s, args.perturb, args.seed)
     try:
@@ -251,9 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=100, help="number of bounces")
     p_sim.add_argument("--csv", dest="csv_path", default=None, help="write CSV here")
     p_sim.add_argument("--start-coords", default=None,
-                       help="ambient start coordinates, comma separated (default: orbit start)")
+                       help="n+2 ambient start coordinates, comma separated (default: orbit "
+                            "start); a value that starts with '-' needs the "
+                            "--start-coords=VALUE form")
     p_sim.add_argument("--dir-coords", default=None,
-                       help="ambient direction, projected and normalized")
+                       help="n+2 ambient direction coordinates, projected and normalized; "
+                            "a value that starts with '-' needs the --dir-coords=VALUE form")
     p_sim.add_argument("--perturb", type=float, default=0.0,
                        help="rotate the launch direction by this angle (radians)")
     p_sim.add_argument("--seed", type=int, default=0, help="perturbation seed")
@@ -290,7 +292,11 @@ def check_args(args: argparse.Namespace) -> None:
         for name in ("start_coords", "dir_coords"):
             text = getattr(args, name)
             if text is not None:
-                setattr(args, name, np.array([float(x) for x in text.split(",")]))
+                v = np.array([float(x) for x in text.split(",")])
+                if len(v) != args.dim + 2:
+                    raise ValueError(f"--{name.replace('_', '-')} needs n+2 = {args.dim + 2} "
+                                     f"entries at n = {args.dim}, got {len(v)}")
+                setattr(args, name, v)
     # last, so every earlier message wins as it would without this check; in a
     # sweep, an edge that no cell can build is a usage error, and one beyond
     # only the larger dimensions' bounds fails those cells

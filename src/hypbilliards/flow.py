@@ -29,8 +29,8 @@ arrive tangentially are outside the scope of the mirror law and raise
 All bounces run through one loop, `_run`, on bare coordinate arrays.  A
 run comes out as a `Trajectory` of read-only stacks, row i for bounce i:
 facets, points, arclengths and invariant drifts.  The loop builds no
-`HPoint` and no record per bounce, yet makes every check the point and
-tangent classes make, through the same functions in `geometry`.  Each
+`HPoint` and no record per bounce, yet makes every check that `HPoint` and
+`FlowState` make, through the same functions in `geometry`.  Each
 bounce is one call each of `next_collision` (the flight), `classify_point`
 (the arrival) and `reflect_at` (the mirror); the facet margins that
 `classify_point` returns serve as the next flight's margins.  `iterate`
@@ -78,14 +78,6 @@ class NonSmoothHitError(RuntimeError):
         self.step = step
 
 
-def _check_unit_speed(vv: float, xv: float) -> None:
-    """`FlowState`'s fixed-tolerance checks of <v,v> = 1 and <x,v> = 0 (NaN fails both)."""
-    if not abs(vv - 1.0) <= 1e-10:
-        raise ValueError(f"direction must be unit spacelike: <v,v> = {vv!r}")
-    if not abs(xv) <= 1e-10:
-        raise ValueError(f"direction must be tangent to position: <x,v> = {xv!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class FlowState:
     """Unit-speed billiard state; ``last_facet`` names the facet just bounced off, if any."""
@@ -98,7 +90,9 @@ class FlowState:
         d = np.array(np.asarray(self.direction, dtype=np.float64), copy=True)
         d.setflags(write=False)
         object.__setattr__(self, "direction", d)
-        _check_unit_speed(mink_inner(d, d), mink_inner(self.position.coords, d))
+        if d.shape != self.position.coords.shape:
+            raise ValueError("direction dimension does not match base point")
+        check_unit_tangent(self.position.coords, d)
 
 
 def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowState:
@@ -213,7 +207,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
             d = tangent_part(x, v_raw - cv * ones)
             check_unit_tangent(x, d)
             v = reflect_at(x, d, k, normals[k], mus[k])
-            _check_unit_speed(*check_unit_tangent(x, v))
+            check_unit_tangent(x, v)
         except NonSmoothHitError as err:
             err.step = i
             raise

@@ -129,10 +129,6 @@ class HPoint:
         v[0] = 1.0
         return cls(v)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.coords.shape[0]
-
 
 def check_on_sheet(v: np.ndarray) -> None:
     """The `HPoint` invariant: on the unit hyperboloid, on its upper sheet (NaN fails both)."""
@@ -260,36 +256,6 @@ def unit_tangent(a: HPoint, b: HPoint) -> np.ndarray:
     return w / np.sqrt(q)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVec:
-    """Unit tangent vector attached to a base point: a geodesic direction."""
-
-    base: HPoint
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(_as_vector(self.direction), dtype=np.float64, copy=True)
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
-        if d.shape != self.base.coords.shape:
-            raise ValueError("direction dimension does not match base point")
-        check_unit_tangent(self.base.coords, d)
-
-    @classmethod
-    def toward(cls, a: HPoint, b: HPoint) -> "TangentVec":
-        # re-project: for nearby points the cancellation in `unit_tangent`
-        # leaves a tangency error of order eps / d(A,B)
-        return cls.from_raw(a, unit_tangent(a, b))
-
-    @classmethod
-    def from_raw(cls, base: HPoint, v) -> "TangentVec":
-        """Project an ambient vector onto the tangent space at ``base`` and normalize."""
-        w = _as_vector(v)
-        if w.shape != base.coords.shape:
-            raise ValueError(f"dimension mismatch: {base.coords.shape} vs {w.shape}")
-        return cls(base, tangent_part(base.coords, w))
-
-
 def tangent_part(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The unit vector along the part of ``v`` tangent to the sheet at ``x``."""
     w = v + mink_dot(x, v) * x
@@ -299,8 +265,8 @@ def tangent_part(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w / math.sqrt(q)
 
 
-def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """The `TangentVec` invariants of direction d at x; returns ``<d,d>`` and ``<x,d>``.
+def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> None:
+    """The unit-tangent invariants of direction d at x: ``<d,d> = 1`` and ``<x,d> = 0``.
 
     Both tolerances scale like `HPoint`'s: far from the basepoint each
     product cancels terms of size d0^2 and x0*d0.
@@ -312,7 +278,6 @@ def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     t = mink_dot(x, d)
     if not abs(t) <= REP_TOL * max(1.0, abs(x.item(0) * d0)):
         raise ValueError(f"direction must be tangent to base point: <x,v> = {t!r}")
-    return q, t
 
 
 def dist(a: HPoint, b: HPoint) -> float:

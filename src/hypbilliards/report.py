@@ -177,7 +177,8 @@ def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
     """Build and evaluate every (n, edge) cell; results in lexicographic order.
 
     A cell whose build or evaluation breaks down numerically (`ValueError`
-    or `ArithmeticError`) is reported as failed, with
+    or `ArithmeticError`), or whose closure flow hits a corner or grazes a
+    facet (`flow.NonSmoothHitError`), is reported as failed, with
     ``"<ExceptionClass>: <message>"`` as its failure and no residuals, and
     the sweep goes on with the next cell.
     """
@@ -191,7 +192,7 @@ def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
             s = simplex_mod.build(n, a)
             seq = weights_mod.build_sequence(n, a)
             reports.append(evaluate_cell(s, seq, orbit_mod.construct_orbit(s, seq), tol))
-        except (ValueError, ArithmeticError) as err:
+        except (ValueError, ArithmeticError, flow_mod.NonSmoothHitError) as err:
             reports.append(CellReport(n, a, {}, (f"{type(err).__name__}: {err}",), None))
     return VerificationReport(tol, tuple(reports))
 

@@ -308,7 +308,3 @@ def disk_coords(s: RegularSimplex, points: np.ndarray) -> np.ndarray:
         raise ValueError("point does not live in the simplex ambient space")
     return np.matmul(helmert_basis(s.n), x[:, 1:, None])[:, :, 0] / (1.0 + x[:, :1])
 
-
-def slice_defect(s: RegularSimplex, p: HPoint) -> float:
-    """How far a point sits from the simplex slice: the all-ones component of its spacelike part."""
-    return float(np.sum(p.coords[1:]))

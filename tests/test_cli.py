@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypbilliards import flow, orbit, report, simplex, weights
 from hypbilliards.cli import main, parse_dims, parse_floats
@@ -191,6 +193,46 @@ def test_verify_reports_broken_cell_and_goes_on(capsys, tmp_path, edges, bad, fa
     assert err.strip().splitlines()[-1] == "sweep over 2 cells: FAIL"
 
 
+def test_verify_records_a_corner_hitting_cell_and_goes_on(capsys, tmp_path):
+    """A closure flow that hits a corner fails its cell; it does not end the sweep."""
+    rpath = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--dims", "3,9", "--edges", "1,2.1544346900318822e-08",
+                         "--report", str(rpath))
+    assert (code, out) == (1, "")
+    cells = {(c["n"], c["edge"]): c for c in json.loads(rpath.read_text())["cells"]}
+    assert len(cells) == 4
+    assert cells[3, 1.0]["passed"] and cells[9, 1.0]["passed"]
+    corner = cells[9, 2.1544346900318822e-08]
+    assert corner["residuals"] == {}
+    assert corner["failures"] == [
+        "NonSmoothHitError: bounce 0: hit the lower-boundary region of the boundary"]
+    assert err.strip().splitlines()[-1] == "sweep over 4 cells: FAIL"
+
+
+@st.composite
+def cells(draw):
+    """A dimension in 2..12 and an edge log-uniform in [1e-8, max_edge(n)]."""
+    n = draw(st.integers(2, 12))
+    top = simplex.max_edge(n)
+    return n, min(math.exp(draw(st.floats(math.log(1e-8), math.log(top)))), top)
+
+
+@given(cells())
+@example((9, 2.1544346900318822e-08))  # a corner hit in the closure flow
+@example((5, simplex.max_edge(5)))  # a cyclic fold's square overflows
+@settings(max_examples=60, deadline=None)
+def test_every_cell_ends_in_a_classified_outcome(tmp_path_factory, cell):
+    """No (n, edge) in the domain ends in a traceback: `verify` writes its one-cell
+    report and passes or fails it, and `orbit` exits with a documented code."""
+    n, edge = cell
+    rpath = tmp_path_factory.mktemp("verify") / "report.json"
+    assert main(["verify", "--dims", str(n), "--edges", repr(edge),
+                 "--report", str(rpath)]) in (0, 1)
+    assert len(json.loads(rpath.read_text())["cells"]) == 1
+    assert main(["orbit", "--dim", str(n), "--edge", repr(edge),
+                 "--json", os.devnull]) in (0, 1, 4, 5)
+
+
 def test_verify_edge_beyond_cosh_range_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--dims", "3", "--edges", "1,800")
     assert (code, out) == (2, "")
@@ -313,6 +355,30 @@ def test_simulate_start_coords_validation(capsys):
     code, _, _ = run(capsys, "simulate", "--dim", "2", "--edge", "1",
                      "--start-coords", "1,0,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("start,direction,name,count", [
+    ("1,0,0", "0,1,-1,0", "start-coords", 3),
+    ("1,0,0,0,0", "0,1,-1,0", "start-coords", 5),
+    ("1,0,0,0", "0,1,-1", "dir-coords", 3),
+])
+def test_simulate_coords_need_n_plus_two_entries(capsys, start, direction, name, count):
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1",
+                         "--start-coords", start, "--dir-coords", direction)
+    assert (code, out) == (2, "")
+    assert err == f"error: --{name} needs n+2 = 4 entries at n = 2, got {count}\n"
+
+
+def test_simulate_leading_minus_needs_the_equals_form(capsys):
+    """argparse reads a value that starts with '-' and holds a comma as a flag."""
+    argv = ("simulate", "--dim", "2", "--edge", "1", "--steps", "2", "--start-coords", "1,0,0,0")
+    code, out, _ = run(capsys, *argv, "--dir-coords=-0.0,1,-1,0")
+    assert code == 0
+    assert out.splitlines()[0] == "step,facet,arclength,disk0,disk1"
+    assert len(out.splitlines()) == 3
+    code, out, err = run(capsys, *argv, "--dir-coords", "-0.0,1,-1,0")
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
 
 
 @pytest.mark.parametrize("i", range(4))

@@ -23,8 +23,8 @@ from hypbilliards.flow import (
     state_toward,
     step,
 )
-from hypbilliards.geometry import (HPoint, TangentVec, chord_dist, dist, geodesic_point,
-                                  mink_dot, reflect)
+from hypbilliards.geometry import (HPoint, chord_dist, dist, geodesic_point, mink_dot, reflect,
+                                  tangent_part, unit_tangent)
 from hypbilliards.orbit import construct_orbit, orbit_edge_lengths
 from hypbilliards.simplex import Region, build, classify_point
 from hypbilliards.weights import build_sequence
@@ -101,8 +101,8 @@ def _arrival_at_facet_center(s, j):
     there along the geodesic from the circumcenter."""
     w = facet_center(s, j)
     t = dist(s.circumcenter, w)
-    x, v = s.circumcenter.coords, TangentVec.toward(s.circumcenter, w).direction
-    arrive = TangentVec.from_raw(w, math.sinh(t) * x + math.cosh(t) * v).direction
+    x, v = s.circumcenter.coords, state_toward(s.circumcenter, w).direction
+    arrive = tangent_part(w.coords, math.sinh(t) * x + math.cosh(t) * v)
     u = s.normal_coords[j]
     return w.coords, u, mink_dot(w.coords, u), arrive
 
@@ -123,10 +123,10 @@ def test_reflect_at_rejects_bad_input():
     # the circumcenter is not on facet 0
     c = s.circumcenter.coords
     with pytest.raises(ValueError, match="reflection point is not on facet 0"):
-        reflect_at(c, TangentVec.toward(s.circumcenter, s.vertex(0)).direction, 0, u,
+        reflect_at(c, state_toward(s.circumcenter, s.vertex(0)).direction, 0, u,
                    mink_dot(c, u))
     # direction inside the facet plane: grazing
-    inside = TangentVec.toward(HPoint(x), s.vertex(1)).direction
+    inside = state_toward(HPoint(x), s.vertex(1)).direction
     with pytest.raises(NonSmoothHitError, match="grazing incidence at facet 0"):
         reflect_at(x, inside, 0, u, margin)
 
@@ -213,6 +213,32 @@ def test_flow_state_validation():
     assert not good.direction.flags.writeable
 
 
+def test_flow_state_checks_shape_and_unit_tangent():
+    p = HPoint.basepoint(3)
+    FlowState(p, [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="unit spacelike"):
+        FlowState(p, [0.0, 2.0, 0.0])
+    with pytest.raises(ValueError, match="tangent to base point"):
+        FlowState(p, [1.0, math.sqrt(2.0), 0.0])
+    for wrong in ([0.0, 1.0], [[0.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError, match="direction dimension does not match base point"):
+            FlowState(p, wrong)
+
+
+@pytest.mark.parametrize("a,frac", [(20.0, 0.99), (30.0, 0.5)])
+def test_flow_state_accepts_far_states(a, frac):
+    """A state normalized by the program itself, far from the circumcenter, is a
+    valid state: <v,v> and <x,v> there cancel terms of size x0^2, so their
+    rounding error exceeds a fixed tolerance such as 1e-10."""
+    s = build(2, a)
+    c = s.circumcenter
+    p = geodesic_point(c, s.vertex(0), frac * dist(c, s.vertex(0)))
+    assert p.coords[0] > 900.0
+    d = tangent_part(p.coords, unit_tangent(p, facet_center(s, 0)))
+    state = FlowState(p, d)
+    assert state.direction.tobytes() == d.tobytes()
+
+
 def test_flow_state_rejects_nan():
     """Every comparison with NaN is false, so each check is written to fail on it."""
     s = build(2, 1.0)
@@ -222,8 +248,11 @@ def test_flow_state_rejects_nan():
         d[i] = math.nan
         with pytest.raises(ValueError, match=r"unit spacelike: <v,v> = nan"):
             FlowState(good.position, d)
-    with pytest.raises(ValueError, match=r"tangent to position: <x,v> = nan"):
-        flow_mod._check_unit_speed(1.0, math.nan)
+    # the on-sheet check scales its tolerance with x0^2, so it admits x0 = inf;
+    # <x,v> is then -inf * 0 = nan
+    assert good.direction[0] == 0.0
+    with pytest.raises(ValueError, match=r"tangent to base point: <x,v> = nan"):
+        FlowState(HPoint([math.inf, 0.0, 0.0, 0.0]), good.direction)
 
 
 def test_step_returns_bounce_record():

@@ -14,6 +14,7 @@ from hypbilliards.geometry import (
     angle_at,
     dist,
     hyperplane_through,
+    mink_dot,
     mink_inner,
     reflect,
     segment_defect,
@@ -33,7 +34,6 @@ from hypbilliards.simplex import (
     max_edge,
     metrics,
     simplex_directions,
-    slice_defect,
     vertex_reflection_identity_residual,
 )
 from hypbilliards.orbit import construct_orbit
@@ -314,7 +314,7 @@ def test_simplex_data_stays_on_slice(n, a):
     s = build(n, a)
     pts = [*map(HPoint, s.vertex_coords), *map(HPoint, s.center_coords), s.circumcenter]
     for p in pts:
-        assert abs(slice_defect(s, p)) < 1e-12
+        assert abs(mink_dot(p.coords, s.slice_vector())) < 1e-12
 
 
 def test_dataclass_shape():
