@@ -18,11 +18,9 @@ from .geometry import (
     dist,
     foot_of_perpendicular,
     geodesic_point,
-    hyperplane_through,
     mink_inner,
     reflect,
     segment_defect,
-    to_poincare_ball,
 )
 from .masses import PointMass, centroid_fold, combine_intrinsic, scale_masses
 from .simplex import RegularSimplex, build, classify_point, metrics
@@ -36,8 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HPoint", "Hyperplane",
     "angle_at", "chord_dist", "dist", "foot_of_perpendicular", "geodesic_point",
-    "hyperplane_through", "mink_inner", "reflect", "segment_defect",
-    "to_poincare_ball",
+    "mink_inner", "reflect", "segment_defect",
     "PointMass", "centroid_fold", "combine_intrinsic", "scale_masses",
     "RegularSimplex", "build", "classify_point", "metrics",
     "MassSequence", "build_sequence", "eval_g", "eval_h", "solve_y0",

@@ -9,38 +9,37 @@ after one period up to rounding.
 
 Collision times are closed-form: the crossing of the facet with normal u
 satisfies tanh t = -<x,u>/<v,u>, so no numerical stepping is involved.
-Position and velocity are renormalized onto the hyperboloid and its
-tangent space after every bounce; the pre-normalization drift is recorded
-per bounce so invariant violations cannot pass silently.
 
-The simplex lives in a linear slice of the ambient space and the flow must
-stay there too.  That constraint is actively maintained: rounding noise in
-the slice-orthogonal direction is stretched by a factor e^t per flight (it
-rides a diverging geodesic mode), so after the propagation step the state
-is projected back onto the slice, and the pre-projection defect goes into
-the drift record.  Without this the noise reaches O(1) within a couple
-hundred bounces and the trajectory escapes into the unbounded prism that
-the facet hyperplanes bound in the full ambient space.
+The loop runs on facet margins: a state is (mu, x0, nu, v0), the margins
+mu_k = <x, u_k> and nu_k = <v, u_k> against the N = n+1 facet normals and
+the timelike coordinates.  The normals span the simplex slice, so the state
+cannot leave it, and their Gram matrix is G = alpha I + beta J, with p the
+normals' timelike coordinate, q^2 = 1 + p^2, alpha = q^2 N/n and
+beta = -p^2 - q^2/n.  Every vector of the slice has sum(mu) = -N p x0, so
+<x, y> = (mu . nu + N beta x0 y0) / alpha, with no term that cancels.  The
+flight mixes (mu, x0) and (nu, v0) with the weights cosh t and sinh t; the
+mirror at facet k negates nu_k and moves every other nu_j by -2 nu_k beta
+and v0 by -2 nu_k p.  A bounce makes no Minkowski product.
 
-Hits that land on the lower-dimensional boundary (edges, vertices) or
-arrive tangentially are outside the scope of the mirror law and raise
-`NonSmoothHitError`.
+x0 and v0 are redundant but carried: as -sum(nu)/(N p), v0 would cancel
+margins of size 1 down to p, of the size of the edge a, an error of eps/a.
+The consistency defect (sum(mu) + N p x0)/N that rounding leaves grows like
+e^t per flight on a diverging geodesic mode and would collapse a chaotic
+run within a few hundred bounces, so after every flight it is removed from
+every margin; one above 1e-9 raises.  The slice cannot be seen in margins,
+so a state is checked against it once, on entry.  Position and direction
+are then renormalized onto the hyperboloid and its tangent space.  Each
+bounce records the defects and the invariants' drift before renormalizing,
+so violations cannot pass silently.  Hits on edges and vertices, or at
+grazing incidence, are outside the mirror law and raise `NonSmoothHitError`.
 
-All bounces run through one loop, `_run`, on bare coordinate arrays.  A
-run comes out as a `Trajectory` of read-only stacks, row i for bounce i:
-facets, points, arclengths and invariant drifts.  The loop builds no
-`HPoint` and no record per bounce, yet makes every check that `HPoint` and
-`FlowState` make, through the same functions in `geometry`.  Each
-bounce is one call each of `next_collision` (the flight), `classify_point`
-(the arrival) and `reflect_at` (the mirror); the facet margins that
-`classify_point` returns serve as the next flight's margins.  `iterate`
-is the loop and `step` is one bounce of it.
-Every Minkowski product is one BLAS ``ddot`` per pair of vectors: margins
-against all facets are one `mink_dots` over the simplex's normal stack,
-a stacked vector-vector matmul that numpy runs as one ``ddot`` per row.
-They are never a 2-D matrix-vector product over the normals: ``gemv``
-rounds differently in the last bit for most vectors, and the orbit
-residuals pinned under ``tests/golden/`` would move.
+All bounces run through one loop, `_run`: per bounce one call each of
+`next_collision` (the flight) and `reflect_at` (the mirror), `simplex`'s
+rule for the arrival, and the checks of `HPoint` and `FlowState` on the
+margin form of their products.  A run comes out as a `Trajectory` of
+read-only stacks, row i for bounce i, whose points are rebuilt once per run:
+the spatial part of x is mu times the normals' spatial parts, over alpha.
+`iterate` is the loop and `step` is one bounce of it.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (HPoint, check_on_sheet, check_unit_tangent, chord_dist, mink_dot,
-                       mink_dots, mink_inner, tangent_part, to_sheet, unit_tangent)
-from .simplex import Region, RegularSimplex, classify_point
+from .geometry import (HPoint, check_sheet_products, check_tangent_products, check_unit_tangent,
+                       chord_dist, mink_dot, mink_dots, mink_inner, tangent_part, unit_tangent)
+from .simplex import Region, RegularSimplex, classify_margins, classify_point
 
 if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's algebra
     from .orbit import BilliardOrbit
@@ -124,14 +123,19 @@ def next_collision(mus: list[float], nus: list[float], last: int | None) -> tupl
     return best_k, math.atanh(best)
 
 
-def reflect_at(x: np.ndarray, d: np.ndarray, k: int, u: np.ndarray, margin: float) -> np.ndarray:
-    """Direction d at x, on facet k with normal u and margin <x,u>, mirrored and re-projected."""
+def reflect_at(nu: np.ndarray, v0: float, k: int, margin: float, p: float,
+               beta: float) -> tuple[np.ndarray, float]:
+    """Direction margins ``nu`` and coordinate ``v0`` mirrored at facet k, where the
+    position's margin is ``margin``: v - 2 nu_k u_k moves nu_j by -2 nu_k G_kj and v0
+    by -2 nu_k p (module docstring)."""
     if abs(margin) > 1e-9:
         raise ValueError(f"reflection point is not on facet {k}")
-    nu = mink_dot(d, u)
-    if abs(nu) <= GRAZE_TOL:
-        raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu})")
-    return tangent_part(x, d - 2.0 * nu * u)
+    nu_k = nu.item(k)
+    if abs(nu_k) <= GRAZE_TOL:
+        raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu_k})")
+    out = nu - 2.0 * nu_k * beta
+    out[k] = -nu_k
+    return out, v0 - 2.0 * nu_k * p
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +143,9 @@ class Trajectory:
     """The bounces of one run as read-only stacks, row i for bounce i, and the state after them.
 
     ``facets`` is ``(k,)`` intp, ``points`` ``(k, n+2)``, ``arclengths`` ``(k,)``.
-    ``drifts`` is ``(k, 5)``: the pre-normalization invariant errors accumulated
-    over each incoming flight, |<x,x>+1|, |<v,v>-1|, |<x,v>|, and the
-    slice-orthogonal components of position and direction.
+    ``drifts`` is ``(k, 5)``: the errors accumulated over each incoming flight,
+    |<x,x>+1|, |<v,v>-1| and |<x,v>| before normalization, and the consistency
+    defects |sum(mu)/N + p x0| and |sum(nu)/N + p v0| of position and direction.
     """
 
     facets: np.ndarray
@@ -164,60 +168,81 @@ class Trajectory:
 
 
 def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """The billiard loop: ``steps`` bounces from ``state``."""
-    normals = s.normal_coords
-    ones = s.slice_vector()
-    m, unit = s.n + 1.0, math.sqrt(s.n + 1.0)
+    """The billiard loop: ``steps`` bounces from ``state``, in margin coordinates."""
+    big, normals = s.n + 1, s.normal_coords
+    p = normals.item(0, 0)
+    q2 = 1.0 + p * p
+    alpha, beta = q2 * big / s.n, -p * p - q2 / s.n
+    nb, all_ones = big * beta, np.ones(big)
+
+    def inner(a, b, a0, b0):
+        return (float(a.dot(b)) + nb * a0 * b0) / alpha
+
     x, v, last = state.position.coords, state.direction, state.last_facet
-    mus = mink_dots(x, normals).tolist()
-    facets = np.empty(steps, dtype=np.intp)
-    points = np.empty((steps, s.ambient_dim))
-    arclengths = np.empty(steps)
-    drifts = np.empty((steps, 5))
+    ones = s.slice_vector()
+    defect = max(abs(mink_dot(x, ones)), abs(mink_dot(v, ones))) / math.sqrt(big)
+    if defect > 1e-9:
+        raise ValueError(f"state has left the simplex slice (defect {defect:.3e})")
+    mu, nu, x0, v0 = mink_dots(x, normals), mink_dots(v, normals), x.item(0), v.item(0)
+    mus, nus = mu.tolist(), nu.tolist()
+    facets, points = np.empty(steps, dtype=np.intp), np.empty((steps, big + 1))
+    arclengths, margins, drifts = np.empty(steps), np.empty((steps, big)), np.empty((steps, 5))
     for i in range(steps):
         try:
-            k, t = next_collision(mus, mink_dots(v, normals).tolist(), last)
+            k, t = next_collision(mus, nus, last)
             ch, sh = math.cosh(t), math.sinh(t)
-            x_raw, v_raw = ch * x + sh * v, sh * x + ch * v
-            check_on_sheet(to_sheet(x_raw))
+            mu, nu = ch * mu + sh * nu, sh * mu + ch * nu
+            x0, v0 = ch * x0 + sh * v0, sh * x0 + ch * v0
 
-            # slice maintenance: measure, guard, project (see module docstring)
-            cx = mink_dot(x_raw, ones) / m
-            cv = mink_dot(v_raw, ones) / m
-            defect = max(abs(cx), abs(cv)) * unit
-            if defect > 1e-9:
-                raise ValueError(f"bounce {i}: state has left the simplex slice (defect {defect:.3e})")
-            drifts[i] = (
-                abs(mink_dot(x_raw, x_raw) + 1.0),
-                abs(mink_dot(v_raw, v_raw) - 1.0),
-                abs(mink_dot(x_raw, v_raw)),
-                abs(cx) * unit,
-                abs(cv) * unit,
-            )
-            x = to_sheet(x_raw - cx * ones)
-            check_on_sheet(x)
+            # consistency: measure, guard, project (see module docstring)
+            dx, dv = float(mu.dot(all_ones)) / big + p * x0, float(nu.dot(all_ones)) / big + p * v0
+            if (defect := max(abs(dx), abs(dv))) > 1e-9:
+                raise ValueError(f"bounce {i}: margins disagree with the timelike coordinate "
+                                 f"(defect {defect:.3e})")
+            mu -= dx
+            nu -= dv
+            xx, vv, xv = inner(mu, mu, x0, x0), inner(nu, nu, v0, v0), inner(mu, nu, x0, v0)
+            drifts[i] = (abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv))
 
-            region, facet, mus = classify_point(s, x)
+            # `to_sheet` and `check_on_sheet`, then `classify_point`'s rule
+            if not xx < 0.0:
+                raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {xx!r})")
+            if x0 < 0.0:
+                raise ValueError("timelike vector points into the lower sheet")
+            mu /= (scale := math.sqrt(-xx))
+            x0 /= scale
+            check_sheet_products(inner(mu, mu, x0, x0), x0)
+            region, facet = classify_margins(mus := mu.tolist())
             if region is not Region.FACET_INTERIOR:
                 raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
             if facet != k:
                 raise NonSmoothHitError(
                     f"bounce {i}: collision facet {k} disagrees with classification {facet}"
                 )
-            d = tangent_part(x, v_raw - cv * ones)
-            check_unit_tangent(x, d)
-            v = reflect_at(x, d, k, normals[k], mus[k])
-            check_unit_tangent(x, v)
+
+            # `tangent_part`, the mirror and `check_unit_tangent`
+            xv = inner(mu, nu, x0, v0)
+            nu += xv * mu
+            v0 += xv * x0
+            if not (vv := inner(nu, nu, v0, v0)) > 0.0:
+                raise ValueError("vector has no spacelike tangential component")
+            nu /= (scale := math.sqrt(vv))
+            v0 /= scale
+            nu, v0 = reflect_at(nu, v0, k, mus[k], p, beta)
+            check_tangent_products(inner(nu, nu, v0, v0), inner(mu, nu, x0, v0), x0, v0)
+            nus = nu.tolist()
         except NonSmoothHitError as err:
             err.step = i
             raise
         last = facets[i] = k
-        points[i] = x
-        arclengths[i] = t
+        margins[i], points[i, 0], arclengths[i] = mu, x0, t
+    np.divide(margins @ normals[:, 1:], alpha, out=points[:, 1:])
     for a in (facets, points, arclengths, drifts):
         a.setflags(write=False)
-    final = FlowState(HPoint(x), v, last) if steps else state
-    return Trajectory(facets, points, arclengths, drifts, final)
+    if not steps:
+        return Trajectory(facets, points, arclengths, drifts, state)
+    d = np.concatenate(((v0,), (nu @ normals[:, 1:]) / alpha))
+    return Trajectory(facets, points, arclengths, drifts, FlowState(HPoint(points[-1]), d, last))
 
 
 def step(s: RegularSimplex, state: FlowState) -> Trajectory:
@@ -233,9 +258,10 @@ def iterate(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
 
 
 def launch_state(s: RegularSimplex, orbit: BilliardOrbit) -> FlowState:
-    """Initial flow state of a closed polygon: at P_0, aimed at P_1."""
+    """Initial flow state of a closed polygon: at P_0, along the orbit's `direction`."""
     p0 = orbit.point(0)
-    return state_toward(p0, orbit.point(1), last_facet=classify_point(s, p0.coords)[1])
+    return FlowState(p0, tangent_part(p0.coords, orbit.direction),
+                     classify_point(s, p0.coords)[1])
 
 
 @dataclass(frozen=True)

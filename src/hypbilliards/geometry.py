@@ -5,7 +5,7 @@ Minkowski ambient space with signature ``(-, +, ..., +)``, timelike
 coordinate first.  In this model distances, geodesics, reflections and
 perpendicular feet are all closed-form Minkowski linear algebra, which is
 why it is the single internal representation throughout the package.  The
-Poincare ball appears only as an export chart (`to_poincare_ball`).
+Poincare ball appears only as an export chart (`simplex.disk_coords`).
 
 Every operation that produces a point renormalizes it back onto the
 hyperboloid, so rounding error cannot accumulate multiplicatively along a
@@ -131,10 +131,14 @@ class HPoint:
 
 
 def check_on_sheet(v: np.ndarray) -> None:
-    """The `HPoint` invariant: on the unit hyperboloid, on its upper sheet (NaN fails both)."""
-    q = mink_dot(v, v)
-    v0 = v.item(0)
-    if not abs(q + 1.0) <= REP_TOL * max(1.0, v0 * v0):
+    """The `HPoint` invariant: on the unit hyperboloid, on its upper sheet.  NaN fails,
+    and so do infinite coordinates and an x0 whose square, the tolerance's scale, overflows."""
+    check_sheet_products(mink_dot(v, v), v.item(0))
+
+
+def check_sheet_products(q: float, v0: float) -> None:
+    """`check_on_sheet` of a vector with ``<v,v> = q`` and timelike coordinate v0."""
+    if not abs(q + 1.0) <= REP_TOL * max(1.0, v0 * v0) < math.inf:
         raise ValueError(f"not on the unit hyperboloid: <x,x> = {q!r}")
     if not v0 > 0.0:
         raise ValueError("timelike coordinate must be positive (upper sheet)")
@@ -160,7 +164,8 @@ def to_sheet(w: np.ndarray) -> np.ndarray:
 def check_on_sheet_rows(x: np.ndarray) -> None:
     """`check_on_sheet` for every row of x."""
     q = mink_pairs(x, x)
-    bad = (~(np.abs(q + 1.0) <= REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0]))).nonzero()[0]
+    tol = REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0])
+    bad = (~((np.abs(q + 1.0) <= tol) & (tol < math.inf))).nonzero()[0]
     if bad.size:
         raise ValueError(f"not on the unit hyperboloid: <x,x> = {float(q[bad[0]])!r}")
     if not (x[:, 0] > 0.0).all():
@@ -269,14 +274,18 @@ def check_unit_tangent(x: np.ndarray, d: np.ndarray) -> None:
     """The unit-tangent invariants of direction d at x: ``<d,d> = 1`` and ``<x,d> = 0``.
 
     Both tolerances scale like `HPoint`'s: far from the basepoint each
-    product cancels terms of size d0^2 and x0*d0.
+    product cancels terms of size d0^2 and x0*d0.  As there, non-finite
+    coordinates and overflowing scales fail.
     """
-    q = mink_dot(d, d)
-    d0 = d.item(0)
-    if not abs(q - 1.0) <= REP_TOL * max(1.0, d0 * d0):
+    check_tangent_products(mink_dot(d, d), mink_dot(x, d), x.item(0), d.item(0))
+
+
+def check_tangent_products(q: float, t: float, x0: float, d0: float) -> None:
+    """`check_unit_tangent` of a direction with ``<d,d> = q``, ``<x,d> = t`` and
+    timelike coordinates x0 and d0."""
+    if not abs(q - 1.0) <= REP_TOL * max(1.0, d0 * d0) < math.inf:
         raise ValueError(f"direction must be unit spacelike: <v,v> = {q!r}")
-    t = mink_dot(x, d)
-    if not abs(t) <= REP_TOL * max(1.0, abs(x.item(0) * d0)):
+    if not abs(t) <= REP_TOL * max(1.0, abs(x0 * d0)) < math.inf:
         raise ValueError(f"direction must be tangent to base point: <x,v> = {t!r}")
 
 
@@ -324,38 +333,6 @@ def reflect(h: Hyperplane, p: HPoint) -> HPoint:
     return HPoint.from_vector(p.coords - 2.0 * h.margin(p) * h.normal)
 
 
-def hyperplane_through(points, orthogonal_to=()) -> Hyperplane:
-    """The hyperplane through the given points, with extra orthogonality constraints.
-
-    The coordinate rows of ``points`` together with the raw vectors in
-    ``orthogonal_to`` must span a subspace of rank ``ambient_dim - 1``; the
-    normal is then the one-dimensional Minkowski orthocomplement, computed
-    from an SVD nullspace.  Raises if the span is rank-deficient, if the
-    system is overdetermined, or if the complement is not spacelike (no
-    geodesic hyperplane contains the data).
-    """
-    rows = [p.coords if isinstance(p, HPoint) else _as_vector(p) for p in points]
-    rows.extend(_as_vector(v) for v in orthogonal_to)
-    if not rows:
-        raise ValueError("need at least one point or constraint")
-    m = rows[0].shape[0]
-    a = np.vstack(rows)
-    if a.shape[1] != m:
-        raise ValueError("inconsistent ambient dimensions")
-    # <r, u> = (G r) . u with G = diag(-1, 1, ..., 1), so flip the timelike column
-    a = a.copy()
-    a[:, 0] = -a[:, 0]
-    _, sv, vt = np.linalg.svd(a)
-    rank = int(np.sum(sv > max(a.shape) * np.finfo(np.float64).eps * sv[0]))
-    if rank != m - 1:
-        raise ValueError(f"constraints span rank {rank}, need {m - 1} for a unique hyperplane")
-    u = vt[-1]
-    q = mink_inner(u, u)
-    if q <= REP_TOL:
-        raise ValueError("orthocomplement is not spacelike; no geodesic hyperplane fits")
-    return Hyperplane(u / np.sqrt(q))
-
-
 def foot_of_perpendicular(h: Hyperplane, p: HPoint) -> HPoint:
     """Nearest point of the hyperplane to P; satisfies ``sinh d(P, foot) = |<P,u>|``."""
     return HPoint.from_vector(p.coords - h.margin(p) * h.normal)
@@ -365,8 +342,3 @@ def angle_at(p: HPoint, a: HPoint, b: HPoint) -> float:
     """Angle at P between the geodesics toward A and toward B, in [0, pi]."""
     c = mink_inner(unit_tangent(p, a), unit_tangent(p, b))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def to_poincare_ball(p: HPoint) -> np.ndarray:
-    """Poincare-ball chart ``x_i / (1 + x_0)``; the image lies in the open unit ball."""
-    return p.coords[1:] / (1.0 + p.coords[0])

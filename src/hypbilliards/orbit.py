@@ -24,6 +24,7 @@ computation bit for bit, and every check keeps its threshold and error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,20 +47,12 @@ from .simplex import RegularSimplex, facet_hits
 from .weights import MassSequence
 
 
-def specular_defect(h: Hyperplane, prev_pt: HPoint, at: HPoint, next_pt: HPoint) -> float:
-    """Angle (radians) between the mirror image of the incoming direction and the outgoing one.
-
-    Zero exactly when the path prev -> at -> next reflects off the
-    hyperplane according to the equal-angles law.
-    """
-    rows = (x[None] for x in (h.normal, prev_pt.coords, at.coords, next_pt.coords))
-    return float(specular_defects(*rows)[0])
-
-
 def specular_defects(normals: np.ndarray, prev: np.ndarray, at: np.ndarray,
                      nxt: np.ndarray) -> np.ndarray:
-    """`specular_defect` at every row: the path ``prev[i] -> at[i] -> nxt[i]`` off the
-    hyperplane with normal ``normals[i]``."""
+    """Angle (radians) between the mirror image of the incoming direction and the
+    outgoing one, at every row: the path ``prev[i] -> at[i] -> nxt[i]`` off the
+    hyperplane with normal ``normals[i]``.  Zero exactly when the path reflects
+    according to the equal-angles law."""
     w_in = unit_tangent_rows(at, prev)
     np.negative(w_in, out=w_in)
     w_in -= (2.0 * mink_pairs(w_in, normals))[:, None] * normals  # now its mirror image
@@ -73,24 +66,28 @@ class BilliardOrbit:
     Row j of the ``(p, m)`` stack ``coords`` is the bounce point P_j.  Both
     ``coords`` and ``masses`` are read-only copies of what was passed, and
     every row is checked to lie on the upper sheet, as an `HPoint` would be.
+    ``direction``, read-only and not serialized, points along P_1 - P_0 for the
+    flow's launch: `construct_orbit` passes its D, and the default is P_1 - P_0.
     """
 
     coords: np.ndarray
     masses: np.ndarray
     multiplier: float
+    direction: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.array(self.coords, dtype=np.float64, copy=True)
-        if x.ndim != 2:
+        if x.ndim != 2 or not len(x):
             raise ValueError(f"expected a (p, m) stack of bounce points, got shape {x.shape}")
         check_on_sheet_rows(x)
-        x.setflags(write=False)
-        object.__setattr__(self, "coords", x)
         m = np.array(np.asarray(self.masses, dtype=np.float64), copy=True)
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
         if m.shape != (len(x),):
             raise ValueError("one mass per bounce point required")
+        d = np.array(x[1 % len(x)] - x[0] if self.direction is None else self.direction,
+                     dtype=np.float64)
+        for name, value in (("coords", x), ("masses", m), ("direction", d)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def period(self) -> int:
@@ -102,11 +99,6 @@ class BilliardOrbit:
 
     def mass(self, j: int) -> float:
         return float(self.masses[j % self.period])
-
-    def reversed(self) -> "BilliardOrbit":
-        """The same closed polygon traversed backwards (P_0, P_n, ..., P_1)."""
-        idx = [(-j) % self.period for j in range(self.period)]
-        return BilliardOrbit(self.coords[idx], self.masses[idx], self.multiplier)
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,13 @@ def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
         )
     # w_{n+1} = 0, so k = 0..n suffices
     points, masses = cyclic_folds(seq.weights[:-1], s.vertex_coords)
-    return BilliardOrbit(points, masses, seq.multiplier)
+    # D = sum_(i=1..N) d_i V_(i mod N), N = n+1, is parallel to P_1 - P_0 (every fold has the
+    # same mass) and to sum (w_(i-1) - w_i) V_i, and sinh A sinh B = (cosh(A+B) - cosh(A-B))/2
+    # makes each weight difference one sinh, d_i = sinh((2i-1-N) theta/2) / sinh(theta/2).
+    big, unit = s.n + 1, math.sinh(0.5 * seq.theta)
+    d = [math.sinh(0.5 * (2 * i - 1 - big) * seq.theta) / unit for i in range(1, big + 1)]
+    launch = np.array(d) @ np.roll(s.vertex_coords, -1, axis=0)
+    return BilliardOrbit(points, masses, seq.multiplier, launch)
 
 
 def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-9) -> OrbitVerification:

@@ -11,8 +11,8 @@ the circumcenter sits at the model basepoint (1, 0, ..., 0).
 The circumradius r satisfies sinh^2 r = n (cosh a - 1) / (n + 1), which is
 what makes every pairwise vertex distance come out to a.  Facet normals
 have the same symmetric shape as the vertices and are written down in
-closed form; `hyperplane_through` can rederive them from vertex incidence
-as a cross-check.
+closed form; the tests rederive them from vertex incidence as a
+cross-check.
 
 A `RegularSimplex` holds its data only as coordinate stacks, one row per
 vertex or facet: `build` checks every row once (on the sheet, or unit
@@ -222,22 +222,27 @@ class Region(enum.Enum):
 
 def classify_point(s: RegularSimplex, x: np.ndarray,
                    tol: float = 1e-9) -> tuple[Region, int | None, list[float]]:
-    """Region of the point with coordinates x, its facet if on exactly one, and its margins.
+    """`classify_margins` of the point with coordinates x, and its margins as a list."""
+    margins = mink_dots(x, s.normal_coords).tolist()
+    return (*classify_margins(margins, tol), margins)
+
+
+def classify_margins(margins: list[float], tol: float = 1e-9) -> tuple[Region, int | None]:
+    """Region of a point with these facet margins, and its facet if on exactly one.
 
     Outside if any margin is below -tol; interior if all are above tol;
     on the relative interior of facet j if only margin j vanishes; on the
     lower-dimensional boundary (edges, vertices, corners) if two or more
-    margins vanish simultaneously.  The margins come back as a list.
+    margins vanish simultaneously.
     """
-    margins = mink_dots(x, s.normal_coords).tolist()
     if any(m < -tol for m in margins):
-        return Region.OUTSIDE, None, margins
+        return Region.OUTSIDE, None
     near = [j for j, m in enumerate(margins) if abs(m) <= tol]
     if not near:
-        return Region.INTERIOR, None, margins
+        return Region.INTERIOR, None
     if len(near) == 1:
-        return Region.FACET_INTERIOR, near[0], margins
-    return Region.LOWER_BOUNDARY, None, margins
+        return Region.FACET_INTERIOR, near[0]
+    return Region.LOWER_BOUNDARY, None
 
 
 def facet_hits(margins: np.ndarray, tol: float = 1e-9) -> np.ndarray:

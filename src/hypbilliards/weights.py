@@ -170,14 +170,15 @@ def solve_y0(n: int, edge: float) -> float:
 class MassSequence:
     """Solved weight profile for one (n, edge) cell.
 
-    ``weights`` has length n+2 with exact zeros at both ends; ``root`` is
-    cosh(theta), ``multiplier`` is 2 cosh(theta) and ``char_root`` = e^theta is
-    the growth rate of the homogeneous solutions of the recurrence
-    (char_root + 1/char_root = multiplier).
+    ``weights`` has length n+2 with exact zeros at both ends; ``theta`` is the
+    root of F, ``root`` is cosh(theta), ``multiplier`` is 2 cosh(theta) and
+    ``char_root`` = e^theta is the growth rate of the homogeneous solutions of
+    the recurrence (char_root + 1/char_root = multiplier).
     """
 
     n: int
     edge: float
+    theta: float
     shift: float
     root: float
     multiplier: float
@@ -230,4 +231,5 @@ def build_sequence(n: int, edge: float) -> MassSequence:
     scale = 0.5 * shift / math.cosh(0.5 * big * theta)
     w = [scale * (ratio[j] * ratio[big - j]) for j in range(big + 1)]
     root = math.cosh(theta)
-    return MassSequence(n, edge, shift, root, 2.0 * root, math.exp(theta), np.array(w))
+    return MassSequence(n, edge, theta, shift, root, 2.0 * root, math.exp(theta),
+                        np.array(w))

@@ -390,10 +390,20 @@ def test_simulate_nan_start_is_usage_error(capsys, i):
     assert (code, out, err) == (2, "", "error: not on the unit hyperboloid: <x,x> = nan\n")
 
 
+@pytest.mark.parametrize("x0", ["1e200", "inf"])
+def test_simulate_non_finite_start_is_a_point_error(capsys, x0):
+    """x0^2 overflows, so the on-sheet tolerance REP_TOL * x0^2 would admit any point."""
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1",
+                         "--start-coords", f"{x0},0,0,0", "--dir-coords", "0,1,-1,0")
+    assert (code, out, err) == (2, "", "error: not on the unit hyperboloid: <x,x> = -inf\n")
+
+
 def test_simulate_breakdown_exits_five(capsys):
     code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1e-9", "--steps", "3")
     assert (code, out) == (5, "")
-    assert err == "numerical breakdown: points coincide; tangent direction undefined\n"
+    # cosh(1e-9) rounds to 1, so every vertex is the circumcenter and the launch
+    # direction D has no part tangent to the launch point
+    assert err == "numerical breakdown: vector has no spacelike tangential component\n"
 
 
 def test_simulate_flow_breakdown_exit_code_follows_the_launch(capsys, monkeypatch):

@@ -2,14 +2,17 @@
 
 import ast
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flow_reference
 from conftest import facet_center, facet_plane
 from hypbilliards import flow as flow_mod
+from hypbilliards.cli import _perturbed
 from hypbilliards.flow import (
     FlowState,
     NonSmoothHitError,
@@ -23,9 +26,10 @@ from hypbilliards.flow import (
     state_toward,
     step,
 )
-from hypbilliards.geometry import (HPoint, chord_dist, dist, geodesic_point, mink_dot, reflect,
-                                  tangent_part, unit_tangent)
-from hypbilliards.orbit import construct_orbit, orbit_edge_lengths
+from hypbilliards.geometry import (HPoint, check_tangent_products, check_unit_tangent, chord_dist,
+                                  dist, geodesic_point, mink_dot, mink_dots, reflect, tangent_part,
+                                  unit_tangent)
+from hypbilliards.orbit import BilliardOrbit, construct_orbit, orbit_edge_lengths
 from hypbilliards.simplex import Region, build, classify_point
 from hypbilliards.weights import build_sequence
 
@@ -97,38 +101,59 @@ def test_next_collision_rejects_outside_state():
 
 
 def _arrival_at_facet_center(s, j):
-    """Facet j's center, its unit normal and margin, and the direction arriving
-    there along the geodesic from the circumcenter."""
+    """Facet j's center, the direction arriving there along the geodesic from the
+    circumcenter, and the margins of both against every facet."""
     w = facet_center(s, j)
     t = dist(s.circumcenter, w)
     x, v = s.circumcenter.coords, state_toward(s.circumcenter, w).direction
     arrive = tangent_part(w.coords, math.sinh(t) * x + math.cosh(t) * v)
-    u = s.normal_coords[j]
-    return w.coords, u, mink_dot(w.coords, u), arrive
+    return w.coords, arrive, mink_dots(w.coords, s.normal_coords), mink_dots(arrive, s.normal_coords)
+
+
+def _gram(s):
+    """The normals' timelike coordinate p and off-diagonal Gram entry beta."""
+    p = s.normal_coords[0, 0]
+    return p, -p * p - (1.0 + p * p) / s.n
+
+
+def test_reflect_at_matches_the_ambient_mirror():
+    """Margins and v0 mirrored by `reflect_at` are those of the ambient d - 2<d,u>u."""
+    for n in (2, 3, 8):
+        s = build(n, 1.0)
+        p, beta = _gram(s)
+        st = state_toward(s.circumcenter, geodesic_point(s.circumcenter, facet_center(s, 1), 0.5))
+        d, u = st.direction, s.normal_coords[1]
+        nu, v0 = reflect_at(mink_dots(d, s.normal_coords), d[0], 1, 0.0, p, beta)
+        image = d - 2.0 * mink_dot(d, u) * u
+        assert np.abs(nu - mink_dots(image, s.normal_coords)).max() < 1e-14
+        assert abs(v0 - image[0]) < 1e-14
 
 
 def test_reflect_at_involution():
     s = build(3, 1.0)
-    x, u, margin, arrive = _arrival_at_facet_center(s, 0)
-    out = reflect_at(x, arrive, 0, u, margin)
-    back = reflect_at(x, out, 0, u, margin)
-    assert np.abs(back - arrive).max() < 1e-12
+    p, beta = _gram(s)
+    x, arrive, mus, nus = _arrival_at_facet_center(s, 0)
+    before = nus.copy()
+    out, out0 = reflect_at(nus, arrive[0], 0, mus[0], p, beta)
+    assert nus.tobytes() == before.tobytes()  # the input is not mirrored in place
+    back, back0 = reflect_at(out, out0, 0, mus[0], p, beta)
+    assert np.abs(back - nus).max() < 1e-12 and abs(back0 - arrive[0]) < 1e-12
     # the perpendicular arrival just reverses
-    assert np.abs(out + arrive).max() < 1e-9
+    assert np.abs(out + nus).max() < 1e-9 and abs(out0 + arrive[0]) < 1e-9
 
 
 def test_reflect_at_rejects_bad_input():
     s = build(3, 1.0)
-    x, u, margin, arrive = _arrival_at_facet_center(s, 0)
+    p, beta = _gram(s)
+    x, arrive, mus, nus = _arrival_at_facet_center(s, 0)
     # the circumcenter is not on facet 0
     c = s.circumcenter.coords
     with pytest.raises(ValueError, match="reflection point is not on facet 0"):
-        reflect_at(c, state_toward(s.circumcenter, s.vertex(0)).direction, 0, u,
-                   mink_dot(c, u))
+        reflect_at(nus, arrive[0], 0, mink_dot(c, s.normal_coords[0]), p, beta)
     # direction inside the facet plane: grazing
     inside = state_toward(HPoint(x), s.vertex(1)).direction
     with pytest.raises(NonSmoothHitError, match="grazing incidence at facet 0"):
-        reflect_at(x, inside, 0, u, margin)
+        reflect_at(mink_dots(inside, s.normal_coords), inside[0], 0, mus[0], p, beta)
 
 
 def test_flow_retraces_constructed_orbit():
@@ -179,8 +204,8 @@ def test_corner_shot_raises_non_smooth():
 
 
 def test_long_run_keeps_invariants():
-    """A chaotic 1000-bounce run must preserve the hyperboloid, tangency, and
-    slice invariants to rounding accuracy."""
+    """A chaotic 1000-bounce run must preserve the hyperboloid and tangency
+    invariants and the consistency of its margin coordinates to rounding accuracy."""
     s, orb = make_orbit(3, 1.0)
     target = geodesic_point(orb.point(1), orb.point(2), 0.3)
     st = state_toward(orb.point(0), target, last_facet=0)
@@ -248,11 +273,23 @@ def test_flow_state_rejects_nan():
         d[i] = math.nan
         with pytest.raises(ValueError, match=r"unit spacelike: <v,v> = nan"):
             FlowState(good.position, d)
-    # the on-sheet check scales its tolerance with x0^2, so it admits x0 = inf;
-    # <x,v> is then -inf * 0 = nan
-    assert good.direction[0] == 0.0
+    # a unit direction whose product with the base point is nan: a finite
+    # direction cannot meet a finite point that way, so build the product
     with pytest.raises(ValueError, match=r"tangent to base point: <x,v> = nan"):
-        FlowState(HPoint([math.inf, 0.0, 0.0, 0.0]), good.direction)
+        check_tangent_products(1.0, math.nan, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("x0", [1e200, math.inf])
+def test_non_finite_points_fail_the_point_checks(x0):
+    """Where x0^2 overflows, the scaled tolerance REP_TOL * x0^2 is infinite, so it
+    must not admit the vector; neither may an infinite coordinate."""
+    with pytest.raises(ValueError, match=r"not on the unit hyperboloid: <x,x> = -inf"):
+        HPoint([x0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"unit spacelike: <v,v> = -inf"):
+        check_unit_tangent(HPoint.basepoint(4).coords, np.array([x0, 0.0, 1.0, 0.0]))
+    d = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match=r"tangent to base point: <x,v> = nan"):
+        check_unit_tangent(np.array([math.inf, 0.0, 0.0, 0.0]), d)
 
 
 def test_step_returns_bounce_record():
@@ -265,7 +302,7 @@ def test_step_returns_bounce_record():
 
 
 def test_off_slice_state_raises():
-    """A state 1e-8 off the simplex slice is caught at the first bounce."""
+    """A state 1e-8 off the simplex slice is caught on entry: the margins cannot see it."""
     s = build(3, 1.0)
     eps = 1e-8
     x = HPoint(np.array([math.sqrt(1.0 + eps * eps), eps, 0.0, 0.0, 0.0]))
@@ -303,25 +340,74 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
 
 
 def test_loop_runs_the_named_layers(monkeypatch):
-    """Each bounce of `iterate` is one call each of the `flow` module's `next_collision`,
-    `classify_point` and `reflect_at` bindings, so wrapping them by name sees every bounce."""
+    """Each bounce of `iterate` is one call each of the `flow` module's `next_collision`
+    and `reflect_at` bindings, so wrapping them by name sees every bounce; the loop
+    itself makes no Minkowski product per bounce."""
     s, orb = make_orbit(3, 1.0)
     target = geodesic_point(orb.point(1), orb.point(2), 0.3)
     st = state_toward(orb.point(0), target, last_facet=0)
     plain = iterate(s, st, 20)
     calls = Counter()
-    for name in ("next_collision", "classify_point", "reflect_at"):
+    for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots"):
         def counted(*args, _fn=getattr(flow_mod, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(flow_mod, name, counted)
     wrapped = iterate(s, st, 20)
-    assert calls == {"next_collision": 20, "classify_point": 20, "reflect_at": 20}
+    assert calls == {"next_collision": 20, "reflect_at": 20, "mink_dot": 2, "mink_dots": 2}
     for field in ("facets", "points", "arclengths", "drifts"):
         assert getattr(wrapped, field).tobytes() == getattr(plain, field).tobytes()
     fin, ref = wrapped.final_state, plain.final_state
     assert fin.position.coords.tobytes() == ref.position.coords.tobytes()
     assert fin.direction.tobytes() == ref.direction.tobytes()
+
+
+EPS = sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("n", [3, 8, 32, 128])
+def test_margin_loop_follows_the_ambient_loop(n):
+    """From a perturbed launch, the margin loop and the ambient reference bounce
+    off the same first 50 facets at the same points, and both measure small drift."""
+    s, orb = make_orbit(n, 1.0)
+    st = _perturbed(launch_state(s, orb), s, 0.3, 7)
+    got, ref = iterate(s, st, 50), flow_reference.run(s, st, 50)
+    assert got.facets.tolist() == ref.facets.tolist()
+    assert np.abs(got.points - ref.points).max() < 1e-9
+    assert np.abs(got.arclengths - ref.arclengths).max() < 1e-9
+    assert got.max_drift < 16 * EPS and ref.max_drift < 16 * EPS
+
+
+@pytest.mark.parametrize("n,a", [(3, 1.0), (8, 1.0), (32, 1.0), (64, 1.0), (128, 1.0),
+                                 (8, 1e-3), (3, 1e-5)])
+def test_closure_within_eight_eps(n, a):
+    """Launched along the orbit's cancellation-free direction, one flowed period
+    comes back to the launch state within 8 eps."""
+    s, orb = make_orbit(n, a)
+    assert closure_error(s, orb) <= 8 * EPS
+
+
+@pytest.mark.parametrize("n,a,steps", [(3, 1.0, 10_000), (8, 1.0, 10_000), (3, 1e-5, 2000)])
+def test_long_run_drift_within_sixteen_eps(n, a, steps):
+    """The invariants and the consistency of the margin coordinates hold to
+    rounding over every flight of a long chaotic run."""
+    s, orb = make_orbit(n, a)
+    tr = iterate(s, _perturbed(launch_state(s, orb), s, 0.3, 7), steps)
+    assert len(tr) == steps
+    assert tr.max_drift <= 16 * EPS
+
+
+def test_launch_direction_is_aimed_at_the_next_bounce():
+    """The orbit's direction D and the coordinate difference P_1 - P_0 give the same
+    launch to rounding, and D is read-only."""
+    for n, a in ((2, 1.0), (8, 0.5), (32, 1.0)):
+        s, orb = make_orbit(n, a)
+        along = launch_state(s, orb).direction
+        toward = state_toward(orb.point(0), orb.point(1)).direction
+        assert np.abs(along - toward).max() < 1e-12
+        assert not orb.direction.flags.writeable
+        plain = BilliardOrbit(orb.coords, orb.masses, orb.multiplier)
+        assert plain.direction.tobytes() == (orb.coords[1] - orb.coords[0]).tobytes()
 
 
 def _runtime_imports(path: Path) -> set[str]:

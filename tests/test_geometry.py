@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import hpoint_pairs, hpoint_triples, lift, random_hpoint, random_hyperplane
+from conftest import (hpoint_pairs, hpoint_triples, hyperplane_through, lift, random_hpoint,
+                      random_hyperplane, to_poincare_ball)
 from hypbilliards.geometry import (
     HPoint,
     Hyperplane,
@@ -13,7 +14,6 @@ from hypbilliards.geometry import (
     dist,
     foot_of_perpendicular,
     geodesic_point,
-    hyperplane_through,
     check_on_sheet,
     check_on_sheet_rows,
     check_unit_normal_rows,
@@ -33,7 +33,6 @@ from hypbilliards.geometry import (
     safe_arccosh,
     segment_defect,
     tangent_part,
-    to_poincare_ball,
     unit_tangent,
 )
 from hypbilliards.flow import state_toward

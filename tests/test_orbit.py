@@ -13,7 +13,7 @@ from hypbilliards.orbit import (
     midpoint_trajectory_defect,
     orbit_edge_lengths,
     orthic_points,
-    specular_defect,
+    specular_defects,
     verify_orbit,
 )
 from hypbilliards.simplex import build
@@ -69,9 +69,21 @@ def test_construct_orbit_mismatch_raises():
         construct_orbit(s, build_sequence(4, 1.0))
 
 
+def reversed_orbit(orb):
+    """The same closed polygon traversed backwards (P_0, P_n, ..., P_1)."""
+    idx = [(-j) % orb.period for j in range(orb.period)]
+    return BilliardOrbit(orb.coords[idx], orb.masses[idx], orb.multiplier)
+
+
+def specular_defect(h, prev_pt, at, next_pt):
+    """`specular_defects` of one path prev -> at -> next off the hyperplane h."""
+    rows = (x[None] for x in (h.normal, prev_pt.coords, at.coords, next_pt.coords))
+    return float(specular_defects(*rows)[0])
+
+
 def test_reversed_orbit_verifies_identically():
     s, orb = make_orbit(4, 1.0)
-    rev = orb.reversed()
+    rev = reversed_orbit(orb)
     assert rev.point(0).coords.tobytes() == orb.point(0).coords.tobytes()
     assert rev.point(1).coords.tobytes() == orb.point(-1).coords.tobytes()
     res_f = verify_orbit(s, orb).max_residuals()

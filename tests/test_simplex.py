@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import facet_center, facet_plane, facet_vertices
+from conftest import facet_center, facet_plane, facet_vertices, hyperplane_through
 from hypbilliards import geometry as geometry_mod
 from hypbilliards import simplex as simplex_mod
 from hypbilliards.geometry import (
@@ -13,7 +13,6 @@ from hypbilliards.geometry import (
     Hyperplane,
     angle_at,
     dist,
-    hyperplane_through,
     mink_dot,
     mink_inner,
     reflect,

@@ -177,7 +177,7 @@ def test_mass_sequence_validation_and_accessors():
     with pytest.raises(IndexError):
         seq.weight(-1)
     with pytest.raises(ValueError):
-        MassSequence(3, 1.0, seq.shift, seq.root, seq.multiplier, seq.char_root,
+        MassSequence(3, 1.0, seq.theta, seq.shift, seq.root, seq.multiplier, seq.char_root,
                      np.zeros(4))
     assert not seq.weights.flags.writeable
 
@@ -245,3 +245,11 @@ def test_theta_and_weights_match_oracle(n, oracle):
             w = exact.weights[j]
             assert abs(seq.weight(j) - w) <= 4 * EPS * w, (a, j)
         assert abs(eval_g(seq.root, n, a)) < 1e-13
+
+
+@pytest.mark.parametrize("n,a", [(2, 1.0), (8, 1e-3), (128, 2.0), (3, 20.0)])
+def test_sequence_holds_theta_itself(n, a):
+    """theta is the solver's root, not the log of char_root, which would round it."""
+    seq = build_sequence(n, a)
+    assert seq.theta == solve_theta(n, a)
+    assert seq.root == math.cosh(seq.theta) and seq.char_root == math.exp(seq.theta)
