@@ -80,13 +80,12 @@ def _resolve_edges(edges, cosh_edges) -> tuple[float, ...]:
 
 
 def _emit_json(doc, path: str | None, precision: int) -> None:
-    obj = report_mod.jsonable(doc, precision)
     if path:
         with open(path, "w") as fh:
-            report_mod.write_json(fh, obj)
+            report_mod.write_json(fh, doc, precision)
             fh.write("\n")
     else:
-        report_mod.write_json(sys.stdout, obj)
+        report_mod.write_json(sys.stdout, doc, precision)
         sys.stdout.write("\n")
 
 

@@ -9,12 +9,16 @@ one after another in lexicographic (n, edge) order.
 JSON documents serialize floats at full round-trip precision (17
 significant digits) unless a lower precision is requested; reloading a
 document therefore reproduces the emitted values bit for bit.  `write_json`
-writes them in the layout of ``json.dumps(obj, indent=2)``, byte for byte,
-without falling back to the pure-Python encoder that ``indent`` selects.
+takes a document as `simplex_document`, `orbit_document` or
+`sweep_document` builds it, numpy arrays and all, and writes
+``json.dumps(jsonable(doc, sig), indent=2)`` byte for byte, without making
+that copy and without the pure-Python encoder that ``indent`` selects.
 The symmetric coordinates make documents repetitive (a few hundred distinct
-floats among tens of thousands), so each call formats each distinct nonzero
-float of its float lists once; zeros are never cached, because ``0.0`` and
-``-0.0`` are one dict key.
+floats among tens of thousands), so each call rounds and formats each
+distinct nonzero float once; zeros and NaN are formatted every time,
+because ``0.0`` and ``-0.0`` are one dict key and NaN is never found.
+`jsonable` stays public: the writer hands it numpy scalars and non-float64
+arrays, and the tests hold the writer to the dump of its copy.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from . import flow as flow_mod
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
-from .geometry import (HPoint, chord_dist, dist_rows, mink_dots, mink_pairs, mink_table,
-                       segment_defect, unit_tangent_rows)
+from .geometry import (HPoint, chord_dist, chord_dist_rows, dist_rows, mink_dots, mink_pairs,
+                       mink_table, segment_defect, unit_tangent_rows)
 
 
 @dataclass(frozen=True)
@@ -231,23 +235,62 @@ def jsonable(obj, sig: int = 17):
 _escape = json.encoder.encode_basestring_ascii
 
 
-def write_json(fh, obj) -> None:
-    """Write ``json.dumps(obj, indent=2)`` to fh, byte for byte, for what `jsonable` returns.
+def write_json(fh, doc, sig: int = 17) -> None:
+    """Write ``json.dumps(jsonable(doc, sig), indent=2)`` to fh, byte for byte.
 
-    Writes str, int, float, bool and None scalars and dicts with str keys
-    and lists or tuples of them, exactly as ``json`` does; anything else,
-    non-str keys included, raises `TypeError`.  ``json`` falls back to its
-    pure-Python encoder whenever ``indent`` is set.  Here a list of plain
-    ints or of finite floats is one ``str.join``, and the text goes out in
-    pieces, never held whole.  Within one call, each distinct float of those
-    lists is formatted once and its text reused; a list holding ``0.0`` or
-    ``-0.0`` formats every entry, because the two zeros are one dict key.
+    Takes a document as `simplex_document`, `orbit_document` and
+    `sweep_document` build it, arrays and all, and writes it without the
+    copy `jsonable` would make.  ``json`` falls back to its pure-Python
+    encoder whenever ``indent`` is set; here each float64 array is one
+    ``tolist()``, each of its innermost rows and each list of plain ints or
+    floats is one ``str.join``, and the text goes out in pieces, never held
+    whole.  Within one call each distinct float is rounded to ``sig``
+    digits and formatted once (see `_FloatTexts`).  Numpy scalars and
+    non-float64 arrays are written as `jsonable` converts them.  Dicts need
+    str keys; a value ``json`` cannot write, a non-str key included, raises
+    `TypeError`.
     """
-    fh.writelines(_json_chunks(obj, "\n", {}))
+    fh.writelines(_json_chunks(doc, "\n", _FloatTexts(sig)))
 
 
-def _json_chunks(obj, newline: str, reprs: dict[float, str]):
-    if not isinstance(obj, (dict, list, tuple)):
+class _FloatTexts(dict):
+    """JSON text of each float rounded to ``sig`` digits, made on first lookup,
+    and in ``ints`` the text of each int.
+
+    Zeros and NaN are formatted on every lookup and never stored: ``0.0``
+    and ``-0.0`` are one dict key, and NaN never finds itself.  The ints
+    have their own dict because ``1`` and ``1.0`` are one key.
+    """
+
+    def __init__(self, sig: int):
+        super().__init__()
+        self.sig = sig
+        self.ints = _IntTexts()
+
+    def __missing__(self, x: float) -> str:
+        text = _json_scalar(round_sig(x, self.sig))
+        if x and x == x:
+            self[x] = text
+        return text
+
+
+class _IntTexts(dict):
+    def __missing__(self, i: int) -> str:
+        text = self[i] = int.__repr__(i)
+        return text
+
+
+def _json_chunks(obj, newline: str, texts: _FloatTexts):
+    if isinstance(obj, float):
+        yield texts[obj]
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        if isinstance(obj, np.ndarray) and obj.dtype.type is np.float64 and obj.ndim:
+            yield from _float_rows(obj.tolist(), obj.ndim, newline, texts)
+        elif (plain := jsonable(obj, texts.sig)) is obj:  # a numpy str, or nothing json writes
+            yield _json_scalar(obj)
+        else:  # rounded already, so written exactly
+            yield from _json_chunks(plain, newline, _FloatTexts(17))
+    elif not isinstance(obj, (dict, list, tuple)):
         yield _json_scalar(obj)
     elif not obj:
         yield "{}" if isinstance(obj, dict) else "[]"
@@ -258,30 +301,45 @@ def _json_chunks(obj, newline: str, reprs: dict[float, str]):
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             yield sep + _escape(k) + ": "
-            yield from _json_chunks(v, inner, reprs)
+            yield from _json_chunks(v, inner, texts)
             sep = "," + inner
         yield newline + "}"
     else:
-        inner = newline + "  "
         kinds = set(map(type, obj))
         if kinds == {int}:
-            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
-        elif kinds == {float} and math.isfinite(sum(obj)):  # inf or nan make the sum non-finite
-            distinct = set(obj)
-            if 0.0 in distinct:  # -0.0 == 0.0, so a dict would print one zero for both
-                text = map(float.__repr__, obj)
-            else:
-                for x in distinct.difference(reprs):
-                    reprs[x] = float.__repr__(x)
-                text = map(reprs.__getitem__, obj)
-            yield "[" + inner + ("," + inner).join(text) + newline + "]"
+            yield _json_row(map(texts.ints.__getitem__, obj), newline)
+        elif kinds == {float}:
+            yield _json_row(map(texts.__getitem__, obj), newline)
         else:
+            inner = newline + "  "
             sep = "[" + inner
             for v in obj:
                 yield sep
-                yield from _json_chunks(v, inner, reprs)
+                yield from _json_chunks(v, inner, texts)
                 sep = "," + inner
             yield newline + "]"
+
+
+def _float_rows(rows: list, ndim: int, newline: str, texts: _FloatTexts):
+    """`_json_chunks` of a float64 array's ``tolist()``, which holds only floats."""
+    if not rows:
+        yield "[]"
+    elif ndim == 1:
+        yield _json_row(map(texts.__getitem__, rows), newline)
+    else:
+        inner = newline + "  "
+        sep = "[" + inner
+        for row in rows:
+            yield sep
+            yield from _float_rows(row, ndim - 1, inner, texts)
+            sep = "," + inner
+        yield newline + "]"
+
+
+def _json_row(texts, newline: str) -> str:
+    """A non-empty list of scalar texts, one per line."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
 def _json_scalar(obj) -> str:
@@ -322,10 +380,14 @@ def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics) 
     c = math.cosh(s.edge)
     vc = s.vertex_coords
 
-    # vertex k against every later vertex, on a broadcast view of row k: gathering both
-    # ends of all n(n+1)/2 pairs at once would hold two such stacks, 17 MB at n = 128
-    pair_dists = np.concatenate(
-        [dist_rows(np.broadcast_to(vc[k], vc[k + 1:].shape), vc[k + 1:]) for k in range(n)])
+    # `dist` of every vertex pair i < j from one product table, by its own route per pair
+    i, j = np.triu_indices(n + 1, 1)
+    cosh_pair = -mink_table(vc, vc)[i, j]
+    near = cosh_pair < 1.0 + 1e-6
+    pair_dists = np.arccosh(np.where(near, 1.0, cosh_pair))
+    if near.any():
+        pair_dists[near] = [2.0 * math.asinh(0.5 * h)
+                            for h in chord_dist_rows(vc[i[near]], vc[j[near]]).tolist()]
     min_margin = min(mink_pairs(vc, s.normal_coords).tolist())
     right_angle = _right_angle(s) if n >= 2 else 0.0  # at n = 1 the facet is a single point
     center_between = segment_defect(s.circumcenter, s.vertex(0), HPoint(s.center_coords[0]))

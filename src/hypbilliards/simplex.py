@@ -233,16 +233,35 @@ def classify_margins(margins: list[float], tol: float = 1e-9) -> tuple[Region, i
     Outside if any margin is below -tol; interior if all are above tol;
     on the relative interior of facet j if only margin j vanishes; on the
     lower-dimensional boundary (edges, vertices, corners) if two or more
-    margins vanish simultaneously.
+    margins vanish simultaneously.  A NaN margin counts as neither below
+    -tol nor vanishing, like +inf.
+
+    Three C-level scans: the least margin decides outside and interior, and
+    once it is not below -tol every margin left is near exactly when it is
+    at most tol, so the least of the others decides between a facet and the
+    lower-dimensional boundary.  `min` skips a NaN unless the NaN comes
+    first, so such a list is classified again with its NaNs left out.
     """
-    if any(m < -tol for m in margins):
-        return Region.OUTSIDE, None
-    near = [j for j, m in enumerate(margins) if abs(m) <= tol]
-    if not near:
+    if not margins:
         return Region.INTERIOR, None
-    if len(near) == 1:
-        return Region.FACET_INTERIOR, near[0]
-    return Region.LOWER_BOUNDARY, None
+    lo = min(margins)
+    if lo < -tol:
+        return Region.OUTSIDE, None
+    if lo <= tol:
+        j = margins.index(lo)
+        if not (rest := margins[:j] + margins[j + 1:]):
+            return Region.FACET_INTERIOR, j
+        second = min(rest)
+        if second <= tol:
+            return Region.LOWER_BOUNDARY, None
+        if second == second:
+            return Region.FACET_INTERIOR, j
+    elif lo == lo:
+        return Region.INTERIOR, None
+    # a NaN came first in the list handed to `min`: classify the others
+    kept = [j for j, m in enumerate(margins) if m == m]
+    region, k = classify_margins([margins[j] for j in kept], tol)
+    return region, None if k is None else kept[k]
 
 
 def facet_hits(margins: np.ndarray, tol: float = 1e-9) -> np.ndarray:

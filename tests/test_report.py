@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from hypbilliards.flow import iterate, launch_state
 from conftest import facet_plane, facet_vertices
@@ -240,10 +241,15 @@ def test_vertex_facet_incidence_matches_scalar_products(n):
 # ---------------------------------------------------------------------------
 # the indent=2 writer against json.dumps
 
-def json_text(obj) -> str:
+def json_text(obj, sig=17) -> str:
     buf = io.StringIO()
-    write_json(buf, obj)
+    write_json(buf, obj, sig)
     return buf.getvalue()
+
+
+def reference_text(obj, sig=17) -> str:
+    """What `write_json` must write: the indent=2 dump of `jsonable`'s copy."""
+    return json.dumps(jsonable(obj, sig), indent=2)
 
 
 json_scalars = st.one_of(
@@ -277,6 +283,8 @@ json_values = st.recursive(
 @example({"": {}, "a": [], "b": [[]], "c": [{}]})
 def test_write_json_matches_json_dumps_indent_2(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
+    for sig in (9, 3):
+        assert json_text(obj, sig) == reference_text(obj, sig)
 
 
 # Float lists drawn from one small pool per document, so sibling lists repeat
@@ -297,6 +305,31 @@ pooled_documents = st.lists(st.floats(allow_subnormal=True), max_size=4).flatmap
 @given(pooled_documents)
 def test_write_json_matches_json_dumps_on_repeated_floats(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
+    for sig in (9, 3):
+        assert json_text(obj, sig) == reference_text(obj, sig)
+
+
+# float64 arrays of one to three dimensions drawn from one small pool per
+# document, so rows and sibling arrays repeat values; the pool always holds
+# both zeros, NaN, both infinities and a subnormal
+float_pools = st.lists(st.floats(allow_subnormal=True), max_size=4).map(
+    lambda extra: [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5, 0.1 + 0.2, *extra])
+pooled_arrays = float_pools.flatmap(lambda pool: st.lists(
+    npst.arrays(np.float64, npst.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+                elements=st.sampled_from(pool)),
+    min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pooled_arrays, st.sampled_from([17, 9, 3]))
+@example([np.array([[1.7976931348623157e308, -0.0], [2.5e-308, 0.0]])], 3)  # rounds up to inf
+@example([np.zeros((2, 0)), np.empty((0, 3))], 17)
+def test_write_json_matches_jsonable_on_float_arrays(arrays, sig):
+    """Arrays straight from the document, as lists and inside a dict, against the
+    indent=2 dump of `jsonable`'s copy."""
+    first = arrays[0]
+    doc = {"a": arrays, "b": {"row": first, "x": float(first.flat[0]) if first.size else 1.5}}
+    assert json_text(doc, sig) == reference_text(doc, sig)
 
 
 def test_write_json_keeps_signed_zeros_apart():
@@ -321,18 +354,28 @@ class _OddStr(str):
     [np.int64(3)], [np.bool_(True)], {1, 2}, [b"bytes"], [np.array([1.0])],
 ])
 def test_write_json_matches_json_or_raises_type_error(obj):
-    """Odd inputs either give json's bytes or a TypeError, never other bytes."""
-    try:
-        got = json_text(obj)
-    except TypeError:
-        return
-    assert got == json.dumps(obj, indent=2)
+    """Odd inputs give the bytes of `jsonable`'s copy, numpy values included; non-str
+    keys, sets and bytes, which that copy keeps, raise `TypeError`."""
+    if _holds_what_json_cannot_write(obj):
+        with pytest.raises(TypeError):
+            json_text(obj)
+    else:
+        assert json_text(obj) == reference_text(obj)
+
+
+def _holds_what_json_cannot_write(obj) -> bool:
+    if isinstance(obj, dict):
+        return (not all(isinstance(k, str) for k in obj)
+                or any(map(_holds_what_json_cannot_write, obj.values())))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_holds_what_json_cannot_write, obj))
+    return isinstance(obj, (set, bytes))
 
 
 def test_write_json_on_documents():
+    """The documents as built, arrays and all, against `jsonable`'s copy."""
     s, seq, orb = built_cell(8, 0.5)
     for sig in (17, 9, 3):
         for doc in (orbit_document(s, seq, orb)[0], simplex_document(s),
                     sweep_document(run_sweep((2, 3), (1.0, 40.0)))):
-            obj = jsonable(doc, sig)
-            assert json_text(obj) == json.dumps(obj, indent=2)
+            assert json_text(doc, sig) == reference_text(doc, sig)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import facet_center, facet_plane, facet_vertices, hyperplane_through
 from hypbilliards import geometry as geometry_mod
@@ -25,6 +27,7 @@ from hypbilliards.simplex import (
     build,
     centroid_weight_formula,
     circumradius_step_residual,
+    classify_margins,
     classify_point,
     cosh_sq_circumradius,
     cosh_sq_vertex_to_facet_center,
@@ -189,6 +192,41 @@ def test_classify_vertices_and_outside():
     # for a segment each facet is a single vertex
     s1 = build(1, 1.0)
     assert classify_point(s1, s1.vertex_coords[0])[:2] == (Region.FACET_INTERIOR, 1)
+
+
+def classify_margins_reference(margins, tol=1e-9):
+    """`classify_margins`'s rule as one generator and one comprehension: the oracle."""
+    if any(m < -tol for m in margins):
+        return Region.OUTSIDE, None
+    near = [j for j, m in enumerate(margins) if abs(m) <= tol]
+    if not near:
+        return Region.INTERIOR, None
+    if len(near) == 1:
+        return Region.FACET_INTERIOR, near[0]
+    return Region.LOWER_BOUNDARY, None
+
+
+TOL = 1e-9
+# margins around the thresholds, both zeros, NaN and the infinities, so that
+# lists often hold ties, several near entries and a NaN first or second
+margin_values = st.one_of(
+    st.sampled_from([0.0, -0.0, TOL, -TOL, math.nextafter(TOL, 1.0), math.nextafter(-TOL, -1.0),
+                     5e-324, 1e-17, 0.5, -0.5, math.nan, math.inf, -math.inf]),
+    st.floats(allow_subnormal=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(margin_values, max_size=8), st.sampled_from([TOL, 0.0, 0.5, -1.0, math.inf, math.nan]))
+@example([math.nan, 0.0, 1.0], TOL)
+@example([0.0, math.nan, 0.0], TOL)
+@example([1.0, math.nan, -0.0, 0.0], TOL)
+@example([math.nan, math.nan], TOL)
+@example([TOL, -TOL], TOL)
+@example([], TOL)
+@example([math.nan, -1e-10], math.inf)
+def test_classify_margins_matches_the_reference_rule(margins, tol):
+    assert classify_margins(margins, tol) == classify_margins_reference(margins, tol)
 
 
 def test_facet_centers_make_right_angles():
