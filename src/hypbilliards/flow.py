@@ -26,20 +26,24 @@ margins of size 1 down to p, of the size of the edge a, an error of eps/a.
 The consistency defect (sum(mu) + N p x0)/N that rounding leaves grows like
 e^t per flight on a diverging geodesic mode and would collapse a chaotic
 run within a few hundred bounces, so after every flight it is removed from
-every margin; one above 1e-9 raises.  The slice cannot be seen in margins,
-so a state is checked against it once, on entry.  Position and direction
-are then renormalized onto the hyperboloid and its tangent space.  Each
-bounce records the defects and the invariants' drift before renormalizing,
-so violations cannot pass silently.  Hits on edges and vertices, or at
-grazing incidence, are outside the mirror law and raise `NonSmoothHitError`.
+every margin; one above 1e-9 raises.  Position and direction are then
+renormalized onto the hyperboloid and its tangent space.  Each bounce
+records the defects and the invariants' drift before renormalizing, so
+violations cannot pass silently.
 
-All bounces run through one loop, `_run`: per bounce one call each of
-`next_collision` (the flight) and `reflect_at` (the mirror), `simplex`'s
-rule for the arrival, and the checks of `HPoint` and `FlowState` on the
-margin form of their products.  A run comes out as a `Trajectory` of
-read-only stacks, row i for bounce i, whose points are rebuilt once per run:
-the spatial part of x is mu times the normals' spatial parts, over alpha.
-`iterate` is the loop and `step` is one bounce of it.
+All bounces run through one loop, `_run`, and each check is made once.  On
+entry the state must lie in the slice, which margins cannot see (|<x,1>|
+and |<v,1>| at most 1e-9), with no margin below -`simplex.FACET_TOL`.  Per
+bounce, `next_collision` gives the flight; the arrival's `classify_margins`
+must put the point inside the facet hit (else `NonSmoothHitError`), so no
+later step re-tests the margins; and `reflect_at` mirrors, raising only at
+grazing incidence.  The checks of `HPoint` and `FlowState` run on the margin
+form of their products; a `ValueError` in the loop names its bounce.
+
+A run comes out as a `Trajectory` of read-only stacks, row i for bounce i,
+whose points are rebuilt once per run: the spatial part of x is mu times
+the normals' spatial parts, over alpha.  `iterate` is the loop and `step`
+is one bounce of it.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 
 from .geometry import (HPoint, check_sheet_products, check_tangent_products, check_unit_tangent,
                        chord_dist, mink_dot, mink_dots, mink_inner, tangent_part, unit_tangent)
-from .simplex import Region, RegularSimplex, classify_margins, classify_point
+from .simplex import FACET_TOL, Region, RegularSimplex, classify_margins, classify_point
 
 if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's algebra
     from .orbit import BilliardOrbit
@@ -60,10 +64,6 @@ if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's alge
 # Flights shorter than this re-hit the departure facet and are discarded.
 T_MIN = 1e-9
 _TANH_T_MIN = math.tanh(T_MIN)
-
-# Inward margin slack: a state may sit this far on the wrong side of a
-# facet (it happens right after a bounce) and still count as inside.
-BOUNDARY_SLACK = 1e-9
 
 # A normal component this small or smaller at a facet is a grazing hit.
 GRAZE_TOL = 1e-9
@@ -100,8 +100,8 @@ def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowSta
 
 
 def next_collision(mus: list[float], nus: list[float], last: int | None) -> tuple[int, float]:
-    """Facet and flight time of the first forward crossing, from the position's
-    margins ``mus`` and the direction's margins ``nus`` against every facet.
+    """Facet and flight time of the first forward crossing of a state inside the
+    simplex, from its position's margins ``mus`` and its direction's ``nus``.
 
     The margin mu cosh t + nu sinh t reaches 0 at tanh t = -mu/nu, a crossing
     only if it decreases (nu < 0) and is reachable (|mu| < |nu|: otherwise the
@@ -114,8 +114,6 @@ def next_collision(mus: list[float], nus: list[float], last: int | None) -> tupl
     """
     best_k, best = -1, 1.0  # tanh t < 1: a ratio of 1 or more is never reached
     for k, (mu, nu) in enumerate(zip(mus, nus)):
-        if mu < -BOUNDARY_SLACK:
-            raise ValueError(f"state is outside the simplex (margin {mu} at facet {k})")
         if nu < 0.0 and (_TANH_T_MIN if k == last else 0.0) < (ratio := -mu / nu) < best:
             best_k, best = k, ratio
     if best_k < 0:
@@ -123,13 +121,9 @@ def next_collision(mus: list[float], nus: list[float], last: int | None) -> tupl
     return best_k, math.atanh(best)
 
 
-def reflect_at(nu: np.ndarray, v0: float, k: int, margin: float, p: float,
-               beta: float) -> tuple[np.ndarray, float]:
-    """Direction margins ``nu`` and coordinate ``v0`` mirrored at facet k, where the
-    position's margin is ``margin``: v - 2 nu_k u_k moves nu_j by -2 nu_k G_kj and v0
-    by -2 nu_k p (module docstring)."""
-    if abs(margin) > 1e-9:
-        raise ValueError(f"reflection point is not on facet {k}")
+def reflect_at(nu: np.ndarray, v0: float, k: int, p: float, beta: float) -> tuple[np.ndarray, float]:
+    """Direction margins ``nu`` and coordinate ``v0`` mirrored at facet k: v - 2 nu_k u_k
+    moves nu_j by -2 nu_k G_kj and v0 by -2 nu_k p (module docstring)."""
     nu_k = nu.item(k)
     if abs(nu_k) <= GRAZE_TOL:
         raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu_k})")
@@ -180,11 +174,14 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
 
     x, v, last = state.position.coords, state.direction, state.last_facet
     ones = s.slice_vector()
-    defect = max(abs(mink_dot(x, ones)), abs(mink_dot(v, ones))) / math.sqrt(big)
+    defect = max(abs(mink_dot(x, ones)), abs(mink_dot(v, ones)))
     if defect > 1e-9:
         raise ValueError(f"state has left the simplex slice (defect {defect:.3e})")
     mu, nu, x0, v0 = mink_dots(x, normals), mink_dots(v, normals), x.item(0), v.item(0)
     mus, nus = mu.tolist(), nu.tolist()
+    for k, m in enumerate(mus):
+        if m < -FACET_TOL:
+            raise ValueError(f"state is outside the simplex (margin {m} at facet {k})")
     facets, points = np.empty(steps, dtype=np.intp), np.empty((steps, big + 1))
     arclengths, margins, drifts = np.empty(steps), np.empty((steps, big)), np.empty((steps, 5))
     for i in range(steps):
@@ -197,8 +194,7 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
             # consistency: measure, guard, project (see module docstring)
             dx, dv = float(mu.dot(all_ones)) / big + p * x0, float(nu.dot(all_ones)) / big + p * v0
             if (defect := max(abs(dx), abs(dv))) > 1e-9:
-                raise ValueError(f"bounce {i}: margins disagree with the timelike coordinate "
-                                 f"(defect {defect:.3e})")
+                raise ValueError(f"margins disagree with the timelike coordinate (defect {defect:.3e})")
             mu -= dx
             nu -= dv
             xx, vv, xv = inner(mu, mu, x0, x0), inner(nu, nu, v0, v0), inner(mu, nu, x0, v0)
@@ -216,9 +212,8 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
             if region is not Region.FACET_INTERIOR:
                 raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
             if facet != k:
-                raise NonSmoothHitError(
-                    f"bounce {i}: collision facet {k} disagrees with classification {facet}"
-                )
+                raise NonSmoothHitError(f"bounce {i}: collision facet {k} disagrees with "
+                                        f"classification {facet}")
 
             # `tangent_part`, the mirror and `check_unit_tangent`
             xv = inner(mu, nu, x0, v0)
@@ -228,12 +223,14 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
                 raise ValueError("vector has no spacelike tangential component")
             nu /= (scale := math.sqrt(vv))
             v0 /= scale
-            nu, v0 = reflect_at(nu, v0, k, mus[k], p, beta)
+            nu, v0 = reflect_at(nu, v0, k, p, beta)
             check_tangent_products(inner(nu, nu, v0, v0), inner(mu, nu, x0, v0), x0, v0)
             nus = nu.tolist()
         except NonSmoothHitError as err:
             err.step = i
             raise
+        except ValueError as err:
+            raise ValueError(f"bounce {i}: {err}") from err
         last = facets[i] = k
         margins[i], points[i, 0], arclengths[i] = mu, x0, t
     np.divide(margins @ normals[:, 1:], alpha, out=points[:, 1:])

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Representation invariants (unit norms, tangency) must hold to REP_TOL;
-# geometric identities (incidence, distance relations) to GEOM_TOL.
+# Representation invariants (unit norms, tangency) must hold to REP_TOL.
 REP_TOL = 1e-12
-GEOM_TOL = 1e-10
 
 
 def _as_vector(x) -> np.ndarray:

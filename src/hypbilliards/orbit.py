@@ -43,7 +43,7 @@ from .geometry import (
     unit_tangent_rows,
 )
 from .masses import cyclic_folds, pair_folds
-from .simplex import RegularSimplex, facet_hits
+from .simplex import FACET_TOL, RegularSimplex, facet_hits
 from .weights import MassSequence
 
 
@@ -151,7 +151,8 @@ def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
     return BilliardOrbit(points, masses, seq.multiplier, launch)
 
 
-def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit, facet_tol: float = 1e-9) -> OrbitVerification:
+def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit,
+                 facet_tol: float = FACET_TOL) -> OrbitVerification:
     """Measure the billiard conditions at every bounce of a closed polygon.
 
     For each j with facet k = facet(P_j) and mirror sigma across facet k:

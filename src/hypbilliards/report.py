@@ -44,7 +44,8 @@ class Tolerances:
 
     ``angle_defect`` is looser than the rest: it passes through an arccos,
     which turns 1e-16 rounding in the cosine into ~1e-8 of angle, so a
-    tight gate there would only measure arccos conditioning.
+    tight gate there would only measure arccos conditioning.  ``classify``
+    is the facet band, `simplex.FACET_TOL`, which the billiard flow shares.
     """
 
     facet_incidence: float = 1e-10
@@ -59,7 +60,7 @@ class Tolerances:
     weight_recurrence: float = 1e-10
     orthic_match: float = 1e-9
     min_midpoint_defect: float = 1e-3
-    classify: float = 1e-9
+    classify: float = simplex_mod.FACET_TOL
 
     @classmethod
     def uniform(cls, t: float) -> "Tolerances":

@@ -213,6 +213,10 @@ def vertex_reflection_identity_residual(s: RegularSimplex, j: int | None = None)
     return res if j is None else float(res[j % (s.n + 1)])
 
 
+# The facet band of every boundary classification, the orbit's and the flow's alike.
+FACET_TOL = 1e-9
+
+
 class Region(enum.Enum):
     INTERIOR = "interior"
     FACET_INTERIOR = "facet-interior"
@@ -221,13 +225,13 @@ class Region(enum.Enum):
 
 
 def classify_point(s: RegularSimplex, x: np.ndarray,
-                   tol: float = 1e-9) -> tuple[Region, int | None, list[float]]:
+                   tol: float = FACET_TOL) -> tuple[Region, int | None, list[float]]:
     """`classify_margins` of the point with coordinates x, and its margins as a list."""
     margins = mink_dots(x, s.normal_coords).tolist()
     return (*classify_margins(margins, tol), margins)
 
 
-def classify_margins(margins: list[float], tol: float = 1e-9) -> tuple[Region, int | None]:
+def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Region, int | None]:
     """Region of a point with these facet margins, and its facet if on exactly one.
 
     Outside if any margin is below -tol; interior if all are above tol;
@@ -264,7 +268,7 @@ def classify_margins(margins: list[float], tol: float = 1e-9) -> tuple[Region, i
     return region, None if k is None else kept[k]
 
 
-def facet_hits(margins: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def facet_hits(margins: np.ndarray, tol: float = FACET_TOL) -> np.ndarray:
     """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
     the point (`classify_point` gives `Region.FACET_INTERIOR`), or -1."""
     near = np.abs(margins) <= tol

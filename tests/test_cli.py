@@ -351,10 +351,26 @@ def test_simulate_start_coords_validation(capsys):
                        "--start-coords", start, "--dir-coords", "0,1,0,0")
     assert code == 2
     assert "slice" in err
+    # a start in the slice with a direction out of it
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1",
+                         "--start-coords", "1,0,0,0", "--dir-coords", "0,1,0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: state has left the simplex slice (defect 1.000e+00)\n"
     # one of the pair alone is rejected
     code, _, _ = run(capsys, "simulate", "--dim", "2", "--edge", "1",
                      "--start-coords", "1,0,0,0")
     assert code == 2
+
+
+def test_simulate_segment_needs_a_given_launch(capsys):
+    """At n = 1 there is no orbit to launch along, so the default launch is a usage
+    error; a launch given by coordinates still runs."""
+    code, out, err = run(capsys, "simulate", "--dim", "1", "--edge", "1", "--steps", "3")
+    assert (code, out, err) == (2, "", "error: orbit construction needs n >= 2, got 1\n")
+    code, out, err = run(capsys, "simulate", "--dim", "1", "--edge", "1", "--steps", "3",
+                         "--start-coords", "1,0,0", "--dir-coords=0,1,-1")
+    assert code == 0 and err.startswith("3 bounces")
+    assert out.splitlines()[0] == "step,facet,arclength,disk0" and len(out.splitlines()) == 4
 
 
 @pytest.mark.parametrize("start,direction,name,count", [

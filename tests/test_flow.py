@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import flow_reference
-from conftest import facet_center, facet_plane
+from conftest import facet_center, facet_plane, lift
 from hypbilliards import flow as flow_mod
 from hypbilliards.cli import _perturbed
 from hypbilliards.flow import (
@@ -30,7 +30,7 @@ from hypbilliards.geometry import (HPoint, check_tangent_products, check_unit_ta
                                   dist, geodesic_point, mink_dot, mink_dots, reflect, tangent_part,
                                   unit_tangent)
 from hypbilliards.orbit import BilliardOrbit, construct_orbit, orbit_edge_lengths
-from hypbilliards.simplex import Region, build, classify_point
+from hypbilliards.simplex import FACET_TOL, Region, build, classify_point
 from hypbilliards.weights import build_sequence
 
 
@@ -75,9 +75,17 @@ def test_next_hit_tie_goes_to_lower_index():
     assert next_collision([mu, mu], [-1.0, -1.0], None)[0] == 0
 
 
-def test_next_hit_names_first_facet_outside():
-    with pytest.raises(ValueError, match=r"margin -0\.5 at facet 1\)"):
-        next_collision([0.2, -0.5, -0.7], [-1.0, -1.0, -1.0], None)
+def test_iterate_names_first_facet_outside():
+    """A start with two margins below -FACET_TOL is rejected on entry, naming the
+    first of them, not the most negative."""
+    s = build(3, 1.0)
+    e = s.vertex_coords[:, 1:] / np.linalg.norm(s.vertex_coords[0, 1:])
+    out = lift(-2.0 * e[1] - 3.0 * e[2])
+    mus = classify_point(s, out.coords)[2]
+    assert mus[0] > 0.0 and mus[3] > 0.0 and mus[2] < mus[1] < -FACET_TOL
+    with pytest.raises(ValueError) as exc:
+        iterate(s, state_toward(out, s.circumcenter), 1)
+    assert str(exc.value) == f"state is outside the simplex (margin {mus[1]} at facet 1)"
 
 
 def test_next_collision_center_to_facet_center():
@@ -123,7 +131,7 @@ def test_reflect_at_matches_the_ambient_mirror():
         p, beta = _gram(s)
         st = state_toward(s.circumcenter, geodesic_point(s.circumcenter, facet_center(s, 1), 0.5))
         d, u = st.direction, s.normal_coords[1]
-        nu, v0 = reflect_at(mink_dots(d, s.normal_coords), d[0], 1, 0.0, p, beta)
+        nu, v0 = reflect_at(mink_dots(d, s.normal_coords), d[0], 1, p, beta)
         image = d - 2.0 * mink_dot(d, u) * u
         assert np.abs(nu - mink_dots(image, s.normal_coords)).max() < 1e-14
         assert abs(v0 - image[0]) < 1e-14
@@ -134,9 +142,9 @@ def test_reflect_at_involution():
     p, beta = _gram(s)
     x, arrive, mus, nus = _arrival_at_facet_center(s, 0)
     before = nus.copy()
-    out, out0 = reflect_at(nus, arrive[0], 0, mus[0], p, beta)
+    out, out0 = reflect_at(nus, arrive[0], 0, p, beta)
     assert nus.tobytes() == before.tobytes()  # the input is not mirrored in place
-    back, back0 = reflect_at(out, out0, 0, mus[0], p, beta)
+    back, back0 = reflect_at(out, out0, 0, p, beta)
     assert np.abs(back - nus).max() < 1e-12 and abs(back0 - arrive[0]) < 1e-12
     # the perpendicular arrival just reverses
     assert np.abs(out + nus).max() < 1e-9 and abs(out0 + arrive[0]) < 1e-9
@@ -145,15 +153,11 @@ def test_reflect_at_involution():
 def test_reflect_at_rejects_bad_input():
     s = build(3, 1.0)
     p, beta = _gram(s)
-    x, arrive, mus, nus = _arrival_at_facet_center(s, 0)
-    # the circumcenter is not on facet 0
-    c = s.circumcenter.coords
-    with pytest.raises(ValueError, match="reflection point is not on facet 0"):
-        reflect_at(nus, arrive[0], 0, mink_dot(c, s.normal_coords[0]), p, beta)
+    x = _arrival_at_facet_center(s, 0)[0]
     # direction inside the facet plane: grazing
     inside = state_toward(HPoint(x), s.vertex(1)).direction
     with pytest.raises(NonSmoothHitError, match="grazing incidence at facet 0"):
-        reflect_at(mink_dots(inside, s.normal_coords), inside[0], 0, mus[0], p, beta)
+        reflect_at(mink_dots(inside, s.normal_coords), inside[0], 0, p, beta)
 
 
 def test_flow_retraces_constructed_orbit():
@@ -337,6 +341,22 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
     assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
     assert nxt.direction.tobytes() == fin.direction.tobytes()
     assert nxt.last_facet == fin.last_facet == one.facets[0]
+
+
+@pytest.mark.parametrize("a,frac,message", [
+    (20.0, 0.99, "bounce 0: margins disagree with the timelike coordinate (defect "),
+    (30.0, 0.5, "bounce 0: direction must be tangent to base point: <x,v> = "),
+])
+def test_loop_errors_name_their_bounce(a, frac, message):
+    """Far launches at n = 2, from part of the way from the circumcenter to vertex 0
+    toward facet 0's center, fail a check inside the loop; the message names the
+    bounce once."""
+    s = build(2, a)
+    c, v = s.circumcenter, s.vertex(0)
+    st = state_toward(geodesic_point(c, v, frac * dist(c, v)), facet_center(s, 0))
+    with pytest.raises(ValueError) as exc:
+        iterate(s, st, 5)
+    assert str(exc.value).startswith(message) and str(exc.value).count("bounce") == 1
 
 
 def test_loop_runs_the_named_layers(monkeypatch):

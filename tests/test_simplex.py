@@ -1,5 +1,6 @@
 """Tests for regular-simplex construction, measurements, and classification."""
 
+import inspect
 import math
 
 import numpy as np
@@ -192,6 +193,19 @@ def test_classify_vertices_and_outside():
     # for a segment each facet is a single vertex
     s1 = build(1, 1.0)
     assert classify_point(s1, s1.vertex_coords[0])[:2] == (Region.FACET_INTERIOR, 1)
+
+
+def test_facet_band_is_one_constant():
+    """Every classification defaults to the one facet band, `FACET_TOL` itself: outside
+    `simplex`, a default written as its own 1e-9 literal would be another float object."""
+    from hypbilliards.orbit import verify_orbit
+    from hypbilliards.report import Tolerances
+
+    defaults = [inspect.signature(fn).parameters[name].default for fn, name in (
+        (classify_margins, "tol"), (classify_point, "tol"), (simplex_mod.facet_hits, "tol"),
+        (verify_orbit, "facet_tol"))]
+    assert all(d is simplex_mod.FACET_TOL for d in defaults)
+    assert Tolerances().classify is simplex_mod.FACET_TOL == 1e-9
 
 
 def classify_margins_reference(margins, tol=1e-9):
