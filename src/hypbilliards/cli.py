@@ -19,6 +19,7 @@ digits by default so documents round-trip bit for bit.  CSV uses commas,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -260,6 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser`, built on the first `main` call and reused by every later one."""
+    return build_parser()
+
+
 def check_args(args: argparse.Namespace) -> None:
     """Parse the list options in place and reject values out of range."""
     if args.command == "verify":
@@ -304,7 +311,7 @@ def check_args(args: argparse.Namespace) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code is not None else EXIT_OK
     try:

@@ -31,14 +31,31 @@ renormalized onto the hyperboloid and its tangent space.  Each bounce
 records the defects and the invariants' drift before renormalizing, so
 violations cannot pass silently.
 
-All bounces run through one loop, `_run`, and each check is made once.  On
-entry the state must lie in the slice, which margins cannot see (|<x,1>|
-and |<v,1>| at most 1e-9), with no margin below -`simplex.FACET_TOL`.  Per
-bounce, `next_collision` gives the flight; the arrival's `classify_margins`
-must put the point inside the facet hit (else `NonSmoothHitError`), so no
-later step re-tests the margins; and `reflect_at` mirrors, raising only at
-grazing incidence.  The checks of `HPoint` and `FlowState` run on the margin
-form of their products; a `ValueError` in the loop names its bounce.
+Two loops run the bounces, with the same checks and the same messages:
+`_array_loop` on numpy arrays and `_list_loop` on lists of Python floats,
+whose elementwise steps are list comprehensions and whose sums are
+`math.fsum`, exactly rounded and so the same on every Python.  A bounce is
+about 23 numpy calls on vectors of N entries, and below a dozen or so facets
+their dispatch costs more than their arithmetic, so `_run` bounces
+simplices of at most `_LIST_LOOP_MAX_FACETS` facets on lists and larger ones
+on arrays; `iterate`, `step` and `run_closure` all go through it.  ddot
+rounds its sums differently from fsum, so the loops agree to rounding, not
+bit for bit.  Time per bounce of the list loop over the array loop, the
+median of 21 interleaved pairs of 400-bounce runs from a perturbed launch
+at a = 1 (2-vCPU Linux host, Python 3.11, numpy 2.4):
+
+    N       3     4     9     11    12    13    14    16    33    129
+    ratio   0.60  0.66  0.87  0.92  0.94  0.97  1.04  1.09  1.57  3.09
+
+Each check is made once.  On entry (`_enter`) the state must lie in the
+slice, which margins cannot see (|<x,1>| and |<v,1>| at most 1e-9), with no
+margin below -`simplex.FACET_TOL`.  Per bounce, `next_collision` gives the
+flight; the arrival's `classify_margins` must put the point inside the facet
+hit (else `NonSmoothHitError`), so no later step re-tests the margins; and
+`reflect_at` mirrors, raising only at grazing incidence.  Both loops call
+these two through their module bindings.  The checks of `HPoint` and
+`FlowState` run on the margin form of their products; a `ValueError` in the
+loop names its bounce.
 
 A run comes out as a `Trajectory` of read-only stacks, row i for bounce i,
 whose points are rebuilt once per run: the spatial part of x is mu times
@@ -50,6 +67,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import fsum
+from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -67,6 +86,11 @@ _TANH_T_MIN = math.tanh(T_MIN)
 
 # A normal component this small or smaller at a facet is a grazing hit.
 GRAZE_TOL = 1e-9
+
+# Simplices of at most this many facets (N = n + 1) bounce on `_list_loop`, larger
+# ones on `_array_loop`: the last N at which the list loop measured faster in more
+# than three pairs of four (module docstring).
+_LIST_LOOP_MAX_FACETS = 12
 
 
 class NonSmoothHitError(RuntimeError):
@@ -121,13 +145,17 @@ def next_collision(mus: list[float], nus: list[float], last: int | None) -> tupl
     return best_k, math.atanh(best)
 
 
-def reflect_at(nu: np.ndarray, v0: float, k: int, p: float, beta: float) -> tuple[np.ndarray, float]:
+def reflect_at(nu: np.ndarray | list[float], v0: float, k: int, p: float,
+               beta: float) -> tuple[np.ndarray | list[float], float]:
     """Direction margins ``nu`` and coordinate ``v0`` mirrored at facet k: v - 2 nu_k u_k
-    moves nu_j by -2 nu_k G_kj and v0 by -2 nu_k p (module docstring)."""
-    nu_k = nu.item(k)
+    moves nu_j by -2 nu_k G_kj and v0 by -2 nu_k p (module docstring).  ``nu`` is an
+    array or, in `_list_loop`, a list, and the mirror is of the same type."""
+    listed = isinstance(nu, list)
+    nu_k = nu[k] if listed else nu.item(k)
     if abs(nu_k) <= GRAZE_TOL:
         raise NonSmoothHitError(f"grazing incidence at facet {k} (normal component {nu_k})")
-    out = nu - 2.0 * nu_k * beta
+    shift = 2.0 * nu_k * beta
+    out = [w - shift for w in nu] if listed else nu - shift
     out[k] = -nu_k
     return out, v0 - 2.0 * nu_k * p
 
@@ -157,31 +185,77 @@ class Trajectory:
 
     @property
     def total_length(self) -> float:
-        # summed left to right as floats, not numpy's pairwise sum: the bits of a loop
-        return sum(self.arclengths.tolist())
+        # exactly rounded, so the same bits on every Python: `sum` is compensated from 3.12 on
+        return fsum(self.arclengths.tolist())
 
 
-def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """The billiard loop: ``steps`` bounces from ``state``, in margin coordinates."""
-    big, normals = s.n + 1, s.normal_coords
-    p = normals.item(0, 0)
+def _gram(s: RegularSimplex) -> tuple[float, float, float]:
+    """The normals' timelike coordinate p and their Gram entries alpha and beta
+    (module docstring)."""
+    p = s.normal_coords.item(0, 0)
     q2 = 1.0 + p * p
-    alpha, beta = q2 * big / s.n, -p * p - q2 / s.n
+    return p, q2 * (s.n + 1) / s.n, -p * p - q2 / s.n
+
+
+def _enter(s: RegularSimplex, state: FlowState) -> tuple[np.ndarray, np.ndarray]:
+    """The margins of a run's start, which must lie in the slice and not outside the simplex."""
+    x, v = state.position.coords, state.direction
+    ones = s.slice_vector()
+    defect = max(abs(mink_dot(x, ones)), abs(mink_dot(v, ones)))
+    if defect > 1e-9:
+        raise ValueError(f"state has left the simplex slice (defect {defect:.3e})")
+    mu, nu = mink_dots(x, s.normal_coords), mink_dots(v, s.normal_coords)
+    for k, m in enumerate(mu.tolist()):
+        if m < -FACET_TOL:
+            raise ValueError(f"state is outside the simplex (margin {m} at facet {k})")
+    return mu, nu
+
+
+def _list_inner(nb: float, alpha: float):
+    """`_list_loop`'s <x, y> = (a . b + nb x0 y0) / alpha of two slice vectors from their
+    margin lists a, b and timelike coordinates a0, b0 (module docstring), nb = N beta.
+
+    The dot product is `math.fsum` of the products, exactly rounded.  fsum raises
+    where ddot returns inf or nan, on inf - inf (a ValueError) and on a partial sum
+    that overflows; there it takes ddot's value, so the check it feeds fails as in
+    `_array_loop`.
+    """
+    def inner(a, b, a0, b0):
+        try:
+            dot = fsum(map(mul, a, b))
+        except (OverflowError, ValueError):
+            dot = float(np.dot(a, b))
+        return (dot + nb * a0 * b0) / alpha
+    return inner
+
+
+def _trajectory(s: RegularSimplex, state: FlowState, facets, points, arclengths, margins, drifts,
+                nu: np.ndarray, v0: float) -> Trajectory:
+    """A run's stacks, made read-only, with the spatial parts of its points rebuilt from
+    their ``margins``, and the state after its last bounce, of direction (``nu``, v0)."""
+    alpha, normals = _gram(s)[1], s.normal_coords
+    np.divide(margins @ normals[:, 1:], alpha, out=points[:, 1:])
+    for a in (facets, points, arclengths, drifts):
+        a.setflags(write=False)
+    if not len(facets):
+        return Trajectory(facets, points, arclengths, drifts, state)
+    d = np.concatenate(((v0,), (nu @ normals[:, 1:]) / alpha))
+    return Trajectory(facets, points, arclengths, drifts,
+                      FlowState(HPoint(points[-1]), d, int(facets[-1])))
+
+
+def _array_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
+    """The billiard loop on numpy arrays, for simplices of more than
+    `_LIST_LOOP_MAX_FACETS` facets."""
+    big, (p, alpha, beta) = s.n + 1, _gram(s)
     nb, all_ones = big * beta, np.ones(big)
 
     def inner(a, b, a0, b0):
         return (float(a.dot(b)) + nb * a0 * b0) / alpha
 
-    x, v, last = state.position.coords, state.direction, state.last_facet
-    ones = s.slice_vector()
-    defect = max(abs(mink_dot(x, ones)), abs(mink_dot(v, ones)))
-    if defect > 1e-9:
-        raise ValueError(f"state has left the simplex slice (defect {defect:.3e})")
-    mu, nu, x0, v0 = mink_dots(x, normals), mink_dots(v, normals), x.item(0), v.item(0)
+    mu, nu = _enter(s, state)
+    x0, v0, last = state.position.coords.item(0), state.direction.item(0), state.last_facet
     mus, nus = mu.tolist(), nu.tolist()
-    for k, m in enumerate(mus):
-        if m < -FACET_TOL:
-            raise ValueError(f"state is outside the simplex (margin {m} at facet {k})")
     facets, points = np.empty(steps, dtype=np.intp), np.empty((steps, big + 1))
     arclengths, margins, drifts = np.empty(steps), np.empty((steps, big)), np.empty((steps, 5))
     for i in range(steps):
@@ -233,13 +307,84 @@ def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
             raise ValueError(f"bounce {i}: {err}") from err
         last = facets[i] = k
         margins[i], points[i, 0], arclengths[i] = mu, x0, t
-    np.divide(margins @ normals[:, 1:], alpha, out=points[:, 1:])
-    for a in (facets, points, arclengths, drifts):
-        a.setflags(write=False)
-    if not steps:
-        return Trajectory(facets, points, arclengths, drifts, state)
-    d = np.concatenate(((v0,), (nu @ normals[:, 1:]) / alpha))
-    return Trajectory(facets, points, arclengths, drifts, FlowState(HPoint(points[-1]), d, last))
+    return _trajectory(s, state, facets, points, arclengths, margins, drifts, nu, v0)
+
+
+def _list_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
+    """`_array_loop` on lists of Python floats, for simplices of at most
+    `_LIST_LOOP_MAX_FACETS` facets: the same checks with the same messages, each
+    elementwise step a list comprehension, each sum a `math.fsum`.
+
+    Only the products can meet fsum's errors (`_list_inner`).  fsum(mu) and fsum(nu)
+    cannot: every margin has passed a check on a product that holds its square, or
+    at entry is at most n+2 times sqrt(max float), and a flight scales it by at most
+    cosh t + sinh t < 1.4e8, so their sums stay finite."""
+    big, (p, alpha, beta) = s.n + 1, _gram(s)
+    inner = _list_inner(big * beta, alpha)
+    mu, nu = (m.tolist() for m in _enter(s, state))
+    x0, v0, last = state.position.coords.item(0), state.direction.item(0), state.last_facet
+    facets, x0s, arclengths, margins, drifts = [], [], [], [], []
+    for i in range(steps):
+        try:
+            k, t = next_collision(mu, nu, last)
+            ch, sh = math.cosh(t), math.sinh(t)
+            mu, nu = ([ch * m + sh * w for m, w in zip(mu, nu)],
+                      [sh * m + ch * w for m, w in zip(mu, nu)])
+            x0, v0 = ch * x0 + sh * v0, sh * x0 + ch * v0
+
+            dx, dv = fsum(mu) / big + p * x0, fsum(nu) / big + p * v0
+            if (defect := max(abs(dx), abs(dv))) > 1e-9:
+                raise ValueError(f"margins disagree with the timelike coordinate (defect {defect:.3e})")
+            mu, nu = [m - dx for m in mu], [w - dv for w in nu]
+            xx, vv, xv = inner(mu, mu, x0, x0), inner(nu, nu, v0, v0), inner(mu, nu, x0, v0)
+            drifts.append((abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv)))
+
+            if not xx < 0.0:
+                raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {xx!r})")
+            if x0 < 0.0:
+                raise ValueError("timelike vector points into the lower sheet")
+            scale = math.sqrt(-xx)
+            mu = [m / scale for m in mu]
+            x0 /= scale
+            check_sheet_products(inner(mu, mu, x0, x0), x0)
+            region, facet = classify_margins(mu)
+            if region is not Region.FACET_INTERIOR:
+                raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
+            if facet != k:
+                raise NonSmoothHitError(f"bounce {i}: collision facet {k} disagrees with "
+                                        f"classification {facet}")
+
+            xv = inner(mu, nu, x0, v0)
+            nu = [w + xv * m for m, w in zip(mu, nu)]
+            v0 += xv * x0
+            if not (vv := inner(nu, nu, v0, v0)) > 0.0:
+                raise ValueError("vector has no spacelike tangential component")
+            scale = math.sqrt(vv)
+            nu = [w / scale for w in nu]
+            v0 /= scale
+            nu, v0 = reflect_at(nu, v0, k, p, beta)
+            check_tangent_products(inner(nu, nu, v0, v0), inner(mu, nu, x0, v0), x0, v0)
+        except NonSmoothHitError as err:
+            err.step = i
+            raise
+        except ValueError as err:
+            raise ValueError(f"bounce {i}: {err}") from err
+        last = k
+        facets.append(k)
+        x0s.append(x0)
+        arclengths.append(t)
+        margins.append(mu)
+    points = np.empty((steps, big + 1))
+    points[:, 0] = x0s
+    return _trajectory(s, state, np.array(facets, dtype=np.intp), points, np.array(arclengths),
+                       np.array(margins).reshape(steps, big), np.array(drifts).reshape(steps, 5),
+                       np.array(nu), v0)
+
+
+def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
+    """``steps`` bounces from ``state``, on the loop that is faster at this dimension."""
+    loop = _list_loop if s.n + 1 <= _LIST_LOOP_MAX_FACETS else _array_loop
+    return loop(s, state, steps)
 
 
 def step(s: RegularSimplex, state: FlowState) -> Trajectory:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypbilliards import flow, orbit, report, simplex, weights
+from hypbilliards import cli, flow, orbit, report, simplex, weights
 from hypbilliards.cli import main, parse_dims, parse_floats
 from hypbilliards.simplex import build
 
@@ -469,3 +469,24 @@ def test_verify_default_grid_arguments():
     args = build_parser().parse_args(["verify"])
     assert parse_dims(args.dims) == tuple(range(2, 9))
     assert parse_floats(args.edges) == (0.5, 1.0, 2.0)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """Every `main` call after the first reuses the parser of the first, and a parser
+    reused after a usage error still parses the next call."""
+    builds, real = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (("simplex", "--dim", "2", "--edge", "1"), ("simplex", "--dim", "x"),
+                     ("simplex", "--dim", "3", "--edge", "1")):
+            code, out, _ = run(capsys, *argv)
+            assert code == (2 if "x" in argv else 0) and (code == 2) == (out == "")
+    finally:
+        cli._parser.cache_clear()  # the next `main` builds from the real `build_parser`
+    assert builds == [1]

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import operator
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import flow_reference
 from conftest import facet_center, facet_plane, lift
 from hypbilliards import flow as flow_mod
-from hypbilliards.cli import _perturbed
+from hypbilliards.cli import _perturbed, main
 from hypbilliards.flow import (
     FlowState,
     NonSmoothHitError,
@@ -37,6 +38,55 @@ from hypbilliards.weights import build_sequence
 def make_orbit(n, a):
     s = build(n, a)
     return s, construct_orbit(s, build_sequence(n, a))
+
+
+# Launches that fail, each as (simplex, state); the tests below and the cross-loop
+# test share them.
+def _outside_launch():
+    """From the mirror image of the circumcenter across facet 0."""
+    s = build(3, 1.0)
+    return s, state_toward(reflect(facet_plane(s, 0), s.circumcenter), s.vertex(0))
+
+
+def _outside_two_launch():
+    """From a point outside facets 1 and 2, facet 2 the further."""
+    s = build(3, 1.0)
+    e = s.vertex_coords[:, 1:] / np.linalg.norm(s.vertex_coords[0, 1:])
+    return s, state_toward(lift(-2.0 * e[1] - 3.0 * e[2]), s.circumcenter)
+
+
+def _off_slice_launch():
+    """1e-8 off the simplex slice."""
+    s, eps = build(3, 1.0), 1e-8
+    x = HPoint(np.array([math.sqrt(1.0 + eps * eps), eps, 0.0, 0.0, 0.0]))
+    return s, FlowState(x, np.array([0.0, 0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
+
+
+def _far_launch(a, frac):
+    """At n = 2, from ``frac`` of the way from the circumcenter to vertex 0 toward
+    facet 0's center."""
+    s = build(2, a)
+    c, v = s.circumcenter, s.vertex(0)
+    return s, state_toward(geodesic_point(c, v, frac * dist(c, v)), facet_center(s, 0))
+
+
+def _corner_launch():
+    """From the circumcenter straight at vertex 0."""
+    s = build(3, 1.0)
+    return s, state_toward(s.circumcenter, s.vertex(0))
+
+
+def _second_bounce_corner_launch():
+    """At the mirror image of vertex 0 across facet 0: off facet 0, then into vertex 0."""
+    s = build(3, 1.0)
+    return s, state_toward(s.circumcenter, reflect(facet_plane(s, 0), s.vertex(0)))
+
+
+def _leaving_launch(n):
+    """At facet 0's center, leaving the simplex through it: no forward crossing."""
+    s = build(n, 1.0)
+    w, arrive = _arrival_at_facet_center(s, 0)[:2]
+    return s, FlowState(HPoint(w), arrive)
 
 
 def test_next_hit_unit_cases():
@@ -78,13 +128,11 @@ def test_next_hit_tie_goes_to_lower_index():
 def test_iterate_names_first_facet_outside():
     """A start with two margins below -FACET_TOL is rejected on entry, naming the
     first of them, not the most negative."""
-    s = build(3, 1.0)
-    e = s.vertex_coords[:, 1:] / np.linalg.norm(s.vertex_coords[0, 1:])
-    out = lift(-2.0 * e[1] - 3.0 * e[2])
-    mus = classify_point(s, out.coords)[2]
+    s, st = _outside_two_launch()
+    mus = classify_point(s, st.position.coords)[2]
     assert mus[0] > 0.0 and mus[3] > 0.0 and mus[2] < mus[1] < -FACET_TOL
     with pytest.raises(ValueError) as exc:
-        iterate(s, state_toward(out, s.circumcenter), 1)
+        iterate(s, st, 1)
     assert str(exc.value) == f"state is outside the simplex (margin {mus[1]} at facet 1)"
 
 
@@ -101,11 +149,10 @@ def test_next_collision_center_to_facet_center():
 
 
 def test_next_collision_rejects_outside_state():
-    s = build(3, 1.0)
-    out = reflect(facet_plane(s, 0), s.circumcenter)
-    assert classify_point(s, out.coords)[0] is Region.OUTSIDE
+    s, st = _outside_launch()
+    assert classify_point(s, st.position.coords)[0] is Region.OUTSIDE
     with pytest.raises(ValueError, match="state is outside the simplex"):
-        iterate(s, state_toward(out, s.vertex(0)), 1)
+        iterate(s, st, 1)
 
 
 def _arrival_at_facet_center(s, j):
@@ -200,8 +247,7 @@ def test_perturbed_launch_does_not_close():
 
 
 def test_corner_shot_raises_non_smooth():
-    s = build(3, 1.0)
-    st = state_toward(s.circumcenter, s.vertex(0))
+    s, st = _corner_launch()
     with pytest.raises(NonSmoothHitError) as exc:
         iterate(s, st, 10)
     assert exc.value.step == 0
@@ -307,40 +353,44 @@ def test_step_returns_bounce_record():
 
 def test_off_slice_state_raises():
     """A state 1e-8 off the simplex slice is caught on entry: the margins cannot see it."""
-    s = build(3, 1.0)
-    eps = 1e-8
-    x = HPoint(np.array([math.sqrt(1.0 + eps * eps), eps, 0.0, 0.0, 0.0]))
-    d = np.array([0.0, 0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     with pytest.raises(ValueError, match="left the simplex slice"):
-        iterate(s, FlowState(x, d), 3)
+        iterate(*_off_slice_launch(), 3)
 
 
 def test_vertex_on_second_bounce_raises_with_step_one():
     """Aimed at the mirror image of vertex 0 across facet 0, the flow bounces
     off facet 0 and then runs straight into vertex 0."""
-    s = build(3, 1.0)
-    image = reflect(facet_plane(s, 0), s.vertex(0))
-    st = state_toward(s.circumcenter, image)
+    s, st = _second_bounce_corner_launch()
     assert iterate(s, st, 1).facets.tolist() == [0]
     with pytest.raises(NonSmoothHitError) as exc:
         iterate(s, st, 5)
     assert exc.value.step == 1
 
 
+# The list loop runs simplices of up to SWITCH facets, the array loop larger ones:
+# n = SWITCH - 1 is the last simplex on the list loop, n = SWITCH the first on arrays.
+SWITCH = flow_mod._LIST_LOOP_MAX_FACETS
+SIDES = [(3, "_list_loop"), (SWITCH - 1, "_list_loop"), (SWITCH, "_array_loop")]
+
+
 def test_step_equals_one_bounce_of_iterate_bitwise():
-    s, orb = make_orbit(3, 1.0)
-    target = geodesic_point(orb.point(1), orb.point(2), 0.3)
-    st = state_toward(orb.point(0), target, last_facet=0)
-    one = step(s, st)
-    tr = iterate(s, st, 1)
-    assert one.facets.tobytes() == tr.facets.tobytes()
-    assert one.arclengths.tobytes() == tr.arclengths.tobytes()
-    assert one.drifts.tobytes() == tr.drifts.tobytes()
-    assert one.points.tobytes() == tr.points.tobytes()
-    nxt, fin = one.final_state, tr.final_state
-    assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
-    assert nxt.direction.tobytes() == fin.direction.tobytes()
-    assert nxt.last_facet == fin.last_facet == one.facets[0]
+    for n, loop in SIDES:
+        s, orb = make_orbit(n, 1.0)
+        target = geodesic_point(orb.point(1), orb.point(2), 0.3)
+        st = state_toward(orb.point(0), target, last_facet=0)
+        one = step(s, st)
+        tr = iterate(s, st, 1)
+        assert one.facets.tobytes() == tr.facets.tobytes()
+        assert one.arclengths.tobytes() == tr.arclengths.tobytes()
+        assert one.drifts.tobytes() == tr.drifts.tobytes()
+        assert one.points.tobytes() == tr.points.tobytes()
+        nxt, fin = one.final_state, tr.final_state
+        assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
+        assert nxt.direction.tobytes() == fin.direction.tobytes()
+        assert nxt.last_facet == fin.last_facet == one.facets[0]
+        direct = getattr(flow_mod, loop)(s, st, 1)
+        assert direct.points.tobytes() == one.points.tobytes()
+        assert direct.final_state.direction.tobytes() == nxt.direction.tobytes()
 
 
 @pytest.mark.parametrize("a,frac,message", [
@@ -351,38 +401,154 @@ def test_loop_errors_name_their_bounce(a, frac, message):
     """Far launches at n = 2, from part of the way from the circumcenter to vertex 0
     toward facet 0's center, fail a check inside the loop; the message names the
     bounce once."""
-    s = build(2, a)
-    c, v = s.circumcenter, s.vertex(0)
-    st = state_toward(geodesic_point(c, v, frac * dist(c, v)), facet_center(s, 0))
     with pytest.raises(ValueError) as exc:
-        iterate(s, st, 5)
+        iterate(*_far_launch(a, frac), 5)
     assert str(exc.value).startswith(message) and str(exc.value).count("bounce") == 1
 
 
 def test_loop_runs_the_named_layers(monkeypatch):
     """Each bounce of `iterate` is one call each of the `flow` module's `next_collision`
-    and `reflect_at` bindings, so wrapping them by name sees every bounce; the loop
-    itself makes no Minkowski product per bounce."""
-    s, orb = make_orbit(3, 1.0)
-    target = geodesic_point(orb.point(1), orb.point(2), 0.3)
-    st = state_toward(orb.point(0), target, last_facet=0)
-    plain = iterate(s, st, 20)
-    calls = Counter()
-    for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots"):
-        def counted(*args, _fn=getattr(flow_mod, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(flow_mod, name, counted)
-    wrapped = iterate(s, st, 20)
-    assert calls == {"next_collision": 20, "reflect_at": 20, "mink_dot": 2, "mink_dots": 2}
-    for field in ("facets", "points", "arclengths", "drifts"):
-        assert getattr(wrapped, field).tobytes() == getattr(plain, field).tobytes()
-    fin, ref = wrapped.final_state, plain.final_state
-    assert fin.position.coords.tobytes() == ref.position.coords.tobytes()
-    assert fin.direction.tobytes() == ref.direction.tobytes()
+    and `reflect_at` bindings, on either loop, so wrapping them by name sees every
+    bounce; the loop itself makes no Minkowski product per bounce."""
+    for n, loop in SIDES:
+        s, orb = make_orbit(n, 1.0)
+        target = geodesic_point(orb.point(1), orb.point(2), 0.3)
+        st = state_toward(orb.point(0), target, last_facet=0)
+        plain = iterate(s, st, 20)
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots", "_list_loop",
+                         "_array_loop"):
+                def counted(*args, _fn=getattr(flow_mod, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                patch.setattr(flow_mod, name, counted)
+            wrapped = iterate(s, st, 20)
+        assert calls == {"next_collision": 20, "reflect_at": 20, "mink_dot": 2, "mink_dots": 2,
+                         loop: 1}
+        for field in ("facets", "points", "arclengths", "drifts"):
+            assert getattr(wrapped, field).tobytes() == getattr(plain, field).tobytes()
+        fin, ref = wrapped.final_state, plain.final_state
+        assert fin.position.coords.tobytes() == ref.position.coords.tobytes()
+        assert fin.direction.tobytes() == ref.direction.tobytes()
 
 
 EPS = sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("n", sorted({*range(2, 13), SWITCH - 1, SWITCH}))
+def test_list_and_array_loops_agree(n):
+    """From a perturbed launch both loops bounce off the same first 50 facets, and
+    both measure small drift.  Their sums round differently (`math.fsum` against
+    ddot), and the flow is chaotic: at n = 2 and 3 that ulp parts the points by more
+    than 1e-12 after 26 to 46 bounces, so the points are compared on the first 20."""
+    s, orb = make_orbit(n, 1.0)
+    st = _perturbed(launch_state(s, orb), s, 0.3, 7)
+    lst, arr = flow_mod._list_loop(s, st, 50), flow_mod._array_loop(s, st, 50)
+    assert lst.facets.tolist() == arr.facets.tolist()
+    assert np.abs(lst.points[:20] - arr.points[:20]).max() < 1e-12
+    assert lst.max_drift <= 16 * EPS and arr.max_drift <= 16 * EPS
+
+
+ERROR_LAUNCHES = {
+    "outside": _outside_launch,
+    "outside-two-facets": _outside_two_launch,
+    "off-slice": _off_slice_launch,
+    "far-2-20": lambda: _far_launch(20.0, 0.99),
+    "far-2-30": lambda: _far_launch(30.0, 0.5),
+    "lower-boundary": _corner_launch,
+    "lower-boundary-bounce-1": _second_bounce_corner_launch,
+    "no-forward-crossing-2": lambda: _leaving_launch(2),
+    "no-forward-crossing-3": lambda: _leaving_launch(3),
+}
+
+
+def _loop_failures(s, st, steps=5):
+    """The exception type, message and `NonSmoothHitError.step` of each loop on a launch."""
+    out = []
+    for loop in (flow_mod._list_loop, flow_mod._array_loop):
+        with pytest.raises((ValueError, NonSmoothHitError)) as exc:
+            loop(s, st, steps)
+        out.append((type(exc.value), str(exc.value), getattr(exc.value, "step", None)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_LAUNCHES))
+def test_both_loops_fail_error_launches_alike(name):
+    lst, arr = _loop_failures(*ERROR_LAUNCHES[name]())
+    assert lst == arr
+
+
+def test_both_loops_fail_a_grazing_hit_alike():
+    """The grazing check reads the normal component, so both mirrors of the same
+    margins raise the same message.  In a run, that component is what is left of a
+    tilt of 1e-11 off facet 1's plane, and its last digits are rounding, which the
+    two loops make differently."""
+    s = build(3, 1.0)
+    p, beta = _gram(s)
+    w = _arrival_at_facet_center(s, 0)[0]
+    inside = state_toward(HPoint(w), s.vertex(1)).direction
+    nus = mink_dots(inside, s.normal_coords)
+    texts = []
+    for nu in (nus, nus.tolist()):
+        with pytest.raises(NonSmoothHitError) as exc:
+            reflect_at(nu, inside[0], 0, p, beta)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1] and texts[0].startswith("grazing incidence at facet 0")
+
+    s = build(8, 1.0)
+    w = facet_center(s, 1)
+    along = state_toward(w, s.vertex(0)).direction
+    out = state_toward(w, reflect(facet_plane(s, 1), s.circumcenter)).direction
+    lst, arr = _loop_failures(s, FlowState(w, tangent_part(w.coords, along + 1e-11 * out)))
+    head = "grazing incidence at facet 1 (normal component "
+    assert lst[0] is arr[0] is NonSmoothHitError and lst[2] == arr[2] == 0
+    assert lst[1].startswith(head) and arr[1].startswith(head)
+    got, want = (float(m[1][len(head):-1]) for m in (lst, arr))
+    assert got == pytest.approx(-1e-11, rel=1e-5) and got == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("start", ["1e200,0,0,0", "inf,0,0,0", "nan,0,0,0", "1,nan,0,0"])
+def test_both_loops_reject_non_finite_start_coords_alike(capsys, monkeypatch, start):
+    """A non-finite start fails the point check before either loop runs."""
+    seen = []
+    for switch in (SWITCH, 0):  # n = 2: the list loop, then the array loop
+        monkeypatch.setattr(flow_mod, "_LIST_LOOP_MAX_FACETS", switch)
+        code = main(["simulate", "--dim", "2", "--edge", "1", "--steps", "2",
+                     "--start-coords", start, "--dir-coords", "0,1,-1,0"])
+        seen.append((code, capsys.readouterr()))
+    assert seen[0] == seen[1] and seen[0][0] == 2
+    assert seen[0][1].err.startswith("error: not on the unit hyperboloid: <x,x> = ")
+
+
+def test_list_sums_where_fsum_raises():
+    """`math.fsum` raises on inf - inf (ValueError) and on an overflowing partial sum
+    (OverflowError), where ddot returns nan and inf.  The list loop's product takes
+    ddot's value there, so the check it feeds fails as on the array loop.
+
+    The loop's plain sums, fsum(mu) and fsum(nu), cannot raise: each margin passed a
+    check whose product holds its square, so it is below sqrt(max float) (at entry
+    at most n+2 times that), and a flight scales it by at most cosh t + sinh t with
+    tanh t < 1 a double, so a sum of at most SWITCH such terms stays finite."""
+    nb, alpha = -3.0, 2.0
+    inner = flow_mod._list_inner(nb, alpha)
+    for a, b, raised in (([1e200, 1e200], [1e200, -1e200], ValueError),
+                         ([1e308, 1e308], [1.0, 1.0], OverflowError)):
+        with pytest.raises(raised):
+            math.fsum(map(operator.mul, a, b))
+        with np.errstate(over="ignore", invalid="ignore"):  # what ddot warns of is the case
+            got = inner(a, b, 1.0, 1.0)
+            want = (float(np.array(a).dot(np.array(b))) + nb) / alpha  # `_array_loop`'s form
+        assert repr(got) == repr(want) and not math.isfinite(got)
+        messages = []
+        for q in (got, want):
+            with pytest.raises(ValueError) as exc:
+                check_tangent_products(1.0, q, 1.0, 0.0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+    t = math.atanh(math.nextafter(1.0, 0.0))
+    term = (math.cosh(t) + math.sinh(t)) * (SWITCH + 1) * math.sqrt(sys.float_info.max)
+    assert math.isfinite(math.fsum([term] * SWITCH)) and math.fsum([term, -term]) == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 8, 32, 128])
