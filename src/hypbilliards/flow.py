@@ -31,18 +31,20 @@ renormalized onto the hyperboloid and its tangent space.  Each bounce
 records the defects and the invariants' drift before renormalizing, so
 violations cannot pass silently.
 
-Two loops run the bounces, with the same checks and the same messages:
-`_array_loop` on numpy arrays and `_list_loop` on lists of Python floats,
-whose elementwise steps are list comprehensions and whose sums are
-`math.fsum`, exactly rounded and so the same on every Python.  A bounce is
-about 23 numpy calls on vectors of N entries, and below a dozen or so facets
-their dispatch costs more than their arithmetic, so `_run` bounces
-simplices of at most `_LIST_LOOP_MAX_FACETS` facets on lists and larger ones
-on arrays; `iterate`, `step` and `run_closure` all go through it.  ddot
-rounds its sums differently from fsum, so the loops agree to rounding, not
-bit for bit.  Time per bounce of the list loop over the array loop, the
-median of 21 interleaved pairs of 400-bounce runs from a perturbed launch
-at a = 1 (2-vCPU Linux host, Python 3.11, numpy 2.4):
+One loop, `_loop`, runs the bounces and makes every check; its vector steps
+come from one of two kernel sets, chosen once per run.  `_list_kernels` works
+on lists of Python floats, whose elementwise steps are list comprehensions and
+whose sums are `math.fsum`, exactly rounded and so the same on every Python;
+`_array_kernels` works on numpy arrays and sums by ddot.  A bounce is about 23
+numpy calls on vectors of N entries, and below a dozen or so facets their
+dispatch costs more than their arithmetic, so `_run` bounces simplices of at
+most `_LIST_LOOP_MAX_FACETS` facets on lists (`_list_loop`) and larger ones on
+arrays (`_array_loop`); `iterate`, `step` and `run_closure` all go through it.
+An elementwise step rounds the same on a list and on an array, but ddot
+rounds its sums differently from fsum, so the two agree to rounding, not bit
+for bit.  Time per bounce on lists over arrays, the median of 21 interleaved
+pairs of 400-bounce runs from a perturbed launch at a = 1 (2-vCPU Linux host,
+Python 3.11, numpy 2.4):
 
     N       3     4     9     11    12    13    14    16    33    129
     ratio   0.60  0.66  0.87  0.92  0.94  0.97  1.04  1.09  1.57  3.09
@@ -52,10 +54,10 @@ slice, which margins cannot see (|<x,1>| and |<v,1>| at most 1e-9), with no
 margin below -`simplex.FACET_TOL`.  Per bounce, `next_collision` gives the
 flight; the arrival's `classify_margins` must put the point inside the facet
 hit (else `NonSmoothHitError`), so no later step re-tests the margins; and
-`reflect_at` mirrors, raising only at grazing incidence.  Both loops call
+`reflect_at` mirrors, raising only at grazing incidence.  The loop calls
 these two through their module bindings.  The checks of `HPoint` and
-`FlowState` run on the margin form of their products; a `ValueError` in the
-loop names its bounce.
+`FlowState` run on the margin form of their products; a `ValueError` or
+`NonSmoothHitError` in the loop names its bounce.
 
 A run comes out as a `Trajectory` of read-only stacks, row i for bounce i,
 whose points are rebuilt once per run: the spatial part of x is mu times
@@ -67,9 +69,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -149,7 +152,7 @@ def reflect_at(nu: np.ndarray | list[float], v0: float, k: int, p: float,
                beta: float) -> tuple[np.ndarray | list[float], float]:
     """Direction margins ``nu`` and coordinate ``v0`` mirrored at facet k: v - 2 nu_k u_k
     moves nu_j by -2 nu_k G_kj and v0 by -2 nu_k p (module docstring).  ``nu`` is an
-    array or, in `_list_loop`, a list, and the mirror is of the same type."""
+    array or, on `_list_kernels`, a list, and the mirror is of the same type."""
     listed = isinstance(nu, list)
     nu_k = nu[k] if listed else nu.item(k)
     if abs(nu_k) <= GRAZE_TOL:
@@ -211,174 +214,168 @@ def _enter(s: RegularSimplex, state: FlowState) -> tuple[np.ndarray, np.ndarray]
     return mu, nu
 
 
-def _list_inner(nb: float, alpha: float):
-    """`_list_loop`'s <x, y> = (a . b + nb x0 y0) / alpha of two slice vectors from their
-    margin lists a, b and timelike coordinates a0, b0 (module docstring), nb = N beta.
+class _Kernels(NamedTuple):
+    """The vector steps of one run's bounce loop, on lists (``listed``) or on arrays.
 
-    The dot product is `math.fsum` of the products, exactly rounded.  fsum raises
-    where ddot returns inf or nan, on inf - inf (a ValueError) and on a partial sum
-    that overflows; there it takes ddot's value, so the check it feeds fails as in
-    `_array_loop`.
+    ``flight(mu, nu, ch, sh, x0, v0)`` flies both margin vectors to
+    ``(ch mu + sh nu, sh mu + ch nu)``, projects each by its consistency defect
+    against the flown timelike coordinates x0 and v0, and returns them with the two
+    defects.  ``scaled(a, c)`` is ``a / c``, ``tangent(nu, mu, xv)`` is ``nu + xv mu``
+    and ``inner(a, b, a0, b0)`` is <x, y> of two slice vectors (module docstring).
+    ``stacked(rows)`` makes a run's margin rows one ``(len(rows), N)`` array.  The
+    array steps may overwrite their first argument.
     """
+
+    listed: bool
+    flight: Callable
+    scaled: Callable
+    tangent: Callable
+    inner: Callable
+    stacked: Callable
+
+
+def _list_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:
+    """The kernels on lists of Python floats, for simplices of at most
+    `_LIST_LOOP_MAX_FACETS` facets: each elementwise step a list comprehension, each
+    sum a `math.fsum`, exactly rounded.  ``big`` is N and ``nb`` is N beta.
+
+    Only the products can meet fsum's errors: it raises where ddot returns inf or
+    nan, on inf - inf (a ValueError) and on a partial sum that overflows, and there
+    `inner` takes ddot's value, so the check it feeds fails as on arrays.  The sums
+    of the flight cannot: every margin has passed a check on a product that holds
+    its square, or at entry is at most n+2 times sqrt(max float), and a flight
+    scales it by at most cosh t + sinh t < 1.4e8, so their sums stay finite."""
+    def flight(mu, nu, ch, sh, x0, v0):
+        mu, nu = ([ch * m + sh * w for m, w in zip(mu, nu)],
+                  [sh * m + ch * w for m, w in zip(mu, nu)])
+        dx, dv = fsum(mu) / big + p * x0, fsum(nu) / big + p * v0
+        return [m - dx for m in mu], [w - dv for w in nu], dx, dv
+
+    def scaled(a, c):
+        return [e / c for e in a]
+
+    def tangent(nu, mu, xv):
+        return [w + xv * m for m, w in zip(mu, nu)]
+
     def inner(a, b, a0, b0):
         try:
             dot = fsum(map(mul, a, b))
         except (OverflowError, ValueError):
             dot = float(np.dot(a, b))
         return (dot + nb * a0 * b0) / alpha
-    return inner
+
+    def stacked(rows):
+        return np.fromiter(chain.from_iterable(rows), float, len(rows) * big).reshape(-1, big)
+
+    return _Kernels(True, flight, scaled, tangent, inner, stacked)
 
 
-def _trajectory(s: RegularSimplex, state: FlowState, facets, points, arclengths, margins, drifts,
-                nu: np.ndarray, v0: float) -> Trajectory:
-    """A run's stacks, made read-only, with the spatial parts of its points rebuilt from
-    their ``margins``, and the state after its last bounce, of direction (``nu``, v0)."""
-    alpha, normals = _gram(s)[1], s.normal_coords
-    np.divide(margins @ normals[:, 1:], alpha, out=points[:, 1:])
-    for a in (facets, points, arclengths, drifts):
-        a.setflags(write=False)
-    if not len(facets):
-        return Trajectory(facets, points, arclengths, drifts, state)
-    d = np.concatenate(((v0,), (nu @ normals[:, 1:]) / alpha))
-    return Trajectory(facets, points, arclengths, drifts,
-                      FlowState(HPoint(points[-1]), d, int(facets[-1])))
+def _array_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:
+    """The kernels on numpy arrays, in place where they can be, summing by ddot."""
+    all_ones = np.ones(big)
 
+    def flight(mu, nu, ch, sh, x0, v0):
+        mu, nu = ch * mu + sh * nu, sh * mu + ch * nu
+        dx, dv = float(mu.dot(all_ones)) / big + p * x0, float(nu.dot(all_ones)) / big + p * v0
+        mu -= dx
+        nu -= dv
+        return mu, nu, dx, dv
 
-def _array_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """The billiard loop on numpy arrays, for simplices of more than
-    `_LIST_LOOP_MAX_FACETS` facets."""
-    big, (p, alpha, beta) = s.n + 1, _gram(s)
-    nb, all_ones = big * beta, np.ones(big)
+    def scaled(a, c):
+        a /= c
+        return a
+
+    def tangent(nu, mu, xv):
+        nu += xv * mu
+        return nu
 
     def inner(a, b, a0, b0):
         return (float(a.dot(b)) + nb * a0 * b0) / alpha
 
+    def stacked(rows):
+        return np.array(rows).reshape(-1, big)
+
+    return _Kernels(False, flight, scaled, tangent, inner, stacked)
+
+
+def _loop(s: RegularSimplex, state: FlowState, steps: int,
+          kernels: Callable[..., _Kernels]) -> Trajectory:
+    """The billiard loop, on the vector ``kernels`` (`_list_kernels` or `_array_kernels`)."""
+    big, (p, alpha, beta), normals = s.n + 1, _gram(s), s.normal_coords[:, 1:]
+    listed, flight, scaled, tangent, inner, stacked = kernels(big, p, alpha, big * beta)
     mu, nu = _enter(s, state)
-    x0, v0, last = state.position.coords.item(0), state.direction.item(0), state.last_facet
     mus, nus = mu.tolist(), nu.tolist()
-    facets, points = np.empty(steps, dtype=np.intp), np.empty((steps, big + 1))
-    arclengths, margins, drifts = np.empty(steps), np.empty((steps, big)), np.empty((steps, 5))
+    if listed:
+        mu, nu = mus, nus
+    x0, v0, last = state.position.coords.item(0), state.direction.item(0), state.last_facet
+    facets, x0s, arclengths, margins, drifts = [], [], [], [], []
     for i in range(steps):
         try:
             k, t = next_collision(mus, nus, last)
             ch, sh = math.cosh(t), math.sinh(t)
-            mu, nu = ch * mu + sh * nu, sh * mu + ch * nu
             x0, v0 = ch * x0 + sh * v0, sh * x0 + ch * v0
 
-            # consistency: measure, guard, project (see module docstring)
-            dx, dv = float(mu.dot(all_ones)) / big + p * x0, float(nu.dot(all_ones)) / big + p * v0
+            # the flight, its consistency guard and projection (see module docstring)
+            mu, nu, dx, dv = flight(mu, nu, ch, sh, x0, v0)
             if (defect := max(abs(dx), abs(dv))) > 1e-9:
                 raise ValueError(f"margins disagree with the timelike coordinate (defect {defect:.3e})")
-            mu -= dx
-            nu -= dv
             xx, vv, xv = inner(mu, mu, x0, x0), inner(nu, nu, v0, v0), inner(mu, nu, x0, v0)
-            drifts[i] = (abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv))
+            drifts.append((abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv)))
 
             # `to_sheet` and `check_on_sheet`, then `classify_point`'s rule
             if not xx < 0.0:
                 raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {xx!r})")
             if x0 < 0.0:
                 raise ValueError("timelike vector points into the lower sheet")
-            mu /= (scale := math.sqrt(-xx))
-            x0 /= scale
+            mu, x0 = scaled(mu, scale := math.sqrt(-xx)), x0 / scale
             check_sheet_products(inner(mu, mu, x0, x0), x0)
-            region, facet = classify_margins(mus := mu.tolist())
+            region, facet = classify_margins(mus := mu if listed else mu.tolist())
             if region is not Region.FACET_INTERIOR:
-                raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
+                raise NonSmoothHitError(f"hit the {region.value} region of the boundary")
             if facet != k:
-                raise NonSmoothHitError(f"bounce {i}: collision facet {k} disagrees with "
-                                        f"classification {facet}")
+                raise NonSmoothHitError(f"collision facet {k} disagrees with classification {facet}")
 
             # `tangent_part`, the mirror and `check_unit_tangent`
             xv = inner(mu, nu, x0, v0)
-            nu += xv * mu
-            v0 += xv * x0
+            nu, v0 = tangent(nu, mu, xv), v0 + xv * x0
             if not (vv := inner(nu, nu, v0, v0)) > 0.0:
                 raise ValueError("vector has no spacelike tangential component")
-            nu /= (scale := math.sqrt(vv))
-            v0 /= scale
-            nu, v0 = reflect_at(nu, v0, k, p, beta)
-            check_tangent_products(inner(nu, nu, v0, v0), inner(mu, nu, x0, v0), x0, v0)
-            nus = nu.tolist()
-        except NonSmoothHitError as err:
-            err.step = i
-            raise
-        except ValueError as err:
-            raise ValueError(f"bounce {i}: {err}") from err
-        last = facets[i] = k
-        margins[i], points[i, 0], arclengths[i] = mu, x0, t
-    return _trajectory(s, state, facets, points, arclengths, margins, drifts, nu, v0)
-
-
-def _list_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """`_array_loop` on lists of Python floats, for simplices of at most
-    `_LIST_LOOP_MAX_FACETS` facets: the same checks with the same messages, each
-    elementwise step a list comprehension, each sum a `math.fsum`.
-
-    Only the products can meet fsum's errors (`_list_inner`).  fsum(mu) and fsum(nu)
-    cannot: every margin has passed a check on a product that holds its square, or
-    at entry is at most n+2 times sqrt(max float), and a flight scales it by at most
-    cosh t + sinh t < 1.4e8, so their sums stay finite."""
-    big, (p, alpha, beta) = s.n + 1, _gram(s)
-    inner = _list_inner(big * beta, alpha)
-    mu, nu = (m.tolist() for m in _enter(s, state))
-    x0, v0, last = state.position.coords.item(0), state.direction.item(0), state.last_facet
-    facets, x0s, arclengths, margins, drifts = [], [], [], [], []
-    for i in range(steps):
-        try:
-            k, t = next_collision(mu, nu, last)
-            ch, sh = math.cosh(t), math.sinh(t)
-            mu, nu = ([ch * m + sh * w for m, w in zip(mu, nu)],
-                      [sh * m + ch * w for m, w in zip(mu, nu)])
-            x0, v0 = ch * x0 + sh * v0, sh * x0 + ch * v0
-
-            dx, dv = fsum(mu) / big + p * x0, fsum(nu) / big + p * v0
-            if (defect := max(abs(dx), abs(dv))) > 1e-9:
-                raise ValueError(f"margins disagree with the timelike coordinate (defect {defect:.3e})")
-            mu, nu = [m - dx for m in mu], [w - dv for w in nu]
-            xx, vv, xv = inner(mu, mu, x0, x0), inner(nu, nu, v0, v0), inner(mu, nu, x0, v0)
-            drifts.append((abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv)))
-
-            if not xx < 0.0:
-                raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {xx!r})")
-            if x0 < 0.0:
-                raise ValueError("timelike vector points into the lower sheet")
-            scale = math.sqrt(-xx)
-            mu = [m / scale for m in mu]
-            x0 /= scale
-            check_sheet_products(inner(mu, mu, x0, x0), x0)
-            region, facet = classify_margins(mu)
-            if region is not Region.FACET_INTERIOR:
-                raise NonSmoothHitError(f"bounce {i}: hit the {region.value} region of the boundary")
-            if facet != k:
-                raise NonSmoothHitError(f"bounce {i}: collision facet {k} disagrees with "
-                                        f"classification {facet}")
-
-            xv = inner(mu, nu, x0, v0)
-            nu = [w + xv * m for m, w in zip(mu, nu)]
-            v0 += xv * x0
-            if not (vv := inner(nu, nu, v0, v0)) > 0.0:
-                raise ValueError("vector has no spacelike tangential component")
-            scale = math.sqrt(vv)
-            nu = [w / scale for w in nu]
-            v0 /= scale
+            nu, v0 = scaled(nu, scale := math.sqrt(vv)), v0 / scale
             nu, v0 = reflect_at(nu, v0, k, p, beta)
             check_tangent_products(inner(nu, nu, v0, v0), inner(mu, nu, x0, v0), x0, v0)
         except NonSmoothHitError as err:
-            err.step = i
-            raise
+            raise NonSmoothHitError(f"bounce {i}: {err}", i) from err
         except ValueError as err:
             raise ValueError(f"bounce {i}: {err}") from err
+        nus = nu if listed else nu.tolist()
         last = k
         facets.append(k)
         x0s.append(x0)
         arclengths.append(t)
         margins.append(mu)
+
+    # the run as read-only stacks (module docstring) and the state after its last bounce
     points = np.empty((steps, big + 1))
     points[:, 0] = x0s
-    return _trajectory(s, state, np.array(facets, dtype=np.intp), points, np.array(arclengths),
-                       np.array(margins).reshape(steps, big), np.array(drifts).reshape(steps, 5),
-                       np.array(nu), v0)
+    np.divide(stacked(margins) @ normals, alpha, out=points[:, 1:])
+    facets, arclengths = np.array(facets, dtype=np.intp), np.array(arclengths)
+    drifts = np.fromiter(chain.from_iterable(drifts), float, 5 * steps).reshape(steps, 5)
+    for a in (facets, points, arclengths, drifts):
+        a.setflags(write=False)
+    if steps:
+        d = np.concatenate(((v0,), (np.asarray(nu) @ normals) / alpha))
+        state = FlowState(HPoint(points[-1]), d, k)
+    return Trajectory(facets, points, arclengths, drifts, state)
+
+
+def _list_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
+    """`_loop` on lists of Python floats, for at most `_LIST_LOOP_MAX_FACETS` facets."""
+    return _loop(s, state, steps, _list_kernels)
+
+
+def _array_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
+    """`_loop` on numpy arrays, for more than `_LIST_LOOP_MAX_FACETS` facets."""
+    return _loop(s, state, steps, _array_kernels)
 
 
 def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:

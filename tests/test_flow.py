@@ -475,8 +475,12 @@ def _loop_failures(s, st, steps=5):
 
 @pytest.mark.parametrize("name", sorted(ERROR_LAUNCHES))
 def test_both_loops_fail_error_launches_alike(name):
+    """Same type, message and step; a loop error names its bounce once, an entry error none."""
     lst, arr = _loop_failures(*ERROR_LAUNCHES[name]())
     assert lst == arr
+    assert lst[1].count("bounce") == (name not in {"outside", "outside-two-facets", "off-slice"})
+    if name.startswith("lower-boundary"):  # the two corner launches
+        assert lst[1] == f"bounce {lst[2]}: hit the lower-boundary region of the boundary"
 
 
 def test_both_loops_fail_a_grazing_hit_alike():
@@ -501,9 +505,10 @@ def test_both_loops_fail_a_grazing_hit_alike():
     along = state_toward(w, s.vertex(0)).direction
     out = state_toward(w, reflect(facet_plane(s, 1), s.circumcenter)).direction
     lst, arr = _loop_failures(s, FlowState(w, tangent_part(w.coords, along + 1e-11 * out)))
-    head = "grazing incidence at facet 1 (normal component "
+    head = "bounce 0: grazing incidence at facet 1 (normal component "
     assert lst[0] is arr[0] is NonSmoothHitError and lst[2] == arr[2] == 0
     assert lst[1].startswith(head) and arr[1].startswith(head)
+    assert lst[1].count("bounce") == arr[1].count("bounce") == 1
     got, want = (float(m[1][len(head):-1]) for m in (lst, arr))
     assert got == pytest.approx(-1e-11, rel=1e-5) and got == pytest.approx(want, rel=1e-5)
 
@@ -531,7 +536,7 @@ def test_list_sums_where_fsum_raises():
     at most n+2 times that), and a flight scales it by at most cosh t + sinh t with
     tanh t < 1 a double, so a sum of at most SWITCH such terms stays finite."""
     nb, alpha = -3.0, 2.0
-    inner = flow_mod._list_inner(nb, alpha)
+    inner = flow_mod._list_kernels(2, 0.5, alpha, nb).inner
     for a, b, raised in (([1e200, 1e200], [1e200, -1e200], ValueError),
                          ([1e308, 1e308], [1.0, 1.0], OverflowError)):
         with pytest.raises(raised):
@@ -549,6 +554,35 @@ def test_list_sums_where_fsum_raises():
     t = math.atanh(math.nextafter(1.0, 0.0))
     term = (math.cosh(t) + math.sinh(t)) * (SWITCH + 1) * math.sqrt(sys.float_info.max)
     assert math.isfinite(math.fsum([term] * SWITCH)) and math.fsum([term, -term]) == 0.0
+
+
+@pytest.mark.parametrize("big", [3, SWITCH, SWITCH + 1, 129])
+def test_list_kernels_are_their_array_twins_elementwise(big, monkeypatch):
+    """On random margins of N = ``big`` entries, each list kernel's elementwise result
+    is its array twin's bit for bit: the scaling, the tangent step, the stacking of a
+    run's rows, and the flight with its projection once the list sums go through ddot
+    as the array sums do.  So the list and array forms of the loop differ only in
+    their sums."""
+    rng = np.random.default_rng(big)
+    p, alpha, nb, x0, v0, c = rng.uniform(0.1, 2.0, 6).tolist()
+    ch, sh = math.cosh(t := rng.uniform(0.0, 3.0)), math.sinh(t)
+    mu, nu = rng.standard_normal(big), rng.standard_normal(big)
+    lists = flow_mod._list_kernels(big, p, alpha, -nb)
+    arrays = flow_mod._array_kernels(big, p, alpha, -nb)
+
+    def same(got, want):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    same(lists.scaled(mu.tolist(), c), arrays.scaled(mu.copy(), c))
+    same(lists.tangent(nu.tolist(), mu.tolist(), c), arrays.tangent(nu.copy(), mu, c))
+    same(lists.stacked([mu.tolist(), nu.tolist()]), arrays.stacked([mu, nu]))
+    assert lists.stacked([]).shape == arrays.stacked([]).shape == (0, big)
+    monkeypatch.setattr(flow_mod, "fsum", lambda a: float(np.dot(a, np.ones(big))))
+    got = lists.flight(mu.tolist(), nu.tolist(), ch, sh, x0, v0)
+    want = arrays.flight(mu, nu, ch, sh, x0, v0)
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        same(g, w)
 
 
 @pytest.mark.parametrize("n", [3, 8, 32, 128])
