@@ -39,6 +39,9 @@ EXIT_USAGE = 2
 EXIT_NONSMOOTH = 4
 EXIT_NUMERIC = 5
 
+# bytes an output file collects before a write: a 2.3 MB document goes out in a few
+OUTPUT_BUFFER = 1 << 20
+
 
 def parse_dims(spec: str) -> tuple[int, ...]:
     """Dimension lists: '3', '2..5', '2,4,7' or mixtures thereof."""
@@ -82,7 +85,7 @@ def _resolve_edges(edges, cosh_edges) -> tuple[float, ...]:
 
 def _emit_json(doc, path: str | None, precision: int) -> None:
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", buffering=OUTPUT_BUFFER) as fh:
             report_mod.write_json(fh, doc, precision)
             fh.write("\n")
     else:
@@ -92,7 +95,7 @@ def _emit_json(doc, path: str | None, precision: int) -> None:
 
 def _emit_csv(header, rows, path: str | None) -> None:
     if path:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", buffering=OUTPUT_BUFFER) as fh:
             report_mod.write_csv(fh, header, rows)
     else:
         report_mod.write_csv(sys.stdout, header, rows)

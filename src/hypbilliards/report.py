@@ -403,7 +403,7 @@ def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics) 
                 "index": k,
                 "normal": s.normal_coords[k],
                 "center": s.center_coords[k],
-                "vertex_indices": [v for v in range(n + 1) if v != k],
+                "vertex_indices": [*range(k), *range(k + 1, n + 1)],
             }
             for k in range(n + 1)
         ],
@@ -492,39 +492,58 @@ def sweep_document(rep: VerificationReport) -> dict:
     }
 
 
+def _float_format(sig: int):
+    """The CSV text of a float: ``repr`` at 17 digits, else ``sig`` significant digits."""
+    return float.__repr__ if sig >= 17 else f"{{:.{sig}g}}".format
+
+
 def format_float(x: float, sig: int = 17) -> str:
     """Shortest decimal string that reloads to the same float (or ``sig`` digits)."""
-    if sig >= 17:
-        return repr(float(x))
-    return f"{x:.{sig}g}"
+    return _float_format(sig)(float(x))
+
+
+def _csv_rows(int_columns, float_columns, sig: int) -> list[tuple[str, ...]]:
+    """Rows of a table given column by column: the int columns, then the float
+    columns (1-D arrays), each float as `format_float` writes it.
+
+    Each column is formatted by one ``map`` and ``zip`` joins the columns, so
+    no Python frame runs per value or per row.  A float column's text is made
+    before the next column's ``tolist()``, so only one column of Python
+    floats is alive at a time.
+    """
+    fmt = _float_format(sig)
+    texts = [list(map(fmt, c.tolist())) for c in float_columns]
+    return list(zip(*[map(str, c) for c in int_columns], *texts))
 
 
 def trajectory_rows(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
-                    sig: int = 17) -> tuple[list[str], list[list[str]]]:
-    """CSV header and rows for a simulated trajectory, points in intrinsic disk coordinates."""
+                    sig: int = 17) -> tuple[list[str], list[tuple[str, ...]]]:
+    """CSV header and rows for a simulated trajectory, points in intrinsic disk coordinates.
+
+    Row i is the bounce index, the facet hit, the arclength flown and the disk
+    coordinates of the hit.  The rows are built column by column (`_csv_rows`).
+    """
     header = ["step", "facet", "arclength"] + [f"disk{i}" for i in range(s.n)]
     disk = simplex_mod.disk_coords(s, traj.points)
-    rows = [
-        [str(i), str(k), format_float(t, sig)] + [format_float(x, sig) for x in d.tolist()]
-        for i, (k, t, d) in enumerate(zip(traj.facets.tolist(), traj.arclengths.tolist(), disk))
-    ]
+    rows = _csv_rows([range(len(traj)), traj.facets.tolist()], [traj.arclengths, *disk.T], sig)
     return header, rows
 
 
 def orbit_rows(s: simplex_mod.RegularSimplex, orb: orbit_mod.BilliardOrbit,
-               sig: int = 17) -> tuple[list[str], list[list[str]]]:
+               sig: int = 17) -> tuple[list[str], list[tuple[str, ...]]]:
     """CSV header and rows for the bounce points of a constructed orbit."""
     header = ["index", "mass"] + [f"disk{i}" for i in range(s.n)]
     disk = simplex_mod.disk_coords(s, orb.coords)
-    rows = [
-        [str(j), format_float(orb.mass(j), sig)] + [format_float(x, sig) for x in d.tolist()]
-        for j, d in enumerate(disk)
-    ]
+    rows = _csv_rows([range(orb.period)], [orb.masses, *disk.T], sig)
     return header, rows
 
 
-def write_csv(fh, header: list[str], rows: list[list[str]]) -> None:
-    """Comma separator, '.' decimal mark, '\\n' newlines, one header row."""
+def write_csv(fh, header: list[str], rows) -> None:
+    """Comma separator, '.' decimal mark, '\\n' newlines, one header row.
+
+    ``rows`` is any iterable of sequences of str, lists or tuples alike.  The
+    rows go to ``fh`` in one ``writelines``, so the file's buffer, not a
+    Python-level call per row, decides how often the text reaches the disk.
+    """
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(row) + "\n")
+    fh.writelines(map("{}\n".format, map(",".join, rows)))

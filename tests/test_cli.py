@@ -328,6 +328,15 @@ def test_simulate_zero_steps_header_only(capsys):
     assert out.splitlines() == ["step,facet,arclength,disk0,disk1"]
 
 
+def test_simulate_zero_steps_csv_file_holds_the_header_line_only(capsys, tmp_path):
+    path = tmp_path / "trajectory.csv"
+    code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1",
+                         "--steps", "0", "--csv", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == b"step,facet,arclength,disk0,disk1,disk2\n"
+    assert err.startswith("0 bounces, total length 0,")
+
+
 def test_simulate_corner_shot_exits_four(capsys):
     s = build(2, 1.0)
     start = ",".join(repr(float(x)) for x in s.circumcenter.coords)

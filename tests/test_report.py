@@ -19,6 +19,7 @@ from hypbilliards.orbit import construct_orbit
 from hypbilliards.report import (
     CellReport,
     Tolerances,
+    _csv_rows,
     evaluate_cell,
     format_float,
     jsonable,
@@ -217,6 +218,45 @@ def test_csv_helpers_round_trip():
     assert lines[0] == "step,facet,arclength,disk0,disk1"
     assert len(lines) == 4
     assert float(lines[1].split(",")[2]) == traj.arclengths[0]
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e308, -1e308, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("sig", [1, 9, 16, 17])
+@given(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), max_size=20))
+@example(_EDGE_FLOATS)
+@settings(max_examples=50, deadline=None)
+def test_csv_columns_format_floats_as_format_float(sig, xs):
+    """The column path writes each float as `format_float` does, at every precision,
+    and `format_float` is ``repr`` at 17 digits and ``g`` format below."""
+    rows = _csv_rows([range(len(xs))], [np.array(xs), np.array(xs[::-1])], sig)
+    assert rows == [(str(i), format_float(x, sig), format_float(y, sig))
+                    for i, (x, y) in enumerate(zip(xs, xs[::-1]))]
+    assert [format_float(x, sig) for x in xs] == [repr(x) if sig == 17 else f"{x:.{sig}g}"
+                                                   for x in xs]
+
+
+def test_zero_step_trajectory_has_header_and_no_rows():
+    s = build(3, 1.0)
+    traj = iterate(s, launch_state(s, construct_orbit(s, build_sequence(3, 1.0))), 0)
+    header, rows = trajectory_rows(s, traj)
+    assert header == ["step", "facet", "arclength", "disk0", "disk1", "disk2"]
+    assert rows == []
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    assert buf.getvalue() == "step,facet,arclength,disk0,disk1,disk2\n"
+
+
+def test_write_csv_writes_tuple_and_list_rows_alike():
+    s = build(3, 1.0)
+    traj = iterate(s, launch_state(s, construct_orbit(s, build_sequence(3, 1.0))), 9)
+    header, rows = trajectory_rows(s, traj, 9)
+    as_tuples, as_lists = io.StringIO(), io.StringIO()
+    write_csv(as_tuples, header, [tuple(r) for r in rows])
+    write_csv(as_lists, header, [list(r) for r in rows])
+    assert as_tuples.getvalue() == as_lists.getvalue()
+    assert as_lists.getvalue().count("\n") == 10
 
 
 @pytest.mark.parametrize("a", [1e-4, 1.0, 2.0])
