@@ -19,10 +19,17 @@ this, a test pins it.
 
 A cell needs one fold per bounce point, facet or vertex.  `cyclic_folds`,
 `omit_one_folds` and `pair_folds` run all of them at once on a ``(p, m)``
-accumulator, one ``acc += w_k X_k`` step per mass, so that row j gets exactly
-the sequential sum `centroid_fold` computes for fold j, without ever holding a
-``(p, k, m)`` stack.  `combine_intrinsic` solves the two-mass balance on the
-segment directly, as an independent cross-check of the same operation.
+accumulator, so that row j gets exactly the sequential sum `centroid_fold`
+computes for fold j, without ever holding a ``(p, k, m)`` stack.
+`cyclic_folds` and `pair_folds` take one ``acc += w_k X_k`` step per mass.
+Row j of `omit_one_folds` is ``((0 + t_0) + ... + t_(j-1)) + t_(j+1) + ... +
+t_(p-1)`` with t_k = w_k X_k: its prefix is row j of one ``np.add.accumulate``
+along axis 0 of ``[+0.0, t_0, ..., t_(p-2)]``, which adds row by row in that
+order (a test pins it, as for ``add.reduce``), and only the suffix terms are
+then added one step at a time.  Each row gets the same additions in the same
+order as its own loop, for half the work of one step per mass and row.
+`combine_intrinsic` solves the two-mass balance on the segment directly, as an
+independent cross-check of the same operation.
 """
 
 from __future__ import annotations
@@ -135,10 +142,12 @@ def omit_one_folds(weights, coords) -> tuple[np.ndarray, np.ndarray]:
     """
     w = _stack_weights(weights, coords)
     terms = w[:, None] * coords
-    acc = np.zeros(coords.shape)
-    for r, term in enumerate(terms):
-        acc[:r] += term
-        acc[r + 1:] += term
+    # row j's prefix ((0 + t_0) + ...) + t_(j-1), every row at once; then its suffix
+    head = np.zeros(coords.shape)
+    head[1:] = terms[:-1]
+    acc = np.add.accumulate(head, axis=0)
+    for r in range(1, len(terms)):
+        acc[:r] += terms[r]
     return _centroids(acc)
 
 

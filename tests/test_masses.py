@@ -306,6 +306,55 @@ def test_stacked_folds_keep_the_fold_checks():
         omit_one_folds(np.ones(3), vc)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 128])
+def test_accumulate_is_sequential_row_by_row(n):
+    """`omit_one_folds` takes its prefixes from ``np.add.accumulate`` along axis 0, whose
+    order numpy does not document either: pin row i as the loop's sum after step i."""
+    rng = np.random.default_rng(n)
+    for a in (0.5, 2.0, 7.3):
+        terms = build_sequence(n, a).weights[:-1, None] * build(n, a).vertex_coords
+        wild = rng.normal(0.0, 1.0, terms.shape) * 10.0 ** rng.integers(-12, 12, terms.shape)
+        wild[:, 1] = -0.0
+        for x in (terms, wild, np.vstack((np.zeros(terms.shape[1]), terms[:-1]))):
+            rows = [x[0]]
+            for row in x[1:]:
+                rows.append(rows[-1] + row)
+            assert np.add.accumulate(x, axis=0).tobytes() == np.array(rows).tobytes()
+
+
+def test_omit_one_folds_of_one_and_two_masses():
+    vc = build(1, 1.0).vertex_coords
+    with pytest.raises(ValueError, match="total mass is zero"):
+        omit_one_folds(np.ones(1), vc[:1])
+    w = np.array([0.7, 2.5])
+    _assert_rows_are_folds(omit_one_folds(w, vc), [(w[1:], vc[1:]), (w[:1], vc[:1])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_omit_one_folds_match_centroid_folds_on_random_stacks(data):
+    """Weights with exact zeros of both signs and points with -0.0 columns, row by
+    row against `centroid_fold` by bytes; a row with no mass left, or with too little
+    to square, raises in both."""
+    p, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4))
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e3),
+                                    min_size=p, max_size=p)))
+    space = np.array(data.draw(st.lists(st.lists(st.floats(-20.0, 20.0), min_size=m, max_size=m),
+                                        min_size=p, max_size=p)))
+    space[:, data.draw(st.lists(st.booleans(), min_size=m, max_size=m))] = -0.0
+    x = np.column_stack((np.sqrt(1.0 + (space * space).sum(axis=1)), space))
+    folds = [(np.delete(w, j), np.delete(x, j, axis=0)) for j in range(p)]
+    try:
+        for fold_j in folds:
+            centroid_fold(*fold_j)
+    except ValueError as err:
+        assert str(err).startswith("total mass is zero")
+        with pytest.raises(ValueError, match="total mass is zero"):
+            omit_one_folds(w, x)
+    else:
+        _assert_rows_are_folds(omit_one_folds(w, x), folds)
+
+
 @pytest.mark.parametrize("bad", [-1e-3, math.nan])
 def test_construct_orbit_rejects_bad_interior_weight(bad):
     seq = build_sequence(5, 1.0)

@@ -17,6 +17,7 @@ from hypbilliards import simplex as simplex_mod
 from hypbilliards.geometry import dist, mink_dot
 from hypbilliards.orbit import construct_orbit
 from hypbilliards.report import (
+    _SORTED_TEXTS_MIN_SIZE,
     CellReport,
     Tolerances,
     _csv_rows,
@@ -64,6 +65,17 @@ def test_evaluate_cell_passes(n, a):
                 "midpoint_defect"):
         assert key in rep.residuals
     assert rep.residuals["multiplier"] > 2.0
+
+
+@pytest.mark.parametrize("n,a", [(8, 1e-7), (3, 2.1544346900318822e-08),
+                                 (8, 2.1544346900318822e-08)])
+def test_evaluate_cell_passes_where_the_multiplier_rounds_to_two(n, a):
+    """2 cosh(theta) rounds to 2.0 once theta < 1.49e-8; the gate reads theta > 0."""
+    s, seq, orb = built_cell(n, a)
+    assert seq.multiplier == 2.0 and 0.0 < seq.theta < 1.49e-8
+    rep = evaluate_cell(s, seq, orb)
+    assert rep.passed, rep.failures
+    assert rep.residuals["multiplier"] == 2.0
 
 
 def test_evaluate_cell_reports_failures_under_impossible_gates():
@@ -369,6 +381,60 @@ def test_write_json_matches_jsonable_on_float_arrays(arrays, sig):
     indent=2 dump of `jsonable`'s copy."""
     first = arrays[0]
     doc = {"a": arrays, "b": {"row": first, "x": float(first.flat[0]) if first.size else 1.5}}
+    assert json_text(doc, sig) == reference_text(doc, sig)
+
+
+# Stacks on both sides of the size from which `write_json` formats an array from
+# one sort of its bit patterns, exactly that size included, in each memory layout
+_CROSS = _SORTED_TEXTS_MIN_SIZE
+_SIDE = max(k for k in range(1, 32) if _CROSS % k == 0)
+_STACK_SHAPES = [(7,), (3, 5), (2, 3, 4), (_CROSS - 1,), (_CROSS,), (_CROSS + 1,),
+                 (_CROSS // _SIDE, _SIDE), (_SIDE, _CROSS // _SIDE), (_CROSS // _SIDE, _SIDE + 1),
+                 (3, 7, 31), (129, 130)]
+# both zeros, NaN of both signs and with a payload, subnormals and both infinities
+_SPECIAL_BITS = [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                 0x7FF8000000000123, 0xFFF0000000000001, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                 0x7FF0000000000000, 0xFFF0000000000000]
+_SPECIAL_FLOATS = np.array(_SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+
+
+def _laid_out(values: np.ndarray, shape: tuple, layout: str) -> np.ndarray:
+    """An array of ``shape`` taking its entries from ``values`` (at least twice its
+    size), in the named memory layout."""
+    size = math.prod(shape)
+    if layout == "transposed":
+        return values[:size].reshape(shape[::-1]).T
+    if layout == "reversed":
+        return values[:size].reshape(shape)[(slice(None, None, -1),) * len(shape)]
+    if layout == "strided":
+        return values[:2 * size].reshape(*shape[:-1], 2 * shape[-1])[..., ::2]
+    if layout == "fortran":
+        return np.asfortranarray(values[:size].reshape(shape))
+    if layout == "broadcast":
+        return np.broadcast_to(values[:shape[-1]] if len(shape) > 1 else values[0], shape)
+    return values[:size].reshape(shape)
+
+
+@pytest.mark.parametrize("sig", [17, 9, 3])
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_STACK_SHAPES),
+       st.sampled_from(["c", "transposed", "reversed", "strided", "fortran", "broadcast"]),
+       st.lists(st.floats(allow_subnormal=True), max_size=4), st.integers(0, 200),
+       st.integers(0, 2**32 - 1))
+@example((_CROSS,), "transposed", [], 0, 0)
+@example((_CROSS // _SIDE, _SIDE), "fortran", [], 3, 1)
+@example((_SIDE, _CROSS // _SIDE), "broadcast", [1.5], 0, 2)
+@example((_CROSS - 1,), "reversed", [], 10, 3)
+@example((129, 130), "strided", [0.1], 139, 4)
+def test_write_json_matches_jsonable_on_float_stacks(sig, shape, layout, extra, spread, seed):
+    """Float64 stacks of every layout, small ones written by a lookup per entry and large
+    ones from one sort of their bits, against the dump of `jsonable`'s copy.  Their
+    entries come from the special floats, ``extra`` and ``spread`` random normals."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate((_SPECIAL_FLOATS, extra, rng.normal(0.0, 10.0, spread)))
+    a = _laid_out(rng.choice(pool, 2 * math.prod(shape)), shape, layout)
+    assert a.shape == shape
+    doc = {"stack": a, "again": [a, a[:1]]}
     assert json_text(doc, sig) == reference_text(doc, sig)
 
 
