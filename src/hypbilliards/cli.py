@@ -152,7 +152,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _perturbed(state: flow_mod.FlowState, s: simplex_mod.RegularSimplex,
                eps: float, seed: int) -> flow_mod.FlowState:
-    """Rotate the direction by angle eps inside the simplex slice."""
+    """Rotate the direction by angle eps inside the simplex slice.
+
+    A launch from a facet that the rotation turns out of the simplex, or
+    along the facet, is a usage error: the flow has no forward path from it.
+    """
     rng = np.random.default_rng(seed)
     x = state.position.coords
     d = state.direction
@@ -165,9 +169,16 @@ def _perturbed(state: flow_mod.FlowState, s: simplex_mod.RegularSimplex,
     if norm < 1e-12:
         raise ValueError("degenerate perturbation direction; change the seed")
     w /= norm
-    return flow_mod.FlowState(
+    out = flow_mod.FlowState(
         state.position, math.cos(eps) * d + math.sin(eps) * w, state.last_facet
     )
+    k = out.last_facet
+    if k is not None:
+        margin = mink_inner(out.direction, s.normal_coords[k])
+        if not margin > 0.0:
+            raise ValueError(f"--perturb {eps!r} turns the launch out of the simplex: "
+                             f"direction margin {margin!r} at facet {k} is not positive")
+    return out
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -296,6 +307,8 @@ def check_args(args: argparse.Namespace) -> None:
             raise ValueError(f"need a non-negative bounce count, got {args.steps}")
         if not math.isfinite(args.perturb):
             raise ValueError(f"perturbation angle must be finite, got {args.perturb}")
+        if args.seed < 0:
+            raise ValueError(f"perturbation seed must be non-negative, got {args.seed}")
         for name in ("start_coords", "dir_coords"):
             text = getattr(args, name)
             if text is not None:

@@ -48,45 +48,43 @@ def mink_dot(x: np.ndarray, y: np.ndarray) -> float:
     it is the numpy-scalar ``-x[0] * y[0] + x[1:] @ y[1:]`` bit for bit
     (`tests/test_geometry.py` pins it), but for which of two NaNs survives
     and the sign of a zero product of two-entry vectors, which ``.dot``
-    multiplies as scalars.  Use it on data that is already
-    validated (`HPoint` coordinates, `Hyperplane` normals, vertex rows): the
-    results match `mink_inner` bit for bit, minus its re-checks.  For one
-    vector against many, use `mink_dots`.
+    multiplies as scalars.  Use it on data that is already validated
+    (`HPoint` coordinates, `Hyperplane` normals, vertex rows): the results
+    match `mink_inner` bit for bit, minus its re-checks.  For stacks of
+    vectors, use `mink_dots`, `mink_pairs` or `mink_table`.
     """
     return -x.item(0) * y.item(0) + float(x[1:].dot(y[1:]))
 
 
-def mink_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """`mink_dot` of x with every row of the ``(k, len(x))`` stack ys, bit for bit.
+# The stacked products below are `mink_dot` for every row or pair of rows, bit
+# for bit: the timelike term first, as there, plus one ``np.vecdot`` over the
+# spacelike columns.  numpy's float64 ``vecdot`` loop calls, for every row or
+# pair, the same ``ddot`` that `mink_dot` does.  Never write one as a 2-D
+# product such as ``ys[:, 1:] @ x[1:]`` or ``xs[:, 1:] @ ys[:, 1:].T``: that is
+# one ``gemv`` or ``gemm``, which rounds differently in the last bit for most
+# rows and moves every pinned residual downstream.  numpy does not document the
+# routing; `tests/test_geometry.py` pins it on C, Fortran, reversed, strided and
+# broadcast stacks of vectors of three or more entries, with NaN, infinities,
+# signed zeros and subnormals.  Where two NaNs meet in one product, which of
+# them survives is not pinned.
 
-    numpy runs the stacked matmul ``(k, 1, L) @ (L, 1)`` as one vector-vector
-    ``ddot`` per row, the call `mink_dot` makes.  Never write it as the 2-D
-    product ``ys[:, 1:] @ x[1:]``: that is one ``gemv``, which rounds
-    differently in the last bit for most rows and moves every pinned
-    residual downstream.  numpy does not document this routing;
-    `tests/test_geometry.py` pins it.
-    """
-    return -x.item(0) * ys[:, 0] + np.matmul(ys[:, None, 1:], x[1:, None])[:, 0, 0]
+def mink_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`mink_dot` of x with every row of the ``(k, len(x))`` stack ys: one ``vecdot``."""
+    return -x.item(0) * ys[:, 0] + np.vecdot(ys[:, 1:], x[1:])
 
 
 def mink_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """`mink_dot` of row i of xs with row i of ys, for every i, bit for bit.
+    """`mink_dot` of row i of xs with row i of ys, for every i: one ``vecdot``.
 
-    The stacked matmul ``(k, 1, L) @ (k, L, 1)`` is one ``ddot`` per pair,
-    as in `mink_dots`.  Either stack may be a broadcast view of one vector.
+    Either stack may be a broadcast view of one vector.
     """
-    return -xs[:, 0] * ys[:, 0] + np.matmul(xs[:, None, 1:], ys[:, 1:, None])[:, 0, 0]
+    return -xs[:, 0] * ys[:, 0] + np.vecdot(xs[:, 1:], ys[:, 1:])
 
 
 def mink_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``(p, q)`` table of `mink_dot` over every row of xs against every row of ys, bit for bit.
-
-    ``(p, 1, 1, L) @ (1, q, L, 1)`` is one ``ddot`` per entry; the 2-D
-    ``xs[:, 1:] @ ys[:, 1:].T`` would be one ``gemm`` and round differently.
-    """
-    t = np.matmul(xs[:, None, None, 1:], ys[None, :, 1:, None])[:, :, 0, 0]
-    t -= np.multiply.outer(xs[:, 0], ys[:, 0])  # the same sum as -x0 y0 + ddot
-    return t
+    """``(p, q)`` table of `mink_dot` over every row of xs against every row of ys:
+    one ``vecdot`` over the broadcast ``(p, 1, L)`` and ``(1, q, L)`` spacelike parts."""
+    return np.multiply.outer(-xs[:, 0], ys[:, 0]) + np.vecdot(xs[:, None, 1:], ys[None, :, 1:])
 
 
 def safe_arccosh(c: float) -> float:
@@ -184,13 +182,14 @@ def check_unit_normal_rows(u: np.ndarray) -> None:
 def reflect_rows(normals: np.ndarray, x: np.ndarray) -> np.ndarray:
     """`reflect` of row i of x across the hyperplane with normal row i, for every i."""
     w = (2.0 * mink_pairs(x, normals))[:, None] * normals
-    return from_vector_rows(np.subtract(x, w, out=w))
+    np.subtract(x, w, out=w)
+    return from_vector_rows(w, mink_pairs(w, w))
 
 
-def from_vector_rows(w: np.ndarray) -> np.ndarray:
+def from_vector_rows(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The coordinates of `HPoint.from_vector` of every row of w: `to_sheet`, then
-    `check_on_sheet`."""
-    q = mink_pairs(w, w)
+    `check_on_sheet`.  q is ``mink_pairs(w, w)``, which the caller has already
+    computed."""
     bad = (q >= 0.0).nonzero()[0]
     if bad.size:
         raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {float(q[bad[0]])!r})")

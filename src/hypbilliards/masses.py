@@ -179,14 +179,15 @@ def _check_weights(w: np.ndarray) -> None:
 def _centroids(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`centroid_fold`'s location and weight for each row of summed masses, with its checks."""
     with np.errstate(over="ignore", invalid="ignore"):  # a square past the doubles fails below
-        m2 = -mink_pairs(acc, acc)
+        q = mink_pairs(acc, acc)
+    m2 = -q
     if (m2 <= 0.0).any():
         raise ValueError("total mass is zero; centroid undefined")
     z = np.sqrt(m2)
     bad = (~np.isfinite(z)).nonzero()[0]
     if bad.size:
         raise ValueError(f"weight must be finite and non-negative, got {float(z[bad[0]])!r}")
-    return from_vector_rows(acc), z
+    return from_vector_rows(acc, q), z
 
 
 def scale_masses(items: Sequence[PointMass], factor: float) -> list[PointMass]:

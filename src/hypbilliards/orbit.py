@@ -56,7 +56,7 @@ def specular_defects(normals: np.ndarray, prev: np.ndarray, at: np.ndarray,
     w_in = unit_tangent_rows(at, prev)
     np.negative(w_in, out=w_in)
     w_in -= (2.0 * mink_pairs(w_in, normals))[:, None] * normals  # now its mirror image
-    return np.arccos(np.clip(mink_pairs(w_in, unit_tangent_rows(at, nxt)), -1.0, 1.0))
+    return np.arccos(mink_pairs(w_in, unit_tangent_rows(at, nxt)).clip(-1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +121,16 @@ class OrbitVerification:
     @property
     def clean_facets(self) -> bool:
         """Every point interior to its own facet, each facet hit exactly once."""
-        return bool(np.all(self.facet_ok)) and len(set(self.facet_of.tolist())) == len(self.facet_of)
+        return bool(self.facet_ok.all()) and len(set(self.facet_of.tolist())) == len(self.facet_of)
 
     def max_residuals(self) -> dict[str, float]:
         # collinearity defects can round to tiny negatives; compare magnitudes
         return {
-            "incidence": float(np.max(np.abs(self.incidence))),
-            "collinearity": float(np.max(np.abs(self.collinearity))),
-            "centroid_dist": float(np.max(np.abs(self.centroid_dist))),
-            "centroid_mass_rel": float(np.max(np.abs(self.centroid_mass_rel))),
-            "angle_defect": float(np.max(np.abs(self.angle_defect))),
+            "incidence": float(np.abs(self.incidence).max()),
+            "collinearity": float(np.abs(self.collinearity).max()),
+            "centroid_dist": float(np.abs(self.centroid_dist).max()),
+            "centroid_mass_rel": float(np.abs(self.centroid_mass_rel).max()),
+            "angle_defect": float(np.abs(self.angle_defect).max()),
         }
 
 
@@ -147,7 +147,8 @@ def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
     # makes each weight difference one sinh, d_i = sinh((2i-1-N) theta/2) / sinh(theta/2).
     big, unit = s.n + 1, math.sinh(0.5 * seq.theta)
     d = [math.sinh(0.5 * (2 * i - 1 - big) * seq.theta) / unit for i in range(1, big + 1)]
-    launch = np.array(d) @ np.roll(s.vertex_coords, -1, axis=0)
+    vc = s.vertex_coords
+    launch = np.array(d) @ np.concatenate((vc[1:], vc[:1]))  # row i - 1 is V_(i mod N)
     return BilliardOrbit(points, masses, seq.multiplier, launch)
 
 
@@ -177,7 +178,8 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit,
     # `segment_defect(P_j, P_{j-1}, mirrored)`
     collinearity = dist_rows(prev, pts) + dist_rows(pts, mirrored) - dist_rows(prev, mirrored)
     m = orbit.masses
-    merged, merged_mass = pair_folds(np.roll(m, 1), prev, np.roll(m, -1), mirrored)
+    m_ring = np.concatenate((m[-1:], m, m[:1]))
+    merged, merged_mass = pair_folds(m_ring[:-2], prev, m_ring[2:], mirrored)
     target_mass = orbit.multiplier * m
     if (target_mass == 0.0).any():  # as the float quotient of one bounce would
         raise ZeroDivisionError("float division by zero")
@@ -195,7 +197,7 @@ def _facets_of(s: RegularSimplex, pts: np.ndarray, tol: float):
     margins = mink_table(pts, s.normal_coords)
     hit = facet_hits(margins, tol)
     facet_ok = hit >= 0
-    facet_of = np.where(facet_ok, hit, np.argmin(np.abs(margins), axis=1))
+    facet_of = np.where(facet_ok, hit, np.abs(margins).argmin(axis=1))
     return facet_of, facet_ok, np.abs(margins[np.arange(len(pts)), facet_of])
 
 
@@ -222,7 +224,7 @@ def midpoint_trajectory_defect(s: RegularSimplex) -> float:
     away from zero for n >= 3: the naive generalization of the triangle
     orbit is not a billiard trajectory.
     """
-    return float(np.max(midpoint_defects(s)))
+    return float(midpoint_defects(s).max())
 
 
 def orbit_edge_lengths(orbit: BilliardOrbit) -> np.ndarray:

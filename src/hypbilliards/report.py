@@ -126,10 +126,10 @@ def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
     vc_exp = simplex_mod.cosh_sq_circumradius(n, c)
     vf_exp = simplex_mod.cosh_sq_vertex_to_facet_center(n, c)
     gate("vertex_center_rel",
-         float(np.max(np.abs(np.cosh(m.vertex_center) ** 2 / vc_exp - 1.0))),
+         float(np.abs(np.cosh(m.vertex_center) ** 2 / vc_exp - 1.0).max()),
          tol.metrics_rel)
     gate("vertex_facet_center_rel",
-         float(np.max(np.abs(np.cosh(m.vertex_facet_center) ** 2 / vf_exp - 1.0))),
+         float(np.abs(np.cosh(m.vertex_facet_center) ** 2 / vf_exp - 1.0).max()),
          tol.metrics_rel)
     gate("centroid_weight_rel",
          abs(m.centroid_weight / simplex_mod.centroid_weight_formula(n, c) - 1.0),
@@ -148,9 +148,9 @@ def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
          max(abs(seq.weight(1) - 1.0), abs(seq.weight(n) - 1.0)),
          tol.weight_boundary)
     gate("weight_recurrence",
-         float(np.max(np.abs(seq.recurrence_residuals()))),
+         float(np.abs(seq.recurrence_residuals()).max()),
          tol.weight_recurrence)
-    interior_min = float(np.min(seq.weights[1:-1]))
+    interior_min = float(seq.weights[1:-1].min())
     residuals["min_interior_weight"] = interior_min
     if not interior_min > 0.0:
         failures.append(f"interior weight {interior_min} not positive")
@@ -402,7 +402,7 @@ def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
     doc = _simplex_body(s, simplex_mod.metrics(s))
     # <u_j, V_k> for every facet j and each of its vertices k != j
     table = mink_table(s.normal_coords, s.vertex_coords)
-    doc["checks"]["facet_incidence"] = float(np.max(np.abs(table[~np.eye(s.n + 1, dtype=bool)])))
+    doc["checks"]["facet_incidence"] = float(np.abs(table[~np.eye(s.n + 1, dtype=bool)]).max())
     return doc
 
 
@@ -448,7 +448,7 @@ def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics) 
             "expected_centroid_weight": simplex_mod.centroid_weight_formula(n, c),
         },
         "checks": {
-            "edge_spread": float(np.max(np.abs(pair_dists - s.edge))),
+            "edge_spread": float(np.abs(pair_dists - s.edge).max()),
             "facet_incidence": None,
             "min_opposite_margin": min_margin,
             "right_angle": right_angle,
@@ -471,7 +471,7 @@ def _right_angle(s: simplex_mod.RegularSimplex) -> float:
         return 0.0
     apex = unit_tangent_rows(w0[None], s.vertex_coords[:1])[0]
     towards = unit_tangent_rows(at[keep], others[keep])
-    angles = np.arccos(np.clip(mink_dots(apex, towards), -1.0, 1.0))
+    angles = np.arccos(mink_dots(apex, towards).clip(-1.0, 1.0))
     return max(np.abs(angles - 0.5 * math.pi).tolist())
 
 

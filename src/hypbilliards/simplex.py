@@ -140,7 +140,7 @@ def build(n: int, edge: float) -> RegularSimplex:
     cosh_r = math.sqrt(1.0 + sinh_r * sinh_r)
     e = simplex_directions(n)
 
-    vc = np.column_stack((np.full(n + 1, cosh_r), sinh_r * e))
+    vc = _axis_rows(cosh_r, sinh_r, e)
     check_on_sheet_rows(vc)
 
     # Facet normal opposite vertex j shares the vertex's symmetry axis:
@@ -149,13 +149,21 @@ def build(n: int, edge: float) -> RegularSimplex:
     t = sinh_r / (n * cosh_r)
     q = 1.0 / math.sqrt(1.0 - t * t)
     p = -q * t
-    nc = np.column_stack((np.full(n + 1, p), q * e))
+    nc = _axis_rows(p, q, e)
     check_unit_normal_rows(nc)
     # the center of facet j folds unit masses on every vertex but j (checked on the sheet there)
     cc = omit_one_folds(np.ones(n + 1), vc)[0]
     for x in (vc, nc, cc):
         x.setflags(write=False)
     return RegularSimplex(n, edge, vc, nc, cc)
+
+
+def _axis_rows(head: float, scale: float, e: np.ndarray) -> np.ndarray:
+    """The stack whose row j is ``(head, scale * e[j])``."""
+    x = np.empty((len(e), e.shape[1] + 1))
+    x[:, 0] = head
+    np.multiply(scale, e, out=x[:, 1:])
+    return x
 
 
 # Closed-form squared hyperbolic cosines of the simplex measurements, as
@@ -188,7 +196,9 @@ class SimplexMetrics:
 
 def metrics(s: RegularSimplex) -> SimplexMetrics:
     """Measure the characteristic distances and the centroid weight directly."""
-    vc = dist_rows(s.vertex_coords, np.broadcast_to(s.circumcenter.coords, s.vertex_coords.shape))
+    center = np.zeros(s.vertex_coords.shape)  # the circumcenter, the basepoint, on every row
+    center[:, 0] = 1.0
+    vc = dist_rows(s.vertex_coords, center)
     vf = dist_rows(s.vertex_coords, s.center_coords)
     w = centroid_fold(np.ones(s.n + 1), s.vertex_coords).weight
     return SimplexMetrics(vc, vf, w)
@@ -272,8 +282,8 @@ def facet_hits(margins: np.ndarray, tol: float = FACET_TOL) -> np.ndarray:
     """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
     the point (`classify_point` gives `Region.FACET_INTERIOR`), or -1."""
     near = np.abs(margins) <= tol
-    hit = ~(margins < -tol).any(axis=1) & (np.count_nonzero(near, axis=1) == 1)
-    return np.where(hit, np.argmax(near, axis=1), -1)
+    hit = ~(margins < -tol).any(axis=1) & (near.sum(axis=1) == 1)
+    return np.where(hit, near.argmax(axis=1), -1)
 
 
 @dataclass(frozen=True)

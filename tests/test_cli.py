@@ -473,6 +473,44 @@ def test_simulate_perturbation_deterministic(capsys):
     assert out1 != out3
 
 
+@pytest.mark.parametrize("eps", ["-2", "3.1"])
+def test_simulate_outward_perturbed_launch_is_usage_error(capsys, eps):
+    """A perturbation that turns the launch at P_0 out of the simplex leaves the flow
+    no forward path; it used to end in exit 5 (no forward facet crossing) or exit 4."""
+    code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1", "--steps", "2",
+                         "--perturb", eps)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --perturb {float(eps)!r} turns the launch out of the "
+                          "simplex: direction margin -")
+    assert err.endswith(" at facet 0 is not positive\n")
+
+
+def test_simulate_perturbed_launches_run_or_are_rejected(capsys):
+    """Every perturbed default launch either flows or is rejected before the flow
+    as turned out of its launch facet: none ends in a corner hit or a breakdown."""
+    codes = []
+    for n in (2, 3, 8):
+        s = build(n, 1.0)
+        start = flow.launch_state(s, orbit.construct_orbit(s, weights.build_sequence(n, 1.0)))
+        for eps in ("-3", "-1", "0.3", "1.5", "3.1"):
+            for seed in ("0", "1", "2"):
+                code, _, err = run(capsys, "simulate", "--dim", str(n), "--edge", "1",
+                                   "--steps", "5", "--perturb", eps, "--seed", seed)
+                codes.append(code)
+                if code == 2:
+                    assert err.endswith(f" at facet {start.last_facet} is not positive\n")
+                else:
+                    assert code == 0, (n, eps, seed, err)
+    assert 0 in codes and 2 in codes
+
+
+@pytest.mark.parametrize("extra", [(), ("--perturb", "0.1")])
+def test_simulate_negative_seed_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1", "--steps", "2",
+                         "--seed", "-1", *extra)
+    assert (code, out, err) == (2, "", "error: perturbation seed must be non-negative, got -1\n")
+
+
 def test_verify_default_grid_arguments():
     from hypbilliards.cli import build_parser
     args = build_parser().parse_args(["verify"])

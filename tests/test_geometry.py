@@ -308,8 +308,8 @@ def _rowwise(x, ys):
 
 
 def test_mink_dots_matches_mink_dot_bitwise():
-    """numpy runs the stacked matmul as one ``ddot`` per row; it does not document
-    that routing, so pin it by bytes on fresh, read-only and column-sliced stacks."""
+    """numpy runs ``vecdot`` as one ``ddot`` per row; it does not document that
+    routing, so pin it by bytes on fresh, read-only and column-sliced stacks."""
     rng = np.random.default_rng(7)
     for length in range(3, 131):
         x = rng.standard_normal(length)
@@ -331,8 +331,9 @@ def test_mink_dots_on_simplex_stacks_bitwise(n):
 
 
 def test_mink_pairs_and_table_match_mink_dot_bitwise():
-    """Row-paired ``(k, 1, L) @ (k, L, 1)`` and all-pairs ``(p, 1, 1, L) @ (1, q, L, 1)``
-    stacked matmuls: numpy runs each as one ``ddot`` per pair, undocumented, so pin it."""
+    """Row-paired ``vecdot`` of two ``(k, L)`` stacks and all-pairs ``vecdot`` of
+    ``(p, 1, L)`` against ``(1, q, L)``: numpy runs each as one ``ddot`` per pair,
+    undocumented, so pin it."""
     rng = np.random.default_rng(11)
     for length in range(3, 131):
         p = length - 1
@@ -346,6 +347,81 @@ def test_mink_pairs_and_table_match_mink_dot_bitwise():
         ys = rng.standard_normal((length, length))
         ref = np.array([[mink_dot(x, y) for y in ys] for x in xs[:3]])
         assert mink_table(xs[:3], ys).tobytes() == ref.tobytes(), length
+
+
+def _float(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# NaN of both signs, and with a payload of both signs
+_NANS = (math.nan, -math.nan, _float(0x7FF8000000000ABC), _float(0xFFF4000000000123))
+# infinities, signed zeros, subnormals, the least normal and a square that overflows
+_EXTREMES = (math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+             1e308)
+_TAME = (0.0, -0.0, 5e-324, -5e-324, -1e-310)  # no NaN or infinity to meet another NaN
+
+
+def _sprinkle(rng, row, values):
+    hit = rng.random(row.shape) < 0.3
+    row[hit] = rng.choice(values, hit.sum())
+
+
+def _special_pairs(rng, k, length):
+    """Row-paired ``(k, length)`` stacks holding every value above.  A pair with a NaN
+    holds only that one, with tame values around it: where two NaNs meet in one
+    product, which of them survives is not pinned."""
+    xs, ys = rng.standard_normal((2, k, length))
+    for i in range(k):
+        if i % 3 == 1:
+            _sprinkle(rng, xs[i], _EXTREMES)
+            _sprinkle(rng, ys[i], _EXTREMES)
+        elif i % 3 == 2:
+            _sprinkle(rng, xs[i], _TAME)
+            _sprinkle(rng, ys[i], _TAME)
+            (xs, ys)[i % 2][i, rng.integers(length)] = _NANS[i % len(_NANS)]
+    return xs, ys
+
+
+def _layouts(xs, ys):
+    """The same row pairs as C, Fortran, row-reversed and column-strided stacks."""
+    yield xs, ys
+    yield np.asfortranarray(xs), np.asfortranarray(ys)
+    yield xs[::-1], ys[::-1]
+    wide = np.zeros((2, len(xs), 2 * xs.shape[1]))
+    wide[0, :, ::2], wide[1, :, ::2] = xs, ys
+    yield wide[0, :, ::2], wide[1, :, ::2]
+
+
+@pytest.mark.parametrize("length", [*range(3, 20), 33, 64, 129, 130])
+def test_mink_products_match_mink_dot_bitwise_on_extreme_values(length):
+    """`mink_pairs`, `mink_dots` and `mink_table` against the per-row `mink_dot`, byte for
+    byte, on NaN, infinities, signed zeros and subnormals, with no rows, one row and
+    more, in C, Fortran, reversed, strided and broadcast stacks."""
+    rng = np.random.default_rng(length)
+    with np.errstate(all="ignore"):  # the extremes overflow and make NaN on purpose
+        for k in sorted({0, 1, 2, length - 1, length}):
+            pairs = _special_pairs(rng, k, length)
+            tame = rng.standard_normal(length)
+            _sprinkle(rng, tame, _TAME)
+            for xs, ys in _layouts(*pairs):
+                ref = np.array([mink_dot(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
+                assert mink_pairs(xs, ys).tobytes() == ref.tobytes(), (length, k)
+                one = np.broadcast_to(tame, ys.shape)
+                ref = np.array([mink_dot(tame, y) for y in ys], dtype=np.float64)
+                assert mink_pairs(one, ys).tobytes() == ref.tobytes(), (length, k)
+                assert mink_dots(tame, ys).tobytes() == ref.tobytes(), (length, k)
+                # every row of xs meets every row of a NaN-free, finite ys
+                finite = np.where(np.isfinite(ys), ys, 0.5)
+                table = np.array([[mink_dot(x, y) for y in finite] for x in xs],
+                                 dtype=np.float64).reshape(k, k)
+                assert mink_table(xs, finite).tobytes() == table.tobytes(), (length, k)
+                assert mink_table(xs[:1], finite).tobytes() == table[:1].tobytes(), (length, k)
+            for x in _NANS:  # a NaN in x meets a tame stack
+                t = np.array(tame)
+                t[k % length] = x
+                clean = np.array([tame] * k).reshape(k, length)
+                ref = np.array([mink_dot(t, y) for y in clean], dtype=np.float64)
+                assert mink_dots(t, clean).tobytes() == ref.tobytes(), (length, k)
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 16, 32, 64, 128])
@@ -380,7 +456,7 @@ def test_row_operations_match_point_operations_bitwise():
         assert reflect_rows(normals, a).tobytes() == np.array(
             [reflect(Hyperplane(u), x).coords for u, x in zip(normals, pa)]).tobytes()
         w = 1.7 * a + 0.4 * b
-        assert from_vector_rows(w).tobytes() == np.array(
+        assert from_vector_rows(w, mink_pairs(w, w)).tobytes() == np.array(
             [HPoint.from_vector(x).coords for x in w]).tobytes()
 
 
@@ -401,13 +477,14 @@ def test_row_checks_raise_the_point_errors():
     spacelike = a.copy()
     spacelike[3, 0] = 0.0
     with pytest.raises(ValueError) as rows_err:
-        from_vector_rows(spacelike)
+        from_vector_rows(spacelike, mink_pairs(spacelike, spacelike))
     with pytest.raises(ValueError) as point_err:
         to_sheet(spacelike[3])
     assert str(rows_err.value) == str(point_err.value)
     assert str(rows_err.value).startswith("cannot normalize non-timelike vector (<v,v> = ")
     with pytest.raises(ValueError, match="lower sheet"):
-        from_vector_rows(np.array([a[0], -a[1]]))
+        lower = np.array([a[0], -a[1]])
+        from_vector_rows(lower, mink_pairs(lower, lower))
 
 
 def test_normal_row_check_raises_the_hyperplane_error():
