@@ -100,6 +100,12 @@ def combine_intrinsic(p: PointMass, q: PointMass) -> PointMass:
     return PointMass(geodesic_point(p.location, q.location, t), z)
 
 
+# A squared total mass below the least normal double has lost its low bits to
+# underflow, and its square root no longer scales the sum onto the sheet: such
+# a fold has too little mass to square and is refused as a zero one.
+_LEAST_SQUARED_MASS = float(np.finfo(np.float64).tiny)
+
+
 def centroid_fold(weights, coords) -> PointMass:
     """Centroid of the masses ``weights[k]`` at the points ``coords[k]``.
 
@@ -114,7 +120,7 @@ def centroid_fold(weights, coords) -> PointMass:
     _check_weights(w)
     s = np.add.reduce(w[:, None] * x, axis=0, initial=0.0)
     m2 = -mink_dot(s, s)
-    if m2 <= 0.0:
+    if m2 < _LEAST_SQUARED_MASS:
         raise ValueError("total mass is zero; centroid undefined")
     return PointMass(HPoint.from_vector(s), math.sqrt(m2))
 
@@ -181,7 +187,7 @@ def _centroids(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # a square past the doubles fails below
         q = mink_pairs(acc, acc)
     m2 = -q
-    if (m2 <= 0.0).any():
+    if (m2 < _LEAST_SQUARED_MASS).any():
         raise ValueError("total mass is zero; centroid undefined")
     z = np.sqrt(m2)
     bad = (~np.isfinite(z)).nonzero()[0]

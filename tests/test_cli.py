@@ -141,9 +141,13 @@ def test_orbit_builds_each_part_once(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_builds_each_cell_once(capsys, monkeypatch):
+    # the counts are kept in this process, so the grid must be too small to fork
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     counts = count_builds(monkeypatch)
     code, _, _ = run(capsys, "verify", "--dims", "2..3", "--edges", "1")
     assert code == 0
+    assert forks == []
     assert counts == {"build": 2, "build_sequence": 2, "construct_orbit": 2}
 
 

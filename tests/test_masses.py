@@ -330,6 +330,22 @@ def test_omit_one_folds_of_one_and_two_masses():
     _assert_rows_are_folds(omit_one_folds(w, vc), [(w[1:], vc[1:]), (w[:1], vc[:1])])
 
 
+def test_folds_refuse_a_squared_mass_below_the_least_normal():
+    """A mass of 3.7e-161 squares to a subnormal, whose square root would put the
+    centroid off the sheet: every fold refuses it as no mass; 1.5e-154 still folds."""
+    x = build(1, 1.0).vertex_coords[:1]
+    for tiny, ok in ((3.7196647970864415e-161, False), (1.5e-154, True)):
+        w = np.array([tiny])
+        folds = (lambda: centroid_fold(w, x), lambda: pair_folds(w, x, np.zeros(1), x),
+                 lambda: cyclic_folds(w, x), lambda: omit_one_folds(np.array([tiny, tiny]), x[[0, 0]]))
+        for fold_it in folds:
+            if ok:
+                fold_it()
+            else:
+                with pytest.raises(ValueError, match="total mass is zero"):
+                    fold_it()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_omit_one_folds_match_centroid_folds_on_random_stacks(data):
