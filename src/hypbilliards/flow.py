@@ -59,25 +59,38 @@ these two through their module bindings.  The checks of `HPoint` and
 `FlowState` run on the margin form of their products; a `ValueError` or
 `NonSmoothHitError` in the loop names its bounce.
 
-No output depends on the `HPoint` and `FlowState` checks, the sheet check
-after the scaling and the tangent check after the mirror, and on lists they
-take some 15% of a bounce, so a list run of at least `_SCREEN_MIN_BOUNCES`
-bounces makes them after its bounces, `_SCREEN_ROWS` bounces at a time.  Each
-bounce appends its scaled point (mu, x0) and its mirrored direction (nu, v0)
-to flat ``array('d')`` records; `_settle` clears in one numpy screen every
-pending row whose products hold within a proven bound of ddot against fsum,
-then checks each other row as its bounce would have, in bounce order.  An
-exception at bounce j first settles the pending rows before it, and bounce
-j's point if it got past its scaling, so the first failing check is still
-the one reported, with its type, message and bounce.  Until then, for at
-most `_SCREEN_ROWS` bounces, a run with a failed check flies on from the
-failed values, and numpy may warn of them in `inner`'s ddot fallback.
-Shorter runs, every sweep closure among them, and the array loop, whose
-numpy steps could warn while a check is pending, check inline.  The screen
-costs about 20 bounces' checks: screened over inline, runs of 8, 16, 24 and
-32 bounces from a perturbed launch took 1.15, 1.05, 0.97 and 0.94 of the
-time at N = 4 and 1.07, 1.01, 0.93 and 0.92 at N = 9 (medians of 9
-alternated batches, same host).
+On lists two of these checks are proven instead of made: the sheet check
+after the scaling and the <v,v> half of the tangent check after the mirror.
+Let u = 2^-53 and W = (sum |a_i b_i| + |nb a0 b0|) / alpha for
+`inner(a, b, a0, b0)`.  To first order in u (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2nd ed., 2002, section 3.1):
+
+- `inner` is within 4uW of its exact value: fsum of the rounded products is
+  within 2u sum |a_i b_i|, nb a0 b0 rounds twice, the sum and division once.
+- -beta is the cosine of the dihedral angle, above the ideal simplex's
+  arccos(1/(n-1)), so p^2 <= 1/(n^2-1), |beta| <= 1/(n-1), 1 <= alpha <= 2
+  and |nb|/alpha <= N/n <= 3/2: a y with <y,y> = -+1 has W <= 3 y0^2 -+ 1.
+- Scaling y by 1/sqrt|q|, q its `inner`, leaves |<y,y> -+ 1| <= 6uW + 2u:
+  4uW from q, 2u from the sqrt and 2uW from the entries.
+
+So the sheet check reads |<x,x> + 1| <= 10uW + 2u <= 30u x0^2, a 300th of its
+tolerance REP_TOL max(1, x0^2).  For the direction, let V be the largest of 1
+and |v0| before and after the mirror at facet k.  The normalization leaves
+6uW + 2u with W <= 1 + 3V^2, and the mirror changes <v,v> exactly by
+4 nu_k (nu_k beta E - beta D + eta p (nu_k p - v0)) / alpha, where
+E = 1 + n beta + N p^2 is 0 for exact Gram entries and |E| <= 6u from their
+rounding; D = sum(nu) + N p v0, the slice defect left by the projection, the
+tangent step and the normalization, is |D| <= u (3 sum |nu_j| + 7 N |p v0|);
+eta = nb - N beta, nb's rounding, is |eta| <= u |nb|; and |nu_k| <= 1 for a
+unit tangent at a point of facet k.  The mirror's entries round once more and
+the check adds 4uW, so |<v,v> - 1| <= (150 + 30 sqrt(N)) u V^2.  As the mirror
+moves v0 by |2 nu_k p| <= 2/sqrt(3), V^2 <= 4.7 max(1, v0^2): at N <= 12 the
+check reads at most 1.4e-13 max(1, v0^2), a seventh of its tolerance
+(`tests/test_flow.py` measures both).  A NaN or an infinity, which the bounds
+do not cover, fails a guard that stays.  The <x,v> check stays on lists: the
+mirror moves <x,v> by -2 nu_k mu_k, and the classification holds mu_k only to
+`simplex.FACET_TOL` (a far launch at n = 2 and a = 30 fails it).  The array
+loop makes every check, as ddot's error grows like N u W and it takes any N.
 
 A run comes out as a `Trajectory` of read-only stacks, row i for bounce i,
 whose points are rebuilt once per run from the margins recorded per bounce:
@@ -97,9 +110,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry
-from .geometry import (HPoint, check_sheet_products, check_tangent_products, check_unit_tangent,
-                       chord_dist, mink_dot, mink_dots, mink_inner, tangent_part, unit_tangent)
+from .geometry import (HPoint, check_sheet_products, check_tangency_product, check_tangent_products,
+                       check_unit_tangent, chord_dist, mink_dot, mink_dots, mink_inner, tangent_part,
+                       unit_tangent)
 from .simplex import FACET_TOL, Region, RegularSimplex, classify_margins, classify_point
 
 if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's algebra
@@ -116,18 +129,6 @@ GRAZE_TOL = 1e-9
 # ones on `_array_loop`: the last N at which the list loop measured faster in more
 # than three pairs of four (module docstring).
 _LIST_LOOP_MAX_FACETS = 12
-
-# Runs of at least this many bounces on `_list_kernels` make the sheet and tangent
-# checks after their bounces (`_settle`), instead of inside each bounce: the first
-# run length measured faster at both N = 4 and N = 9 (module docstring).  Shorter
-# runs, every sweep closure among them, check inline.
-_SCREEN_MIN_BOUNCES = 24
-
-# A screened run settles its pending checks each time this many bounces are
-# recorded, so a failed check is reported within this many bounces, the direction
-# records hold at most this many rows and the screen's numpy temporaries, some 200
-# bytes a row, stay near 50 KB however long the run.
-_SCREEN_ROWS = 256
 
 
 class NonSmoothHitError(RuntimeError):
@@ -227,8 +228,7 @@ class Trajectory:
 
 
 def _gram(s: RegularSimplex) -> tuple[float, float, float]:
-    """The normals' timelike coordinate p and their Gram entries alpha and beta
-    (module docstring)."""
+    """The normals' timelike coordinate p and Gram entries alpha, beta (module docstring)."""
     p = s.normal_coords.item(0, 0)
     q2 = 1.0 + p * p
     return p, q2 * (s.n + 1) / s.n, -p * p - q2 / s.n
@@ -272,14 +272,11 @@ def _list_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:
     sum a `math.fsum`, exactly rounded.  ``big`` is N and ``nb`` is N beta.
 
     fsum raises where ddot returns inf or nan, on inf - inf (a ValueError) and on
-    a partial sum that overflows.  There `inner` takes ddot's value, so the check
-    it feeds fails as on arrays.  On a run that checks inline the sums of the
-    flight cannot raise: every margin has passed a check on a product that holds
-    its square, or at entry is at most n+2 times sqrt(max float), and a flight
-    scales it by at most cosh t + sinh t < 1.4e8, so their sums stay finite.  On
-    a screened run a margin can reach the next flight with its check pending and
-    make those sums raise; the loop then settles the pending checks first, so the
-    earlier bounce's check is reported (module docstring)."""
+    a partial sum that overflows; there `inner` takes ddot's value, so what it
+    feeds fails as on arrays.  The flight's sums cannot raise: a flight scales a
+    margin by at most cosh t + sinh t < 1.4e8, and a margin is at most n+2 times
+    sqrt(max float) at entry and 3 max(1, |x0|, |v0|) after a bounce (module
+    docstring), with x0 below sqrt(max float) in any simplex `simplex.build` makes."""
     def flight(mu, nu, ch, sh, x0, v0):
         mu, nu = ([ch * m + sh * w for m, w in zip(mu, nu)],
                   [sh * m + ch * w for m, w in zip(mu, nu)])
@@ -327,88 +324,21 @@ def _array_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:
     return _Kernels(False, flight, scaled, tangent, inner)
 
 
-def _cleared(mu: np.ndarray, x0: np.ndarray, nu: np.ndarray, v0: np.ndarray, big: int,
-             alpha: float, nb: float) -> np.ndarray:
-    """The rows of a screened run's records whose sheet and tangent products hold
-    beyond doubt; ``nu`` and ``v0`` may have a row fewer than ``mu`` and ``x0``.
-
-    ``inner`` is (fsum(a b) + c) / alpha with c = nb a0 b0, which the screen rounds
-    alike.  With T = sum |a_i b_i| and u = 2^-53, fsum of the rounded products is
-    within 2 u T of the exact sum, and a ddot of N products in any order within
-    N u T to first order (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., 2002, section 3.1); the sum with c and the division by alpha round each
-    side once more, so the two products differ by at most (N + 6) u (T + |c|) / alpha
-    to first order.  T is the product itself for <x,x> and <v,v>, and at most
-    (<mu,mu> + <nu,nu>) / 2 for <x,v>.  A row's product is cleared where it is
-    inside its tolerance by twice that bound, against the tolerance shrunk by 2^-48
-    for the screen's own rounding (gradual underflow adds at most N 2^-1074 to a
-    dot, far below that), and where T + |c| is at most 2^1000, so no partial sum of
-    fsum's overflows.  So a cleared row passes its checks, and a NaN or inf clears
-    nothing.  Runs under the caller's errstate.
-    """
-    rows, done = len(x0), len(v0)
-    # the sheet products <x,x>, then the tangent ones <v,v> and <x,v>
-    mm, nn = np.vecdot(mu, mu), np.vecdot(nu, nu)
-    dots = np.concatenate((mm, nn, np.vecdot(mu[:done], nu)))
-    a0, b0 = np.concatenate((x0, v0, x0[:done])), np.concatenate((x0, v0, v0))
-    c = nb * a0 * b0
-    off = np.abs((dots + c) / alpha - np.repeat((-1.0, 1.0, 0.0), (rows, done, done)))
-    bulk = np.concatenate((mm, nn, (mm[:done] + nn) / 2.0)) + np.abs(c)
-    tol = np.maximum(1.0, np.abs(a0 * b0)) * (geometry.REP_TOL * (1.0 - 2.0 ** -48))
-    ok = (off + (big + 6) * 2.0 ** -52 / alpha * bulk <= tol) & (bulk <= 2.0 ** 1000)
-    cleared = ok[:rows] & (x0 > 0.0)
-    cleared[:done] &= ok[rows:rows + done] & ok[rows + done:]
-    return cleared
-
-
-def _settle(margins: array, x0s: array, lo: int, directions: array, v0s: array, big: int,
-            alpha: float, nb: float, inner: Callable) -> None:
-    """The pending sheet and tangent checks of a screened run (module docstring).
-
-    Row i of ``margins`` and ``x0s`` is bounce i's point after its scaling, and the
-    checks of rows ``lo`` on are pending; row i - lo of ``directions`` and ``v0s`` is
-    bounce i's direction after the mirror, so the point records hold one pending row
-    more where a bounce failed after its scaling.  One numpy screen (`_cleared`, under
-    one errstate, so it warns of nothing) clears the rows whose products hold beyond
-    doubt.  Every other row takes the loop's own checks on the kernel's ``inner``, in
-    bounce order, so the first check that fails raises as it would have inside its
-    bounce.
-    """
-    mu, x0 = np.frombuffer(margins).reshape(-1, big)[lo:], np.frombuffer(x0s)[lo:]
-    nu, v0 = np.frombuffer(directions).reshape(-1, big), np.frombuffer(v0s)
-    with np.errstate(all="ignore"):
-        cleared = _cleared(mu, x0, nu, v0, big, alpha, nb)
-    for i in (~cleared).nonzero()[0].tolist():
-        p, p0 = mu[i].tolist(), x0s[lo + i]
-        try:
-            check_sheet_products(inner(p, p, p0, p0), p0)
-            if i < len(v0s):
-                d, d0 = nu[i].tolist(), v0s[i]
-                check_tangent_products(inner(d, d, d0, d0), inner(p, d, p0, d0), p0, d0)
-        except ValueError as err:
-            raise ValueError(f"bounce {lo + i}: {err}") from err
-
-
 def _loop(s: RegularSimplex, state: FlowState, steps: int,
           kernels: Callable[..., _Kernels]) -> Trajectory:
     """The billiard loop, on the vector ``kernels`` (`_list_kernels` or `_array_kernels`)."""
     big, (p, alpha, beta), normals = s.n + 1, _gram(s), s.normal_coords[:, 1:]
-    listed, flight, scaled, tangent, inner = kernels(big, p, alpha, nb := big * beta)
-    screened = listed and steps >= _SCREEN_MIN_BOUNCES
+    listed, flight, scaled, tangent, inner = kernels(big, p, alpha, big * beta)
     mu, nu = _enter(s, state)
     mus, nus = mu.tolist(), nu.tolist()
     if listed:
         mu, nu = mus, nus
     x0, v0, last = state.position.coords.item(0), state.direction.item(0), state.last_facet
-    # the run's points, row i for bounce i: flat records on lists, and on arrays a list of
-    # margin rows, since copying each into a flat record measured 2-8% slower a closure
-    # at n = 128.  A screened run also records the mirrored directions of the bounces from
-    # `lo` on, whose checks are pending, and settles them after bounce `due`
+    # the run's points, row i for bounce i: flat records on lists, margin rows on arrays
+    # (copying each into a flat record measured 2-8% slower a closure at n = 128)
     margins = array("d") if listed else []
     record = margins.fromlist if listed else margins.append
-    x0s, directions, v0s = array("d"), array("d"), array("d")
-    lo, due = 0, _SCREEN_ROWS - 1 if screened else -1
-    facets, arclengths, drifts = [], [], []
+    facets, x0s, arclengths, drifts = [], array("d"), [], []
     for i in range(steps):
         try:
             k, t = next_collision(mus, nus, last)
@@ -422,15 +352,13 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
             xx, vv, xv = inner(mu, mu, x0, x0), inner(nu, nu, v0, v0), inner(mu, nu, x0, v0)
             drifts.append((abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv)))
 
-            # `to_sheet` and `check_on_sheet`, then `classify_point`'s rule
+            # `to_sheet` and `check_on_sheet` (proven on lists), then `classify_point`'s rule
             if not xx < 0.0:
                 raise ValueError(f"cannot normalize non-timelike vector (<v,v> = {xx!r})")
             if x0 < 0.0:
                 raise ValueError("timelike vector points into the lower sheet")
             mu, x0 = scaled(mu, scale := math.sqrt(-xx)), x0 / scale
-            record(mu)
-            x0s.append(x0)
-            if not screened:
+            if not listed:
                 check_sheet_products(inner(mu, mu, x0, x0), x0)
             region, facet = classify_margins(mus := mu if listed else mu.tolist())
             if region is not Region.FACET_INTERIOR:
@@ -438,35 +366,27 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
             if facet != k:
                 raise NonSmoothHitError(f"collision facet {k} disagrees with classification {facet}")
 
-            # `tangent_part`, the mirror and `check_unit_tangent`
+            # `tangent_part`, the mirror and `check_unit_tangent` (its <v,v> half proven on lists)
             xv = inner(mu, nu, x0, v0)
             nu, v0 = tangent(nu, mu, xv), v0 + xv * x0
             if not (vv := inner(nu, nu, v0, v0)) > 0.0:
                 raise ValueError("vector has no spacelike tangential component")
             nu, v0 = scaled(nu, scale := math.sqrt(vv)), v0 / scale
             nu, v0 = reflect_at(nu, v0, k, p, beta)
-            if screened:
-                directions.fromlist(nu)
-                v0s.append(v0)
+            if listed:
+                check_tangency_product(inner(mu, nu, x0, v0), x0, v0)
             else:
                 check_tangent_products(inner(nu, nu, v0, v0), inner(mu, nu, x0, v0), x0, v0)
-        except Exception as err:
-            if screened:  # an earlier bounce's pending check fails first
-                _settle(margins, x0s, lo, directions, v0s, big, alpha, nb, inner)
-            if isinstance(err, NonSmoothHitError):
-                raise NonSmoothHitError(f"bounce {i}: {err}", i) from err
-            if isinstance(err, ValueError):
-                raise ValueError(f"bounce {i}: {err}") from err
-            raise
+        except NonSmoothHitError as err:
+            raise NonSmoothHitError(f"bounce {i}: {err}", i) from err
+        except ValueError as err:
+            raise ValueError(f"bounce {i}: {err}") from err
         nus = nu if listed else nu.tolist()
         last = k
         facets.append(k)
+        record(mu)
+        x0s.append(x0)
         arclengths.append(t)
-        if i == due:
-            _settle(margins, x0s, lo, directions, v0s, big, alpha, nb, inner)
-            lo, due, directions, v0s = i + 1, due + _SCREEN_ROWS, array("d"), array("d")
-    if screened:
-        _settle(margins, x0s, lo, directions, v0s, big, alpha, nb, inner)
 
     # the run as read-only stacks (module docstring) and the state after its last bounce
     points = np.empty((steps, big + 1))

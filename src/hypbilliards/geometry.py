@@ -282,6 +282,11 @@ def check_tangent_products(q: float, t: float, x0: float, d0: float) -> None:
     timelike coordinates x0 and d0."""
     if not abs(q - 1.0) <= REP_TOL * max(1.0, d0 * d0) < math.inf:
         raise ValueError(f"direction must be unit spacelike: <v,v> = {q!r}")
+    check_tangency_product(t, x0, d0)
+
+
+def check_tangency_product(t: float, x0: float, d0: float) -> None:
+    """The ``<x,d> = 0`` half of `check_tangent_products`."""
     if not abs(t) <= REP_TOL * max(1.0, abs(x0 * d0)) < math.inf:
         raise ValueError(f"direction must be tangent to base point: <x,v> = {t!r}")
 
