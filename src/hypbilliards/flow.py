@@ -38,8 +38,9 @@ whose sums are `math.fsum`, exactly rounded and so the same on every Python;
 `_array_kernels` works on numpy arrays and sums by ddot.  A bounce is about 23
 numpy calls on vectors of N entries, and below a dozen or so facets their
 dispatch costs more than their arithmetic, so `_run` bounces simplices of at
-most `_LIST_LOOP_MAX_FACETS` facets on lists (`_list_loop`) and larger ones on
-arrays (`_array_loop`); `iterate`, `step` and `run_closure` all go through it.
+most `_LIST_LOOP_MAX_FACETS` facets on lists (`_list_kernels`) and larger ones
+on arrays (`_array_kernels`); `iterate`, `step` and `run_closure` all go
+through it.
 An elementwise step rounds the same on a list and on an array, but ddot
 rounds its sums differently from fsum, so the two agree to rounding, not bit
 for bit.  Time per bounce on lists over arrays, the median of 21 interleaved
@@ -125,9 +126,9 @@ _TANH_T_MIN = math.tanh(T_MIN)
 # A normal component this small or smaller at a facet is a grazing hit.
 GRAZE_TOL = 1e-9
 
-# Simplices of at most this many facets (N = n + 1) bounce on `_list_loop`, larger
-# ones on `_array_loop`: the last N at which the list loop measured faster in more
-# than three pairs of four (module docstring).
+# Simplices of at most this many facets (N = n + 1) bounce on `_list_kernels`,
+# larger ones on `_array_kernels`: the last N at which the list loop measured
+# faster in more than three pairs of four (module docstring).
 _LIST_LOOP_MAX_FACETS = 12
 
 
@@ -293,7 +294,8 @@ def _list_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:
         try:
             dot = fsum(map(mul, a, b))
         except (OverflowError, ValueError):
-            dot = float(np.dot(a, b))
+            with np.errstate(over="ignore", invalid="ignore"):
+                dot = float(np.dot(a, b))
         return (dot + nb * a0 * b0) / alpha
 
     return _Kernels(True, flight, scaled, tangent, inner)
@@ -402,20 +404,10 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
     return Trajectory(facets, points, arclengths, drifts, state)
 
 
-def _list_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """`_loop` on lists of Python floats, for at most `_LIST_LOOP_MAX_FACETS` facets."""
-    return _loop(s, state, steps, _list_kernels)
-
-
-def _array_loop(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """`_loop` on numpy arrays, for more than `_LIST_LOOP_MAX_FACETS` facets."""
-    return _loop(s, state, steps, _array_kernels)
-
-
 def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """``steps`` bounces from ``state``, on the loop that is faster at this dimension."""
-    loop = _list_loop if s.n + 1 <= _LIST_LOOP_MAX_FACETS else _array_loop
-    return loop(s, state, steps)
+    """``steps`` bounces from ``state``, on the kernels that are faster at this dimension."""
+    kernels = _list_kernels if s.n + 1 <= _LIST_LOOP_MAX_FACETS else _array_kernels
+    return _loop(s, state, steps, kernels)
 
 
 def step(s: RegularSimplex, state: FlowState) -> Trajectory:

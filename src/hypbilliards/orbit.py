@@ -43,7 +43,7 @@ from .geometry import (
     unit_tangent_rows,
 )
 from .masses import cyclic_folds, pair_folds
-from .simplex import FACET_TOL, RegularSimplex, facet_hits
+from .simplex import RegularSimplex, facet_hits
 from .weights import MassSequence
 
 
@@ -152,8 +152,7 @@ def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
     return BilliardOrbit(points, masses, seq.multiplier, launch)
 
 
-def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit,
-                 facet_tol: float = FACET_TOL) -> OrbitVerification:
+def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit) -> OrbitVerification:
     """Measure the billiard conditions at every bounce of a closed polygon.
 
     For each j with facet k = facet(P_j) and mirror sigma across facet k:
@@ -170,7 +169,7 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit,
     x = orbit.coords
     ring = np.concatenate((x[-1:], x, x[:1]))
     prev, pts, nxt = ring[:-2], ring[1:-1], ring[2:]  # P_{j-1}, P_j, P_{j+1}
-    facet_of, facet_ok, incidence = _facets_of(s, pts, facet_tol)
+    facet_of, facet_ok, incidence = _facets_of(s, pts)
     normals = s.normal_coords[facet_of]
     angle_defect = specular_defects(normals, prev, pts, nxt)
     mirrored = reflect_rows(normals, nxt)
@@ -191,11 +190,11 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit,
     )
 
 
-def _facets_of(s: RegularSimplex, pts: np.ndarray, tol: float):
+def _facets_of(s: RegularSimplex, pts: np.ndarray):
     """Per point: its facet (or, off every facet interior, the facet of smallest
     |margin|), whether it is in that facet's relative interior, and |margin| there."""
     margins = mink_table(pts, s.normal_coords)
-    hit = facet_hits(margins, tol)
+    hit = facet_hits(margins)
     facet_ok = hit >= 0
     facet_of = np.where(facet_ok, hit, np.abs(margins).argmin(axis=1))
     return facet_of, facet_ok, np.abs(margins[np.arange(len(pts)), facet_of])

@@ -25,8 +25,8 @@ found.  A large float64 array (a vertex, facet or bounce-point stack at large
 n) is not looked up entry by entry: one sort of its bit patterns finds its
 distinct floats, each is looked up once, and one take lays their texts out
 in the array's shape.
-`jsonable` stays public: the writer hands it numpy scalars and non-float64
-arrays, and the tests hold the writer to the dump of its copy.
+`jsonable` stays public as the writer's reference: the tests hold the writer
+to the dump of its copy.
 """
 
 from __future__ import annotations
@@ -55,8 +55,12 @@ class Tolerances:
 
     ``angle_defect`` is looser than the rest: it passes through an arccos,
     which turns 1e-16 rounding in the cosine into ~1e-8 of angle, so a
-    tight gate there would only measure arccos conditioning.  ``classify``
-    is the facet band, `simplex.FACET_TOL`, which the billiard flow shares.
+    tight gate there would only measure arccos conditioning.  The last two
+    fields are fixed, not settable, and written into a sweep's
+    ``tolerances`` for the record: ``min_midpoint_defect`` is how far the
+    facet-center polygon must miss the mirror law at n >= 3, and
+    ``classify`` is the facet band, `simplex.FACET_TOL`, at which the orbit
+    certificate and the billiard flow both classify.
     """
 
     facet_incidence: float = 1e-10
@@ -70,17 +74,13 @@ class Tolerances:
     weight_boundary: float = 1e-10
     weight_recurrence: float = 1e-10
     orthic_match: float = 1e-9
-    min_midpoint_defect: float = 1e-3
-    classify: float = simplex_mod.FACET_TOL
+    min_midpoint_defect: float = dataclasses.field(default=1e-3, init=False)
+    classify: float = dataclasses.field(default=simplex_mod.FACET_TOL, init=False)
 
     @classmethod
     def uniform(cls, t: float) -> "Tolerances":
-        """Every residual gate set to ``t``; structural knobs keep their defaults."""
-        keep = {"classify", "min_midpoint_defect"}
-        return cls(**{
-            f.name: (f.default if f.name in keep else t)
-            for f in dataclasses.fields(cls)
-        })
+        """Every residual gate set to ``t``; the fixed fields keep their values."""
+        return cls(**{f.name: t for f in dataclasses.fields(cls) if f.init})
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
     if not interior_min > 0.0:
         failures.append(f"interior weight {interior_min} not positive")
 
-    ver = orbit_mod.verify_orbit(s, orb, facet_tol=tol.classify)
+    ver = orbit_mod.verify_orbit(s, orb)
     if not ver.clean_facets:
         failures.append("bounce points do not hit each facet interior exactly once")
     worst = ver.max_residuals()
@@ -296,14 +296,17 @@ def write_json(fh, doc, sig: int = 17) -> None:
     `sweep_document` build it, arrays and all, and writes it without the
     copy `jsonable` would make.  ``json`` falls back to its pure-Python
     encoder whenever ``indent`` is set; here each float64 array is one
-    ``tolist()``, each of its innermost rows and each list of plain ints or
-    floats is one ``str.join``, and the text goes out in pieces, never held
-    whole.  Within one call each distinct float is rounded to ``sig``
-    digits and formatted once (see `_FloatTexts`); an array of at least
+    ``tolist()``, each of its innermost rows and each list of plain ints is
+    one ``str.join``, and the text goes out in pieces, never held whole.
+    Within one call each distinct float is rounded to ``sig`` digits and
+    formatted once (see `_FloatTexts`); an array of at least
     ``_SORTED_TEXTS_MIN_SIZE`` entries finds its distinct floats by one
-    sort.  Numpy scalars and non-float64 arrays are written as `jsonable`
-    converts them.  Dicts need str keys; a value ``json`` cannot write, a
-    non-str key included, raises `TypeError`.
+    sort.  The only numpy values written are float64 arrays of at least one
+    dimension, and ``np.float64`` and ``np.str_``, as the float and str they
+    are; any other, such as an int or bool scalar, a 0-d array or an int
+    array, raises `TypeError`, as ``json.dumps`` does.  Dicts need str keys;
+    a value ``json`` cannot write, a non-str key included, raises
+    `TypeError`.
     """
     fh.writelines(_json_chunks(doc, "\n", _FloatTexts(sig)))
 
@@ -340,16 +343,11 @@ class _IntTexts(dict):
 def _json_chunks(obj, newline: str, texts: _FloatTexts):
     if isinstance(obj, float):
         yield texts[obj]
-    elif isinstance(obj, (np.ndarray, np.generic)):
-        if isinstance(obj, np.ndarray) and obj.dtype.type is np.float64 and obj.ndim:
-            if obj.size < _SORTED_TEXTS_MIN_SIZE:
-                yield from _float_rows(obj.tolist(), obj.ndim, newline, texts.__getitem__)
-            else:
-                yield from _float_rows(_sorted_texts(obj, texts), obj.ndim, newline, None)
-        elif (plain := jsonable(obj, texts.sig)) is obj:  # a numpy str, or nothing json writes
-            yield _json_scalar(obj)
-        else:  # rounded already, so written exactly
-            yield from _json_chunks(plain, newline, _FloatTexts(17))
+    elif isinstance(obj, np.ndarray) and obj.dtype.type is np.float64 and obj.ndim:
+        if obj.size < _SORTED_TEXTS_MIN_SIZE:
+            yield from _float_rows(obj.tolist(), obj.ndim, newline, texts.__getitem__)
+        else:
+            yield from _float_rows(_sorted_texts(obj, texts), obj.ndim, newline, None)
     elif not isinstance(obj, (dict, list, tuple)):
         yield _json_scalar(obj)
     elif not obj:
@@ -364,20 +362,16 @@ def _json_chunks(obj, newline: str, texts: _FloatTexts):
             yield from _json_chunks(v, inner, texts)
             sep = "," + inner
         yield newline + "}"
+    elif set(map(type, obj)) == {int}:
+        yield _json_row(map(texts.ints.__getitem__, obj), newline)
     else:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            yield _json_row(map(texts.ints.__getitem__, obj), newline)
-        elif kinds == {float}:
-            yield _json_row(map(texts.__getitem__, obj), newline)
-        else:
-            inner = newline + "  "
-            sep = "[" + inner
-            for v in obj:
-                yield sep
-                yield from _json_chunks(v, inner, texts)
-                sep = "," + inner
-            yield newline + "]"
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in obj:
+            yield sep
+            yield from _json_chunks(v, inner, texts)
+            sep = "," + inner
+        yield newline + "]"
 
 
 def _float_rows(rows: list, ndim: int, newline: str, text):

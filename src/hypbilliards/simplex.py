@@ -234,11 +234,10 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
 
 
-def classify_point(s: RegularSimplex, x: np.ndarray,
-                   tol: float = FACET_TOL) -> tuple[Region, int | None, list[float]]:
+def classify_point(s: RegularSimplex, x: np.ndarray) -> tuple[Region, int | None, list[float]]:
     """`classify_margins` of the point with coordinates x, and its margins as a list."""
     margins = mink_dots(x, s.normal_coords).tolist()
-    return (*classify_margins(margins, tol), margins)
+    return (*classify_margins(margins), margins)
 
 
 def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Region, int | None]:

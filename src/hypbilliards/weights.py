@@ -170,19 +170,17 @@ def solve_y0(n: int, edge: float) -> float:
 class MassSequence:
     """Solved weight profile for one (n, edge) cell.
 
-    ``weights`` has length n+2 with exact zeros at both ends; ``theta`` is the
-    root of F, ``root`` is cosh(theta), ``multiplier`` is 2 cosh(theta) and
-    ``char_root`` = e^theta is the growth rate of the homogeneous solutions of
-    the recurrence (char_root + 1/char_root = multiplier).
+    ``weights`` has length n+2 with exact zeros at both ends, and ``theta`` is
+    the root of F.  Everything else is read off n, the edge and theta, so it
+    cannot disagree with them: ``root`` is cosh(theta), ``multiplier`` is
+    2 cosh(theta), ``char_root`` = e^theta is the growth rate of the
+    homogeneous solutions of the recurrence (char_root + 1/char_root =
+    multiplier) and ``shift`` is `pair_mass_constant` of n and cosh a.
     """
 
     n: int
     edge: float
     theta: float
-    shift: float
-    root: float
-    multiplier: float
-    char_root: float
     weights: np.ndarray
 
     def __post_init__(self):
@@ -191,6 +189,22 @@ class MassSequence:
         object.__setattr__(self, "weights", w)
         if w.shape != (self.n + 2,):
             raise ValueError(f"expected {self.n + 2} weights, got shape {w.shape}")
+
+    @property
+    def root(self) -> float:
+        return math.cosh(self.theta)
+
+    @property
+    def multiplier(self) -> float:
+        return 2.0 * self.root
+
+    @property
+    def char_root(self) -> float:
+        return math.exp(self.theta)
+
+    @property
+    def shift(self) -> float:
+        return pair_mass_constant(self.n, math.cosh(self.edge))
 
     def weight(self, j: int) -> float:
         if not 0 <= j <= self.n + 1:
@@ -230,6 +244,4 @@ def build_sequence(n: int, edge: float) -> MassSequence:
     ratio = [math.sinh(0.5 * j * theta) / unit for j in range(big + 1)]
     scale = 0.5 * shift / math.cosh(0.5 * big * theta)
     w = [scale * (ratio[j] * ratio[big - j]) for j in range(big + 1)]
-    root = math.cosh(theta)
-    return MassSequence(n, edge, theta, shift, root, 2.0 * root, math.exp(theta),
-                        np.array(w))
+    return MassSequence(n, edge, theta, np.array(w))

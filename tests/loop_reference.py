@@ -47,7 +47,7 @@ def construct_orbit(s, seq):
     return [pm.location for pm in pms], np.array([pm.weight for pm in pms])
 
 
-def verify_orbit(s, orbit, facet_tol=1e-9):
+def verify_orbit(s, orbit):
     p = orbit.period
     facet_of = np.full(p, -1, dtype=int)
     facet_ok = np.zeros(p, dtype=bool)
@@ -59,7 +59,7 @@ def verify_orbit(s, orbit, facet_tol=1e-9):
 
     for j in range(p):
         pj = orbit.point(j)
-        region, k, margins = classify_point(s, pj.coords, tol=facet_tol)
+        region, k, margins = classify_point(s, pj.coords)
         if region is Region.FACET_INTERIOR:
             facet_ok[j] = True
         else:

@@ -375,11 +375,11 @@ def test_vertex_on_second_bounce_raises_with_step_one():
 # The list loop runs simplices of up to SWITCH facets, the array loop larger ones:
 # n = SWITCH - 1 is the last simplex on the list loop, n = SWITCH the first on arrays.
 SWITCH = flow_mod._LIST_LOOP_MAX_FACETS
-SIDES = [(3, "_list_loop"), (SWITCH - 1, "_list_loop"), (SWITCH, "_array_loop")]
+SIDES = [(3, "_list_kernels"), (SWITCH - 1, "_list_kernels"), (SWITCH, "_array_kernels")]
 
 
 def test_step_equals_one_bounce_of_iterate_bitwise():
-    for n, loop in SIDES:
+    for n, kernels in SIDES:
         s, orb = make_orbit(n, 1.0)
         target = geodesic_point(orb.point(1), orb.point(2), 0.3)
         st = state_toward(orb.point(0), target, last_facet=0)
@@ -393,7 +393,7 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
         assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
         assert nxt.direction.tobytes() == fin.direction.tobytes()
         assert nxt.last_facet == fin.last_facet == one.facets[0]
-        direct = getattr(flow_mod, loop)(s, st, 1)
+        direct = flow_mod._loop(s, st, 1, getattr(flow_mod, kernels))
         assert direct.points.tobytes() == one.points.tobytes()
         assert direct.final_state.direction.tobytes() == nxt.direction.tobytes()
 
@@ -413,24 +413,25 @@ def test_loop_errors_name_their_bounce(a, frac, message):
 
 def test_loop_runs_the_named_layers(monkeypatch):
     """Each bounce of `iterate` is one call each of the `flow` module's `next_collision`
-    and `reflect_at` bindings, on either loop, so wrapping them by name sees every
-    bounce; the loop itself makes no Minkowski product per bounce."""
-    for n, loop in SIDES:
+    and `reflect_at` bindings, on either kernel set, so wrapping them by name sees every
+    bounce; the loop itself makes no Minkowski product per bounce, and a run asks for
+    its kernel set once."""
+    for n, kernels in SIDES:
         s, orb = make_orbit(n, 1.0)
         target = geodesic_point(orb.point(1), orb.point(2), 0.3)
         st = state_toward(orb.point(0), target, last_facet=0)
         plain = iterate(s, st, 20)
         calls = Counter()
         with monkeypatch.context() as patch:
-            for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots", "_list_loop",
-                         "_array_loop"):
+            for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots", "_list_kernels",
+                         "_array_kernels"):
                 def counted(*args, _fn=getattr(flow_mod, name), _name=name):
                     calls[_name] += 1
                     return _fn(*args)
                 patch.setattr(flow_mod, name, counted)
             wrapped = iterate(s, st, 20)
         assert calls == {"next_collision": 20, "reflect_at": 20, "mink_dot": 2, "mink_dots": 2,
-                         loop: 1}
+                         kernels: 1}
         for field in ("facets", "points", "arclengths", "drifts"):
             assert getattr(wrapped, field).tobytes() == getattr(plain, field).tobytes()
         fin, ref = wrapped.final_state, plain.final_state
@@ -449,7 +450,8 @@ def test_list_and_array_loops_agree(n):
     than 1e-12 after 26 to 46 bounces, so the points are compared on the first 20."""
     s, orb = make_orbit(n, 1.0)
     st = _perturbed(launch_state(s, orb), s, 0.3, 7)
-    lst, arr = flow_mod._list_loop(s, st, 50), flow_mod._array_loop(s, st, 50)
+    lst, arr = (flow_mod._loop(s, st, 50, kernels)
+                for kernels in (flow_mod._list_kernels, flow_mod._array_kernels))
     assert lst.facets.tolist() == arr.facets.tolist()
     assert np.abs(lst.points[:20] - arr.points[:20]).max() < 1e-12
     assert lst.max_drift <= 16 * EPS and arr.max_drift <= 16 * EPS
@@ -471,9 +473,9 @@ ERROR_LAUNCHES = {
 def _loop_failures(s, st, steps=5):
     """The exception type, message and `NonSmoothHitError.step` of each loop on a launch."""
     out = []
-    for loop in (flow_mod._list_loop, flow_mod._array_loop):
+    for kernels in (flow_mod._list_kernels, flow_mod._array_kernels):
         with pytest.raises((ValueError, NonSmoothHitError)) as exc:
-            loop(s, st, steps)
+            flow_mod._loop(s, st, steps, kernels)
         out.append((type(exc.value), str(exc.value), getattr(exc.value, "step", None)))
     return out
 
@@ -537,7 +539,8 @@ def test_both_loops_reject_non_finite_start_coords_alike(capsys, monkeypatch, st
 def test_list_sums_where_fsum_raises():
     """`math.fsum` raises on inf - inf (ValueError) and on an overflowing partial sum
     (OverflowError), where ddot returns nan and inf.  The list loop's product takes
-    ddot's value there, so the check it feeds fails as on the array loop.
+    ddot's value there, without a warning that ``-W error::RuntimeWarning`` would
+    raise, so the check it feeds fails as on the array loop under every filter.
 
     The loop's plain sums, fsum(mu) and fsum(nu), cannot raise: by the rounding bound
     of the `flow` module docstring each margin is below 3 sqrt(max float) after a
@@ -550,9 +553,11 @@ def test_list_sums_where_fsum_raises():
                          ([1e308, 1e308], [1.0, 1.0], OverflowError)):
         with pytest.raises(raised):
             math.fsum(map(operator.mul, a, b))
-        with np.errstate(over="ignore", invalid="ignore"):  # what ddot warns of is the case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             got = inner(a, b, 1.0, 1.0)
-            want = (float(np.array(a).dot(np.array(b))) + nb) / alpha  # `_array_loop`'s form
+        with np.errstate(over="ignore", invalid="ignore"):  # what ddot warns of is the case
+            want = (float(np.array(a).dot(np.array(b))) + nb) / alpha  # `_array_kernels`' form
         assert repr(got) == repr(want) and not math.isfinite(got)
         messages = []
         for q in (got, want):

@@ -51,12 +51,16 @@ def built_cell(n, a):
 
 
 def test_tolerances_uniform_keeps_structural_knobs():
+    """`uniform(t)` sets every settable gate to t; the facet band and the midpoint
+    floor are fixed, so neither it nor any caller can set them."""
     t = Tolerances.uniform(1e-6)
-    assert t.facet_incidence == 1e-6
-    assert t.closure == 1e-6
-    assert t.angle_defect == 1e-6
-    assert t.classify == Tolerances().classify
-    assert t.min_midpoint_defect == Tolerances().min_midpoint_defect
+    fields = dataclasses.fields(Tolerances)
+    assert {f.name for f in fields if not f.init} == {"classify", "min_midpoint_defect"}
+    assert all(getattr(t, f.name) == 1e-6 for f in fields if f.init)
+    assert t.classify is simplex_mod.FACET_TOL and t.min_midpoint_defect == 1e-3
+    for name in ("classify", "min_midpoint_defect"):
+        with pytest.raises(TypeError):
+            Tolerances(**{name: 0.3})
 
 
 @pytest.mark.parametrize("n,a", [(2, 0.5), (3, 1.0), (5, 2.0)])
@@ -661,10 +665,13 @@ class _OddStr(str):
     [_OddStr("a\"b")], {_OddStr("k"): 1},
     {1: 2}, {1.5: "x"}, {None: 1}, {True: 0}, {(1, 2): 3}, {"a": {2: []}},
     [np.int64(3)], [np.bool_(True)], {1, 2}, [b"bytes"], [np.array([1.0])],
+    [np.array(1.0)], {"a": np.arange(3)},
 ])
 def test_write_json_matches_json_or_raises_type_error(obj):
-    """Odd inputs give the bytes of `jsonable`'s copy, numpy values included; non-str
-    keys, sets and bytes, which that copy keeps, raise `TypeError`."""
+    """Odd inputs give the bytes of `jsonable`'s copy, float and str subclasses
+    included; non-str keys, sets, bytes and the numpy values that ``json.dumps``
+    cannot write either (int and bool scalars, 0-d arrays, arrays of a dtype other
+    than float64), which no document holds, raise `TypeError`."""
     if _holds_what_json_cannot_write(obj):
         with pytest.raises(TypeError):
             json_text(obj)
@@ -678,7 +685,10 @@ def _holds_what_json_cannot_write(obj) -> bool:
                 or any(map(_holds_what_json_cannot_write, obj.values())))
     if isinstance(obj, (list, tuple)):
         return any(map(_holds_what_json_cannot_write, obj))
-    return isinstance(obj, (set, bytes))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype != np.float64 or not obj.ndim
+    return isinstance(obj, (set, bytes)) or (isinstance(obj, np.generic)
+                                             and not isinstance(obj, (float, str)))
 
 
 def test_write_json_on_documents():

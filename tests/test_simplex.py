@@ -196,15 +196,20 @@ def test_classify_vertices_and_outside():
 
 
 def test_facet_band_is_one_constant():
-    """Every classification defaults to the one facet band, `FACET_TOL` itself: outside
-    `simplex`, a default written as its own 1e-9 literal would be another float object."""
+    """Every classification is at the one facet band, `FACET_TOL` itself: the margin
+    classifiers default to it, and the point and orbit classifiers take no band, so
+    the orbit certificate cannot classify at another band than the flow."""
     from hypbilliards.orbit import verify_orbit
     from hypbilliards.report import Tolerances
 
-    defaults = [inspect.signature(fn).parameters[name].default for fn, name in (
-        (classify_margins, "tol"), (classify_point, "tol"), (simplex_mod.facet_hits, "tol"),
-        (verify_orbit, "facet_tol"))]
+    defaults = [inspect.signature(fn).parameters["tol"].default
+                for fn in (classify_margins, simplex_mod.facet_hits)]
     assert all(d is simplex_mod.FACET_TOL for d in defaults)
+    assert list(inspect.signature(classify_point).parameters) == ["s", "x"]
+    assert list(inspect.signature(verify_orbit).parameters) == ["s", "orbit"]
+    s = build(2, 1.0)
+    with pytest.raises(TypeError):
+        classify_point(s, s.circumcenter.coords, tol=0.3)
     assert Tolerances().classify is simplex_mod.FACET_TOL == 1e-9
 
 

@@ -1,5 +1,6 @@
 """Tests for the bounce-weight recurrence: root solving and closed-form profiles."""
 
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -177,9 +178,21 @@ def test_mass_sequence_validation_and_accessors():
     with pytest.raises(IndexError):
         seq.weight(-1)
     with pytest.raises(ValueError):
-        MassSequence(3, 1.0, seq.theta, seq.shift, seq.root, seq.multiplier, seq.char_root,
-                     np.zeros(4))
+        MassSequence(3, 1.0, seq.theta, np.zeros(4))
     assert not seq.weights.flags.writeable
+
+
+def test_mass_sequence_reads_everything_off_theta():
+    """A sequence holds n, the edge, theta and the weights; its other numbers are read
+    off them by the expressions `build_sequence` used to store, bit for bit."""
+    assert [f.name for f in dataclasses.fields(MassSequence)] == ["n", "edge", "theta", "weights"]
+    for n in (2, 3, 8, 32, 128):
+        for a in (1e-7, 0.01, 0.5, 1.0, 2.0, 20.0):
+            seq = build_sequence(n, a)
+            root = math.cosh(seq.theta)
+            got = (seq.root, seq.multiplier, seq.char_root, seq.shift)
+            want = (root, 2.0 * root, math.exp(seq.theta), pair_mass_constant(n, math.cosh(a)))
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (n, a)
 
 
 @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf, 0.0])
