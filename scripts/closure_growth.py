@@ -29,7 +29,7 @@ from hypbilliards.weights import build_sequence
 def separation_curve(s, orb, offset: float, bounces: int) -> np.ndarray:
     """Per-bounce distance between a misaimed trajectory and the orbit."""
     target = geodesic_point(orb.point(1), orb.point(2), offset)
-    state = state_toward(orb.point(0), target, last_facet=0)
+    state = state_toward(orb.point(0), target)
     traj = iterate(s, state, bounces)
     ahead = np.take(orb.coords, np.arange(1, len(traj) + 1), axis=0, mode="wrap")
     return chord_dist_rows(traj.points, ahead)

@@ -151,11 +151,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _perturbed(state: flow_mod.FlowState, s: simplex_mod.RegularSimplex,
-               eps: float, seed: int) -> flow_mod.FlowState:
+               eps: float, seed: int, facet: int | None) -> flow_mod.FlowState:
     """Rotate the direction by angle eps inside the simplex slice.
 
-    A launch from a facet that the rotation turns out of the simplex, or
-    along the facet, is a usage error: the flow has no forward path from it.
+    A launch from ``facet`` (None checks none) that the rotation turns out of the
+    simplex, or along the facet, is a usage error: the flow has no forward path from it.
     """
     rng = np.random.default_rng(seed)
     x = state.position.coords
@@ -169,15 +169,12 @@ def _perturbed(state: flow_mod.FlowState, s: simplex_mod.RegularSimplex,
     if norm < 1e-12:
         raise ValueError("degenerate perturbation direction; change the seed")
     w /= norm
-    out = flow_mod.FlowState(
-        state.position, math.cos(eps) * d + math.sin(eps) * w, state.last_facet
-    )
-    k = out.last_facet
-    if k is not None:
-        margin = mink_inner(out.direction, s.normal_coords[k])
+    out = flow_mod.FlowState(state.position, math.cos(eps) * d + math.sin(eps) * w)
+    if facet is not None:
+        margin = mink_inner(out.direction, s.normal_coords[facet])
         if not margin > 0.0:
             raise ValueError(f"--perturb {eps!r} turns the launch out of the simplex: "
-                             f"direction margin {margin!r} at facet {k} is not positive")
+                             f"direction margin {margin!r} at facet {facet} is not positive")
     return out
 
 
@@ -190,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         s = simplex_mod.build(args.dim, args.edge)
         if not given:
             seq = weights_mod.build_sequence(args.dim, args.edge)
-            state = flow_mod.launch_state(s, orbit_mod.construct_orbit(s, seq))
+            state = flow_mod.launch_state(orbit_mod.construct_orbit(s, seq))
     except (ValueError, ArithmeticError) as err:
         return _breakdown(err)
     if given:
@@ -198,8 +195,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--start-coords and --dir-coords must be given together")
         p = HPoint(args.start_coords)
         state = flow_mod.FlowState(p, tangent_part(p.coords, args.dir_coords))
-    if args.perturb:
-        state = _perturbed(state, s, args.perturb, args.seed)
+    if args.perturb:  # a given launch is not checked against a facet
+        facet = None if given else simplex_mod.classify_point(s, state.position.coords)[1]
+        state = _perturbed(state, s, args.perturb, args.seed, facet)
     try:
         traj = flow_mod.iterate(s, state, args.steps)
     except (ValueError, ArithmeticError) as err:

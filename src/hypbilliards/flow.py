@@ -53,12 +53,15 @@ Python 3.11, numpy 2.4):
 Each check is made once.  On entry (`_enter`) the state must lie in the
 slice, which margins cannot see (|<x,1>| and |<v,1>| at most 1e-9), with no
 margin below -`simplex.FACET_TOL`.  Per bounce, `next_collision` gives the
-flight; the arrival's `classify_margins` must put the point inside the facet
-hit (else `NonSmoothHitError`), so no later step re-tests the margins; and
-`reflect_at` mirrors, raising only at grazing incidence.  The loop calls
-these two through their module bindings.  The checks of `HPoint` and
-`FlowState` run on the margin form of their products; a `ValueError` or
-`NonSmoothHitError` in the loop names its bounce.
+flight over the facets with nu < 0, which leaves out the facet just left: a
+flight ends on facet k with nu_k = cosh t (nu^2 - mu^2)/nu < 0, and the mirror
+raises at |nu_k| <= `GRAZE_TOL` or sets nu_k to -nu_k > `GRAZE_TOL`.  The
+arrival's `classify_margins` must put the point inside the facet hit (else
+`NonSmoothHitError`), so no later step re-tests the margins; and `reflect_at`
+mirrors, raising only at grazing incidence.  The loop calls these two through
+their module bindings.  The checks of `HPoint` and `FlowState` run on the
+margin form of their products; a `ValueError` or `NonSmoothHitError` in the
+loop names its bounce.
 
 On lists two of these checks are proven instead of made: the sheet check
 after the scaling and the <v,v> half of the tangent check after the mirror.
@@ -114,16 +117,13 @@ import numpy as np
 from .geometry import (HPoint, check_sheet_products, check_tangency_product, check_tangent_products,
                        check_unit_tangent, chord_dist, mink_dot, mink_dots, mink_inner, tangent_part,
                        unit_tangent)
-from .simplex import FACET_TOL, Region, RegularSimplex, classify_margins, classify_point
+from .simplex import FACET_TOL, Region, RegularSimplex, classify_margins
 
 if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's algebra
     from .orbit import BilliardOrbit
 
-# Flights shorter than this re-hit the departure facet and are discarded.
-T_MIN = 1e-9
-_TANH_T_MIN = math.tanh(T_MIN)
-
-# A normal component this small or smaller at a facet is a grazing hit.
+# A normal component this small or smaller at a facet is a grazing hit; a mirrored
+# one is larger, and positive, so the departure facet is out of the next flight's reach.
 GRAZE_TOL = 1e-9
 
 # Simplices of at most this many facets (N = n + 1) bounce on `_list_kernels`,
@@ -142,11 +142,10 @@ class NonSmoothHitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
-    """Unit-speed billiard state; ``last_facet`` names the facet just bounced off, if any."""
+    """Unit-speed billiard state: a point and a unit tangent direction at it."""
 
     position: HPoint
     direction: np.ndarray
-    last_facet: int | None = None
 
     def __post_init__(self):
         d = np.array(np.asarray(self.direction, dtype=np.float64), copy=True)
@@ -157,27 +156,28 @@ class FlowState:
         check_unit_tangent(self.position.coords, d)
 
 
-def state_toward(a: HPoint, b: HPoint, last_facet: int | None = None) -> FlowState:
-    """State at A aimed toward B; `unit_tangent` leaves <x,v> ~ eps / d(A,B), so re-project."""
-    return FlowState(a, tangent_part(a.coords, unit_tangent(a, b)), last_facet)
+def state_toward(a: HPoint, b: HPoint) -> FlowState:
+    """State at A aimed toward B; `unit_tangent` leaves <x,v> ~ eps / d(A,B), so re-project.
+    From A on a facet toward B inside, it moves off that facet (nu > 0) and cannot hit it."""
+    return FlowState(a, tangent_part(a.coords, unit_tangent(a, b)))
 
 
-def next_collision(mus: list[float], nus: list[float], last: int | None) -> tuple[int, float]:
+def next_collision(mus: list[float], nus: list[float]) -> tuple[int, float]:
     """Facet and flight time of the first forward crossing of a state inside the
     simplex, from its position's margins ``mus`` and its direction's ``nus``.
 
     The margin mu cosh t + nu sinh t reaches 0 at tanh t = -mu/nu, a crossing
     only if it decreases (nu < 0) and is reachable (|mu| < |nu|: otherwise the
     geodesic approaches the hyperplane asymptotically without crossing).  The
-    T_MIN floor applies only to the facet the state just bounced off, so
-    rounding cannot re-register the departure as a fresh hit; genuinely short
-    flights onto other facets (deep corner visits) are kept and left for the
-    arrival classification to reject as non-smooth.  atanh is increasing, so
-    the smallest ratio marks the first hit; on a tie the lower index wins.
+    facet just bounced off is never taken, as the mirror left its nu above
+    `GRAZE_TOL` (module docstring); short flights onto other facets (deep corner
+    visits) are kept for the arrival classification to reject as non-smooth.
+    atanh is increasing, so the smallest ratio marks the first hit; on a tie the
+    lower index wins.
     """
     best_k, best = -1, 1.0  # tanh t < 1: a ratio of 1 or more is never reached
     for k, (mu, nu) in enumerate(zip(mus, nus)):
-        if nu < 0.0 and (_TANH_T_MIN if k == last else 0.0) < (ratio := -mu / nu) < best:
+        if nu < 0.0 and 0.0 < (ratio := -mu / nu) < best:
             best_k, best = k, ratio
     if best_k < 0:
         raise ValueError("no forward facet crossing; state does not point into the simplex")
@@ -335,7 +335,7 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
     mus, nus = mu.tolist(), nu.tolist()
     if listed:
         mu, nu = mus, nus
-    x0, v0, last = state.position.coords.item(0), state.direction.item(0), state.last_facet
+    x0, v0 = state.position.coords.item(0), state.direction.item(0)
     # the run's points, row i for bounce i: flat records on lists, margin rows on arrays
     # (copying each into a flat record measured 2-8% slower a closure at n = 128)
     margins = array("d") if listed else []
@@ -343,7 +343,7 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
     facets, x0s, arclengths, drifts = [], array("d"), [], []
     for i in range(steps):
         try:
-            k, t = next_collision(mus, nus, last)
+            k, t = next_collision(mus, nus)
             ch, sh = math.cosh(t), math.sinh(t)
             x0, v0 = ch * x0 + sh * v0, sh * x0 + ch * v0
 
@@ -384,7 +384,6 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
         except ValueError as err:
             raise ValueError(f"bounce {i}: {err}") from err
         nus = nu if listed else nu.tolist()
-        last = k
         facets.append(k)
         record(mu)
         x0s.append(x0)
@@ -400,7 +399,7 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
         a.setflags(write=False)
     if steps:
         d = np.concatenate(((v0,), (np.asarray(nu) @ normals) / alpha))
-        state = FlowState(HPoint(points[-1]), d, k)
+        state = FlowState(HPoint(points[-1]), d)
     return Trajectory(facets, points, arclengths, drifts, state)
 
 
@@ -422,11 +421,11 @@ def iterate(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
     return _run(s, state, steps)
 
 
-def launch_state(s: RegularSimplex, orbit: BilliardOrbit) -> FlowState:
-    """Initial flow state of a closed polygon: at P_0, along the orbit's `direction`."""
+def launch_state(orbit: BilliardOrbit) -> FlowState:
+    """Initial flow state of a closed polygon: at P_0, along the orbit's `direction`,
+    which moves away from P_0's facet toward P_1."""
     p0 = orbit.point(0)
-    return FlowState(p0, tangent_part(p0.coords, orbit.direction),
-                     classify_point(s, p0.coords)[1])
+    return FlowState(p0, tangent_part(p0.coords, orbit.direction))
 
 
 @dataclass(frozen=True)
@@ -445,9 +444,11 @@ def run_closure(s: RegularSimplex, orbit: BilliardOrbit, periods: int = 1) -> Cl
 
     Both errors are Minkowski norms of coordinate differences (position via
     `chord_dist`), which agree with distance and angle at these scales and
-    stay resolvable down to rounding level.
+    stay resolvable down to rounding level.  The direction term reads 0.0 where
+    <diff, diff> rounds below 0, as at (6, 5) and (11, 10) (-4.4e-32, -2.3e-31),
+    though the part of diff tangent at the launch has norm 3.5e-16 and 7.7e-16.
     """
-    start = launch_state(s, orbit)
+    start = launch_state(orbit)
     traj = iterate(s, start, periods * orbit.period)
     dpos = chord_dist(traj.final_state.position, start.position)
     diff = traj.final_state.direction - start.direction

@@ -33,7 +33,7 @@ def run(s, state, steps):
     normals = s.normal_coords
     ones = s.slice_vector()
     m, unit = s.n + 1.0, math.sqrt(s.n + 1.0)
-    x, v, last = state.position.coords, state.direction, state.last_facet
+    x, v = state.position.coords, state.direction
     mus = mink_dots(x, normals).tolist()
     facets = np.empty(steps, dtype=np.intp)
     points = np.empty((steps, s.ambient_dim))
@@ -41,7 +41,7 @@ def run(s, state, steps):
     drifts = np.empty((steps, 5))
     for i in range(steps):
         try:
-            k, t = next_collision(mus, mink_dots(v, normals).tolist(), last)
+            k, t = next_collision(mus, mink_dots(v, normals).tolist())
             ch, sh = math.cosh(t), math.sinh(t)
             x_raw, v_raw = ch * x + sh * v, sh * x + ch * v
             check_on_sheet(to_sheet(x_raw))
@@ -76,8 +76,8 @@ def run(s, state, steps):
         except NonSmoothHitError as err:
             err.step = i
             raise
-        last = facets[i] = k
+        facets[i] = k
         points[i] = x
         arclengths[i] = t
-    final = FlowState(HPoint(x), v, last) if steps else state
+    final = FlowState(HPoint(x), v) if steps else state
     return Trajectory(facets, points, arclengths, drifts, final)

@@ -175,7 +175,7 @@ def test_criterion_10_flow_invariant_drift():
     """A generic 1000-bounce trajectory keeps all state invariants below 1e-8."""
     s, _, orb = cell(3, 1.0)
     target = geodesic_point(orb.point(1), orb.point(2), 0.3)
-    state = state_toward(orb.point(0), target, last_facet=0)
+    state = state_toward(orb.point(0), target)
     traj = iterate(s, state, 1000)
     assert len(traj) == 1000
     assert traj.max_drift < 1e-8

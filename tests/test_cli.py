@@ -495,17 +495,45 @@ def test_simulate_perturbed_launches_run_or_are_rejected(capsys):
     codes = []
     for n in (2, 3, 8):
         s = build(n, 1.0)
-        start = flow.launch_state(s, orbit.construct_orbit(s, weights.build_sequence(n, 1.0)))
+        start = flow.launch_state(orbit.construct_orbit(s, weights.build_sequence(n, 1.0)))
+        facet = simplex.classify_point(s, start.position.coords)[1]
         for eps in ("-3", "-1", "0.3", "1.5", "3.1"):
             for seed in ("0", "1", "2"):
                 code, _, err = run(capsys, "simulate", "--dim", str(n), "--edge", "1",
                                    "--steps", "5", "--perturb", eps, "--seed", seed)
                 codes.append(code)
                 if code == 2:
-                    assert err.endswith(f" at facet {start.last_facet} is not positive\n")
+                    assert err.endswith(f" at facet {facet} is not positive\n")
                 else:
                     assert code == 0, (n, eps, seed, err)
     assert 0 in codes and 2 in codes
+
+
+def test_simulate_perturbed_launch_checks_the_facet_p0_classifies_on(capsys):
+    """The outward check of a perturbed default launch reads the facet that P_0
+    classifies on.  At (64, 1e-6) P_0 classifies as lower-boundary, so no facet is
+    checked and the flow stops at bounce 0 (a check of facet 0 would exit 2); at
+    (3, 1) P_0 is on facet 0, and the check names it."""
+    s = build(64, 1e-6)
+    start = flow.launch_state(orbit.construct_orbit(s, weights.build_sequence(64, 1e-6)))
+    assert simplex.classify_point(s, start.position.coords)[:2] == (
+        simplex.Region.LOWER_BOUNDARY, None)
+    code, out, err = run(capsys, "simulate", "--dim", "64", "--edge", "1e-6", "--steps", "3",
+                         "--perturb", "-2")
+    assert (code, out) == (4, "")
+    assert err == "non-smooth trajectory: bounce 0: hit the lower-boundary region of the boundary\n"
+    code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1", "--steps", "2",
+                         "--perturb", "-2")
+    assert (code, out) == (2, "")
+    assert err.endswith(" at facet 0 is not positive\n")
+
+
+def test_simulate_flows_where_orbit_breaks_down(capsys):
+    """At (3, 40) the orbit passes `verify_orbit` and the flow runs from its launch;
+    only `orbit`'s vertex-reflection check breaks down there (exit 5)."""
+    code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "40", "--steps", "3")
+    assert code == 0 and out.count("\n") == 4
+    assert err.startswith("3 bounces, total length ")
 
 
 @pytest.mark.parametrize("extra", [(), ("--perturb", "0.1")])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 import flow_reference
@@ -20,6 +20,7 @@ from hypbilliards import flow as flow_mod
 from hypbilliards import geometry
 from hypbilliards.cli import _perturbed, main
 from hypbilliards.flow import (
+    GRAZE_TOL,
     FlowState,
     NonSmoothHitError,
     Trajectory,
@@ -99,8 +100,8 @@ def test_next_hit_unit_cases():
     # whether facet 0's crossing is taken or skipped
     t1 = math.tanh(0.9)
 
-    def hit0(mu, nu, last=None):
-        k, t = next_collision([mu, t1], [nu, -1.0], last)
+    def hit0(mu, nu):
+        k, t = next_collision([mu, t1], [nu, -1.0])
         return k == 0, t
 
     # stationary (nu = 0) or receding: no hit
@@ -110,15 +111,13 @@ def test_next_hit_unit_cases():
     for mu, nu in ((1.0, -0.5), (2.0, -2.0)):
         assert not hit0(mu, nu)[0]
         with pytest.raises(ValueError, match="no forward facet crossing"):
-            next_collision([mu, 0.5], [nu, 0.0], None)
+            next_collision([mu, 0.5], [nu, 0.0])
     # clean crossing at t = atanh(mu) for nu = -1
     took, t = hit0(math.tanh(0.7), -1.0)
     assert took and t == pytest.approx(0.7, rel=1e-12)
-    # the T_MIN floor filters a short flight off the departure facet only
-    mu = math.tanh(0.5 * flow_mod.T_MIN)
-    assert not hit0(mu, -1.0, last=0)[0]
-    took, t = hit0(mu, -1.0, last=1)
-    assert took and t == pytest.approx(0.5 * flow_mod.T_MIN, rel=1e-9)
+    # no floor: a state 1e-12 inside a facet and moving out of it hits that facet at once
+    took, t = hit0(1e-12, -1.0)
+    assert took and t == pytest.approx(1e-12, rel=1e-9)
     # sitting exactly on the facet and leaving: not a forward hit
     assert not hit0(0.0, -1.0)[0]
     assert not hit0(-1e-12, -1.0)[0]
@@ -126,8 +125,8 @@ def test_next_hit_unit_cases():
 
 def test_next_hit_tie_goes_to_lower_index():
     mu = math.tanh(0.4)
-    assert next_collision([0.9, mu, mu], [0.0, -1.0, -1.0], None)[0] == 1
-    assert next_collision([mu, mu], [-1.0, -1.0], None)[0] == 0
+    assert next_collision([0.9, mu, mu], [0.0, -1.0, -1.0])[0] == 1
+    assert next_collision([mu, mu], [-1.0, -1.0])[0] == 0
 
 
 def test_iterate_names_first_facet_outside():
@@ -214,8 +213,8 @@ def test_reflect_at_rejects_bad_input():
 
 def test_flow_retraces_constructed_orbit():
     s, orb = make_orbit(3, 1.0)
-    st = launch_state(s, orb)
-    assert st.last_facet == 0
+    st = launch_state(orb)
+    assert classify_point(s, st.position.coords)[1] == 0
     tr = iterate(s, st, 4)
     assert tr.facets.tolist() == [1, 2, 3, 0]
     for i, x in enumerate(tr.points):
@@ -246,7 +245,7 @@ def test_perturbed_launch_does_not_close():
     """Aiming 0.01 past the first bounce point breaks closure by orders more."""
     s, orb = make_orbit(3, 1.0)
     target = geodesic_point(orb.point(1), orb.point(2), 0.01)
-    st = state_toward(orb.point(0), target, last_facet=0)
+    st = state_toward(orb.point(0), target)
     tr = iterate(s, st, 4)
     assert chord_dist(tr.final_state.position, orb.point(0)) > 1e-3
 
@@ -263,7 +262,7 @@ def test_long_run_keeps_invariants():
     invariants and the consistency of its margin coordinates to rounding accuracy."""
     s, orb = make_orbit(3, 1.0)
     target = geodesic_point(orb.point(1), orb.point(2), 0.3)
-    st = state_toward(orb.point(0), target, last_facet=0)
+    st = state_toward(orb.point(0), target)
     tr = iterate(s, st, 1000)
     assert len(tr) == 1000
     assert tr.max_drift < 1e-8
@@ -272,7 +271,7 @@ def test_long_run_keeps_invariants():
 
 def test_iterate_zero_and_negative_steps():
     s, orb = make_orbit(2, 1.0)
-    st = launch_state(s, orb)
+    st = launch_state(orb)
     tr = iterate(s, st, 0)
     assert isinstance(tr, Trajectory)
     assert len(tr) == 0 and tr.max_drift == 0.0
@@ -349,9 +348,9 @@ def test_non_finite_points_fail_the_point_checks(x0):
 
 def test_step_returns_bounce_record():
     s, orb = make_orbit(2, 0.5)
-    one = step(s, launch_state(s, orb))
+    one = step(s, launch_state(orb))
     assert len(one) == 1
-    assert one.facets[0] == one.final_state.last_facet
+    assert classify_point(s, one.final_state.position.coords)[1] == one.facets[0]
     assert one.drifts.shape == (1, 5)
     assert chord_dist(HPoint(one.points[0]), orb.point(1)) < 1e-10
 
@@ -382,7 +381,7 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
     for n, kernels in SIDES:
         s, orb = make_orbit(n, 1.0)
         target = geodesic_point(orb.point(1), orb.point(2), 0.3)
-        st = state_toward(orb.point(0), target, last_facet=0)
+        st = state_toward(orb.point(0), target)
         one = step(s, st)
         tr = iterate(s, st, 1)
         assert one.facets.tobytes() == tr.facets.tobytes()
@@ -392,7 +391,7 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
         nxt, fin = one.final_state, tr.final_state
         assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
         assert nxt.direction.tobytes() == fin.direction.tobytes()
-        assert nxt.last_facet == fin.last_facet == one.facets[0]
+        assert classify_point(s, fin.position.coords)[1] == one.facets[0]
         direct = flow_mod._loop(s, st, 1, getattr(flow_mod, kernels))
         assert direct.points.tobytes() == one.points.tobytes()
         assert direct.final_state.direction.tobytes() == nxt.direction.tobytes()
@@ -419,7 +418,7 @@ def test_loop_runs_the_named_layers(monkeypatch):
     for n, kernels in SIDES:
         s, orb = make_orbit(n, 1.0)
         target = geodesic_point(orb.point(1), orb.point(2), 0.3)
-        st = state_toward(orb.point(0), target, last_facet=0)
+        st = state_toward(orb.point(0), target)
         plain = iterate(s, st, 20)
         calls = Counter()
         with monkeypatch.context() as patch:
@@ -449,7 +448,7 @@ def test_list_and_array_loops_agree(n):
     ddot), and the flow is chaotic: at n = 2 and 3 that ulp parts the points by more
     than 1e-12 after 26 to 46 bounces, so the points are compared on the first 20."""
     s, orb = make_orbit(n, 1.0)
-    st = _perturbed(launch_state(s, orb), s, 0.3, 7)
+    st = _perturbed(launch_state(orb), s, 0.3, 7, 0)
     lst, arr = (flow_mod._loop(s, st, 50, kernels)
                 for kernels in (flow_mod._list_kernels, flow_mod._array_kernels))
     assert lst.facets.tolist() == arr.facets.tolist()
@@ -604,13 +603,13 @@ def _outcome(run):
         return type(exc), str(exc), getattr(exc, "step", None)
     fin = tr.final_state
     return (*(a.tobytes() for a in (tr.facets, tr.points, tr.arclengths, tr.drifts)),
-            fin.position.coords.tobytes(), fin.direction.tobytes(), fin.last_facet)
+            fin.position.coords.tobytes(), fin.direction.tobytes())
 
 
 @functools.lru_cache(maxsize=None)
 def _orbit_launch(n, a):
     s, orb = make_orbit(n, a)
-    return s, launch_state(s, orb)
+    return s, launch_state(orb)
 
 
 def _list_rows(s, launch, steps):
@@ -687,7 +686,7 @@ def _failing_mid_run(s, launch, steps, kind):
 def _perturbed_launch(n=3, a=1.0):
     """A simplex, a perturbed launch along its orbit and a bounce count."""
     s, start = _orbit_launch(n, a)
-    return s, _perturbed(start, s, 0.3, 7), 100
+    return s, _perturbed(start, s, 0.3, 7, 0), 100
 
 
 @pytest.mark.parametrize("kind,message", [(0, "not on the unit hyperboloid: <x,x> = "),
@@ -824,7 +823,7 @@ def test_list_loop_products_stay_within_the_rounding_bound(n, a, eps, seed):
     assert p * p * (n * n - 1) <= slack and -beta * (n - 1) <= slack
     assert 1.0 <= alpha <= 2.0 * slack and -big * beta / alpha <= big / n * slack
     start = state_toward(s.circumcenter, facet_center(s, seed % big))
-    rows, inner = _list_rows(s, _perturbed(start, s, eps, seed), 300)
+    rows, inner = _list_rows(s, _perturbed(start, s, eps, seed, None), 300)
     assert rows
     for mu, x0, pre, nu, v0, _ in rows:
         assert abs(inner(mu, mu, x0, x0) + 1.0) <= 30 * u * max(1.0, x0 * x0)
@@ -832,12 +831,43 @@ def test_list_loop_products_stay_within_the_rounding_bound(n, a, eps, seed):
         assert abs(inner(nu, nu, v0, v0) - 1.0) <= (150 + 30 * math.sqrt(big)) * u * vmax ** 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(hs.integers(2, 13), hs.floats(0.05, 20.0), hs.floats(0.05, 1.5), hs.integers(0, 2 ** 16))
+def test_no_flight_ends_on_the_facet_it_left(n, a, eps, seed):
+    """`next_collision` takes only facets with nu < 0, and the mirror leaves the facet
+    it mirrors at with nu above `GRAZE_TOL`, so no flight ends on the facet it
+    started from: consecutive facets differ, and the first is not the launch facet.
+    Runs of 200 bounces from P_0 of the orbit, perturbed and checked against facet 0
+    as `simulate` does, on both kernel sets (n = 2..13 spans SWITCH - 1 and SWITCH)."""
+    s, orb = make_orbit(n, a)
+    start = launch_state(orb)
+    assert classify_point(s, start.position.coords)[1] == 0
+    try:
+        launch = _perturbed(start, s, eps, seed, 0)
+    except ValueError:  # turned out of facet 0: `simulate` rejects it too
+        assume(False)
+    mirrored, plain = [], flow_mod.reflect_at
+
+    def watched(nu, v0, k, *args):  # asserts at the mirror, ahead of any loop check
+        out = plain(nu, v0, k, *args)
+        mirrored.append(out[0][k])
+        assert mirrored[-1] > GRAZE_TOL, (len(mirrored) - 1, k, mirrored[-1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow_mod, "reflect_at", watched)
+        tr = iterate(s, launch, 200)
+    assert len(mirrored) == len(tr) == 200
+    facets = [0, *tr.facets.tolist()]
+    assert all(f != g for f, g in zip(facets, facets[1:]))
+
+
 @pytest.mark.parametrize("n", [3, 8, 32, 128])
 def test_margin_loop_follows_the_ambient_loop(n):
     """From a perturbed launch, the margin loop and the ambient reference bounce
     off the same first 50 facets at the same points, and both measure small drift."""
     s, orb = make_orbit(n, 1.0)
-    st = _perturbed(launch_state(s, orb), s, 0.3, 7)
+    st = _perturbed(launch_state(orb), s, 0.3, 7, 0)
     got, ref = iterate(s, st, 50), flow_reference.run(s, st, 50)
     assert got.facets.tolist() == ref.facets.tolist()
     assert np.abs(got.points - ref.points).max() < 1e-9
@@ -859,7 +889,7 @@ def test_long_run_drift_within_sixteen_eps(n, a, steps):
     """The invariants and the consistency of the margin coordinates hold to
     rounding over every flight of a long chaotic run."""
     s, orb = make_orbit(n, a)
-    tr = iterate(s, _perturbed(launch_state(s, orb), s, 0.3, 7), steps)
+    tr = iterate(s, _perturbed(launch_state(orb), s, 0.3, 7, 0), steps)
     assert len(tr) == steps
     assert tr.max_drift <= 16 * EPS
 
@@ -869,7 +899,7 @@ def test_launch_direction_is_aimed_at_the_next_bounce():
     launch to rounding, and D is read-only."""
     for n, a in ((2, 1.0), (8, 0.5), (32, 1.0)):
         s, orb = make_orbit(n, a)
-        along = launch_state(s, orb).direction
+        along = launch_state(orb).direction
         toward = state_toward(orb.point(0), orb.point(1)).direction
         assert np.abs(along - toward).max() < 1e-12
         assert not orb.direction.flags.writeable

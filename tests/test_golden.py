@@ -136,7 +136,6 @@ def _flow_stack_bytes(traj: flow_mod.Trajectory) -> dict[str, bytes]:
         "drifts": np.ascontiguousarray(traj.drifts, dtype=np.float64).tobytes(),
         "final_position": fin.position.coords.tobytes(),
         "final_direction": fin.direction.tobytes(),
-        "final_last_facet": np.array([fin.last_facet], dtype=np.int64).tobytes(),
     }
 
 
@@ -161,7 +160,7 @@ def _closure_run(n: int, edge: float):
     """The simplex, launch state and trajectory of one flowed period of the orbit."""
     s = build(n, edge)
     orb = construct_orbit(s, build_sequence(n, edge))
-    return s, flow_mod.launch_state(s, orb), flow_mod.run_closure(s, orb).trajectory
+    return s, flow_mod.launch_state(orb), flow_mod.run_closure(s, orb).trajectory
 
 
 @pytest.mark.parametrize("name", [name for name, _ in SIMULATE_CASES] + sorted(CLOSURE_CASES))

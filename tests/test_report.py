@@ -426,7 +426,7 @@ def test_csv_helpers_round_trip():
     assert len(rows) == 3
     assert float(rows[0][1]) == orb.mass(0)
 
-    traj = iterate(s, launch_state(s, orb), 3)
+    traj = iterate(s, launch_state(orb), 3)
     theader, trows = trajectory_rows(s, traj)
     assert theader == ["step", "facet", "arclength", "disk0", "disk1"]
     assert [r[1] for r in trows] == [str(f) for f in traj.facets.tolist()]
@@ -458,7 +458,7 @@ def test_csv_columns_format_floats_as_format_float(sig, xs):
 
 def test_zero_step_trajectory_has_header_and_no_rows():
     s = build(3, 1.0)
-    traj = iterate(s, launch_state(s, construct_orbit(s, build_sequence(3, 1.0))), 0)
+    traj = iterate(s, launch_state(construct_orbit(s, build_sequence(3, 1.0))), 0)
     header, rows = trajectory_rows(s, traj)
     assert header == ["step", "facet", "arclength", "disk0", "disk1", "disk2"]
     assert rows == []
@@ -469,7 +469,7 @@ def test_zero_step_trajectory_has_header_and_no_rows():
 
 def test_write_csv_writes_tuple_and_list_rows_alike():
     s = build(3, 1.0)
-    traj = iterate(s, launch_state(s, construct_orbit(s, build_sequence(3, 1.0))), 9)
+    traj = iterate(s, launch_state(construct_orbit(s, build_sequence(3, 1.0))), 9)
     header, rows = trajectory_rows(s, traj, 9)
     as_tuples, as_lists = io.StringIO(), io.StringIO()
     write_csv(as_tuples, header, [tuple(r) for r in rows])
