@@ -27,11 +27,11 @@ exits 1 if any of these rules fails:
    metrics and the simplex checks.
 5. A trajectory (a ``simulate`` CSV, with its summary line read from the
    ``.stderr`` file next to it, or a JSON dump of a `flow.Trajectory`'s
-   stacks) keeps its row count, and its invariant drift must meet
-   new <= max(old, 16 eps).  The first row where the facet sequences part
-   is reported: the flow is chaotic, so a launch moved by ulps parts from
-   its old path after enough bounces.  Its points and arclengths are
-   reported, not gated.
+   stacks and ``max_drift``) keeps its row count, and its invariant drift
+   must meet new <= max(old, 16 eps).  The first row where the facet
+   sequences part is reported: the flow is chaotic, so a launch moved by
+   ulps parts from its old path after enough bounces.  Its points and
+   arclengths are reported, not gated.
 
 The oracle of an orbit CSV needs the simplex: it reads n, the edge and the
 vertices from the JSON document of the same run, ``<stem>.json`` or
@@ -65,7 +65,7 @@ SEQUENCE_FIELDS = {"y0": "root", "lambda": "multiplier", "xi": "char_root", "b":
                    "alphas": "weights"}
 CELL_FIELDS = {"multiplier": "multiplier", "min_interior_weight": "min_interior_weight"}
 ORBIT_FIELDS = {"points": "points", "masses": "masses", "lambda": "multiplier"}
-TRAJECTORY_KEYS = {"facets", "points", "arclengths", "drifts"}
+TRAJECTORY_KEYS = {"facets", "points", "arclengths", "max_drift"}
 SUMMARY = re.compile(r"^(\d+) bounces, total length (\S+), max invariant drift (\S+)$")
 GATE = re.compile(r"^(\w+) = (\S+), needs < \S+$")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -314,9 +314,8 @@ def audit_trajectory(audit: Audit, old: dict, new: dict) -> None:
     if len(old["facets"]) != len(new["facets"]):
         return audit.fail(f"bounces {len(old['facets'])} -> {len(new['facets'])}")
     report_parting(audit, old["facets"], new["facets"])
-    audit_drift(audit, "drifts", max(flat(old["drifts"]), default=0.0),
-                max(flat(new["drifts"]), default=0.0))
-    for key in sorted(old.keys() - {"facets", "drifts"}):
+    audit_drift(audit, "max_drift", old["max_drift"], new["max_drift"])
+    for key in sorted(old.keys() - {"facets", "max_drift"}):
         pairs = list(zip(flat(old[key]), flat(new[key])))
         audit.moved(key, [(float(a), float(b)) for a, b in pairs], "trajectory, reported", True)
 

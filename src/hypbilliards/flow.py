@@ -28,8 +28,11 @@ e^t per flight on a diverging geodesic mode and would collapse a chaotic
 run within a few hundred bounces, so after every flight it is removed from
 every margin; one above 1e-9 raises.  Position and direction are then
 renormalized onto the hyperboloid and its tangent space.  Each bounce
-records the defects and the invariants' drift before renormalizing, so
-violations cannot pass silently.
+measures the defects and the invariants' drift before renormalizing and the
+run keeps the largest, so violations cannot pass silently.  Python's `max`
+skips a NaN after a number, but no returned run has one: a NaN dx or <x,x>
+fails `not xx < 0.0`, and a NaN dv, <v,v> or <x,v> recurs in the bounce's
+tangent step, which fails `not vv > 0.0` or the <x,v> check.
 
 One loop, `_loop`, runs the bounces and makes every check; its vector steps
 come from one of two kernel sets, chosen once per run.  `_list_kernels` works
@@ -97,7 +100,7 @@ mirror moves <x,v> by -2 nu_k mu_k, and the classification holds mu_k only to
 loop makes every check, as ddot's error grows like N u W and it takes any N.
 
 A run comes out as a `Trajectory` of read-only stacks, row i for bounce i,
-whose points are rebuilt once per run from the margins recorded per bounce:
+and its largest drift; points are rebuilt once per run from recorded margins:
 the spatial part of x is mu times the normals' spatial parts, over alpha.
 `iterate` is the loop and `step` is one bounce of it.
 """
@@ -107,7 +110,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from math import fsum
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -204,7 +206,7 @@ class Trajectory:
     """The bounces of one run as read-only stacks, row i for bounce i, and the state after them.
 
     ``facets`` is ``(k,)`` intp, ``points`` ``(k, n+2)``, ``arclengths`` ``(k,)``.
-    ``drifts`` is ``(k, 5)``: the errors accumulated over each incoming flight,
+    ``max_drift`` is the largest error accumulated over an incoming flight (0.0 for none):
     |<x,x>+1|, |<v,v>-1| and |<x,v>| before normalization, and the consistency
     defects |sum(mu)/N + p x0| and |sum(nu)/N + p v0| of position and direction.
     """
@@ -212,15 +214,11 @@ class Trajectory:
     facets: np.ndarray
     points: np.ndarray
     arclengths: np.ndarray
-    drifts: np.ndarray
+    max_drift: float
     final_state: FlowState
 
     def __len__(self) -> int:
         return len(self.facets)
-
-    @property
-    def max_drift(self) -> float:
-        return float(self.drifts.max(initial=0.0))
 
     @property
     def total_length(self) -> float:
@@ -340,7 +338,7 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
     # (copying each into a flat record measured 2-8% slower a closure at n = 128)
     margins = array("d") if listed else []
     record = margins.fromlist if listed else margins.append
-    facets, x0s, arclengths, drifts = [], array("d"), [], []
+    facets, x0s, arclengths, drift = [], array("d"), array("d"), 0.0
     for i in range(steps):
         try:
             k, t = next_collision(mus, nus)
@@ -352,7 +350,7 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
             if (defect := max(abs(dx), abs(dv))) > 1e-9:
                 raise ValueError(f"margins disagree with the timelike coordinate (defect {defect:.3e})")
             xx, vv, xv = inner(mu, mu, x0, x0), inner(nu, nu, v0, v0), inner(mu, nu, x0, v0)
-            drifts.append((abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv)))
+            drift = max(drift, abs(xx + 1.0), abs(vv - 1.0), abs(xv), abs(dx), abs(dv))
 
             # `to_sheet` and `check_on_sheet` (proven on lists), then `classify_point`'s rule
             if not xx < 0.0:
@@ -394,13 +392,12 @@ def _loop(s: RegularSimplex, state: FlowState, steps: int,
     points[:, 0] = x0s
     np.divide(np.asarray(margins, float).reshape(steps, big) @ normals, alpha, out=points[:, 1:])
     facets, arclengths = np.array(facets, dtype=np.intp), np.array(arclengths)
-    drifts = np.fromiter(chain.from_iterable(drifts), float, 5 * steps).reshape(steps, 5)
-    for a in (facets, points, arclengths, drifts):
+    for a in (facets, points, arclengths):
         a.setflags(write=False)
     if steps:
         d = np.concatenate(((v0,), (np.asarray(nu) @ normals) / alpha))
         state = FlowState(HPoint(points[-1]), d)
-    return Trajectory(facets, points, arclengths, drifts, state)
+    return Trajectory(facets, points, arclengths, drift, state)
 
 
 def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:

@@ -204,14 +204,13 @@ def metrics(s: RegularSimplex) -> SimplexMetrics:
     return SimplexMetrics(vc, vf, w)
 
 
-def vertex_reflection_identity_residual(s: RegularSimplex, j: int | None = None):
-    """Residual of the vertex-plus-mirror balance at facet j, or at every facet.
+def vertex_reflection_identity_residual(s: RegularSimplex) -> np.ndarray:
+    """Residuals of the vertex-plus-mirror balance, the ``(n+1,)`` array in facet order.
 
     Unit masses at V_j and at its mirror image across the opposite facet
     combine to the same point mass as weight 2/(n-1+1/cosh a) placed on
     each remaining vertex.  The residual is the larger of the location
-    distance and the relative weight mismatch.  With j omitted, returns the
-    ``(n+1,)`` array of residuals in facet order, all computed in one pass.
+    distance and the relative weight mismatch.
     """
     v, ones = s.vertex_coords, np.ones(s.n + 1)
     lhs, lhs_w = pair_folds(ones, v, ones, reflect_rows(s.normal_coords, v))
@@ -220,7 +219,7 @@ def vertex_reflection_identity_residual(s: RegularSimplex, j: int | None = None)
     loc = chord_dist_rows(lhs, rhs)
     rel = np.abs(lhs_w - rhs_w) / rhs_w
     res = np.where(rel > loc, rel, loc)  # max(loc, rel), which keeps loc when rel is nan
-    return res if j is None else float(res[j % (s.n + 1)])
+    return res
 
 
 # The facet band of every boundary classification, the orbit's and the flow's alike.

@@ -29,7 +29,8 @@ def reflect_at(x, d, k, u, margin):
 
 
 def run(s, state, steps):
-    """``steps`` bounces from ``state`` on ambient coordinates."""
+    """``steps`` bounces from ``state`` on ambient coordinates; the run's largest
+    drift is the maximum of its per-bounce drift rows."""
     normals = s.normal_coords
     ones = s.slice_vector()
     m, unit = s.n + 1.0, math.sqrt(s.n + 1.0)
@@ -80,4 +81,4 @@ def run(s, state, steps):
         points[i] = x
         arclengths[i] = t
     final = FlowState(HPoint(x), v) if steps else state
-    return Trajectory(facets, points, arclengths, drifts, final)
+    return Trajectory(facets, points, arclengths, float(drifts.max(initial=0.0)), final)

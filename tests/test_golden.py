@@ -7,9 +7,9 @@ fixtures pin long flows (200 bounces from a perturbed launch, where
 rounding differences grow by e^t per flight) and the stderr summary line.
 Documents of large cells (0.16-2.3 MB) are pinned by their SHA-256 in
 ``large_docs.sha256`` instead of committed whole.  The flow's raw output
-(every stack of a `Trajectory` and its final state) is pinned in
+(every stack of a `Trajectory`, its largest drift and its final state) is pinned in
 ``flow_stacks.sha256``: the CSV sees bounce points only through the disk
-chart and drifts only through a rounded maximum.
+chart and the largest drift only rounded.
 """
 
 import hashlib
@@ -133,7 +133,7 @@ def _flow_stack_bytes(traj: flow_mod.Trajectory) -> dict[str, bytes]:
         "points": np.ascontiguousarray(traj.points, dtype=np.float64).tobytes(),
         "facets": traj.facets.astype(np.int64).tobytes(),
         "arclengths": np.ascontiguousarray(traj.arclengths, dtype=np.float64).tobytes(),
-        "drifts": np.ascontiguousarray(traj.drifts, dtype=np.float64).tobytes(),
+        "max_drift": np.float64(traj.max_drift).tobytes(),
         "final_position": fin.position.coords.tobytes(),
         "final_direction": fin.direction.tobytes(),
     }
@@ -165,8 +165,9 @@ def _closure_run(n: int, edge: float):
 
 @pytest.mark.parametrize("name", [name for name, _ in SIMULATE_CASES] + sorted(CLOSURE_CASES))
 def test_flow_stacks_sha256(capsys, monkeypatch, tmp_path, name):
-    """Each stack and the final state of a run, bit for bit; the stacks are read-only,
-    and zero bounces from the same launch give empty stacks and the launch back."""
+    """Each stack, the largest drift and the final state of a run, bit for bit; the
+    stacks are read-only, and zero bounces from the same launch give empty stacks and
+    the launch back."""
     if name in CLOSURE_CASES:
         s, start, traj = _closure_run(*CLOSURE_CASES[name])
     else:
@@ -179,5 +180,5 @@ def test_flow_stacks_sha256(capsys, monkeypatch, tmp_path, name):
     assert empty.points.shape == (0, s.ambient_dim)
     assert empty.final_state is start
     for t in (traj, empty):
-        for stack in (t.facets, t.points, t.arclengths, t.drifts):
+        for stack in (t.facets, t.points, t.arclengths):
             assert not stack.flags.writeable

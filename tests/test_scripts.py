@@ -45,3 +45,28 @@ def test_repin_audit_passes_identical_and_fails_a_perturbed_weight(tmp_path):
     out = run_script("repin_audit.py", str(old), str(new), code=1).splitlines()
     assert out[0].startswith("FAIL mass_sequence.alphas: 1 moved, worst ")
     assert out[-1] == f"{new}: 1 rule(s) failed"
+
+
+def test_repin_audit_gates_the_largest_drift_of_a_trajectory_dump(tmp_path):
+    """A JSON dump of a `flow.Trajectory` passes against itself; one whose
+    ``max_drift`` grows past max(old, 16 eps) fails rule 5."""
+    pytest.importorskip("mpmath")
+    from hypbilliards.flow import iterate, launch_state
+    from hypbilliards.orbit import construct_orbit
+    from hypbilliards.simplex import build
+    from hypbilliards.weights import build_sequence
+
+    s = build(3, 1.0)
+    tr = iterate(s, launch_state(construct_orbit(s, build_sequence(3, 1.0))), 8)
+    dump = {"facets": tr.facets.tolist(), "points": tr.points.tolist(),
+            "arclengths": tr.arclengths.tolist(), "max_drift": tr.max_drift}
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(dump))
+    out = run_script("repin_audit.py", str(old), str(old))
+    assert out.splitlines() == ["facet sequence identical", f"{old}: 0 rule(s) failed"]
+
+    dump["max_drift"] = max(tr.max_drift, 16 * sys.float_info.epsilon) * 2.0
+    new.write_text(json.dumps(dump))
+    out = run_script("repin_audit.py", str(old), str(new), code=1).splitlines()
+    assert out[1].startswith("FAIL max_drift: 1 moved, worst ")
+    assert out[-1] == f"{new}: 1 rule(s) failed"

@@ -170,8 +170,9 @@ def test_centroid_weight_segment_case():
 @pytest.mark.parametrize("n,a", GRID)
 def test_vertex_reflection_identity(n, a):
     s = build(n, a)
+    res = vertex_reflection_identity_residual(s)
     for j in range(n + 1):
-        assert vertex_reflection_identity_residual(s, j) < 1e-12
+        assert res[j] < 1e-12
 
 
 def test_classify_interior_and_facets():

@@ -38,7 +38,6 @@ def assert_cell_matches_loops(n, a):
 
     res = vertex_reflection_identity_residual(s)
     assert same(res, [ref.vertex_reflection_identity_residual(s, j) for j in range(n + 1)])
-    assert vertex_reflection_identity_residual(s, n + 2) == res[1]
     assert same(midpoint_defects(s), ref.midpoint_defects(s))
 
     seq = build_sequence(n, a)
