@@ -36,13 +36,14 @@ tangent step, which fails `not vv > 0.0` or the <x,v> check.
 
 One loop, `_loop`, runs the bounces and makes every check; its vector steps
 come from one of two kernel sets, chosen once per run.  `_list_kernels` works
-on lists of Python floats, whose elementwise steps are list comprehensions and
-whose sums are `math.fsum`, exactly rounded and so the same on every Python;
-`_array_kernels` works on numpy arrays and sums by ddot.  A bounce is about 23
-numpy calls on vectors of N entries, and below a dozen or so facets their
-dispatch costs more than their arithmetic, so `_run` bounces simplices of at
-most `_LIST_LOOP_MAX_FACETS` facets on lists (`_list_kernels`) and larger ones
-on arrays (`_array_kernels`); `iterate`, `step` and `run_closure` all go
+on lists of Python floats, with straight-line code generated once per N: each
+step unpacks its lists into locals and builds its result in one list display,
+and each sum is a `math.fsum`, exactly rounded and so the same on every
+Python.  `_array_kernels` works on numpy arrays and sums by ddot.  A bounce is
+about 23 numpy calls on vectors of N entries, and at small N their dispatch
+costs more than their arithmetic, so `_run` bounces simplices of at most
+`_LIST_LOOP_MAX_FACETS` facets on lists (`_list_kernels`) and larger ones on
+arrays (`_array_kernels`); `iterate`, `step` and `run_closure` all go
 through it.
 An elementwise step rounds the same on a list and on an array, but ddot
 rounds its sums differently from fsum, so the two agree to rounding, not bit
@@ -50,8 +51,13 @@ for bit.  Time per bounce on lists over arrays, the median of 21 interleaved
 pairs of 400-bounce runs from a perturbed launch at a = 1 (2-vCPU Linux host,
 Python 3.11, numpy 2.4):
 
-    N       3     4     9     11    12    13    14    16    33    129
-    ratio   0.60  0.66  0.87  0.92  0.94  0.97  1.04  1.09  1.57  3.09
+    N       3     4     9     11    12    13    14    16    25    29    33    129
+    ratio   0.37  0.39  0.52  0.56  0.62  0.63  0.73  0.76  0.88  0.97  1.15  2.53
+
+The generated code runs each bounce in 0.70 to 0.76 of the time of the list
+comprehensions it replaced, at N = 3 to 12.  Generating it for one N costs
+0.6 ms at N = 2 to 1.6 ms at N = 12, nearly all of it in `compile`, once per
+process, on the first run at that N.
 
 Each check is made once.  On entry (`_enter`) the state must lie in the
 slice, which margins cannot see (|<x,1>| and |<v,1>| at most 1e-9), with no
@@ -107,11 +113,11 @@ the spatial part of x is mu times the normals' spatial parts, over alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
 from math import fsum
-from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -129,8 +135,11 @@ if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's alge
 GRAZE_TOL = 1e-9
 
 # Simplices of at most this many facets (N = n + 1) bounce on `_list_kernels`,
-# larger ones on `_array_kernels`: the last N at which the list loop measured
-# faster in more than three pairs of four (module docstring).
+# larger ones on `_array_kernels`.  The generated list kernels measure faster up to
+# about N = 30 (module docstring), but fsum and ddot round sums differently, so moving
+# the switch changes the bits of every run it moves, and the rounding bound that
+# lets the list loop skip two checks is written for N <= 12; it stays where the
+# comprehension kernels crossed over.
 _LIST_LOOP_MAX_FACETS = 12
 
 
@@ -265,10 +274,69 @@ class _Kernels(NamedTuple):
     inner: Callable
 
 
+# The list kernels for N entries, as straight-line code: each input list unpacked into
+# locals, each output one list display, each sum an fsum over a tuple display.  `_list_source`
+# expands each {field} to one line or term per entry, ``_`` standing for the entry index.
+_LIST_TEMPLATE = """\
+def kernels(big, p, alpha, nb):
+    def flight(mu, nu, ch, sh, x0, v0):
+        {m}, = mu
+        {w}, = nu
+        {flown}
+        dx, dv = fsum(({mf},)) / big + p * x0, fsum(({wf},)) / big + p * v0
+        return [{mf_dx}], [{wf_dv}], dx, dv
+
+    def scaled(a, c):
+        {e}, = a
+        return [{e_c}]
+
+    def tangent(nu, mu, xv):
+        {m}, = mu
+        {w}, = nu
+        return [{w_xvm}]
+
+    def inner(a, b, a0, b0):
+        {e}, = a
+        {f}, = b
+        try:
+            dot = fsum(({ef},))
+        except (OverflowError, ValueError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                dot = float(np.dot(a, b))
+        return (dot + nb * a0 * b0) / alpha
+
+    return flight, scaled, tangent, inner
+"""
+
+
+def _list_source(big: int) -> str:
+    """The source of the list kernels' factory for N = ``big`` entries."""
+    def each(form, sep=", "):
+        return sep.join(form.replace("_", str(i)) for i in range(big))
+
+    return _LIST_TEMPLATE.format(
+        m=each("m_"), w=each("w_"), e=each("e_"), f=each("f_"),
+        flown=each("mf_ = ch * m_ + sh * w_\n        wf_ = sh * m_ + ch * w_", "\n        "),
+        mf=each("mf_"), wf=each("wf_"), mf_dx=each("mf_ - dx"), wf_dv=each("wf_ - dv"),
+        e_c=each("e_ / c"), w_xvm=each("w_ + xv * m_"), ef=each("e_ * f_"))
+
+
+@functools.cache
+def _list_factory(big: int) -> Callable:
+    """The list kernels' factory for N = ``big``, generated on first use and compiled once.
+    Its functions read `fsum` and `np` from this module's globals when they run."""
+    namespace = {}
+    exec(compile(_list_source(big), f"<flow list kernels, N = {big}>", "exec"), globals(), namespace)
+    return namespace["kernels"]
+
+
 def _list_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:
-    """The kernels on lists of Python floats, for simplices of at most
-    `_LIST_LOOP_MAX_FACETS` facets: each elementwise step a list comprehension, each
-    sum a `math.fsum`, exactly rounded.  ``big`` is N and ``nb`` is N beta.
+    """The kernels on lists of exactly N = ``big`` Python floats, for simplices of at
+    most `_LIST_LOOP_MAX_FACETS` facets.  They are straight-line code generated once
+    per N (`_list_factory`), which unpacks each list into locals and builds each
+    result in one list display, with each elementwise step the same IEEE operations
+    in the same order as on arrays and each sum a `math.fsum`, exactly rounded.
+    ``nb`` is N beta.
 
     fsum raises where ddot returns inf or nan, on inf - inf (a ValueError) and on
     a partial sum that overflows; there `inner` takes ddot's value, so what it
@@ -276,27 +344,7 @@ def _list_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:
     margin by at most cosh t + sinh t < 1.4e8, and a margin is at most n+2 times
     sqrt(max float) at entry and 3 max(1, |x0|, |v0|) after a bounce (module
     docstring), with x0 below sqrt(max float) in any simplex `simplex.build` makes."""
-    def flight(mu, nu, ch, sh, x0, v0):
-        mu, nu = ([ch * m + sh * w for m, w in zip(mu, nu)],
-                  [sh * m + ch * w for m, w in zip(mu, nu)])
-        dx, dv = fsum(mu) / big + p * x0, fsum(nu) / big + p * v0
-        return [m - dx for m in mu], [w - dv for w in nu], dx, dv
-
-    def scaled(a, c):
-        return [e / c for e in a]
-
-    def tangent(nu, mu, xv):
-        return [w + xv * m for m, w in zip(mu, nu)]
-
-    def inner(a, b, a0, b0):
-        try:
-            dot = fsum(map(mul, a, b))
-        except (OverflowError, ValueError):
-            with np.errstate(over="ignore", invalid="ignore"):
-                dot = float(np.dot(a, b))
-        return (dot + nb * a0 * b0) / alpha
-
-    return _Kernels(True, flight, scaled, tangent, inner)
+    return _Kernels(True, *_list_factory(big)(big, p, alpha, nb))
 
 
 def _array_kernels(big: int, p: float, alpha: float, nb: float) -> _Kernels:

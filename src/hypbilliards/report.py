@@ -35,6 +35,7 @@ import dataclasses
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -582,24 +583,40 @@ def _csv_rows(int_columns, float_columns, sig: int) -> list[tuple[str, ...]]:
     Each column is formatted by one ``map`` and ``zip`` joins the columns, so
     no Python frame runs per value or per row.  A float column's text is made
     before the next column's ``tolist()``, so only one column of Python
-    floats is alive at a time.
+    floats is alive at a time.  `trajectory_rows` calls it once per block of
+    bounces, so the text of at most one block is alive at a time.
     """
     fmt = _float_format(sig)
     texts = [list(map(fmt, c.tolist())) for c in float_columns]
     return list(zip(*[map(str, c) for c in int_columns], *texts))
 
 
+# Bounces per block of `trajectory_rows`' text: one block's rows take about 1.9 MB
+# at n = 3, and a run of up to this many bounces is written as one block
+_CSV_BLOCK = 4096
+
+
 def trajectory_rows(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
-                    sig: int = 17) -> tuple[list[str], list[tuple[str, ...]]]:
+                    sig: int = 17) -> tuple[list[str], Iterator[tuple[str, ...]]]:
     """CSV header and rows for a simulated trajectory, points in intrinsic disk coordinates.
 
     Row i is the bounce index, the facet hit, the arclength flown and the disk
-    coordinates of the hit.  The rows are built column by column (`_csv_rows`).
+    coordinates of the hit.  The rows come from a generator, built column by
+    column (`_csv_rows`) one block of `_CSV_BLOCK` bounces at a time, so a long
+    run's text is never held whole; `disk_coords` is one gemv per row, so a
+    block's rows are the bits of the whole run's.  They can be iterated once.
     """
     header = ["step", "facet", "arclength"] + [f"disk{i}" for i in range(s.n)]
-    disk = simplex_mod.disk_coords(s, traj.points)
-    rows = _csv_rows([range(len(traj)), traj.facets.tolist()], [traj.arclengths, *disk.T], sig)
-    return header, rows
+    return header, _trajectory_blocks(s, traj, sig)
+
+
+def _trajectory_blocks(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
+                       sig: int) -> Iterator[tuple[str, ...]]:
+    for start in range(0, len(traj), _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        disk = simplex_mod.disk_coords(s, traj.points[block])
+        yield from _csv_rows([range(start, start + len(disk)), traj.facets[block].tolist()],
+                             [traj.arclengths[block], *disk.T], sig)
 
 
 def orbit_rows(s: simplex_mod.RegularSimplex, orb: orbit_mod.BilliardOrbit,

@@ -1,4 +1,5 @@
-"""Per-point loops that the stacked passes of `orbit`, `simplex` and `report` replace.
+"""Per-point loops that the stacked passes of `orbit`, `simplex` and `report` replace,
+and the comprehension kernels that `flow`'s generated list kernels replace.
 
 Each function evaluates one bounce, facet or vertex at a time with the
 scalar primitives of `geometry` and with `centroid_fold`, as the package
@@ -8,6 +9,8 @@ points they take one at a time are wrapped from the rows of the stacks.
 """
 
 import math
+from math import fsum
+from operator import mul
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from hypbilliards.geometry import (
     segment_defect,
     unit_tangent,
 )
+from hypbilliards.flow import _Kernels
 from hypbilliards.masses import centroid_fold
 from hypbilliards.orbit import OrbitVerification
 from hypbilliards.simplex import Region, classify_point
@@ -123,3 +127,29 @@ def simplex_checks(s):
     ]
     return min_margin, max(angle_terms) if angle_terms else 0.0
 
+
+
+def list_kernels_reference(big, p, alpha, nb):
+    """`flow._list_kernels` as list comprehensions over ``zip`` and sums by `math.fsum`,
+    for lists of any length; ``big`` is N and ``nb`` is N beta."""
+    def flight(mu, nu, ch, sh, x0, v0):
+        mu, nu = ([ch * m + sh * w for m, w in zip(mu, nu)],
+                  [sh * m + ch * w for m, w in zip(mu, nu)])
+        dx, dv = fsum(mu) / big + p * x0, fsum(nu) / big + p * v0
+        return [m - dx for m in mu], [w - dv for w in nu], dx, dv
+
+    def scaled(a, c):
+        return [e / c for e in a]
+
+    def tangent(nu, mu, xv):
+        return [w + xv * m for m, w in zip(mu, nu)]
+
+    def inner(a, b, a0, b0):
+        try:
+            dot = fsum(map(mul, a, b))
+        except (OverflowError, ValueError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                dot = float(np.dot(a, b))
+        return (dot + nb * a0 * b0) / alpha
+
+    return _Kernels(True, flight, scaled, tangent, inner)

@@ -4,6 +4,8 @@ import ast
 import functools
 import math
 import operator
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -16,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 import flow_reference
+import loop_reference
 from conftest import facet_center, facet_plane, lift
 from hypbilliards import flow as flow_mod
 from hypbilliards import geometry
@@ -595,6 +598,84 @@ def test_list_kernels_are_their_array_twins_elementwise(big, monkeypatch):
     assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         same(g, w)
+
+
+_KERNEL_SPECIALS = [0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+def _kernel_bits(fn, *args):
+    """What a kernel call gives, as bits: its lists by `tobytes` and its floats by
+    `repr`, or the type of what it raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # the reference's exception is the outcome compared
+        return type(exc)
+    if isinstance(got, float):
+        return repr(got)
+    if isinstance(got, tuple):  # the flight: two lists and two floats
+        return tuple(np.array(g).tobytes() for g in got[:2]) + tuple(map(repr, got[2:]))
+    return np.array(got).tobytes()
+
+
+@pytest.mark.parametrize("big", [*range(2, SWITCH + 2), 129])
+def test_generated_list_kernels_are_the_comprehension_kernels_bitwise(big):
+    """Each generated list kernel returns the bits of the comprehension kernels it
+    replaced (`loop_reference.list_kernels_reference`) and raises what they raise, on
+    random entries mixed with signed zeros, the smallest subnormal, +-1e308,
+    infinities and NaN: the flight on inf - inf and on an overflowing sum, the
+    scaling by 0.0, and the product where fsum raises and ddot's value is taken."""
+    rng = np.random.default_rng(1000 + big)
+    gen, ref = (make(big, 0.3, 1.5, -2.5) for make in (flow_mod._list_kernels,
+                                                       loop_reference.list_kernels_reference))
+    raised = Counter()
+
+    def scalar():
+        return float(rng.choice(_KERNEL_SPECIALS)) if rng.random() < 0.2 else float(rng.normal())
+
+    def vector():
+        v = rng.standard_normal(big)
+        mixed = rng.random(big) < 0.2
+        v[mixed] = rng.choice(_KERNEL_SPECIALS, mixed.sum())
+        return v.tolist()
+
+    inf_minus_inf, overflow = [math.inf, -math.inf] + [1.0] * (big - 2), [1e308] * big
+    cases = [(inf_minus_inf, overflow), (overflow, [1.0] * big), (overflow, overflow)]
+    cases += [(vector(), vector()) for _ in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in cases:
+            calls = [("flight", (a, b, scalar(), scalar(), scalar(), scalar())),
+                     ("scaled", (a, scalar())), ("scaled", (a, 0.0)),
+                     ("tangent", (a, b, scalar())), ("inner", (a, b, scalar(), scalar()))]
+            for name, args in calls:
+                want = _kernel_bits(getattr(ref, name), *args)
+                assert _kernel_bits(getattr(gen, name), *args) == want, (name, args)
+                if isinstance(want, type):
+                    raised[name, want] += 1
+    assert set(raised) >= {("flight", ValueError), ("flight", OverflowError),
+                           ("scaled", ZeroDivisionError)}
+    assert not any(name in ("inner", "tangent") for name, _ in raised)
+    for a, b in cases[:2]:  # inner's fallback: fsum raises, ddot's value is taken
+        with pytest.raises((OverflowError, ValueError)):
+            math.fsum(map(operator.mul, a, b))
+        assert not math.isfinite(gen.inner(a, b, 1.0, 1.0))
+
+
+def test_list_kernels_are_generated_on_first_use_once_per_width():
+    """Importing the CLI generates no list kernels, and two runs' kernels at one N share
+    their code, generated once and bound to each run's constants."""
+    path = os.pathsep.join(filter(None, [str(Path(flow_mod.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    probe = ("import hypbilliards.cli, hypbilliards.flow as f; "
+             "print(f._list_factory.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "0\n", done.stderr
+    one, two = flow_mod._list_kernels(5, 0.25, 1.5, -2.0), flow_mod._list_kernels(5, 0.5, 1.75, -3.0)
+    for f, g in zip(one[1:], two[1:]):
+        assert f is not g and f.__code__ is g.__code__
+    assert one.scaled([1.0] * 5, 2.0) == [0.5] * 5
+    assert one.inner([1.0] * 5, [1.0] * 5, 1.0, 1.0) != two.inner([1.0] * 5, [1.0] * 5, 1.0, 1.0)
 
 
 def _outcome(run):
