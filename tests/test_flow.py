@@ -3,10 +3,11 @@
 import ast
 import functools
 import math
-import operator
+import inspect
 import os
 import subprocess
 import sys
+import traceback
 import tracemalloc
 import warnings
 from collections import Counter
@@ -41,7 +42,7 @@ from hypbilliards.geometry import (HPoint, check_tangent_products, check_unit_ta
                                   dist, geodesic_point, mink_dot, mink_dots, reflect, tangent_part,
                                   unit_tangent)
 from hypbilliards.orbit import BilliardOrbit, construct_orbit, orbit_edge_lengths
-from hypbilliards.simplex import FACET_TOL, Region, build, classify_point
+from hypbilliards.simplex import FACET_TOL, Region, build, classify_margins, classify_point
 from hypbilliards.weights import build_sequence
 
 
@@ -378,11 +379,11 @@ def test_vertex_on_second_bounce_raises_with_step_one():
 # The list loop runs simplices of up to SWITCH facets, the array loop larger ones:
 # n = SWITCH - 1 is the last simplex on the list loop, n = SWITCH the first on arrays.
 SWITCH = flow_mod._LIST_LOOP_MAX_FACETS
-SIDES = [(3, "_list_kernels"), (SWITCH - 1, "_list_kernels"), (SWITCH, "_array_kernels")]
+SIDES = [(3, True), (SWITCH - 1, True), (SWITCH, False)]  # (n, bounced on lists)
 
 
 def test_step_equals_one_bounce_of_iterate_bitwise():
-    for n, kernels in SIDES:
+    for n, listed in SIDES:
         s, orb = make_orbit(n, 1.0)
         target = geodesic_point(orb.point(1), orb.point(2), 0.3)
         st = state_toward(orb.point(0), target)
@@ -396,7 +397,7 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
         assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
         assert nxt.direction.tobytes() == fin.direction.tobytes()
         assert classify_point(s, fin.position.coords)[1] == one.facets[0]
-        direct = flow_mod._loop(s, st, 1, getattr(flow_mod, kernels))
+        direct = flow_mod._loop(s, st, 1, listed)
         assert direct.points.tobytes() == one.points.tobytes()
         assert direct.final_state.direction.tobytes() == nxt.direction.tobytes()
 
@@ -416,25 +417,26 @@ def test_loop_errors_name_their_bounce(a, frac, message):
 
 def test_loop_runs_the_named_layers(monkeypatch):
     """Each bounce of `iterate` is one call each of the `flow` module's `next_collision`
-    and `reflect_at` bindings, on either kernel set, so wrapping them by name sees every
-    bounce; the loop itself makes no Minkowski product per bounce, and a run asks for
-    its kernel set once."""
-    for n, kernels in SIDES:
+    and `reflect_at` bindings, on either kind of loop, so wrapping them by name sees every
+    bounce; the loop itself makes no Minkowski product per bounce, a run asks for its
+    generated loop once, and an arrival inside its facet is told by the direct test,
+    with no call of `classify_margins`."""
+    for n, listed in SIDES:
         s, orb = make_orbit(n, 1.0)
         target = geodesic_point(orb.point(1), orb.point(2), 0.3)
         st = state_toward(orb.point(0), target)
         plain = iterate(s, st, 20)
         calls = Counter()
         with monkeypatch.context() as patch:
-            for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots", "_list_kernels",
-                         "_array_kernels"):
+            for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots", "_generated",
+                         "classify_margins"):
                 def counted(*args, _fn=getattr(flow_mod, name), _name=name):
                     calls[_name] += 1
                     return _fn(*args)
                 patch.setattr(flow_mod, name, counted)
             wrapped = iterate(s, st, 20)
         assert calls == {"next_collision": 20, "reflect_at": 20, "mink_dot": 2, "mink_dots": 2,
-                         kernels: 1}
+                         "_generated": 1}
         for field in ("facets", "points", "arclengths"):
             assert getattr(wrapped, field).tobytes() == getattr(plain, field).tobytes()
         assert wrapped.max_drift.hex() == plain.max_drift.hex()
@@ -454,8 +456,7 @@ def test_list_and_array_loops_agree(n):
     than 1e-12 after 26 to 46 bounces, so the points are compared on the first 20."""
     s, orb = make_orbit(n, 1.0)
     st = _perturbed(launch_state(orb), s, 0.3, 7, 0)
-    lst, arr = (flow_mod._loop(s, st, 50, kernels)
-                for kernels in (flow_mod._list_kernels, flow_mod._array_kernels))
+    lst, arr = (flow_mod._loop(s, st, 50, listed) for listed in (True, False))
     assert lst.facets.tolist() == arr.facets.tolist()
     assert np.abs(lst.points[:20] - arr.points[:20]).max() < 1e-12
     assert lst.max_drift <= 16 * EPS and arr.max_drift <= 16 * EPS
@@ -477,9 +478,9 @@ ERROR_LAUNCHES = {
 def _loop_failures(s, st, steps=5):
     """The exception type, message and `NonSmoothHitError.step` of each loop on a launch."""
     out = []
-    for kernels in (flow_mod._list_kernels, flow_mod._array_kernels):
+    for listed in (True, False):
         with pytest.raises((ValueError, NonSmoothHitError)) as exc:
-            flow_mod._loop(s, st, steps, kernels)
+            flow_mod._loop(s, st, steps, listed)
         out.append((type(exc.value), str(exc.value), getattr(exc.value, "step", None)))
     return out
 
@@ -514,11 +515,7 @@ def test_both_loops_fail_a_grazing_hit_alike():
         texts.append(str(exc.value))
     assert texts[0] == texts[1] and texts[0].startswith("grazing incidence at facet 0")
 
-    s = build(8, 1.0)
-    w = facet_center(s, 1)
-    along = state_toward(w, s.vertex(0)).direction
-    out = state_toward(w, reflect(facet_plane(s, 1), s.circumcenter)).direction
-    lst, arr = _loop_failures(s, FlowState(w, tangent_part(w.coords, along + 1e-11 * out)))
+    lst, arr = _loop_failures(*_grazing_launch())
     head = "bounce 0: grazing incidence at facet 1 (normal component "
     assert lst[0] is arr[0] is NonSmoothHitError and lst[2] == arr[2] == 0
     assert lst[1].startswith(head) and arr[1].startswith(head)
@@ -540,35 +537,48 @@ def test_both_loops_reject_non_finite_start_coords_alike(capsys, monkeypatch, st
     assert seen[0][1].err.startswith("error: not on the unit hyperboloid: <x,x> = ")
 
 
-def test_list_sums_where_fsum_raises():
+def test_list_sums_where_fsum_raises(monkeypatch):
     """`math.fsum` raises on inf - inf (ValueError) and on an overflowing partial sum
-    (OverflowError), where ddot returns nan and inf.  The list loop's product takes
-    ddot's value there, without a warning that ``-W error::RuntimeWarning`` would
-    raise, so the check it feeds fails as on the array loop under every filter.
+    (OverflowError), where ddot returns nan and inf.  A product of the list loop takes
+    ddot's value there, without a warning that ``-W error::RuntimeWarning`` would raise,
+    so the check it feeds fails on that value under every filter, as on the reference
+    loop: here the <x,v> check of a bounce at n = 2 and a = 5 with two margins of 0.6 or
+    more, whose mirror is replaced by margins of opposite infinities, or by two margins
+    whose products with those of the point are each 0.55 of the largest double.
 
     The loop's plain sums, fsum(mu) and fsum(nu), cannot raise: by the rounding bound
     of the `flow` module docstring each margin is below 3 sqrt(max float) after a
     bounce (at entry at most n+2 times sqrt(max float)), and a flight scales it by at
     most cosh t + sinh t with tanh t < 1 a double, so a sum of at most SWITCH such
     terms stays finite."""
-    nb, alpha = -3.0, 2.0
-    inner = flow_mod._list_kernels(2, 0.5, alpha, nb).inner
-    for a, b, raised in (([1e200, 1e200], [1e200, -1e200], ValueError),
-                         ([1e308, 1e308], [1.0, 1.0], OverflowError)):
-        with pytest.raises(raised):
-            math.fsum(map(operator.mul, a, b))
+    s, launch, steps = _perturbed_launch(2, 5.0)
+    m, point = next((i, row[0]) for i, row in enumerate(_list_rows(s, launch, steps)[0])
+                    if i >= 3 and sorted(row[0])[-2] >= 0.6)  # a bounce and its point's margins
+    big = [0.0] * len(point)
+    for j in sorted(range(len(point)), key=point.__getitem__)[-2:]:
+        big[j] = 0.55 * sys.float_info.max / point[j]
+    plain = flow_mod.fsum
+    for nu, raised, shown in (([math.inf, -math.inf, -1.0], ValueError, "nan"),
+                              (big, OverflowError, "inf")):
+        run, calls = _run_with_mirror_replaced(monkeypatch, s, launch, steps, m, nu, 0.0)
+        seen = []
+
+        def watched(values):
+            try:
+                return plain(values)
+            except (OverflowError, ValueError) as exc:
+                seen.append(type(exc))
+                raise
+
+        monkeypatch.setattr(flow_mod, "fsum", watched)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = inner(a, b, 1.0, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):  # what ddot warns of is the case
-            want = (float(np.array(a).dot(np.array(b))) + nb) / alpha  # `_array_kernels`' form
-        assert repr(got) == repr(want) and not math.isfinite(got)
-        messages = []
-        for q in (got, want):
-            with pytest.raises(ValueError) as exc:
-                check_tangent_products(1.0, q, 1.0, 0.0)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
+            got = _outcome(run)
+            assert seen == [raised] and calls[0] == m + 1
+            reference = functools.partial(loop_reference.reference_loop, listed=True)
+            assert _outcome(lambda: run(reference)) == got
+        assert got == (ValueError, f"bounce {m}: direction must be tangent to base point: "
+                                   f"<x,v> = {shown}", None)
     t = math.atanh(math.nextafter(1.0, 0.0))
     term = (math.cosh(t) + math.sinh(t)) * (SWITCH + 1) * math.sqrt(sys.float_info.max)
     assert math.isfinite(math.fsum([term] * SWITCH)) and math.fsum([term, -term]) == 0.0
@@ -576,16 +586,19 @@ def test_list_sums_where_fsum_raises():
 
 @pytest.mark.parametrize("big", [3, SWITCH, SWITCH + 1, 129])
 def test_list_kernels_are_their_array_twins_elementwise(big, monkeypatch):
-    """On random margins of N = ``big`` entries, each list kernel's elementwise result
-    is its array twin's bit for bit: the scaling, the tangent step, and the flight
-    with its projection once the list sums go through ddot as the array sums do.  So
-    the list and array forms of the loop differ only in their sums."""
+    """On random margins of N = ``big`` entries, each list kernel of the reference loop
+    gives its array twin's elementwise result bit for bit: the scaling, the tangent step,
+    and the flight with its projection once the list sums go through ddot as the array
+    sums do.  The generated loops make the reference loop's bits on each kind
+    (`test_generated_loop_is_the_reference_loop`), so the list and array forms of the
+    generated loop, whose steps are those kernels' operations statement for statement,
+    differ only in their sums."""
     rng = np.random.default_rng(big)
     p, alpha, nb, x0, v0, c = rng.uniform(0.1, 2.0, 6).tolist()
     ch, sh = math.cosh(t := rng.uniform(0.0, 3.0)), math.sinh(t)
     mu, nu = rng.standard_normal(big), rng.standard_normal(big)
-    lists = flow_mod._list_kernels(big, p, alpha, -nb)
-    arrays = flow_mod._array_kernels(big, p, alpha, -nb)
+    lists = loop_reference.list_kernels(big, p, alpha, -nb)
+    arrays = loop_reference.array_kernels(big, p, alpha, -nb)
 
     def same(got, want):
         assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -603,31 +616,27 @@ def test_list_kernels_are_their_array_twins_elementwise(big, monkeypatch):
 _KERNEL_SPECIALS = [0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
 
 
-def _kernel_bits(fn, *args):
-    """What a kernel call gives, as bits: its lists by `tobytes` and its floats by
-    `repr`, or the type of what it raised."""
-    try:
-        got = fn(*args)
-    except Exception as exc:  # the reference's exception is the outcome compared
-        return type(exc)
-    if isinstance(got, float):
-        return repr(got)
-    if isinstance(got, tuple):  # the flight: two lists and two floats
-        return tuple(np.array(g).tobytes() for g in got[:2]) + tuple(map(repr, got[2:]))
-    return np.array(got).tobytes()
+def _launch_at(n):
+    """A perturbed launch along the orbit at a = 1; n = 1 has no orbit to launch along,
+    so there the launch runs from the circumcenter at vertex 0, the facet opposite vertex 1."""
+    if n == 1:
+        s = build(1, 1.0)
+        return s, state_toward(s.circumcenter, s.vertex(0))
+    s, start = _orbit_launch(n, 1.0)
+    return s, _perturbed(start, s, 0.3, 7, 0)
 
 
 @pytest.mark.parametrize("big", [*range(2, SWITCH + 2), 129])
-def test_generated_list_kernels_are_the_comprehension_kernels_bitwise(big):
-    """Each generated list kernel returns the bits of the comprehension kernels it
-    replaced (`loop_reference.list_kernels_reference`) and raises what they raise, on
-    random entries mixed with signed zeros, the smallest subnormal, +-1e308,
-    infinities and NaN: the flight on inf - inf and on an overflowing sum, the
-    scaling by 0.0, and the product where fsum raises and ddot's value is taken."""
+def test_generated_list_kernels_are_the_comprehension_kernels_bitwise(big, monkeypatch):
+    """The generated list loop for N = ``big`` makes the bits of the reference loop on the
+    comprehension kernels (`loop_reference.list_kernels`), or raises what it raises,
+    under an error filter for every warning: on a perturbed launch, and on runs whose
+    mirror at bounce 3 is replaced by margins of random entries mixed with signed zeros,
+    the smallest subnormal, +-1e308, infinities and NaN, and a v0 drawn the same way."""
     rng = np.random.default_rng(1000 + big)
-    gen, ref = (make(big, 0.3, 1.5, -2.5) for make in (flow_mod._list_kernels,
-                                                       loop_reference.list_kernels_reference))
-    raised = Counter()
+    s, launch = _launch_at(big - 1)
+    generated = functools.partial(flow_mod._loop, listed=True)
+    reference = functools.partial(loop_reference.reference_loop, listed=True)
 
     def scalar():
         return float(rng.choice(_KERNEL_SPECIALS)) if rng.random() < 0.2 else float(rng.normal())
@@ -638,51 +647,184 @@ def test_generated_list_kernels_are_the_comprehension_kernels_bitwise(big):
         v[mixed] = rng.choice(_KERNEL_SPECIALS, mixed.sum())
         return v.tolist()
 
-    inf_minus_inf, overflow = [math.inf, -math.inf] + [1.0] * (big - 2), [1e308] * big
-    cases = [(inf_minus_inf, overflow), (overflow, [1.0] * big), (overflow, overflow)]
-    cases += [(vector(), vector()) for _ in range(200)]
+    outcomes = Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, b in cases:
-            calls = [("flight", (a, b, scalar(), scalar(), scalar(), scalar())),
-                     ("scaled", (a, scalar())), ("scaled", (a, 0.0)),
-                     ("tangent", (a, b, scalar())), ("inner", (a, b, scalar(), scalar()))]
-            for name, args in calls:
-                want = _kernel_bits(getattr(ref, name), *args)
-                assert _kernel_bits(getattr(gen, name), *args) == want, (name, args)
-                if isinstance(want, type):
-                    raised[name, want] += 1
-    assert set(raised) >= {("flight", ValueError), ("flight", OverflowError),
-                           ("scaled", ZeroDivisionError)}
-    assert not any(name in ("inner", "tangent") for name, _ in raised)
-    for a, b in cases[:2]:  # inner's fallback: fsum raises, ddot's value is taken
-        with pytest.raises((OverflowError, ValueError)):
-            math.fsum(map(operator.mul, a, b))
-        assert not math.isfinite(gen.inner(a, b, 1.0, 1.0))
+        got = _outcome(lambda: generated(s, launch, 200))
+        assert got == _outcome(lambda: reference(s, launch, 200)) and len(got) == 6
+        for _ in range(30):
+            run, calls = _run_with_mirror_replaced(monkeypatch, s, launch, 10, 3, vector(), scalar())
+            got = _outcome(lambda: run(generated))
+            assert got == _outcome(lambda: run(reference))
+            outcomes[got[1].split(" = ")[0] if len(got) == 3 else "ran"] += 1
+    assert outcomes["bounce 3: direction must be tangent to base point: <x,v>"] >= 20
 
 
-def test_list_kernels_are_generated_on_first_use_once_per_width():
-    """Importing the CLI generates no list kernels, and two runs' kernels at one N share
-    their code, generated once and bound to each run's constants."""
+def test_list_kernels_are_generated_on_first_use_once_per_width(monkeypatch):
+    """Importing the CLI generates no loop.  Two runs at one N share one code object,
+    compiled once, and so do two runs on arrays at different N: one array loop serves
+    every N."""
     path = os.pathsep.join(filter(None, [str(Path(flow_mod.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH")]))
     probe = ("import hypbilliards.cli, hypbilliards.flow as f; "
-             "print(f._list_factory.cache_info().currsize)")
+             "print(f._generated.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0 and done.stdout == "0\n", done.stderr
-    one, two = flow_mod._list_kernels(5, 0.25, 1.5, -2.0), flow_mod._list_kernels(5, 0.5, 1.75, -3.0)
-    for f, g in zip(one[1:], two[1:]):
-        assert f is not g and f.__code__ is g.__code__
-    assert one.scaled([1.0] * 5, 2.0) == [0.5] * 5
-    assert one.inner([1.0] * 5, [1.0] * 5, 1.0, 1.0) != two.inner([1.0] * 5, [1.0] * 5, 1.0, 1.0)
+    compiled, codes, plain = [], [], flow_mod._generated
+    monkeypatch.setattr(flow_mod, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+                        raising=False)
+
+    def generated(big):
+        codes.append(plain(big).__code__)
+        return plain(big)
+
+    monkeypatch.setattr(flow_mod, "_generated", generated)
+    plain.cache_clear()
+    for (n, a), listed in (((4, 1.0), True), ((4, 2.0), True), ((12, 1.0), False), ((20, 1.0), False)):
+        s, launch = _orbit_launch(n, a)
+        assert len(flow_mod._loop(s, launch, 3, listed)) == 3
+    assert compiled == ["<flow loop, N = 5>", "<flow loop, arrays>"]
+    assert codes[0] is codes[1] and codes[2] is codes[3] and codes[0] is not codes[2]
+
+
+@pytest.mark.parametrize("listed", [True, False], ids=["lists", "arrays"])
+def test_a_loop_error_shows_the_statement_that_raised_it(listed):
+    """The generated loops' sources are registered in `linecache`, so the traceback of a
+    corner hit shows the generated line that raised it, and `inspect.getsource` gives
+    the loop's source."""
+    s, launch = _corner_launch()
+    with pytest.raises(NonSmoothHitError) as exc:
+        flow_mod._loop(s, launch, 5, listed)
+    text = "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
+    name = "<flow loop, N = 4>" if listed else "<flow loop, arrays>"
+    assert f'File "{name}", line ' in text
+    assert 'raise NonSmoothHitError(f"hit the {region.value} region of the boundary")' in text
+    loop = flow_mod._generated(4 if listed else None)
+    assert inspect.getsource(loop) == flow_mod._loop_source(4, listed)
+
+
+def test_each_loop_check_and_message_is_written_once():
+    """The generated loops expand one template, so every check and message of the loop
+    and the bounce wrapping appear once in `flow`'s source, and in each kind's loop once
+    or, for a check that kind proves instead of making, not at all."""
+    source = Path(flow_mod.__file__).read_text()
+    messages = ["margins disagree with the timelike coordinate", "cannot normalize non-timelike",
+                "timelike vector points into the lower sheet", "region of the boundary",
+                "disagrees with classification", "no spacelike tangential component",
+                "except NonSmoothHitError as err:", "check_sheet_products(",
+                "check_tangency_product(", "check_tangent_products("]
+    for text in messages:
+        assert source.count(text) == 1, text
+    for listed, skipped in ((True, ("check_sheet_products(", "check_tangent_products(")),
+                            (False, ("check_tangency_product(",))):
+        code = flow_mod._loop_source(5, listed)
+        for text in messages:
+            assert code.count(text) == (text not in skipped), (listed, text)
+
+
+# The arrival test of the generated loop, as the template writes it.
+ARRIVAL = next(line.strip()[len("if not "):-1] for line in flow_mod._LOOP_TEMPLATE.splitlines()
+               if "FACET_TOL <=" in line)
+_ARRIVAL_CODE = compile(ARRIVAL, "<arrival test>", "eval")
+_TOL = FACET_TOL
+_MARGIN = hs.one_of(
+    hs.sampled_from([_TOL, -_TOL, math.nextafter(_TOL, 1.0), math.nextafter(_TOL, 0.0),
+                     math.nextafter(-_TOL, 0.0), math.nextafter(-_TOL, -1.0), 0.0, -0.0,
+                     math.inf, -math.inf, math.nan, 2 * _TOL, 1.0]),
+    hs.floats(-3 * _TOL, 3 * _TOL), hs.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=250, deadline=None)
+@given(hs.one_of(hs.integers(2, 13), hs.just(129)).flatmap(
+    lambda big: hs.lists(_MARGIN, min_size=big, max_size=big)))
+def test_the_direct_arrival_test_agrees_with_classify_margins(mus):
+    """For every facet k, the template's arrival test passes only where `classify_margins`
+    puts the point in the relative interior of facet k, and fails there only where the
+    first margin other than k's is a NaN, which `min` does not skip.  The loop hands a
+    failed test to `classify_margins`, which decides, so the loop's verdict is its verdict
+    on every list of margins, with ties, signed zeros, infinities and NaN."""
+    assert ARRIVAL == "-FACET_TOL <= mus[k] <= FACET_TOL < min(mus[:k] + mus[k + 1:])"
+    verdict = classify_margins(mus)
+    for k in range(len(mus)):
+        direct = eval(_ARRIVAL_CODE, {"FACET_TOL": FACET_TOL}, {"mus": mus, "k": k})
+        inside = verdict == (Region.FACET_INTERIOR, k)
+        assert not direct or inside, (k, mus)
+        if inside and not direct:
+            assert math.isnan((mus[:k] + mus[k + 1:])[0]), (k, mus)
+
+
+def _grazing_launch():
+    """At n = 8, from facet 1's center along the facet toward vertex 0, tilted 1e-11 out
+    of the facet's plane."""
+    s = build(8, 1.0)
+    w = facet_center(s, 1)
+    along = state_toward(w, s.vertex(0)).direction
+    out = state_toward(w, reflect(facet_plane(s, 1), s.circumcenter)).direction
+    return s, FlowState(w, tangent_part(w.coords, along + 1e-11 * out))
+
+
+# The launches on which the generated loop and the reference loop of the same kind are
+# compared, and for each a bounce count.
+REFERENCE_LAUNCHES = {**{name: (launch, 100) for name, launch in ERROR_LAUNCHES.items()},
+                      "grazing": (_grazing_launch, 100),
+                      **{f"perturbed-{n}": (functools.partial(_launch_at, n), 300 if n < 16 else 100)
+                         for n in [*range(1, 14), 16, 32, 64, 128]}}
+
+
+def _fsum_raising_on_products(plain, raised):
+    """`fsum` that raises on one product's call a bounce, the list loop calling it eight
+    times a bounce (the flight's two sums, then six products): each of the six products
+    in turn, with OverflowError for six bounces and then ValueError for six.  Each raise
+    is noted in ``raised`` as (call of its bounce, exception)."""
+    calls = [0]
+
+    def fsum(values):
+        c = calls[0]
+        calls[0] += 1
+        bounce, slot = divmod(c, 8)
+        if slot == 2 + bounce % 6:
+            raised.append((slot, kind := bounce // 6 % 2))
+            raise (OverflowError, ValueError)[kind]("injected")
+        return plain(values)
+
+    return fsum
+
+
+@pytest.mark.parametrize("name,listed,fsum_raises", [
+    *(pytest.param(name, listed, False, id=f"{name}-{kind}") for name in sorted(REFERENCE_LAUNCHES)
+      for listed, kind in ((True, "lists"), (False, "arrays"))),
+    *(pytest.param(name, True, True, id=f"{name}-lists-fsum-raises") for name in sorted(REFERENCE_LAUNCHES)
+      if name.startswith("perturbed"))])
+def test_generated_loop_is_the_reference_loop(monkeypatch, name, listed, fsum_raises):
+    """The generated loop and the reference loop of the same kind (`loop_reference`, the
+    loop body on kernel closures that the generated loops replace) make the same bits,
+    or raise the same type and message at the same bounce: on every failing launch, a
+    grazing hit and perturbed launches at n = 1..13, 16, 32, 64 and 128, on lists at any
+    N.  With ``fsum_raises``, `flow.fsum` is rebound to raise on one product a bounce,
+    which drives each product's ddot fallback in both list loops."""
+    make, steps = REFERENCE_LAUNCHES[name]
+    s, launch = make()
+    outcomes, raised = [], []
+    for loop in (flow_mod._loop, loop_reference.reference_loop):
+        if fsum_raises:
+            monkeypatch.setattr(flow_mod, "fsum", _fsum_raising_on_products(math.fsum, raised))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes.append(_outcome(lambda: loop(s, launch, steps, listed)))
+    assert outcomes[0] == outcomes[1]
+    if fsum_raises:
+        assert len(raised) % 2 == 0 and raised[:len(raised) // 2] == raised[len(raised) // 2:]
+        assert len(set(raised)) == 12 or len(outcomes[0]) != 6, raised
+    if name in ERROR_LAUNCHES:
+        assert len(outcomes[0]) == 3
 
 
 def _outcome(run):
     """The (type, message, step) of what ``run()`` raises, or the bytes of its run."""
     try:
         tr = run()
-    except (ValueError, NonSmoothHitError) as exc:
+    except (ValueError, ArithmeticError, NonSmoothHitError) as exc:
         return type(exc), str(exc), getattr(exc, "step", None)
     fin = tr.final_state
     return (*(a.tobytes() for a in (tr.facets, tr.points, tr.arclengths)), tr.max_drift.hex(),
@@ -696,28 +838,31 @@ def _orbit_launch(n, a):
 
 
 def _list_rows(s, launch, steps):
-    """Per bounce of a list-loop run, as far as it gets: the scaled point's margins and
-    x0, v0 before the mirror, the mirrored direction's margins and v0, and the <x,v>
-    product that the loop checks, read through the `flow` module bindings that the
-    loop calls by name.  With the list kernel's `inner` of the simplex."""
-    point, mirror, rows = [], [], []
-    classify, reflect, tangency = (flow_mod.classify_margins, flow_mod.reflect_at,
-                                   flow_mod.check_tangency_product)
+    """Per bounce of a list-loop run, as far as a next bounce starts: the scaled point's
+    margins, which the next bounce hands to `next_collision`, x0 and v0 before the mirror,
+    the mirrored direction's margins and v0, and the <x,v> product that the loop checks,
+    read through the `flow` module bindings that the loop calls by name.  With the
+    reference list kernels' `inner` of the simplex, whose products the generated list
+    loop makes bit for bit."""
+    mirror, rows = [], []
+    collide, reflect, tangency = (flow_mod.next_collision, flow_mod.reflect_at,
+                                  flow_mod.check_tangency_product)
 
-    def classified(margins):
-        point[:] = [margins]
-        return classify(margins)
+    def collided(mus, nus):
+        if rows and rows[-1][0] is None:
+            rows[-1][0] = mus
+        return collide(mus, nus)
 
     def reflected(nu, v0, *args):
         mirror[:] = [v0, *reflect(nu, v0, *args)]
         return tuple(mirror[1:])
 
     def checked(t, x0, d0):
-        rows.append((point[0], x0, mirror[0], mirror[1], d0, t))
+        rows.append([None, x0, mirror[0], mirror[1], d0, t])
         tangency(t, x0, d0)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flow_mod, "classify_margins", classified)
+        patch.setattr(flow_mod, "next_collision", collided)
         patch.setattr(flow_mod, "reflect_at", reflected)
         patch.setattr(flow_mod, "check_tangency_product", checked)
         try:
@@ -725,7 +870,7 @@ def _list_rows(s, launch, steps):
         except (ValueError, NonSmoothHitError):
             pass
     big, (p, alpha, beta) = s.n + 1, flow_mod._gram(s)
-    return rows, flow_mod._list_kernels(big, p, alpha, big * beta).inner
+    return [r for r in rows if r[0] is not None], loop_reference.list_kernels(big, p, alpha, big * beta).inner
 
 
 def _check_residuals(s, launch, steps):
@@ -805,23 +950,37 @@ def test_a_failed_check_is_reported_ahead_of_a_later_loop_error(monkeypatch, kin
     assert _outcome(run) == (ValueError, f"bounce {m + 3}: injected", None)
 
 
+def _corner_run(n):
+    """At dimension n, from the circumcenter toward the mirror image of vertex 0 across
+    facet 0: the flow bounces off facet 0 and then runs into vertex 0.  The launch and
+    the sheet residuals of its two bounces, each over its tolerance's scale."""
+    s = build(n, 1.0)
+    launch = state_toward(s.circumcenter, reflect(facet_plane(s, 0), s.vertex(0)))
+    seen, plain = [], flow_mod.check_sheet_products
+
+    def sheet(q, x0):
+        seen.append(abs(q + 1.0) / max(1.0, x0 * x0))
+        plain(q, x0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow_mod, "check_sheet_products", sheet)
+        with pytest.raises(NonSmoothHitError):
+            iterate(s, launch, 5)
+    return s, launch, seen
+
+
 def test_a_failed_sheet_check_wins_over_its_bounce_classification(monkeypatch):
     """Where the sheet check and the classification of the same bounce both fail, the
     sheet check comes first in the bounce, so its error is reported.  On the array loop
-    (N = 13), the list loop making no sheet check."""
-    s, launch, steps = _perturbed_launch(SWITCH)
-    m, tol = _failing_mid_run(s, launch, steps, 0)
-    calls, plain = [0], flow_mod.classify_margins
-
-    def corner(margins):
-        calls[0] += 1
-        return (Region.LOWER_BOUNDARY, None) if calls[0] == m + 1 else plain(margins)
+    (N >= 13), the list loop making no sheet check, at the first dimension whose corner
+    run (`_corner_run`) has a sheet residual at the corner above the one before it."""
+    s, launch, seen = next(run for run in map(_corner_run, range(SWITCH, SWITCH + 8))
+                           if run[2][1] > run[2][0])
+    m, tol = 1, math.sqrt(seen[0] * seen[1]) if seen[0] else seen[1] / 2.0
 
     def run():
-        calls[0] = 0
-        return iterate(s, launch, steps)
+        return iterate(s, launch, 5)
 
-    monkeypatch.setattr(flow_mod, "classify_margins", corner)
     hit = (NonSmoothHitError, f"bounce {m}: hit the lower-boundary region of the boundary", m)
     assert _outcome(run) == hit
     monkeypatch.setattr(geometry, "REP_TOL", tol)
@@ -830,17 +989,18 @@ def test_a_failed_sheet_check_wins_over_its_bounce_classification(monkeypatch):
 
 
 def _run_with_mirror_replaced(monkeypatch, s, launch, steps, m, nu, v0):
-    """A run of ``steps`` bounces whose mirror at bounce m returns ``nu`` and ``v0``,
-    and the count of mirrors that the latest such run made."""
-    calls, plain = [0], flow_mod.reflect_at
+    """A run of ``steps`` bounces on ``loop`` (`iterate` unless given) whose mirror at
+    bounce m returns ``nu`` and ``v0``, and the count of mirrors that the latest such
+    run made."""
+    calls, plain = [0], reflect_at  # the module's own, also where a replacement is bound
 
     def replaced(*args):
         calls[0] += 1
         return (list(nu), v0) if calls[0] == m + 1 else plain(*args)
 
-    def run():
+    def run(loop=iterate):
         calls[0] = 0
-        return iterate(s, launch, steps)
+        return loop(s, launch, steps)
 
     monkeypatch.setattr(flow_mod, "reflect_at", replaced)
     return run, calls
@@ -894,8 +1054,8 @@ def test_list_loop_products_stay_within_the_rounding_bound(n, a, eps, seed):
     check; the module docstring bounds them instead, to first order in u = 2^-53:
     |<x,x> + 1| <= 30 u max(1, x0^2) after the scaling, and |<v,v> - 1| <=
     (150 + 30 sqrt(N)) u V^2 after the mirror, V the largest of 1 and |v0| before and
-    after it.  The products the checks would take, from the list kernel's own `inner`
-    on the values the loop made, stay within both on runs from perturbed launches at
+    after it.  The products the checks would take, from the reference list kernels'
+    `inner` (the loop's products, bit for bit) on the values the loop made, stay within both on runs from perturbed launches at
     the circumcenter.  The Gram entries obey the bounds the proof takes from the
     dihedral angle.  (Measured over 3000-bounce runs at n = 2..11 and a = 0.01..40,
     the two products reach 0.30 and 0.07 of these bounds, 1.0e-3 and 2.7e-3 of
@@ -921,7 +1081,7 @@ def test_no_flight_ends_on_the_facet_it_left(n, a, eps, seed):
     it mirrors at with nu above `GRAZE_TOL`, so no flight ends on the facet it
     started from: consecutive facets differ, and the first is not the launch facet.
     Runs of 200 bounces from P_0 of the orbit, perturbed and checked against facet 0
-    as `simulate` does, on both kernel sets (n = 2..13 spans SWITCH - 1 and SWITCH)."""
+    as `simulate` does, on both kinds of loop (n = 2..13 spans SWITCH - 1 and SWITCH)."""
     s, orb = make_orbit(n, a)
     start = launch_state(orb)
     assert classify_point(s, start.position.coords)[1] == 0
