@@ -1,11 +1,11 @@
 """Geodesic billiard flow inside the simplex.
 
-This is the independent certifier for the orbit construction: it knows
-nothing about center-of-mass algebra.  A state is a point plus a unit
-tangent direction; the flow follows x(t) = p cosh t + v sinh t until the
-first facet crossing, reflects the velocity specularly, and repeats.  A
-closed orbit fed to `closure_error` must come back to its starting state
-after one period up to rounding.
+This is the independent certifier for the orbit construction: at run time
+it imports `geometry` alone, so it knows nothing of center-of-mass algebra.
+A state is a point plus a unit tangent direction; the flow follows
+x(t) = p cosh t + v sinh t until the first facet crossing, reflects the
+velocity specularly, and repeats.  A closed orbit fed to `closure_error`
+must come back to its starting state after one period up to rounding.
 
 Collision times are closed-form: the crossing of the facet with normal u
 satisfies tanh t = -<x,u>/<v,u>, so no numerical stepping is involved.
@@ -71,7 +71,7 @@ first run that needs it; importing this module generates none.
 
 Each check is made once.  On entry (`_enter`) the state must lie in the
 slice, which margins cannot see (|<x,1>| and |<v,1>| at most 1e-9), with no
-margin below -`simplex.FACET_TOL`.  Per bounce, `next_collision` gives the
+margin below -`geometry.FACET_TOL`.  Per bounce, `next_collision` gives the
 flight over the facets with nu < 0, which leaves out the facet just left: a
 flight ends on facet k with nu_k = cosh t (nu^2 - mu^2)/nu < 0, and the
 mirror raises at |nu_k| <= `GRAZE_TOL` or sets nu_k to -nu_k >
@@ -121,7 +121,7 @@ check reads at most 1.4e-13 max(1, v0^2), a seventh of its tolerance
 (`tests/test_flow.py` measures both).  A NaN or an infinity, which the bounds
 do not cover, fails a guard that stays.  The <x,v> check stays on lists: the
 mirror moves <x,v> by -2 nu_k mu_k, and the classification holds mu_k only to
-`simplex.FACET_TOL` (a far launch at n = 2 and a = 30 fails it).  The array
+`geometry.FACET_TOL` (a far launch at n = 2 and a = 30 fails it).  The array
 loop makes every check, as ddot's error grows like N u W and it takes any N.
 
 A run comes out as a `Trajectory` of read-only stacks, row i for bounce i,
@@ -145,13 +145,13 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .geometry import (HPoint, check_sheet_products, check_tangency_product, check_tangent_products,
-                       check_unit_tangent, chord_dist, mink_dot, mink_dots, mink_inner, tangent_part,
-                       unit_tangent)
-from .simplex import FACET_TOL, Region, RegularSimplex, classify_margins
+from .geometry import (FACET_TOL, HPoint, Region, check_sheet_products, check_tangency_product,
+                       check_tangent_products, check_unit_tangent, chord_dist, classify_margins,
+                       mink_dot, mink_dots, mink_inner, tangent_part, unit_tangent)
 
-if TYPE_CHECKING:  # annotations only: the flow imports none of the orbit's algebra
+if TYPE_CHECKING:  # annotations only: at run time the flow imports `geometry` alone
     from .orbit import BilliardOrbit
+    from .simplex import RegularSimplex
 
 # A normal component this small or smaller at a facet is a grazing hit; a mirrored
 # one is larger, and positive, so the departure facet is out of the next flight's reach.

@@ -10,10 +10,16 @@ Poincare ball appears only as an export chart (`simplex.disk_coords`).
 Every operation that produces a point renormalizes it back onto the
 hyperboloid, so rounding error cannot accumulate multiplicatively along a
 computation chain.
+
+The facet band `FACET_TOL` and the rule that classifies a point by its facet
+margins (`classify_margins`, and `facet_hits` on a table) live here too: the
+orbit certificate and the billiard flow both classify by them, and this is
+the one module that both import and that imports nothing of the package.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -344,3 +350,59 @@ def angle_at(p: HPoint, a: HPoint, b: HPoint) -> float:
     """Angle at P between the geodesics toward A and toward B, in [0, pi]."""
     c = mink_inner(unit_tangent(p, a), unit_tangent(p, b))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+# The facet band of every boundary classification, the orbit's and the flow's alike.
+FACET_TOL = 1e-9
+
+
+class Region(enum.Enum):
+    INTERIOR = "interior"
+    FACET_INTERIOR = "facet-interior"
+    LOWER_BOUNDARY = "lower-boundary"
+    OUTSIDE = "outside"
+
+
+def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Region, int | None]:
+    """Region of a point with these facet margins, and its facet if on exactly one.
+
+    Outside if any margin is below -tol; interior if all are above tol;
+    on the relative interior of facet j if only margin j vanishes; on the
+    lower-dimensional boundary (edges, vertices, corners) if two or more
+    margins vanish simultaneously.  A NaN margin counts as neither below
+    -tol nor vanishing, like +inf.
+
+    Three C-level scans: the least margin decides outside and interior, and
+    once it is not below -tol every margin left is near exactly when it is
+    at most tol, so the least of the others decides between a facet and the
+    lower-dimensional boundary.  `min` skips a NaN unless the NaN comes
+    first, so such a list is classified again with its NaNs left out.
+    """
+    if not margins:
+        return Region.INTERIOR, None
+    lo = min(margins)
+    if lo < -tol:
+        return Region.OUTSIDE, None
+    if lo <= tol:
+        j = margins.index(lo)
+        if not (rest := margins[:j] + margins[j + 1:]):
+            return Region.FACET_INTERIOR, j
+        second = min(rest)
+        if second <= tol:
+            return Region.LOWER_BOUNDARY, None
+        if second == second:
+            return Region.FACET_INTERIOR, j
+    elif lo == lo:
+        return Region.INTERIOR, None
+    # a NaN came first in the list handed to `min`: classify the others
+    kept = [j for j, m in enumerate(margins) if m == m]
+    region, k = classify_margins([margins[j] for j in kept], tol)
+    return region, None if k is None else kept[k]
+
+
+def facet_hits(margins: np.ndarray, tol: float = FACET_TOL) -> np.ndarray:
+    """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
+    the point (`classify_margins` gives `Region.FACET_INTERIOR`), or -1."""
+    near = np.abs(margins) <= tol
+    hit = ~(margins < -tol).any(axis=1) & (near.sum(axis=1) == 1)
+    return np.where(hit, near.argmax(axis=1), -1)

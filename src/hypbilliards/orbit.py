@@ -29,21 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    HPoint,
-    Hyperplane,
-    check_on_sheet_rows,
-    chord_dist_rows,
-    dist,
-    dist_rows,
-    foot_of_perpendicular,
-    mink_pairs,
-    mink_table,
-    reflect_rows,
-    unit_tangent_rows,
-)
+from .geometry import (HPoint, Hyperplane, check_on_sheet_rows, chord_dist_rows, dist, dist_rows,
+                       facet_hits, foot_of_perpendicular, mink_pairs, mink_table, reflect_rows,
+                       unit_tangent_rows)
 from .masses import cyclic_folds, pair_folds
-from .simplex import RegularSimplex, facet_hits
+from .simplex import RegularSimplex
 from .weights import MassSequence
 
 

@@ -46,8 +46,8 @@ from . import forked
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
-from .geometry import (HPoint, chord_dist, chord_dist_rows, dist_rows, mink_dots, mink_pairs,
-                       mink_table, segment_defect, unit_tangent_rows)
+from .geometry import (FACET_TOL, HPoint, chord_dist, chord_dist_rows, dist_rows, mink_dots,
+                       mink_pairs, mink_table, segment_defect, unit_tangent_rows)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class Tolerances:
     fields are fixed, not settable, and written into a sweep's
     ``tolerances`` for the record: ``min_midpoint_defect`` is how far the
     facet-center polygon must miss the mirror law at n >= 3, and
-    ``classify`` is the facet band, `simplex.FACET_TOL`, at which the orbit
+    ``classify`` is the facet band, `geometry.FACET_TOL`, at which the orbit
     certificate and the billiard flow both classify.
     """
 
@@ -76,7 +76,7 @@ class Tolerances:
     weight_recurrence: float = 1e-10
     orthic_match: float = 1e-9
     min_midpoint_defect: float = dataclasses.field(default=1e-3, init=False)
-    classify: float = dataclasses.field(default=simplex_mod.FACET_TOL, init=False)
+    classify: float = dataclasses.field(default=FACET_TOL, init=False)
 
     @classmethod
     def uniform(cls, t: float) -> "Tolerances":

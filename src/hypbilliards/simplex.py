@@ -23,7 +23,6 @@ row or the basepoint as an `HPoint` when one point is wanted.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import sys
@@ -31,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (HPoint, check_on_sheet_rows, check_unit_normal_rows, chord_dist_rows,
-                       dist_rows, mink_dots, reflect_rows, safe_arccosh)
+from .geometry import (HPoint, Region, check_on_sheet_rows, check_unit_normal_rows, chord_dist_rows,
+                       classify_margins, dist_rows, mink_dots, reflect_rows, safe_arccosh)
 from .masses import centroid_fold, omit_one_folds, pair_folds
-from .weights import MAX_EDGE, check_edge_length, pair_mass_constant
+from .weights import check_edge_length, pair_mass_constant
 
 
 def simplex_directions(n: int) -> np.ndarray:
@@ -222,66 +221,10 @@ def vertex_reflection_identity_residual(s: RegularSimplex) -> np.ndarray:
     return res
 
 
-# The facet band of every boundary classification, the orbit's and the flow's alike.
-FACET_TOL = 1e-9
-
-
-class Region(enum.Enum):
-    INTERIOR = "interior"
-    FACET_INTERIOR = "facet-interior"
-    LOWER_BOUNDARY = "lower-boundary"
-    OUTSIDE = "outside"
-
-
 def classify_point(s: RegularSimplex, x: np.ndarray) -> tuple[Region, int | None, list[float]]:
     """`classify_margins` of the point with coordinates x, and its margins as a list."""
     margins = mink_dots(x, s.normal_coords).tolist()
     return (*classify_margins(margins), margins)
-
-
-def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Region, int | None]:
-    """Region of a point with these facet margins, and its facet if on exactly one.
-
-    Outside if any margin is below -tol; interior if all are above tol;
-    on the relative interior of facet j if only margin j vanishes; on the
-    lower-dimensional boundary (edges, vertices, corners) if two or more
-    margins vanish simultaneously.  A NaN margin counts as neither below
-    -tol nor vanishing, like +inf.
-
-    Three C-level scans: the least margin decides outside and interior, and
-    once it is not below -tol every margin left is near exactly when it is
-    at most tol, so the least of the others decides between a facet and the
-    lower-dimensional boundary.  `min` skips a NaN unless the NaN comes
-    first, so such a list is classified again with its NaNs left out.
-    """
-    if not margins:
-        return Region.INTERIOR, None
-    lo = min(margins)
-    if lo < -tol:
-        return Region.OUTSIDE, None
-    if lo <= tol:
-        j = margins.index(lo)
-        if not (rest := margins[:j] + margins[j + 1:]):
-            return Region.FACET_INTERIOR, j
-        second = min(rest)
-        if second <= tol:
-            return Region.LOWER_BOUNDARY, None
-        if second == second:
-            return Region.FACET_INTERIOR, j
-    elif lo == lo:
-        return Region.INTERIOR, None
-    # a NaN came first in the list handed to `min`: classify the others
-    kept = [j for j, m in enumerate(margins) if m == m]
-    region, k = classify_margins([margins[j] for j in kept], tol)
-    return region, None if k is None else kept[k]
-
-
-def facet_hits(margins: np.ndarray, tol: float = FACET_TOL) -> np.ndarray:
-    """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
-    the point (`classify_point` gives `Region.FACET_INTERIOR`), or -1."""
-    near = np.abs(margins) <= tol
-    hit = ~(margins < -tol).any(axis=1) & (near.sum(axis=1) == 1)
-    return np.where(hit, near.argmax(axis=1), -1)
 
 
 @dataclass(frozen=True)

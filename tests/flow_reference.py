@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from hypbilliards.flow import GRAZE_TOL, FlowState, NonSmoothHitError, Trajectory, next_collision
-from hypbilliards.geometry import (HPoint, check_on_sheet, check_unit_tangent, mink_dot,
+from hypbilliards.geometry import (HPoint, Region, check_on_sheet, check_unit_tangent, mink_dot,
                                    mink_dots, tangent_part, to_sheet)
-from hypbilliards.simplex import Region, classify_point
+from hypbilliards.simplex import classify_point
 
 
 def reflect_at(x, d, k, u, margin):

@@ -27,6 +27,7 @@ from hypbilliards import flow
 from hypbilliards.flow import FlowState, Trajectory, _enter, _gram
 from hypbilliards.geometry import (
     HPoint,
+    Region,
     angle_at,
     chord_dist,
     dist,
@@ -37,7 +38,7 @@ from hypbilliards.geometry import (
 )
 from hypbilliards.masses import centroid_fold
 from hypbilliards.orbit import OrbitVerification
-from hypbilliards.simplex import Region, classify_point
+from hypbilliards.simplex import classify_point
 from hypbilliards.weights import pair_mass_constant
 
 

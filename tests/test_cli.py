@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypbilliards import cli, flow, orbit, report, simplex, weights
+from hypbilliards.geometry import Region
 from hypbilliards.cli import main, parse_dims, parse_floats
 from hypbilliards.simplex import build
 
@@ -240,7 +241,7 @@ def test_every_cell_ends_in_a_classified_outcome(tmp_path_factory, cell):
 def test_verify_edge_beyond_cosh_range_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--dims", "3", "--edges", "1,800")
     assert (code, out) == (2, "")
-    assert err == f"error: edge length 800.0 exceeds {simplex.MAX_EDGE!r}, where cosh overflows\n"
+    assert err == f"error: edge length 800.0 exceeds {weights.MAX_EDGE!r}, where cosh overflows\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -517,7 +518,7 @@ def test_simulate_perturbed_launch_checks_the_facet_p0_classifies_on(capsys):
     s = build(64, 1e-6)
     start = flow.launch_state(orbit.construct_orbit(s, weights.build_sequence(64, 1e-6)))
     assert simplex.classify_point(s, start.position.coords)[:2] == (
-        simplex.Region.LOWER_BOUNDARY, None)
+        Region.LOWER_BOUNDARY, None)
     code, out, err = run(capsys, "simulate", "--dim", "64", "--edge", "1e-6", "--steps", "3",
                          "--perturb", "-2")
     assert (code, out) == (4, "")

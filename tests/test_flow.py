@@ -38,11 +38,12 @@ from hypbilliards.flow import (
     state_toward,
     step,
 )
-from hypbilliards.geometry import (HPoint, check_tangent_products, check_unit_tangent, chord_dist,
-                                  dist, geodesic_point, mink_dot, mink_dots, reflect, tangent_part,
+from hypbilliards.geometry import (FACET_TOL, HPoint, Region, check_tangent_products,
+                                  check_unit_tangent, chord_dist, classify_margins, dist,
+                                  geodesic_point, mink_dot, mink_dots, reflect, tangent_part,
                                   unit_tangent)
 from hypbilliards.orbit import BilliardOrbit, construct_orbit, orbit_edge_lengths
-from hypbilliards.simplex import FACET_TOL, Region, build, classify_margins, classify_point
+from hypbilliards.simplex import build, classify_point
 from hypbilliards.weights import build_sequence
 
 
@@ -1195,13 +1196,27 @@ def _runtime_imports(path: Path) -> set[str]:
     return found
 
 
-def test_flow_imports_no_center_of_mass_algebra():
-    """`flow` itself imports none of `masses`, `weights` or `orbit` at run time, so the
-    flow certificate stays independent of the construction it checks.
+def _reachable(start: str) -> set[str]:
+    """The `hypbilliards` modules that module ``start`` reaches through runtime imports,
+    followed edge by edge, itself left out."""
+    package = Path(flow_mod.__file__).parent
+    seen, todo = set(), [start]
+    while todo:
+        new = _runtime_imports(package / f"{todo.pop()}.py") - seen
+        seen |= new
+        todo.extend(new)
+    return seen - {start}
 
-    This covers `flow`'s own imports only: `simplex`, which `flow` imports, still
-    imports `masses` for the facet centers that `build` folds.
+
+def test_flow_imports_no_center_of_mass_algebra():
+    """At run time `flow` reaches `geometry` alone, through any chain of imports, so the
+    flow certificate rests on no module of the construction it checks but `geometry`.
+
+    No module of the construction reaches `flow`, and from `report` the walk reaches
+    every other module but `cli`, which shows that it follows imports transitively.
     """
-    imported = _runtime_imports(Path(flow_mod.__file__))
-    assert {"geometry", "simplex"} <= imported  # the walk sees the real imports
-    assert imported.isdisjoint({"masses", "weights", "orbit"}), imported
+    assert _reachable("flow") == {"geometry"}
+    for name in ("masses", "weights", "simplex", "orbit"):
+        assert "flow" not in _reachable(name), name
+    assert _reachable("report") == {"flow", "forked", "geometry", "masses", "orbit", "simplex",
+                                    "weights"}

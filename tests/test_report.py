@@ -22,7 +22,7 @@ from conftest import facet_plane, facet_vertices
 from hypbilliards import report
 from hypbilliards import simplex as simplex_mod
 from hypbilliards.cli import _perturbed
-from hypbilliards.geometry import dist, mink_dot
+from hypbilliards.geometry import FACET_TOL, dist, mink_dot
 from hypbilliards.orbit import construct_orbit
 from hypbilliards.report import (
     _SORTED_TEXTS_MIN_SIZE,
@@ -60,7 +60,7 @@ def test_tolerances_uniform_keeps_structural_knobs():
     fields = dataclasses.fields(Tolerances)
     assert {f.name for f in fields if not f.init} == {"classify", "min_midpoint_defect"}
     assert all(getattr(t, f.name) == 1e-6 for f in fields if f.init)
-    assert t.classify is simplex_mod.FACET_TOL and t.min_midpoint_defect == 1e-3
+    assert t.classify is FACET_TOL and t.min_midpoint_defect == 1e-3
     for name in ("classify", "min_midpoint_defect"):
         with pytest.raises(TypeError):
             Tolerances(**{name: 0.3})

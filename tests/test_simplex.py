@@ -1,7 +1,9 @@
 """Tests for regular-simplex construction, measurements, and classification."""
 
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from hypbilliards import simplex as simplex_mod
 from hypbilliards.geometry import (
     HPoint,
     Hyperplane,
+    Region,
     angle_at,
+    classify_margins,
     dist,
     mink_dot,
     mink_inner,
@@ -23,12 +27,10 @@ from hypbilliards.geometry import (
 )
 from hypbilliards.simplex import (
     CircumradiusStep,
-    Region,
     RegularSimplex,
     build,
     centroid_weight_formula,
     circumradius_step_residual,
-    classify_margins,
     classify_point,
     cosh_sq_circumradius,
     cosh_sq_vertex_to_facet_center,
@@ -199,19 +201,34 @@ def test_classify_vertices_and_outside():
 def test_facet_band_is_one_constant():
     """Every classification is at the one facet band, `FACET_TOL` itself: the margin
     classifiers default to it, and the point and orbit classifiers take no band, so
-    the orbit certificate cannot classify at another band than the flow."""
+    the orbit certificate cannot classify at another band than the flow.  The band and
+    its rule are written in one module of the package, `geometry`."""
     from hypbilliards.orbit import verify_orbit
     from hypbilliards.report import Tolerances
 
     defaults = [inspect.signature(fn).parameters["tol"].default
-                for fn in (classify_margins, simplex_mod.facet_hits)]
-    assert all(d is simplex_mod.FACET_TOL for d in defaults)
+                for fn in (classify_margins, geometry_mod.facet_hits)]
+    assert all(d is geometry_mod.FACET_TOL for d in defaults)
     assert list(inspect.signature(classify_point).parameters) == ["s", "x"]
     assert list(inspect.signature(verify_orbit).parameters) == ["s", "orbit"]
     s = build(2, 1.0)
     with pytest.raises(TypeError):
         classify_point(s, s.circumcenter.coords, tol=0.3)
-    assert Tolerances().classify is simplex_mod.FACET_TOL == 1e-9
+    assert Tolerances().classify is geometry_mod.FACET_TOL == 1e-9
+
+    band = {"FACET_TOL", "Region", "classify_margins", "facet_hits"}
+    defined = []
+    for path in sorted(Path(geometry_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            else:
+                continue
+            if name in band:
+                defined.append((name, path.stem))
+    assert sorted(defined) == sorted((name, "geometry") for name in band)
 
 
 def classify_margins_reference(margins, tol=1e-9):
