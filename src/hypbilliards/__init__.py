@@ -9,39 +9,8 @@ simulator that shares none of the center-of-mass algebra; `report` bundles
 the residual gates, grid sweeps (their cells spread over forked processes by
 `forked`) and serialization, and `cli` exposes all of it as a command-line
 tool.
+
+The package namespace is empty: callers import the submodules
+(``from hypbilliards.simplex import build``), so importing one loads only
+what it imports itself, and `flow` loads `geometry` alone.
 """
-
-from .geometry import (
-    HPoint,
-    Hyperplane,
-    angle_at,
-    chord_dist,
-    dist,
-    foot_of_perpendicular,
-    geodesic_point,
-    mink_inner,
-    reflect,
-    segment_defect,
-)
-from .masses import PointMass, centroid_fold, combine_intrinsic, scale_masses
-from .simplex import RegularSimplex, build, classify_point, metrics
-from .weights import MassSequence, build_sequence, eval_g, eval_h, solve_y0
-from .orbit import BilliardOrbit, construct_orbit, midpoint_trajectory_defect, orthic_points, verify_orbit
-from .flow import FlowState, closure_error, iterate, next_collision, reflect_at
-from .report import Tolerances, evaluate_cell, run_sweep
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "HPoint", "Hyperplane",
-    "angle_at", "chord_dist", "dist", "foot_of_perpendicular", "geodesic_point",
-    "mink_inner", "reflect", "segment_defect",
-    "PointMass", "centroid_fold", "combine_intrinsic", "scale_masses",
-    "RegularSimplex", "build", "classify_point", "metrics",
-    "MassSequence", "build_sequence", "eval_g", "eval_h", "solve_y0",
-    "BilliardOrbit", "construct_orbit", "midpoint_trajectory_defect",
-    "orthic_points", "verify_orbit",
-    "FlowState", "closure_error", "iterate", "next_collision", "reflect_at",
-    "Tolerances", "evaluate_cell", "run_sweep",
-    "__version__",
-]

@@ -7,9 +7,10 @@ Four subcommands:
   verify     sweep an (n, edge) grid of cells and gate on tolerances
   simulate   run the billiard flow and emit bounce points as CSV
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 4 non-smooth
-trajectory hit (corner or grazing), 5 numerical breakdown of a valid
-`simplex` or `orbit` cell or of `simulate`'s default launch.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an output
+file that cannot be opened among them), 4 non-smooth trajectory hit
+(corner or grazing), 5 numerical breakdown of a valid `simplex` or `orbit`
+cell or of `simulate`'s default launch.
 
 JSON goes to stdout (or --json/--report FILE); floats carry 17 significant
 digits by default so documents round-trip bit for bit.  CSV uses commas,
@@ -283,7 +284,7 @@ def check_args(args: argparse.Namespace) -> None:
     """Parse the list options in place and reject values out of range."""
     if args.command == "verify":
         args.dims = parse_dims(args.dims)
-        cosh = parse_floats(args.cosh_edges) if args.cosh_edges else None
+        cosh = parse_floats(args.cosh_edges) if args.cosh_edges is not None else None
         args.edges = _resolve_edges(parse_floats(args.edges), cosh)
         if any(n < 2 for n in args.dims):
             raise ValueError("orbit verification needs n >= 2 in every cell")
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     except NonSmoothHitError as err:
         print(f"non-smooth trajectory: {err}", file=sys.stderr)
         return EXIT_NONSMOOTH
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # OSError: an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -104,6 +104,32 @@ def test_missing_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simplex", "--dim", "2", "--edge", "1", "--json"),
+    ("orbit", "--dim", "2", "--edge", "1", "--json"),
+    ("orbit", "--dim", "2", "--edge", "1", "--json", os.devnull, "--disk-coords"),
+    ("verify", "--dims", "2", "--edges", "1", "--report"),
+    ("simulate", "--dim", "2", "--edge", "1", "--steps", "3", "--csv"),
+])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    """An output file in a missing directory exits 2 with one `error:` line, not with
+    a traceback and the verification-failure code."""
+    path = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+    assert not path.parent.exists()
+
+
+def test_empty_cosh_edges_is_usage_error(capsys):
+    """An empty --cosh-edges fails as an empty --edges does; it does not fall back to
+    the default edges."""
+    for flag in ("--edges=", "--cosh-edges="):
+        code, out, err = run(capsys, "verify", "--dims", "2", flag)
+        assert (code, out, err) == (2, "", "error: no values in ''\n"), flag
+
+
 def test_orbit_verifies_and_writes_files(capsys, tmp_path):
     jpath = tmp_path / "orbit.json"
     cpath = tmp_path / "orbit.csv"

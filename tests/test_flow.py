@@ -1198,9 +1198,10 @@ def _runtime_imports(path: Path) -> set[str]:
 
 def _reachable(start: str) -> set[str]:
     """The `hypbilliards` modules that module ``start`` reaches through runtime imports,
-    followed edge by edge, itself left out."""
+    followed edge by edge, itself left out.  The walk starts from the package's
+    ``__init__`` too, which runs before any of its modules."""
     package = Path(flow_mod.__file__).parent
-    seen, todo = set(), [start]
+    seen, todo = set(), [start, "__init__"]
     while todo:
         new = _runtime_imports(package / f"{todo.pop()}.py") - seen
         seen |= new
@@ -1220,3 +1221,27 @@ def test_flow_imports_no_center_of_mass_algebra():
         assert "flow" not in _reachable(name), name
     assert _reachable("report") == {"flow", "forked", "geometry", "masses", "orbit", "simplex",
                                     "weights"}
+
+
+def test_each_module_imports_alone_and_loads_its_walk():
+    """Each module imports in a fresh interpreter, so no circular import hides behind
+    another module's import order, and it loads exactly itself and the modules the
+    runtime-import walk reaches from it: the walk is what runs.  `flow` loads
+    `geometry` alone."""
+    path = os.pathsep.join(filter(None, [str(Path(flow_mod.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = {}
+    for name in sorted(p.stem for p in Path(flow_mod.__file__).parent.glob("*.py")):
+        if name == "__init__":
+            continue
+        probe = (f"import hypbilliards.{name}, sys; "
+                 "print(' '.join(sorted(m for m in sys.modules if m.startswith('hypbilliards'))))")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == "", (name, done.stderr)
+        loaded[name] = set(done.stdout.split())
+        assert loaded[name] == {"hypbilliards"} | {f"hypbilliards.{m}"
+                                                   for m in {name} | _reachable(name)}, name
+    assert loaded["flow"] == {"hypbilliards", "hypbilliards.flow", "hypbilliards.geometry"}
+    assert loaded["cli"] == set().union(*loaded.values())  # the CLI loads every module
