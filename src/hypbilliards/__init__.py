@@ -6,9 +6,9 @@ solves the scalar root problem for the bounce-weight profile;
 `orbit.construct_orbit` turns profile plus simplex into the closed
 (n+1)-bounce orbit; `flow` re-traces the orbit with a geodesic billiard
 simulator that shares none of the center-of-mass algebra; `report` bundles
-the residual gates, grid sweeps (their cells spread over forked processes by
-`forked`) and serialization, and `cli` exposes all of it as a command-line
-tool.
+the residual gates, grid sweeps (their cells evaluated in order, in the
+calling process) and serialization, and `cli` exposes all of it as a
+command-line tool.
 
 The package namespace is empty: callers import the submodules
 (``from hypbilliards.simplex import build``), so importing one loads only

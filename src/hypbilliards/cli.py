@@ -20,8 +20,10 @@ digits by default so documents round-trip bit for bit.  CSV uses commas,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -280,8 +282,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_output_path(path: str) -> None:
+    """Raise the `OSError` that ``open(path, "w")`` would raise, naming ``path``,
+    if ``path`` names a directory or its parent is not one; open nothing."""
+    name = path.rstrip(os.sep)
+    try:  # the trailing separator makes a parent that is a file fail too
+        os.stat(os.path.join(os.path.dirname(name) or os.curdir, ""))
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
+    if name != path or os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def check_args(args: argparse.Namespace) -> None:
-    """Parse the list options in place and reject values out of range."""
+    """Parse the list options in place and reject values out of range, and
+    output paths that cannot be written, before any cell is built."""
     if args.command == "verify":
         args.dims = parse_dims(args.dims)
         cosh = parse_floats(args.cosh_edges) if args.cosh_edges is not None else None
@@ -322,6 +337,11 @@ def check_args(args: argparse.Namespace) -> None:
     n = min(args.dims) if args.command == "verify" else args.dim
     for a in args.edges if args.command == "verify" else (args.edge,):
         simplex_mod.check_edge(n, a)
+    # the output files are opened only after the work, so a run that breaks
+    # down leaves them as they were; an error at that `open` is exit 2 too
+    for name in ("json_path", "disk_path", "report_path", "csv_path"):
+        if path := getattr(args, name, None):
+            _check_output_path(path)
 
 
 def main(argv=None) -> int:

@@ -4,11 +4,9 @@ A "cell" is one choice of dimension and edge length, built once as a
 simplex, a weight sequence and an orbit.  `evaluate_cell` takes that built
 cell, measures every identity the construction is supposed to satisfy, and
 compares against `Tolerances`; `run_sweep` builds and evaluates the cells
-of a grid in lexicographic (n, edge) order.  The cells share nothing, so a
-grid of at least two `_MIN_CELLS_PER_WORKER` cells is dealt round-robin to
-one process per available CPU, at most `_MAX_WORKERS`, this one and forked
-children (`forked.map_shares`), and the report is the same, byte for byte,
-as one made in a single process.
+of a grid in lexicographic (n, edge) order, one after another in the calling
+process.  A default-grid cell takes about a millisecond, less than a second
+process costs to start, so a sweep runs in one process on every platform.
 
 JSON documents serialize floats at full round-trip precision (17
 significant digits) unless a lower precision is requested; reloading a
@@ -34,15 +32,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import flow as flow_mod
-from . import forked
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
@@ -192,21 +187,6 @@ def evaluate_cell(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
     return CellReport(n, edge, residuals, tuple(failures), m)
 
 
-# A forked worker pays for itself only with at least this many cells to evaluate.
-# A fork, the child's exit and its reap cost about 1.5 ms, and the child's
-# copy-on-write start more, against 0.7-1.4 ms per default-grid cell as the
-# host's speed varies.  On a 2-vCPU host two processes took, against one,
-# 0.96x on 6 cells and 0.80x on 8 in its slow state but 1.03x on 8 in its fast
-# state; 10 cells, the first grid that this value forks, took 0.79x and 0.95x.
-_MIN_CELLS_PER_WORKER = 5
-
-# At most this many processes evaluate a sweep: 1 against 2 is the only split
-# measured (on that 2-vCPU host), and with more a share of five or six cells
-# sits where two processes stopped paying.  The affinity mask also counts CPUs
-# that a CPU quota may not let this process have.
-_MAX_WORKERS = 2
-
-
 def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
     """Build and evaluate every (n, edge) cell; results in lexicographic order.
 
@@ -216,31 +196,12 @@ def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
     ``"<ExceptionClass>: <message>"`` as its failure and no residuals, and
     the sweep goes on with the next cell.  Any other exception, a warning
     turned into one by ``-W error`` included, is raised.
-
-    The cells are evaluated in `_worker_count` processes, this one and
-    forked children (`forked.map_shares`), or in this one alone; the report
-    is the same either way.
     """
     tol = tol or Tolerances()
     cells = [(int(n), float(a)) for n in sorted(set(dims)) for a in sorted(set(edges))]
     if not cells:
         raise ValueError("empty sweep: need at least one dimension and one edge")
-    reports = forked.map_shares(partial(_evaluate_cells, tol=tol), cells, _worker_count(len(cells)))
-    return VerificationReport(tol, tuple(reports))
-
-
-def _worker_count(ncells: int) -> int:
-    """How many processes evaluate a sweep of ``ncells`` cells: one per CPU this
-    process may run on, at most `_MAX_WORKERS`, each with at least
-    `_MIN_CELLS_PER_WORKER` cells.
-
-    It is 1, a serial sweep, off Linux, where `os.sched_getaffinity` does
-    not exist (see `forked` on macOS).
-    """
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, _MAX_WORKERS, ncells // _MIN_CELLS_PER_WORKER))
+    return VerificationReport(tol, tuple(_evaluate_cells(cells, tol)))
 
 
 def _evaluate_cells(cells, tol: Tolerances) -> list[CellReport]:

@@ -111,15 +111,45 @@ def test_missing_subcommand_exits_two(capsys):
     ("verify", "--dims", "2", "--edges", "1", "--report"),
     ("simulate", "--dim", "2", "--edge", "1", "--steps", "3", "--csv"),
 ])
-def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+def test_unwritable_output_path_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     """An output file in a missing directory exits 2 with one `error:` line, not with
-    a traceback and the verification-failure code."""
+    a traceback and the verification-failure code, before any cell is built."""
+    def no_work(*args, **kwargs):
+        pytest.fail("built or flew before checking the output path")
+
+    for mod, name in ((simplex, "build"), (flow, "iterate"), (report, "run_sweep")):
+        monkeypatch.setattr(mod, name, no_work)
     path = tmp_path / "missing" / "out"
     code, _, err = run(capsys, *argv, str(path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(path) in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/out", "missing/out/", "file/out", "dir", "dir/",
+                                   "dir/new/"])
+def test_output_path_error_is_the_one_open_would_print(capsys, monkeypatch, tmp_path, where):
+    """The early check names the path with the message of the `open` that follows
+    the work: a missing parent, a parent that is a file, a path that names a directory."""
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    path = os.path.join(tmp_path, where)  # a Path would drop the trailing separator
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    monkeypatch.setattr(simplex, "build", lambda *args: pytest.fail("built a cell"))
+    code, out, err = run(capsys, "simplex", "--dim", "2", "--edge", "1", "--json", path)
+    assert (code, out, err) == (2, "", f"error: {opened.value}\n")
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_breakdown_leaves_an_existing_output_file_unchanged(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"earlier run\r\n")
+    code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1e-9", "--csv", str(path))
+    assert (code, out) == (5, "")
+    assert err.startswith("numerical breakdown: ")
+    assert path.read_bytes() == b"earlier run\r\n"
 
 
 def test_empty_cosh_edges_is_usage_error(capsys):
@@ -168,14 +198,10 @@ def test_orbit_builds_each_part_once(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_builds_each_cell_once(capsys, monkeypatch):
-    # the counts are kept in this process, so the grid must be too small to fork
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     counts = count_builds(monkeypatch)
-    code, _, _ = run(capsys, "verify", "--dims", "2..3", "--edges", "1")
+    code, _, _ = run(capsys, "verify")
     assert code == 0
-    assert forks == []
-    assert counts == {"build": 2, "build_sequence": 2, "construct_orbit": 2}
+    assert counts == {"build": 21, "build_sequence": 21, "construct_orbit": 21}
 
 
 def test_orbit_impossible_tolerance_fails(capsys):

@@ -1219,8 +1219,7 @@ def test_flow_imports_no_center_of_mass_algebra():
     assert _reachable("flow") == {"geometry"}
     for name in ("masses", "weights", "simplex", "orbit"):
         assert "flow" not in _reachable(name), name
-    assert _reachable("report") == {"flow", "forked", "geometry", "masses", "orbit", "simplex",
-                                    "weights"}
+    assert _reachable("report") == {"flow", "geometry", "masses", "orbit", "simplex", "weights"}
 
 
 def test_each_module_imports_alone_and_loads_its_walk():

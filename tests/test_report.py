@@ -5,11 +5,10 @@ import io
 import json
 import math
 import os
-import pickle
 import sys
-import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,121 +137,43 @@ SWEEP_GRIDS = {
 }
 
 
-def sweep_bytes(monkeypatch, grid, workers):
-    """The JSON report of a sweep over ``grid`` evaluated in ``workers`` processes."""
-    monkeypatch.setattr(report, "_worker_count", lambda ncells: workers)
+def sweep_text(grid) -> str:
+    """The JSON report of a sweep over ``grid``, as `verify --report` writes it."""
     fh = io.StringIO()
     write_json(fh, sweep_document(run_sweep(*SWEEP_GRIDS[grid])))
+    fh.write("\n")
     return fh.getvalue()
 
 
-def assert_no_child_left():
-    """No child process of this one is running or waiting to be reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("workers", [2, 3, 5])
-@pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
-def test_forked_sweep_writes_the_serial_bytes(monkeypatch, grid, workers):
-    serial = sweep_bytes(monkeypatch, grid, 1)
-    assert sweep_bytes(monkeypatch, grid, workers) == serial
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("workers", [2, 3, 5])
-def test_forked_sweep_deals_each_cell_to_one_share(monkeypatch, workers):
-    def echo(cells, tol):
-        return [CellReport(n, a, {"pid": os.getpid()}, (), None) for n, a in cells]
-
-    monkeypatch.setattr(report, "_worker_count", lambda ncells: workers)
-    monkeypatch.setattr(report, "_evaluate_cells", echo)
-    dims, edges = SWEEP_GRIDS["default"]
-    rep = run_sweep(dims, edges)
-    assert [(c.n, c.edge) for c in rep.cells] == [(n, a) for n in dims for a in edges]
-    pids = [{c.residuals["pid"] for c in rep.cells[w::workers]} for w in range(workers)]
-    assert pids[0] == {os.getpid()}
-    assert all(len(p) == 1 for p in pids)
-    assert len(set.union(*pids)) == workers
-    assert_no_child_left()
-
-
-def test_worker_count_follows_the_cpus_and_the_grid(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    per = report._MIN_CELLS_PER_WORKER
-    most = report._MAX_WORKERS
-    assert [report._worker_count(k) for k in (1, 2 * per - 1, 2 * per, 100 * per)] == [
-        1, 1, 2, most]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert report._worker_count(100 * per) == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert report._worker_count(100 * per) == 1
-
-
-@pytest.mark.parametrize("fails_at", [1, 2])
-def test_sweep_evaluates_unforked_shares_itself(monkeypatch, fails_at):
-    serial = sweep_bytes(monkeypatch, "default", 1)
-    forks, real_fork = [], os.fork
-
+def test_default_sweep_runs_in_this_process_and_writes_the_golden_bytes(monkeypatch):
     def fork():
-        forks.append(1)
-        if len(forks) >= fails_at:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        return real_fork()
+        pytest.fail("a sweep started a second process")
 
     monkeypatch.setattr(os, "fork", fork)
-    assert sweep_bytes(monkeypatch, "default", 3) == serial
-    assert len(forks) == fails_at
-    assert_no_child_left()
+    golden = Path(__file__).parent / "golden" / "verify_default.json"
+    assert sweep_text("default") == golden.read_text()
 
 
-@pytest.mark.parametrize("failure", ["exit", "status", "payload"])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_failed_child_share_is_evaluated_again(monkeypatch, workers, failure):
-    """A child that exits before writing, exits non-zero after writing, or
-    writes what does not unpickle: this process evaluates every cell itself."""
-    serial = sweep_bytes(monkeypatch, "mixed", 1)
-    parent, evaluate, dumps, exit_now = os.getpid(), report._evaluate_cells, pickle.dumps, os._exit
-    here = []
-
-    def evaluate_or_exit(cells, tol):
-        if os.getpid() == parent:
-            here.extend(cells)
-        elif failure == "exit":
-            os._exit(3)
-        return evaluate(cells, tol)
-
-    def garbled(obj, protocol=None):
-        return b"not a pickle" if os.getpid() != parent else dumps(obj, protocol)
-
-    monkeypatch.setattr(report, "_evaluate_cells", evaluate_or_exit)
-    if failure == "status":
-        monkeypatch.setattr(os, "_exit", lambda code: exit_now(4))  # only a child calls it
-    elif failure == "payload":
-        monkeypatch.setattr(pickle, "dumps", garbled)
-    assert sweep_bytes(monkeypatch, "mixed", workers) == serial
-    dims, edges = SWEEP_GRIDS["mixed"]
-    assert sorted(here) == [(n, a) for n in dims for a in sorted(edges)]
-    assert_no_child_left()
+def test_mixed_sweep_writes_the_same_bytes_on_every_run():
+    first = sweep_text("mixed")
+    assert sweep_text("mixed") == first
+    assert '"passed": false' in first
 
 
-def test_unclassified_exception_in_a_child_share_is_raised_here(monkeypatch):
+def test_unclassified_exception_in_a_cell_is_raised(monkeypatch):
     evaluate = report.evaluate_cell
 
     def evaluate_or_raise(s, seq, orb, tol=None):
-        if (s.n, s.edge) == (2, 1.0):  # cell 1, in share 1
+        if (s.n, s.edge) == (2, 1.0):
             raise TypeError("injected")
         return evaluate(s, seq, orb, tol)
 
-    monkeypatch.setattr(report, "_worker_count", lambda ncells: 2)
     monkeypatch.setattr(report, "evaluate_cell", evaluate_or_raise)
     with pytest.raises(TypeError, match="injected"):
         run_sweep(*SWEEP_GRIDS["default"])
-    assert_no_child_left()
 
 
-def test_warning_in_a_child_share_is_shown_once_or_raised_here(monkeypatch):
-    monkeypatch.setattr(report, "_worker_count", lambda ncells: 2)
+def test_warning_in_a_cell_is_shown_once_or_raised(monkeypatch):
     evaluate = report.evaluate_cell
 
     def evaluate_and_warn(s, seq, orb, tol=None):
@@ -264,68 +185,12 @@ def test_warning_in_a_child_share_is_shown_once_or_raised_here(monkeypatch):
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
         rep = run_sweep(*SWEEP_GRIDS["default"])
-    # only RuntimeWarnings: Python 3.12+ adds a DeprecationWarning for each fork
-    # in a process with threads (OpenBLAS's), which this test does not pin
-    assert [str(w.message) for w in shown if issubclass(w.category, RuntimeWarning)] == [
-        "injected"]
+    assert [str(w.message) for w in shown] == ["injected"]
     assert rep.passed
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="injected"):
             run_sweep(*SWEEP_GRIDS["default"])
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("exc", [ValueError, TypeError])
-def test_payload_that_does_not_unpickle_is_evaluated_again(monkeypatch, exc):
-    serial = sweep_bytes(monkeypatch, "mixed", 1)
-
-    def loads(payload):
-        raise exc("corrupt payload")
-
-    monkeypatch.setattr(pickle, "loads", loads)  # only this process unpickles
-    assert sweep_bytes(monkeypatch, "mixed", 3) == serial
-    assert_no_child_left()
-
-
-def test_interrupt_while_unpickling_kills_only_the_unreaped_children(monkeypatch):
-    """The child of share 1 is reaped before its payload is unpickled: the
-    interrupt reaches the caller, and only the child of share 2 is killed."""
-    killed, real_kill = [], os.kill
-
-    def loads(payload):
-        raise KeyboardInterrupt("while unpickling")
-
-    def kill(pid, sig):
-        killed.append(pid)
-        real_kill(pid, sig)
-
-    monkeypatch.setattr(pickle, "loads", loads)
-    monkeypatch.setattr(os, "kill", kill)
-    monkeypatch.setattr(report, "_worker_count", lambda ncells: 3)
-    with pytest.raises(KeyboardInterrupt, match="while unpickling"):
-        run_sweep(*SWEEP_GRIDS["default"])
-    assert len(killed) == 1
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-def test_exception_in_own_share_kills_and_reaps_the_children(monkeypatch, exc):
-    parent, evaluate = os.getpid(), report._evaluate_cells
-
-    def stall_or_raise(cells, tol):
-        if os.getpid() != parent:
-            time.sleep(60)
-            return evaluate(cells, tol)
-        raise exc("own share")
-
-    monkeypatch.setattr(report, "_worker_count", lambda ncells: 3)
-    monkeypatch.setattr(report, "_evaluate_cells", stall_or_raise)
-    t0 = time.monotonic()
-    with pytest.raises(exc, match="own share"):
-        run_sweep(*SWEEP_GRIDS["default"])
-    assert time.monotonic() - t0 < 30
-    assert_no_child_left()
 
 
 def test_round_sig_and_format_float():
