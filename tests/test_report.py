@@ -154,10 +154,45 @@ def test_default_sweep_runs_in_this_process_and_writes_the_golden_bytes(monkeypa
     assert sweep_text("default") == golden.read_text()
 
 
-def test_mixed_sweep_writes_the_same_bytes_on_every_run():
-    first = sweep_text("mixed")
-    assert sweep_text("mixed") == first
-    assert '"passed": false' in first
+def forked_sweep_texts(grid, workers):
+    """The sweep text of ``grid`` as each of ``workers`` forked children writes it.
+
+    The children inherit this process's compiled kernels and run at once; each
+    sends its text back through a pipe and leaves with `os._exit`."""
+    children = []
+    for _ in range(workers):
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                with os.fdopen(w, "w") as out:
+                    out.write(sweep_text(grid))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        children.append((pid, r))
+    texts = []
+    for pid, r in children:
+        with os.fdopen(r) as inp:
+            texts.append(inp.read())
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+    return texts
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+@pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
+def test_forked_sweep_writes_the_serial_bytes(grid, workers):
+    """A sweep writes the same bytes in forked children as here, and again here."""
+    serial = sweep_text(grid)
+    assert forked_sweep_texts(grid, workers) == [serial] * workers
+    assert sweep_text(grid) == serial
+    assert ('"passed": false' in serial) == (grid == "mixed")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_unclassified_exception_in_a_cell_is_raised(monkeypatch):
