@@ -270,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="n+2 ambient direction coordinates, projected and normalized; "
                             "a value that starts with '-' needs the --dir-coords=VALUE form")
     p_sim.add_argument("--perturb", type=float, default=0.0,
-                       help="rotate the launch direction by this angle (radians)")
+                       help="rotate the launch direction by this angle (radians) inside the "
+                            "simplex slice, in a plane the seed draws; at n = 2 that plane is "
+                            "the whole tangent plane, so a seed picks only the sense of the "
+                            "rotation and every seed gives one of two launches")
     p_sim.add_argument("--seed", type=int, default=0, help="perturbation seed")
 
     return parser

@@ -12,9 +12,10 @@ hyperboloid, so rounding error cannot accumulate multiplicatively along a
 computation chain.
 
 The facet band `FACET_TOL` and the rule that classifies a point by its facet
-margins (`classify_margins`, and `facet_hits` on a table) live here too: the
-orbit certificate and the billiard flow both classify by them, and this is
-the one module that both import and that imports nothing of the package.
+margins live here too, the rule once, as the two masks that `facet_hits`
+takes of a table and `classify_margins` of one row: the orbit certificate
+and the billiard flow both classify by them, and this is the one module that
+both import and that imports nothing of the package.
 """
 
 from __future__ import annotations
@@ -363,6 +364,12 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
 
 
+def _band(margins: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The facet band's two masks of a margin array: below -tol, and within tol of 0.
+    A NaN margin is in neither, like +inf."""
+    return margins < -tol, np.abs(margins) <= tol
+
+
 def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Region, int | None]:
     """Region of a point with these facet margins, and its facet if on exactly one.
 
@@ -370,39 +377,22 @@ def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Regi
     on the relative interior of facet j if only margin j vanishes; on the
     lower-dimensional boundary (edges, vertices, corners) if two or more
     margins vanish simultaneously.  A NaN margin counts as neither below
-    -tol nor vanishing, like +inf.
-
-    Three C-level scans: the least margin decides outside and interior, and
-    once it is not below -tol every margin left is near exactly when it is
-    at most tol, so the least of the others decides between a facet and the
-    lower-dimensional boundary.  `min` skips a NaN unless the NaN comes
-    first, so such a list is classified again with its NaNs left out.
+    -tol nor vanishing, like +inf.  This is `facet_hits`' rule on one row.
     """
-    if not margins:
-        return Region.INTERIOR, None
-    lo = min(margins)
-    if lo < -tol:
+    below, near = _band(np.asarray(margins, dtype=np.float64), tol)
+    if below.any():
         return Region.OUTSIDE, None
-    if lo <= tol:
-        j = margins.index(lo)
-        if not (rest := margins[:j] + margins[j + 1:]):
-            return Region.FACET_INTERIOR, j
-        second = min(rest)
-        if second <= tol:
-            return Region.LOWER_BOUNDARY, None
-        if second == second:
-            return Region.FACET_INTERIOR, j
-    elif lo == lo:
+    hits = near.nonzero()[0].tolist()
+    if not hits:
         return Region.INTERIOR, None
-    # a NaN came first in the list handed to `min`: classify the others
-    kept = [j for j, m in enumerate(margins) if m == m]
-    region, k = classify_margins([margins[j] for j in kept], tol)
-    return region, None if k is None else kept[k]
+    if len(hits) == 1:
+        return Region.FACET_INTERIOR, hits[0]
+    return Region.LOWER_BOUNDARY, None
 
 
 def facet_hits(margins: np.ndarray, tol: float = FACET_TOL) -> np.ndarray:
     """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
     the point (`classify_margins` gives `Region.FACET_INTERIOR`), or -1."""
-    near = np.abs(margins) <= tol
-    hit = ~(margins < -tol).any(axis=1) & (near.sum(axis=1) == 1)
+    below, near = _band(margins, tol)
+    hit = ~below.any(axis=1) & (near.sum(axis=1) == 1)
     return np.where(hit, near.argmax(axis=1), -1)

@@ -201,11 +201,6 @@ def run_sweep(dims, edges, tol: Tolerances | None = None) -> VerificationReport:
     cells = [(int(n), float(a)) for n in sorted(set(dims)) for a in sorted(set(edges))]
     if not cells:
         raise ValueError("empty sweep: need at least one dimension and one edge")
-    return VerificationReport(tol, tuple(_evaluate_cells(cells, tol)))
-
-
-def _evaluate_cells(cells, tol: Tolerances) -> list[CellReport]:
-    """Build and evaluate ``cells`` in order, a classified breakdown as a failed cell."""
     reports = []
     for n, a in cells:
         try:
@@ -214,7 +209,7 @@ def _evaluate_cells(cells, tol: Tolerances) -> list[CellReport]:
             reports.append(evaluate_cell(s, seq, orbit_mod.construct_orbit(s, seq), tol))
         except (ValueError, ArithmeticError, flow_mod.NonSmoothHitError) as err:
             reports.append(CellReport(n, a, {}, (f"{type(err).__name__}: {err}",), None))
-    return reports
+    return VerificationReport(tol, tuple(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +223,15 @@ def round_sig(x: float, sig: int) -> float:
 
 
 def jsonable(obj, sig: int = 17):
-    """Recursively convert arrays/dataclass leaves into JSON-serializable values."""
+    """Recursively convert arrays/dataclass leaves into JSON-serializable values.
+
+    It is the reference that `write_json` is held to, so it shares none of
+    the writer's shortcuts."""
     if isinstance(obj, dict):
         return {k: jsonable(v, sig) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {int}:
-            return list(obj)
         return [jsonable(v, sig) for v in obj]
     if isinstance(obj, np.ndarray):
-        if sig >= 17 and obj.dtype == np.float64:
-            return obj.tolist()  # `round_sig` is the identity at 17 digits
         return [jsonable(v, sig) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)

@@ -530,6 +530,23 @@ def test_simulate_perturbation_deterministic(capsys):
     assert out1 != out3
 
 
+def test_perturbed_launches_at_n2_take_two_directions():
+    """At n = 2 the slice's tangent plane at P_0 is 2-dimensional, so a seed only
+    picks the sense of the rotation: seeds 0..49 give two launch directions, equal
+    to rounding, which sum to 2 cos(eps) D.  At n = 3 the 50 seeds give 50."""
+    eps = 0.3
+    for n, want in ((2, 2), (3, 50)):
+        s = build(n, 1.0)
+        start = flow.launch_state(orbit.construct_orbit(s, weights.build_sequence(n, 1.0)))
+        facet = simplex.classify_point(s, start.position.coords)[1]
+        dirs = {tuple(np.round(cli._perturbed(start, s, eps, seed, facet).direction, 9).tolist())
+                for seed in range(50)}
+        assert len(dirs) == want
+        if n == 2:
+            plus, minus = np.array(sorted(dirs))
+            assert np.abs(plus + minus - 2.0 * math.cos(eps) * start.direction).max() < 1e-8
+
+
 @pytest.mark.parametrize("eps", ["-2", "3.1"])
 def test_simulate_outward_perturbed_launch_is_usage_error(capsys, eps):
     """A perturbation that turns the launch at P_0 out of the simplex leaves the flow

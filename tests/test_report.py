@@ -250,7 +250,7 @@ def test_jsonable_handles_numpy_types():
     assert dumped == {"a": [0, 1, 2], "b": 0.5, "c": [7, [True]], "d": "text"}
 
 
-def test_jsonable_int_lists_in_one_step():
+def test_jsonable_keeps_int_and_bool_lists():
     out = jsonable({"v": (3, 1, 2), "w": [0, 7], "b": [True, 2], "f": [1, 2.0]})
     assert out == {"v": [3, 1, 2], "w": [0, 7], "b": [True, 2], "f": [1, 2.0]}
     assert type(out["v"]) is list

@@ -266,6 +266,26 @@ def test_classify_margins_matches_the_reference_rule(margins, tol):
     assert classify_margins(margins, tol) == classify_margins_reference(margins, tol)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 8).flatmap(
+           lambda m: st.lists(st.lists(margin_values, min_size=m, max_size=m), min_size=1, max_size=4)),
+       st.sampled_from([TOL, 0.0, 0.5, -1.0, math.inf, math.nan]))
+@example([[math.nan, 0.0, 1.0], [0.0, math.nan, 0.0]], TOL)
+@example([[1.0, math.nan, -0.0, 0.0], [TOL, 1.0, 1.0, 1.0]], TOL)
+@example([[TOL, -TOL]], TOL)
+@example([[math.nan, -1e-10]], math.inf)
+def test_facet_hits_matches_the_reference_rule(table, tol):
+    """Row i of `facet_hits` reads the reference's facet where the reference puts the
+    point on a facet's relative interior, and -1 elsewhere: each row alone, as a
+    one-row table, and the rows together."""
+    want = []
+    for row in table:
+        region, facet = classify_margins_reference(row, tol)
+        want.append(facet if region is Region.FACET_INTERIOR else -1)
+    assert [geometry_mod.facet_hits(np.array([row]), tol).tolist() for row in table] == [[k] for k in want]
+    assert geometry_mod.facet_hits(np.array(table), tol).tolist() == want
+
+
 def test_facet_centers_make_right_angles():
     """The vertex-to-opposite-facet-center segment meets the facet orthogonally."""
     for n in (2, 4, 6):
