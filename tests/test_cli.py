@@ -3,13 +3,17 @@
 import json
 import math
 import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypbilliards import cli, flow, orbit, report, simplex, weights
-from hypbilliards.geometry import Region
+from hypbilliards.geometry import Region, mink_inner
 from hypbilliards.cli import main, parse_dims, parse_floats
 from hypbilliards.simplex import build
 
@@ -510,10 +514,10 @@ def test_simulate_flow_breakdown_exit_code_follows_the_launch(capsys, monkeypatc
 
 def test_simulate_perturbation_seed_check_exits_two(capsys, monkeypatch):
     class ZeroDraw:  # a seed whose draw has no part off the launch direction
-        def standard_normal(self, size):
-            return np.zeros(size)
+        def random(self):
+            return 0.5  # 2 * 0.5 - 1 = 0 in every coordinate
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDraw())
+    monkeypatch.setattr(random, "Random", lambda seed: ZeroDraw())
     code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1", "--perturb", "0.1")
     assert (code, out) == (2, "")
     assert err == "error: degenerate perturbation direction; change the seed\n"
@@ -530,21 +534,107 @@ def test_simulate_perturbation_deterministic(capsys):
     assert out1 != out3
 
 
+def _default_launch(n, edge):
+    """The simplex, the default launch and the facet that P_0 classifies on."""
+    s = build(n, edge)
+    start = flow.launch_state(orbit.construct_orbit(s, weights.build_sequence(n, edge)))
+    return s, start, simplex.classify_point(s, start.position.coords)[1]
+
+
 def test_perturbed_launches_at_n2_take_two_directions():
     """At n = 2 the slice's tangent plane at P_0 is 2-dimensional, so a seed only
     picks the sense of the rotation: seeds 0..49 give two launch directions, equal
     to rounding, which sum to 2 cos(eps) D.  At n = 3 the 50 seeds give 50."""
     eps = 0.3
     for n, want in ((2, 2), (3, 50)):
-        s = build(n, 1.0)
-        start = flow.launch_state(orbit.construct_orbit(s, weights.build_sequence(n, 1.0)))
-        facet = simplex.classify_point(s, start.position.coords)[1]
+        s, start, facet = _default_launch(n, 1.0)
         dirs = {tuple(np.round(cli._perturbed(start, s, eps, seed, facet).direction, 9).tolist())
                 for seed in range(50)}
         assert len(dirs) == want
         if n == 2:
             plus, minus = np.array(sorted(dirs))
             assert np.abs(plus + minus - 2.0 * math.cos(eps) * start.direction).max() < 1e-8
+
+
+def _projected_draw(state, s, seed, passes):
+    """`cli._perturbed`'s draw w, with its ones, x and d projections run ``passes``
+    times, before normalization."""
+    rng = random.Random(seed)
+    x, d, ones = state.position.coords, state.direction, s.slice_vector()
+    w = np.array([2.0 * rng.random() - 1.0 for _ in range(x.shape[0])])
+    for _ in range(passes):
+        w -= (mink_inner(w, ones) / mink_inner(ones, ones)) * ones
+        w += mink_inner(x, w) * x
+        w -= mink_inner(d, w) * d
+    return w
+
+
+@pytest.mark.parametrize("edge,seed", [("0.5", 9955), ("3", 8551), ("3", 9106), ("3", 26155),
+                                       ("10", 18105), ("10", 27171)])
+def test_perturbed_n2_launches_need_the_second_projection_pass(capsys, edge, seed):
+    """At n = 2 the draw's part off ones, x and d can be 1e-4 of it.  After one pass of
+    the projections, the normalization lifts the rounding left in w above `FlowState`'s
+    checks, which reject these seeds' launches with `direction must be ...`; after the
+    second pass that `cli._perturbed` makes, they run."""
+    eps = 0.3
+    s, start, facet = _default_launch(2, float(edge))
+    got = cli._perturbed(start, s, eps, seed, facet).direction
+    for passes in (1, 2):
+        w = _projected_draw(start, s, seed, passes)
+        v = math.cos(eps) * start.direction + math.sin(eps) * (w / math.sqrt(mink_inner(w, w)))
+        if passes == 1:
+            with pytest.raises(ValueError, match="^direction must be "):
+                flow.FlowState(start.position, v)
+        else:
+            assert v.tobytes() == got.tobytes()
+    code, _, err = run(capsys, "simulate", "--dim", "2", "--edge", edge, "--steps", "2",
+                       "--perturb", str(eps), "--seed", str(seed))
+    assert (code, err[:10]) == (0, "2 bounces,")
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 8), edge=st.floats(0.25, 10.0),
+       eps=st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**31 - 1))
+@example(n=2, edge=3.0, eps=0.3, seed=8551)
+@example(n=2, edge=10.0, eps=0.3, seed=18105)
+def test_perturbed_launch_is_a_unit_tangent_or_a_usage_error(n, edge, eps, seed):
+    """A perturbed default launch either is a unit tangent at P_0, to rounding scaled
+    as `FlowState` scales its checks, or is refused as turned out of its facet or as
+    a degenerate draw; `FlowState` rejects none."""
+    s, start, facet = _default_launch(n, edge)
+    try:
+        v = cli._perturbed(start, s, eps, seed, facet).direction
+    except ValueError as err:
+        assert (str(err).startswith(f"--perturb {eps!r} turns the launch out of the simplex")
+                or str(err) == "degenerate perturbation direction; change the seed"), err
+        return
+    x = start.position.coords
+    assert abs(mink_inner(v, v) - 1.0) / max(1.0, v[0] * v[0]) < 1e-14
+    assert abs(mink_inner(x, v)) / max(1.0, abs(x[0] * v[0])) < 1e-14
+
+
+def test_no_command_loads_numpy_random():
+    """In a fresh interpreter, `simplex`, `orbit`, `verify` and `simulate` with and
+    without `--perturb` run and load no `numpy.random` module: the perturbation is
+    drawn with the standard library's generator."""
+    probe = """if True:
+        import contextlib, io, sys
+        from hypbilliards.cli import main
+        runs = [["simplex", "--dim", "3", "--edge", "1"], ["orbit", "--dim", "3", "--edge", "1"],
+                ["verify", "--dims", "2..3", "--edges", "1"],
+                ["simulate", "--dim", "3", "--edge", "1", "--steps", "10"],
+                ["simulate", "--dim", "3", "--edge", "1", "--steps", "10", "--perturb", "0.3"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        print(codes, sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]))
+    """
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 0, 0] []\n"
 
 
 @pytest.mark.parametrize("eps", ["-2", "3.1"])
@@ -564,9 +654,7 @@ def test_simulate_perturbed_launches_run_or_are_rejected(capsys):
     as turned out of its launch facet: none ends in a corner hit or a breakdown."""
     codes = []
     for n in (2, 3, 8):
-        s = build(n, 1.0)
-        start = flow.launch_state(orbit.construct_orbit(s, weights.build_sequence(n, 1.0)))
-        facet = simplex.classify_point(s, start.position.coords)[1]
+        facet = _default_launch(n, 1.0)[2]
         for eps in ("-3", "-1", "0.3", "1.5", "3.1"):
             for seed in ("0", "1", "2"):
                 code, _, err = run(capsys, "simulate", "--dim", str(n), "--edge", "1",
@@ -591,7 +679,7 @@ def test_simulate_perturbed_launch_checks_the_facet_p0_classifies_on(capsys):
     code, out, err = run(capsys, "simulate", "--dim", "64", "--edge", "1e-6", "--steps", "3",
                          "--perturb", "-2")
     assert (code, out) == (4, "")
-    assert err == "non-smooth trajectory: bounce 0: hit the lower-boundary region of the boundary\n"
+    assert err == "non-smooth trajectory: bounce 0: hit the outside region of the boundary\n"
     code, out, err = run(capsys, "simulate", "--dim", "3", "--edge", "1", "--steps", "2",
                          "--perturb", "-2")
     assert (code, out) == (2, "")
