@@ -193,9 +193,7 @@ def _perturbed(state: flow_mod.FlowState, s: simplex_mod.RegularSimplex,
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # a launch the user gave fails as a usage error, the default one as a breakdown
-    given = args.start_coords is not None or args.dir_coords is not None
-    if not given and args.dim < 2:  # there is no orbit to launch along
-        raise ValueError(f"orbit construction needs n >= 2, got {args.dim}")
+    given = args.start_coords is not None
     try:
         s = simplex_mod.build(args.dim, args.edge)
         if not given:
@@ -203,11 +201,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             state = flow_mod.launch_state(orbit_mod.construct_orbit(s, seq))
     except (ValueError, ArithmeticError) as err:
         return _breakdown(err)
-    if given:
-        if args.start_coords is None or args.dir_coords is None:
-            raise ValueError("--start-coords and --dir-coords must be given together")
-        p = HPoint(args.start_coords)
-        state = flow_mod.FlowState(p, tangent_part(p.coords, args.dir_coords))
+    if given:  # a square past the doubles fails the point or tangent check, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = HPoint(args.start_coords)
+            state = flow_mod.FlowState(p, tangent_part(p.coords, args.dir_coords))
     if args.perturb:  # a given launch is not checked against a facet
         facet = None if given else simplex_mod.classify_point(s, state.position.coords)[1]
         state = _perturbed(state, s, args.perturb, args.seed, facet)
@@ -357,6 +354,11 @@ def check_args(args: argparse.Namespace) -> None:
     for name in ("json_path", "disk_path", "report_path", "csv_path"):
         if path := getattr(args, name, None):
             _check_output_path(path)
+    if args.command == "simulate":  # the launch pair, last, so every check above wins
+        if (args.start_coords is None) != (args.dir_coords is None):
+            raise ValueError("--start-coords and --dir-coords must be given together")
+        if args.start_coords is None and args.dim < 2:  # there is no orbit to launch along
+            raise ValueError(f"orbit construction needs n >= 2, got {args.dim}")
 
 
 def main(argv=None) -> int:

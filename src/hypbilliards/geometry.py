@@ -271,6 +271,8 @@ def tangent_part(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     q = mink_dot(w, w)
     if q <= 0.0:
         raise ValueError("vector has no spacelike tangential component")
+    if q == math.inf:  # w / sqrt(q) would be a zero vector, not a unit one
+        raise ValueError(f"tangential component overflows when squared: <w,w> = {q!r}")
     return w / math.sqrt(q)
 
 

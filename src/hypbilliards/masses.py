@@ -10,18 +10,21 @@ carrying total weight  z = x cosh d(X,Z) + y cosh d(Y,Z).
 In the hyperboloid model this law is linear: the combined location is the
 renormalized weighted Minkowski sum x X + y Y and the combined weight is
 the Minkowski magnitude of that sum.  The law is commutative and associative,
-so `centroid_fold` evaluates any number of masses as
+so a fold of any number of masses is one sequential sum plus one
+normalization.  `fold_sum` makes the sum as
 ``np.add.reduce(w[:, None] * X, axis=0, initial=0.0)`` over a stack.
 Not ``w @ X``: gemv rounds differently and moves every pinned residual.  numpy
 reduces axis 0 of a C-contiguous stack row by row, the order of the loop
 ``s = 0; s = s + w_k X_k`` (signed zeros included); as numpy does not document
-this, a test pins it.
+this, a test pins it.  `centroids` normalizes a stack of such sums, one per
+row, and holds a fold's zero-mass, finite-weight and on-sheet checks;
+`centroid_fold` is the two on one row.
 
-A cell needs one fold per bounce point, facet or vertex.  `cyclic_folds`,
-`omit_one_folds` and `pair_folds` run all of them at once on a ``(p, m)``
-accumulator, so that row j gets exactly the sequential sum `centroid_fold`
-computes for fold j, without ever holding a ``(p, k, m)`` stack.
-`cyclic_folds` and `pair_folds` take one ``acc += w_k X_k`` step per mass.
+A cell needs one fold per bounce point, facet or vertex.  `omit_one_folds`
+and `pair_folds` run all of them at once on a ``(p, m)`` accumulator, so that
+row j gets exactly the sequential sum `fold_sum` makes for fold j, without
+ever holding a ``(p, k, m)`` stack.  `pair_folds` takes one ``acc += w_k X_k``
+step per mass.
 Row j of `omit_one_folds` is ``((0 + t_0) + ... + t_(j-1)) + t_(j+1) + ... +
 t_(p-1)`` with t_k = w_k X_k: its prefix is row j of one ``np.add.accumulate``
 along axis 0 of ``[+0.0, t_0, ..., t_(p-2)]``, which adds row by row in that
@@ -40,8 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (HPoint, chord_dist, dist, from_vector_rows, geodesic_point, mink_dot,
-                       mink_pairs)
+from .geometry import HPoint, chord_dist, dist, from_vector_rows, geodesic_point, mink_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +108,13 @@ def combine_intrinsic(p: PointMass, q: PointMass) -> PointMass:
 _LEAST_SQUARED_MASS = float(np.finfo(np.float64).tiny)
 
 
+def fold_sum(weights, coords) -> np.ndarray:
+    """A fold's sequential sum ``((0 + w_0 X_0) + w_1 X_1) + ...``, its weights checked."""
+    x = np.ascontiguousarray(coords, dtype=np.float64)
+    w = _stack_weights(weights, x)
+    return np.add.reduce(w[:, None] * x, axis=0, initial=0.0)
+
+
 def centroid_fold(weights, coords) -> PointMass:
     """Centroid of the masses ``weights[k]`` at the points ``coords[k]``.
 
@@ -113,31 +122,8 @@ def centroid_fold(weights, coords) -> PointMass:
     re-checked; two rows are the two-mass law.  Zero weights are legal and
     do not move the centroid; at least one weight must be positive.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    x = np.ascontiguousarray(coords, dtype=np.float64)
-    if x.ndim != 2 or w.shape != x.shape[:1]:
-        raise ValueError(f"need k weights and a (k, m) stack, got {w.shape} and {x.shape}")
-    _check_weights(w)
-    s = np.add.reduce(w[:, None] * x, axis=0, initial=0.0)
-    m2 = -mink_dot(s, s)
-    if m2 < _LEAST_SQUARED_MASS:
-        raise ValueError("total mass is zero; centroid undefined")
-    return PointMass(HPoint.from_vector(s), math.sqrt(m2))
-
-
-def cyclic_folds(weights, coords) -> tuple[np.ndarray, np.ndarray]:
-    """Row j: `centroid_fold` of ``weights[k]`` at ``coords[(j + k) % p]``, for every j.
-
-    Returns the ``(p, m)`` stack of centroid locations and their p weights,
-    bit for bit those of the p separate folds.
-    """
-    w = _stack_weights(weights, coords)
-    p = len(coords)
-    twice = np.concatenate((coords, coords))
-    acc = np.zeros(coords.shape)
-    for k, wk in enumerate(w.tolist()):
-        acc += wk * twice[k:k + p]
-    return _centroids(acc)
+    x, z = centroids(fold_sum(weights, coords)[None])
+    return PointMass(HPoint(x[0]), z.item(0))
 
 
 def omit_one_folds(weights, coords) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +140,7 @@ def omit_one_folds(weights, coords) -> tuple[np.ndarray, np.ndarray]:
     acc = np.add.accumulate(head, axis=0)
     for r in range(1, len(terms)):
         acc[:r] += terms[r]
-    return _centroids(acc)
+    return centroids(acc)
 
 
 def pair_folds(wa, xa, wb, xb) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +152,7 @@ def pair_folds(wa, xa, wb, xb) -> tuple[np.ndarray, np.ndarray]:
     acc = wa[:, None] * xa
     acc += 0.0  # the fold starts from +0.0
     acc += wb[:, None] * xb
-    return _centroids(acc)
+    return centroids(acc)
 
 
 def _stack_weights(weights, coords: np.ndarray) -> np.ndarray:
@@ -182,8 +168,8 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValueError(f"weights must be finite and non-negative, got {w}")
 
 
-def _centroids(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`centroid_fold`'s location and weight for each row of summed masses, with its checks."""
+def centroids(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centroid location and weight of each row of summed masses, with a fold's checks."""
     with np.errstate(over="ignore", invalid="ignore"):  # a square past the doubles fails below
         q = mink_pairs(acc, acc)
     m2 = -q

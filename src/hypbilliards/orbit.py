@@ -11,11 +11,16 @@ bounce points obey the mirror law.  `verify_orbit` measures all of this
 geometrically and reports residuals; it assumes nothing about how the
 orbit was produced beyond "one bounce point per facet".
 
+The orbit is P_0 carried around by the cyclic symmetry V_k -> V_(k+1): `build`
+puts vertex k on spacelike axis k with the entries of every other vertex, so
+`construct_orbit` sums P_0 once and shifts its spacelike part by j for row j,
+which adds fold j's products in fold j's order, bit for bit.  It normalizes
+after the shift, as ``<acc, acc>`` of a shifted vector rounds otherwise.
+
 Every certificate is an (n+1)-fold identity, one per bounce point, so each
 runs as one pass over ``(n+1, n+2)`` coordinate stacks.  A `BilliardOrbit`
 holds its bounce points only as such a stack, checked once and read-only;
 `point(j)` wraps a row as an `HPoint` when one point is wanted.
-`construct_orbit` folds all bounce points with `masses.cyclic_folds`, and
 `verify_orbit` and `midpoint_defects` evaluate every bounce with the
 row-wise forms of the `geometry` operations (`mink_pairs`, `mink_table`,
 `reflect_rows`, `dist_rows`, ...).  Each row reproduces the one-point
@@ -32,7 +37,7 @@ import numpy as np
 from .geometry import (HPoint, Hyperplane, check_on_sheet_rows, chord_dist_rows, dist, dist_rows,
                        facet_hits, foot_of_perpendicular, mink_pairs, mink_table, reflect_rows,
                        unit_tangent_rows)
-from .masses import cyclic_folds, pair_folds
+from .masses import centroids, fold_sum, pair_folds
 from .simplex import RegularSimplex
 from .weights import MassSequence
 
@@ -125,19 +130,23 @@ class OrbitVerification:
 
 
 def construct_orbit(s: RegularSimplex, seq: MassSequence) -> BilliardOrbit:
-    """Build the (n+1)-periodic orbit from the weight profile."""
+    """Build the (n+1)-periodic orbit from the weight profile, P_0's sum shifted per row."""
     if seq.n != s.n or seq.edge != s.edge:
         raise ValueError(
             f"simplex (n={s.n}, edge={s.edge}) and weights (n={seq.n}, edge={seq.edge}) disagree"
         )
     # w_{n+1} = 0, so k = 0..n suffices
-    points, masses = cyclic_folds(seq.weights[:-1], s.vertex_coords)
+    vc, big = s.vertex_coords, s.n + 1
+    head = fold_sum(seq.weights[:-1], vc)
+    # row j, entry i is P_0's spacelike entry (i - j) mod N: V_k's products moved to V_(k+j)
+    shift = (np.arange(big) - np.arange(big)[:, None]) % big
+    acc = np.column_stack((np.full(big, head[0]), head[1:][shift]))
+    points, masses = centroids(acc)
     # D = sum_(i=1..N) d_i V_(i mod N), N = n+1, is parallel to P_1 - P_0 (every fold has the
     # same mass) and to sum (w_(i-1) - w_i) V_i, and sinh A sinh B = (cosh(A+B) - cosh(A-B))/2
     # makes each weight difference one sinh, d_i = sinh((2i-1-N) theta/2) / sinh(theta/2).
-    big, unit = s.n + 1, math.sinh(0.5 * seq.theta)
+    unit = math.sinh(0.5 * seq.theta)
     d = [math.sinh(0.5 * (2 * i - 1 - big) * seq.theta) / unit for i in range(1, big + 1)]
-    vc = s.vertex_coords
     launch = np.array(d) @ np.concatenate((vc[1:], vc[:1]))  # row i - 1 is V_(i mod N)
     return BilliardOrbit(points, masses, seq.multiplier, launch)
 

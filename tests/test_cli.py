@@ -280,7 +280,7 @@ def cells(draw):
 
 @given(cells())
 @example((9, 2.1544346900318822e-08))  # a corner hit in the closure flow
-@example((5, simplex.max_edge(5)))  # a cyclic fold's square overflows
+@example((5, simplex.max_edge(5)))  # a bounce point's squared sum overflows
 @settings(max_examples=60, deadline=None)
 def test_every_cell_ends_in_a_classified_outcome(tmp_path_factory, cell):
     """No (n, edge) in the domain ends in a traceback: `verify` writes its one-cell
@@ -482,6 +482,32 @@ def test_simulate_non_finite_start_is_a_point_error(capsys, x0):
     code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1",
                          "--start-coords", f"{x0},0,0,0", "--dir-coords", "0,1,-1,0")
     assert (code, out, err) == (2, "", "error: not on the unit hyperboloid: <x,x> = -inf\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("start,aim,message", [
+    ("1,1e200,0,0", "0,1,-1,0", "not on the unit hyperboloid: <x,x> = inf"),
+    ("1,0,0,0", "0,1e200,-1e200,0",
+     "tangential component overflows when squared: <w,w> = inf"),
+], ids=["start", "direction"])
+def test_simulate_launch_whose_square_overflows_is_a_usage_error(capsys, start, aim, message):
+    """A spacelike coordinate whose square overflows fails the point or tangent check
+    it reaches, without a numpy overflow warning."""
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1", "--steps", "3",
+                         f"--start-coords={start}", f"--dir-coords={aim}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_simulate_usage_errors_come_before_any_cell_is_built(capsys, monkeypatch):
+    def no_build(n, edge):
+        pytest.fail("simulate built a simplex before it checked its arguments")
+
+    monkeypatch.setattr(simplex, "build", no_build)
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--edge", "1",
+                         "--start-coords", "1,0,0,0")
+    assert (code, out, err) == (2, "", "error: --start-coords and --dir-coords must be given together\n")
+    code, out, err = run(capsys, "simulate", "--dim", "1", "--edge", "1")
+    assert (code, out, err) == (2, "", "error: orbit construction needs n >= 2, got 1\n")
 
 
 def test_simulate_breakdown_exits_five(capsys):

@@ -14,7 +14,7 @@ from hypbilliards.masses import (
     PointMass,
     centroid_fold,
     combine_intrinsic,
-    cyclic_folds,
+    fold_sum,
     omit_one_folds,
     pair_folds,
     scale_masses,
@@ -266,12 +266,15 @@ def _assert_rows_are_folds(got, folds):
 
 @pytest.mark.parametrize("n", [*range(2, 13), 16, 32, 64, 128])
 def test_stacked_folds_match_centroid_fold_bitwise(n):
-    """The rolled, omit-one and two-mass accumulations give row j the sum of fold j."""
+    """The orbit's shifted sums, and the omit-one and two-mass accumulations, give row j
+    the sum of fold j."""
     for a in (0.5, 1.0, 2.0, 7.3):
         s = build(n, a)
         vc, p = s.vertex_coords, n + 1
-        w = build_sequence(n, a).weights[:-1]
-        _assert_rows_are_folds(cyclic_folds(w, vc),
+        seq = build_sequence(n, a)
+        w = seq.weights[:-1]
+        orb = construct_orbit(s, seq)
+        _assert_rows_are_folds((orb.coords, orb.masses),
                                [(w, np.roll(vc, -j, axis=0)) for j in range(p)])
         for u in (np.ones(p), np.full(p, 0.731), w):
             _assert_rows_are_folds(omit_one_folds(u, vc),
@@ -286,7 +289,7 @@ def test_stacked_folds_start_from_positive_zero():
     """Like `centroid_fold`, each row starts at +0.0, so a column of -0.0 sums to +0.0."""
     x = np.array([[1.0, -0.0, 0.0], [1.0, -0.0, 0.0], [1.0, -0.0, 0.0]])
     w = np.array([0.0, 1.0, 2.0])
-    for got in (cyclic_folds(w, x), omit_one_folds(w + 1.0, x), pair_folds(w, x, w + 1.0, x)):
+    for got in (omit_one_folds(w + 1.0, x), pair_folds(w, x, w + 1.0, x)):
         assert got[0].tobytes() == np.tile(centroid_fold(w + 1.0, x).location.coords, (3, 1)).tobytes()
         assert all(math.copysign(1.0, v) == 1.0 for v in got[0][:, 1])
 
@@ -295,7 +298,7 @@ def test_stacked_folds_keep_the_fold_checks():
     vc = build(3, 1.0).vertex_coords
     for bad in (-1e-3, math.nan, math.inf):
         w = np.array([1.0, bad, 1.0, 1.0])
-        for fold_all in (cyclic_folds, omit_one_folds):
+        for fold_all in (fold_sum, omit_one_folds):
             with pytest.raises(ValueError, match="weights must be finite and non-negative"):
                 fold_all(w, vc)
         with pytest.raises(ValueError, match="weights must be finite and non-negative"):
@@ -337,7 +340,7 @@ def test_folds_refuse_a_squared_mass_below_the_least_normal():
     for tiny, ok in ((3.7196647970864415e-161, False), (1.5e-154, True)):
         w = np.array([tiny])
         folds = (lambda: centroid_fold(w, x), lambda: pair_folds(w, x, np.zeros(1), x),
-                 lambda: cyclic_folds(w, x), lambda: omit_one_folds(np.array([tiny, tiny]), x[[0, 0]]))
+                 lambda: omit_one_folds(np.array([tiny, tiny]), x[[0, 0]]))
         for fold_it in folds:
             if ok:
                 fold_it()

@@ -116,6 +116,20 @@ def test_build_and_metrics_up_to_max_edge(n):
         build(n, math.nextafter(a, math.inf))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_vertex_stack_is_circulant_bitwise(data):
+    """The shift `orbit.construct_orbit` rests on: every vertex has the same timelike
+    double, and vertex j's spacelike part is vertex 0's shifted by j, byte for byte."""
+    n = data.draw(st.integers(1, 130))
+    top = max_edge(n)
+    a = min(math.exp(data.draw(st.floats(math.log(1e-8), math.log(top)))), top)
+    vc = build(n, a).vertex_coords
+    assert vc[:, 0].tobytes() == np.full(n + 1, vc[0, 0]).tobytes()
+    for j in range(n + 1):
+        assert vc[j, 1:].tobytes() == np.roll(vc[0, 1:], j).tobytes(), j
+
+
 def test_max_edge_shrinks_with_dimension():
     assert max_edge(1) == pytest.approx(36.7368, abs=1e-4)  # cosh a = 1/eps
     bounds = [max_edge(n) for n in range(2, 129)]

@@ -1,5 +1,7 @@
 """The stacked cell certificates against the per-point loops of `loop_reference`, bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from conftest import facet_plane
 from hypbilliards import report
 from hypbilliards.geometry import HPoint, mink_dot, reflect
 from hypbilliards.orbit import BilliardOrbit, construct_orbit, midpoint_defects, verify_orbit
-from hypbilliards.simplex import build, metrics, vertex_reflection_identity_residual
+from hypbilliards.simplex import build, max_edge, metrics, vertex_reflection_identity_residual
 from hypbilliards.weights import build_sequence
 
 DIMS = [*range(2, 13), 16, 32, 64, 128]
@@ -72,6 +74,25 @@ def test_short_sides_take_the_chord_route(n, a):
     """Sides shorter than ~1.4e-3 make `dist` use its chord route inside the collinearity."""
     _, orb = assert_cell_matches_loops(n, a)
     assert -mink_dot(orb.coords[0], orb.coords[1]) < 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 128])
+@pytest.mark.parametrize("a", [1e-6, 1e-3, 20.0, "top"])
+def test_orbit_matches_per_point_folds_at_extreme_edges(n, a):
+    """The shifted sums against one fold per bounce point, out to just under `max_edge`,
+    where the folds overflow from n = 5 up: both sides then raise the same error."""
+    a = math.nextafter(max_edge(n), 0.0) if a == "top" else a
+    s, seq = build(n, a), build_sequence(n, a)
+    try:
+        points, masses = ref.construct_orbit(s, seq)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            construct_orbit(s, seq)
+        assert str(got.value) == str(err)
+        return
+    orb = construct_orbit(s, seq)
+    assert same(orb.coords, [p.coords for p in points])
+    assert same(orb.masses, masses)
 
 
 def off_facet_orbits(n, a):
