@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:  # OSError: an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as err:  # a --dim whose arrays cannot be allocated
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

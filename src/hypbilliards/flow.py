@@ -147,7 +147,7 @@ import numpy as np
 
 from .geometry import (FACET_TOL, HPoint, Region, check_sheet_products, check_tangency_product,
                        check_tangent_products, check_unit_tangent, chord_dist, classify_margins,
-                       mink_dot, mink_dots, mink_inner, tangent_part, unit_tangent)
+                       mink_dot, mink_inner, mink_pairs, tangent_part, unit_tangent)
 
 if TYPE_CHECKING:  # annotations only: at run time the flow imports `geometry` alone
     from .orbit import BilliardOrbit
@@ -272,7 +272,7 @@ def _enter(s: RegularSimplex, state: FlowState) -> tuple[np.ndarray, np.ndarray]
     defect = max(abs(mink_dot(x, ones)), abs(mink_dot(v, ones)))
     if defect > 1e-9:
         raise ValueError(f"state has left the simplex slice (defect {defect:.3e})")
-    mu, nu = mink_dots(x, s.normal_coords), mink_dots(v, s.normal_coords)
+    mu, nu = mink_pairs(x, s.normal_coords), mink_pairs(v, s.normal_coords)
     for k, m in enumerate(mu.tolist()):
         if m < -FACET_TOL:
             raise ValueError(f"state is outside the simplex (margin {m} at facet {k})")

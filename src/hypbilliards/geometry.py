@@ -58,40 +58,32 @@ def mink_dot(x: np.ndarray, y: np.ndarray) -> float:
     multiplies as scalars.  Use it on data that is already validated
     (`HPoint` coordinates, `Hyperplane` normals, vertex rows): the results
     match `mink_inner` bit for bit, minus its re-checks.  For stacks of
-    vectors, use `mink_dots`, `mink_pairs` or `mink_table`.
+    vectors, use `mink_pairs`.
     """
     return -x.item(0) * y.item(0) + float(x[1:].dot(y[1:]))
 
 
-# The stacked products below are `mink_dot` for every row or pair of rows, bit
-# for bit: the timelike term first, as there, plus one ``np.vecdot`` over the
-# spacelike columns.  numpy's float64 ``vecdot`` loop calls, for every row or
-# pair, the same ``ddot`` that `mink_dot` does.  Never write one as a 2-D
-# product such as ``ys[:, 1:] @ x[1:]`` or ``xs[:, 1:] @ ys[:, 1:].T``: that is
-# one ``gemv`` or ``gemm``, which rounds differently in the last bit for most
-# rows and moves every pinned residual downstream.  numpy does not document the
-# routing; `tests/test_geometry.py` pins it on C, Fortran, reversed, strided and
-# broadcast stacks of vectors of three or more entries, with NaN, infinities,
-# signed zeros and subnormals.  Where two NaNs meet in one product, which of
-# them survives is not pinned.
-
-def mink_dots(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """`mink_dot` of x with every row of the ``(k, len(x))`` stack ys: one ``vecdot``."""
-    return -x.item(0) * ys[:, 0] + np.vecdot(ys[:, 1:], x[1:])
-
+# `mink_pairs` below is `mink_dot` for every pair of rows, bit for bit: the
+# timelike term first, as there, plus one ``np.vecdot`` over the spacelike
+# columns.  numpy's float64 ``vecdot`` loop calls, for every pair, the same
+# ``ddot`` that `mink_dot` does.  Never write it as a 2-D product such as
+# ``ys[:, 1:] @ x[1:]`` or ``xs[:, 1:] @ ys[:, 1:].T``: that is one ``gemv`` or
+# ``gemm``, which rounds differently in the last bit for most rows and moves
+# every pinned residual downstream.  numpy does not document the routing;
+# `tests/test_geometry.py` pins it on C, Fortran, reversed, strided and
+# broadcast stacks of vectors of three or more entries, one vector against a
+# stack and ``(p, 1, L)`` against ``(1, q, L)`` among them, with NaN,
+# infinities, signed zeros and subnormals.  Where two NaNs meet in one product,
+# which of them survives is not pinned.
 
 def mink_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """`mink_dot` of row i of xs with row i of ys, for every i: one ``vecdot``.
+    """`mink_dot` of every pair of rows of xs and ys, broadcast over their leading axes:
+    one ``vecdot``.
 
-    Either stack may be a broadcast view of one vector.
+    ``mink_pairs(x, ys)`` pairs one vector with every row of a stack, and
+    ``mink_pairs(xs[:, None], ys[None])`` is the ``(p, q)`` table of all pairs.
     """
-    return -xs[:, 0] * ys[:, 0] + np.vecdot(xs[:, 1:], ys[:, 1:])
-
-
-def mink_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``(p, q)`` table of `mink_dot` over every row of xs against every row of ys:
-    one ``vecdot`` over the broadcast ``(p, 1, L)`` and ``(1, q, L)`` spacelike parts."""
-    return np.multiply.outer(-xs[:, 0], ys[:, 0]) + np.vecdot(xs[:, None, 1:], ys[None, :, 1:])
+    return -xs[..., 0] * ys[..., 0] + np.vecdot(xs[..., 1:], ys[..., 1:])
 
 
 def safe_arccosh(c: float) -> float:
@@ -208,7 +200,7 @@ def from_vector_rows(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def unit_tangent_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`unit_tangent` at row i of a toward row i of b, for every i."""
+    """`unit_tangent` at row i of a toward row i of b, for every i; a may be one row."""
     w = mink_pairs(a, b)[:, None] * a
     w += b  # b + <a,b> a: the sum is the same either way round
     q = mink_pairs(w, w)
@@ -219,11 +211,13 @@ def unit_tangent_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`dist` between row i of a and row i of b, for every i, taking the same route per row."""
+    """`dist` of every pair of rows of a and b, broadcast as in `mink_pairs`, taking the
+    same route per pair.  Only the pairs on the chord route are gathered."""
     c = -mink_pairs(a, b)
     near = c < 1.0 + 1e-6
     d = np.arccosh(np.where(near, 1.0, c))
     if near.any():
+        a, b = np.broadcast_arrays(a, b)
         d[near] = [2.0 * math.asinh(0.5 * h) for h in chord_dist_rows(a[near], b[near]).tolist()]
     return d
 

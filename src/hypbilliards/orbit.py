@@ -22,8 +22,8 @@ runs as one pass over ``(n+1, n+2)`` coordinate stacks.  A `BilliardOrbit`
 holds its bounce points only as such a stack, checked once and read-only;
 `point(j)` wraps a row as an `HPoint` when one point is wanted.
 `verify_orbit` and `midpoint_defects` evaluate every bounce with the
-row-wise forms of the `geometry` operations (`mink_pairs`, `mink_table`,
-`reflect_rows`, `dist_rows`, ...).  Each row reproduces the one-point
+row-wise forms of the `geometry` operations (`mink_pairs`, `reflect_rows`,
+`dist_rows`, ...).  Each row reproduces the one-point
 computation bit for bit, and every check keeps its threshold and error.
 """
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HPoint, Hyperplane, check_on_sheet_rows, chord_dist_rows, dist, dist_rows,
-                       facet_hits, foot_of_perpendicular, mink_pairs, mink_table, reflect_rows,
+                       facet_hits, foot_of_perpendicular, mink_pairs, reflect_rows,
                        unit_tangent_rows)
 from .masses import centroids, fold_sum, pair_folds
 from .simplex import RegularSimplex
@@ -192,7 +192,7 @@ def verify_orbit(s: RegularSimplex, orbit: BilliardOrbit) -> OrbitVerification:
 def _facets_of(s: RegularSimplex, pts: np.ndarray):
     """Per point: its facet (or, off every facet interior, the facet of smallest
     |margin|), whether it is in that facet's relative interior, and |margin| there."""
-    margins = mink_table(pts, s.normal_coords)
+    margins = mink_pairs(pts[:, None], s.normal_coords[None])
     hit = facet_hits(margins)
     facet_ok = hit >= 0
     facet_of = np.where(facet_ok, hit, np.abs(margins).argmin(axis=1))

@@ -41,8 +41,8 @@ from . import flow as flow_mod
 from . import orbit as orbit_mod
 from . import simplex as simplex_mod
 from . import weights as weights_mod
-from .geometry import (FACET_TOL, HPoint, chord_dist, chord_dist_rows, dist_rows, mink_dots,
-                       mink_pairs, mink_table, segment_defect, unit_tangent_rows)
+from .geometry import (FACET_TOL, HPoint, chord_dist, dist_rows, mink_pairs, segment_defect,
+                       unit_tangent_rows)
 
 
 @dataclass(frozen=True)
@@ -398,7 +398,7 @@ def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
     """Geometry, measured metrics, and internal consistency checks of one simplex."""
     doc = _simplex_body(s, simplex_mod.metrics(s))
     # <u_j, V_k> for every facet j and each of its vertices k != j
-    table = mink_table(s.normal_coords, s.vertex_coords)
+    table = mink_pairs(s.normal_coords[:, None], s.vertex_coords[None])
     doc["checks"]["facet_incidence"] = float(np.abs(table[~np.eye(s.n + 1, dtype=bool)]).max())
     return doc
 
@@ -410,14 +410,14 @@ def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics) 
     c = math.cosh(s.edge)
     vc = s.vertex_coords
 
-    # `dist` of every vertex pair i < j from one product table, by its own route per pair
-    i, j = np.triu_indices(n + 1, 1)
-    cosh_pair = -mink_table(vc, vc)[i, j]
-    near = cosh_pair < 1.0 + 1e-6
-    pair_dists = np.arccosh(np.where(near, 1.0, cosh_pair))
-    if near.any():
-        pair_dists[near] = [2.0 * math.asinh(0.5 * h)
-                            for h in chord_dist_rows(vc[i[near]], vc[j[near]]).tolist()]
+    # `dist` of every vertex pair: row i pairs vertex i with the (n+1)//2 vertices after
+    # it, cyclically, through a window view of the rows.  That meets every pair once
+    # (twice at the largest offset when n+1 is even) and no vertex with itself, in half
+    # the products of the table of all pairs
+    half = (n + 1) // 2
+    cycle = np.concatenate((vc[1:], vc[:half]))
+    ahead = np.lib.stride_tricks.sliding_window_view(cycle, half, axis=0).swapaxes(1, 2)
+    pair_dists = dist_rows(vc[:, None], ahead)
     min_margin = min(mink_pairs(vc, s.normal_coords).tolist())
     right_angle = _right_angle(s) if n >= 2 else 0.0  # at n = 1 the facet is a single point
     center_between = segment_defect(s.circumcenter, s.vertex(0), HPoint(s.center_coords[0]))
@@ -462,13 +462,12 @@ def _right_angle(s: simplex_mod.RegularSimplex) -> float:
     """
     w0 = s.center_coords[0]
     others = s.vertex_coords[1:]
-    at = np.broadcast_to(w0, others.shape)
-    keep = dist_rows(at, others) > 1e-12
+    keep = dist_rows(w0, others) > 1e-12
     if not keep.any():
         return 0.0
     apex = unit_tangent_rows(w0[None], s.vertex_coords[:1])[0]
-    towards = unit_tangent_rows(at[keep], others[keep])
-    angles = np.arccos(mink_dots(apex, towards).clip(-1.0, 1.0))
+    towards = unit_tangent_rows(w0[None], others[keep])
+    angles = np.arccos(mink_pairs(apex, towards).clip(-1.0, 1.0))
     return max(np.abs(angles - 0.5 * math.pi).tolist())
 
 

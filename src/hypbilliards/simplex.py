@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HPoint, Region, check_on_sheet_rows, check_unit_normal_rows, chord_dist_rows,
-                       classify_margins, dist_rows, mink_dots, reflect_rows, safe_arccosh)
+                       classify_margins, dist_rows, mink_pairs, reflect_rows, safe_arccosh)
 from .masses import centroid_fold, omit_one_folds, pair_folds
 from .weights import check_edge_length, pair_mass_constant
 
@@ -195,9 +195,7 @@ class SimplexMetrics:
 
 def metrics(s: RegularSimplex) -> SimplexMetrics:
     """Measure the characteristic distances and the centroid weight directly."""
-    center = np.zeros(s.vertex_coords.shape)  # the circumcenter, the basepoint, on every row
-    center[:, 0] = 1.0
-    vc = dist_rows(s.vertex_coords, center)
+    vc = dist_rows(s.vertex_coords, s.circumcenter.coords)
     vf = dist_rows(s.vertex_coords, s.center_coords)
     w = centroid_fold(np.ones(s.n + 1), s.vertex_coords).weight
     return SimplexMetrics(vc, vf, w)
@@ -223,7 +221,7 @@ def vertex_reflection_identity_residual(s: RegularSimplex) -> np.ndarray:
 
 def classify_point(s: RegularSimplex, x: np.ndarray) -> tuple[Region, int | None, list[float]]:
     """`classify_margins` of the point with coordinates x, and its margins as a list."""
-    margins = mink_dots(x, s.normal_coords).tolist()
+    margins = mink_pairs(x, s.normal_coords).tolist()
     return (*classify_margins(margins), margins)
 
 

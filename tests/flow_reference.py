@@ -14,7 +14,7 @@ import numpy as np
 
 from hypbilliards.flow import GRAZE_TOL, FlowState, NonSmoothHitError, Trajectory, next_collision
 from hypbilliards.geometry import (HPoint, Region, check_on_sheet, check_unit_tangent, mink_dot,
-                                   mink_dots, tangent_part, to_sheet)
+                                   mink_pairs, tangent_part, to_sheet)
 from hypbilliards.simplex import classify_point
 
 
@@ -35,14 +35,14 @@ def run(s, state, steps):
     ones = s.slice_vector()
     m, unit = s.n + 1.0, math.sqrt(s.n + 1.0)
     x, v = state.position.coords, state.direction
-    mus = mink_dots(x, normals).tolist()
+    mus = mink_pairs(x, normals).tolist()
     facets = np.empty(steps, dtype=np.intp)
     points = np.empty((steps, s.ambient_dim))
     arclengths = np.empty(steps)
     drifts = np.empty((steps, 5))
     for i in range(steps):
         try:
-            k, t = next_collision(mus, mink_dots(v, normals).tolist())
+            k, t = next_collision(mus, mink_pairs(v, normals).tolist())
             ch, sh = math.cosh(t), math.sinh(t)
             x_raw, v_raw = ch * x + sh * v, sh * x + ch * v
             check_on_sheet(to_sheet(x_raw))

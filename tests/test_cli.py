@@ -131,6 +131,25 @@ def test_unwritable_output_path_is_usage_error(capsys, monkeypatch, tmp_path, ar
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simplex", "--dim", "3", "--edge", "1"),
+    ("orbit", "--dim", "3", "--edge", "1"),
+    ("verify", "--dims", "3", "--edges", "1"),
+    ("simulate", "--dim", "3", "--edge", "1", "--steps", "1"),
+])
+def test_unallocatable_dim_is_usage_error(capsys, monkeypatch, argv):
+    """A `--dim` whose arrays cannot be allocated (`simplex --dim 10000000` asks numpy
+    for 728 TiB) exits 2 with one `error:` line, not with a traceback.  The failed
+    allocation is simulated, so the test allocates nothing large."""
+    def unallocatable(n):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(simplex, "simplex_directions", unallocatable)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 728. TiB for an array\n"
+
+
 @pytest.mark.parametrize("where", ["missing/out", "missing/out/", "file/out", "dir", "dir/",
                                    "dir/new/"])
 def test_output_path_error_is_the_one_open_would_print(capsys, monkeypatch, tmp_path, where):

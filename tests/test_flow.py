@@ -40,7 +40,7 @@ from hypbilliards.flow import (
 )
 from hypbilliards.geometry import (FACET_TOL, HPoint, Region, check_tangent_products,
                                   check_unit_tangent, chord_dist, classify_margins, dist,
-                                  geodesic_point, mink_dot, mink_dots, reflect, tangent_part,
+                                  geodesic_point, mink_dot, mink_pairs, reflect, tangent_part,
                                   unit_tangent)
 from hypbilliards.orbit import BilliardOrbit, construct_orbit, orbit_edge_lengths
 from hypbilliards.simplex import build, classify_point
@@ -172,7 +172,8 @@ def _arrival_at_facet_center(s, j):
     t = dist(s.circumcenter, w)
     x, v = s.circumcenter.coords, state_toward(s.circumcenter, w).direction
     arrive = tangent_part(w.coords, math.sinh(t) * x + math.cosh(t) * v)
-    return w.coords, arrive, mink_dots(w.coords, s.normal_coords), mink_dots(arrive, s.normal_coords)
+    normals = s.normal_coords
+    return w.coords, arrive, mink_pairs(w.coords, normals), mink_pairs(arrive, normals)
 
 
 def _gram(s):
@@ -188,9 +189,9 @@ def test_reflect_at_matches_the_ambient_mirror():
         p, beta = _gram(s)
         st = state_toward(s.circumcenter, geodesic_point(s.circumcenter, facet_center(s, 1), 0.5))
         d, u = st.direction, s.normal_coords[1]
-        nu, v0 = reflect_at(mink_dots(d, s.normal_coords), d[0], 1, p, beta)
+        nu, v0 = reflect_at(mink_pairs(d, s.normal_coords), d[0], 1, p, beta)
         image = d - 2.0 * mink_dot(d, u) * u
-        assert np.abs(nu - mink_dots(image, s.normal_coords)).max() < 1e-14
+        assert np.abs(nu - mink_pairs(image, s.normal_coords)).max() < 1e-14
         assert abs(v0 - image[0]) < 1e-14
 
 
@@ -214,7 +215,7 @@ def test_reflect_at_rejects_bad_input():
     # direction inside the facet plane: grazing
     inside = state_toward(HPoint(x), s.vertex(1)).direction
     with pytest.raises(NonSmoothHitError, match="grazing incidence at facet 0"):
-        reflect_at(mink_dots(inside, s.normal_coords), inside[0], 0, p, beta)
+        reflect_at(mink_pairs(inside, s.normal_coords), inside[0], 0, p, beta)
 
 
 def test_flow_retraces_constructed_orbit():
@@ -429,14 +430,14 @@ def test_loop_runs_the_named_layers(monkeypatch):
         plain = iterate(s, st, 20)
         calls = Counter()
         with monkeypatch.context() as patch:
-            for name in ("next_collision", "reflect_at", "mink_dot", "mink_dots", "_generated",
+            for name in ("next_collision", "reflect_at", "mink_dot", "mink_pairs", "_generated",
                          "classify_margins"):
                 def counted(*args, _fn=getattr(flow_mod, name), _name=name):
                     calls[_name] += 1
                     return _fn(*args)
                 patch.setattr(flow_mod, name, counted)
             wrapped = iterate(s, st, 20)
-        assert calls == {"next_collision": 20, "reflect_at": 20, "mink_dot": 2, "mink_dots": 2,
+        assert calls == {"next_collision": 20, "reflect_at": 20, "mink_dot": 2, "mink_pairs": 2,
                          "_generated": 1}
         for field in ("facets", "points", "arclengths"):
             assert getattr(wrapped, field).tobytes() == getattr(plain, field).tobytes()
@@ -508,7 +509,7 @@ def test_both_loops_fail_a_grazing_hit_alike():
     p, beta = _gram(s)
     w = _arrival_at_facet_center(s, 0)[0]
     inside = state_toward(HPoint(w), s.vertex(1)).direction
-    nus = mink_dots(inside, s.normal_coords)
+    nus = mink_pairs(inside, s.normal_coords)
     texts = []
     for nu in (nus, nus.tolist()):
         with pytest.raises(NonSmoothHitError) as exc:
@@ -1147,19 +1148,25 @@ def test_long_run_drift_within_sixteen_eps(n, a, steps):
 
 @pytest.mark.parametrize("n", [3, SWITCH - 1])
 def test_long_list_loop_run_memory_per_bounce(n):
-    """A run keeps its largest drift, not a row of drifts per bounce: the traced peak
-    of 20 000 list-loop bounces stays within 5 float64 per ambient coordinate per
-    bounce, 200 B at n = 3 and 520 B at n = 11.  (Measured near 133 and 330 B.)"""
+    """A run keeps its largest drift, not a row of drifts per bounce: from a run of
+    1000 list-loop bounces to one of 3000, the traced peak grows by at most 5 float64
+    per ambient coordinate per bounce, 200 B at n = 3 and 520 B at n = 11.  (Measured
+    near 150 and 320 B.  A tuple of five drifts kept per bounce adds 150 to 200 B,
+    which fails the bound at n = 3.)  The loop is generated before tracing starts:
+    compiled under tracemalloc, it takes seconds."""
     s, orb = make_orbit(n, 1.0)
-    launch, steps = _perturbed(launch_state(orb), s, 0.3, 7, 0), 20_000
-    tracemalloc.start()
-    try:
-        tr = iterate(s, launch, steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(tr) == steps
-    assert peak / steps <= 5 * 8 * s.ambient_dim
+    launch = _perturbed(launch_state(orb), s, 0.3, 7, 0)
+    iterate(s, launch, 1)
+    peaks = {}
+    for steps in (1000, 3000):
+        tracemalloc.start()
+        try:
+            tr = iterate(s, launch, steps)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == steps
+    assert (peaks[3000] - peaks[1000]) / 2000 <= 5 * 8 * s.ambient_dim
 
 
 def test_launch_direction_is_aimed_at_the_next_bounce():

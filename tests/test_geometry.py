@@ -22,10 +22,8 @@ from hypbilliards.geometry import (
     dist_rows,
     from_vector_rows,
     mink_dot,
-    mink_dots,
     mink_inner,
     mink_pairs,
-    mink_table,
     reflect_rows,
     to_sheet,
     unit_tangent_rows,
@@ -308,8 +306,9 @@ def _rowwise(x, ys):
 
 
 def test_mink_dots_matches_mink_dot_bitwise():
-    """numpy runs ``vecdot`` as one ``ddot`` per row; it does not document that
-    routing, so pin it by bytes on fresh, read-only and column-sliced stacks."""
+    """`mink_pairs` of one vector against a stack, either way round: numpy runs
+    ``vecdot`` as one ``ddot`` per row; it does not document that routing, so pin it
+    by bytes on fresh, read-only and column-sliced stacks."""
     rng = np.random.default_rng(7)
     for length in range(3, 131):
         x = rng.standard_normal(length)
@@ -319,7 +318,9 @@ def test_mink_dots_matches_mink_dot_bitwise():
             frozen.setflags(write=False)
             wide = rng.standard_normal((k, length + 3))
             for ys in (fresh, frozen, wide[:, 2:2 + length], wide[:, :length]):
-                assert mink_dots(x, ys).tobytes() == _rowwise(x, ys).tobytes(), (length, k)
+                ref = _rowwise(x, ys).tobytes()
+                assert mink_pairs(x, ys).tobytes() == ref, (length, k)
+                assert mink_pairs(ys, x).tobytes() == ref, (length, k)
 
 
 @pytest.mark.parametrize("n", [*range(2, 20), 32, 64, 128])
@@ -327,13 +328,13 @@ def test_mink_dots_on_simplex_stacks_bitwise(n):
     s = build(n, 1.0)
     for ys in (s.vertex_coords, s.normal_coords):
         for x in (*s.vertex_coords, *s.normal_coords, s.center_coords[0]):
-            assert mink_dots(x, ys).tobytes() == _rowwise(x, ys).tobytes()
+            assert mink_pairs(x, ys).tobytes() == _rowwise(x, ys).tobytes()
 
 
 def test_mink_pairs_and_table_match_mink_dot_bitwise():
-    """Row-paired ``vecdot`` of two ``(k, L)`` stacks and all-pairs ``vecdot`` of
-    ``(p, 1, L)`` against ``(1, q, L)``: numpy runs each as one ``ddot`` per pair,
-    undocumented, so pin it."""
+    """`mink_pairs` of two row-paired ``(k, L)`` stacks and the all-pairs table of
+    ``(p, 1, L)`` against ``(1, q, L)``: numpy runs each ``vecdot`` as one ``ddot``
+    per pair, undocumented, so pin it."""
     rng = np.random.default_rng(11)
     for length in range(3, 131):
         p = length - 1
@@ -346,7 +347,8 @@ def test_mink_pairs_and_table_match_mink_dot_bitwise():
             assert mink_pairs(ys, xs).tobytes() == ref.tobytes(), length
         ys = rng.standard_normal((length, length))
         ref = np.array([[mink_dot(x, y) for y in ys] for x in xs[:3]])
-        assert mink_table(xs[:3], ys).tobytes() == ref.tobytes(), length
+        assert mink_pairs(xs[:3, None], ys[None]).tobytes() == ref.tobytes(), length
+        assert mink_pairs(ys[:, None], xs[None, :3]).tobytes() == ref.T.tobytes(), length
 
 
 def _float(bits):
@@ -394,9 +396,10 @@ def _layouts(xs, ys):
 
 @pytest.mark.parametrize("length", [*range(3, 20), 33, 64, 129, 130])
 def test_mink_products_match_mink_dot_bitwise_on_extreme_values(length):
-    """`mink_pairs`, `mink_dots` and `mink_table` against the per-row `mink_dot`, byte for
-    byte, on NaN, infinities, signed zeros and subnormals, with no rows, one row and
-    more, in C, Fortran, reversed, strided and broadcast stacks."""
+    """`mink_pairs` against the per-row `mink_dot`, byte for byte, on NaN, infinities,
+    signed zeros and subnormals, with no rows, one row and more, in C, Fortran,
+    reversed, strided and broadcast stacks: row-paired stacks, one vector against a
+    stack, and the table of ``(p, 1, L)`` against ``(1, q, L)``."""
     rng = np.random.default_rng(length)
     with np.errstate(all="ignore"):  # the extremes overflow and make NaN on purpose
         for k in sorted({0, 1, 2, length - 1, length}):
@@ -409,19 +412,21 @@ def test_mink_products_match_mink_dot_bitwise_on_extreme_values(length):
                 one = np.broadcast_to(tame, ys.shape)
                 ref = np.array([mink_dot(tame, y) for y in ys], dtype=np.float64)
                 assert mink_pairs(one, ys).tobytes() == ref.tobytes(), (length, k)
-                assert mink_dots(tame, ys).tobytes() == ref.tobytes(), (length, k)
+                assert mink_pairs(tame, ys).tobytes() == ref.tobytes(), (length, k)
                 # every row of xs meets every row of a NaN-free, finite ys
                 finite = np.where(np.isfinite(ys), ys, 0.5)
                 table = np.array([[mink_dot(x, y) for y in finite] for x in xs],
                                  dtype=np.float64).reshape(k, k)
-                assert mink_table(xs, finite).tobytes() == table.tobytes(), (length, k)
-                assert mink_table(xs[:1], finite).tobytes() == table[:1].tobytes(), (length, k)
+                got = mink_pairs(xs[:, None], finite[None])
+                assert got.tobytes() == table.tobytes(), (length, k)
+                got = mink_pairs(xs[:1, None], finite[None])
+                assert got.tobytes() == table[:1].tobytes(), (length, k)
             for x in _NANS:  # a NaN in x meets a tame stack
                 t = np.array(tame)
                 t[k % length] = x
                 clean = np.array([tame] * k).reshape(k, length)
                 ref = np.array([mink_dot(t, y) for y in clean], dtype=np.float64)
-                assert mink_dots(t, clean).tobytes() == ref.tobytes(), (length, k)
+                assert mink_pairs(t, clean).tobytes() == ref.tobytes(), (length, k)
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 16, 32, 64, 128])
@@ -433,7 +438,7 @@ def test_mink_pairs_and_table_on_simplex_stacks_bitwise(n):
             ref = np.array([mink_dot(x, y) for x, y in zip(xs, ys)])
             assert mink_pairs(xs, ys).tobytes() == ref.tobytes()
             table = np.array([[mink_dot(x, y) for y in ys] for x in xs])
-            assert mink_table(xs, ys).tobytes() == table.tobytes()
+            assert mink_pairs(xs[:, None], ys[None]).tobytes() == table.tobytes()
 
 
 def test_row_operations_match_point_operations_bitwise():
@@ -458,6 +463,21 @@ def test_row_operations_match_point_operations_bitwise():
         w = 1.7 * a + 0.4 * b
         assert from_vector_rows(w, mink_pairs(w, w)).tobytes() == np.array(
             [HPoint.from_vector(x).coords for x in w]).tobytes()
+
+
+@pytest.mark.parametrize("n,a", [(3, 1e-7), (8, 1e-8), (64, 1e-7), (8, 1.0)])
+def test_dist_rows_on_broadcast_operands_bitwise(n, a):
+    """`dist_rows` of a pair table and of one vertex against the stack, on broadcast
+    operands, byte for byte against `dist_rows` on the gathered rows.  At a <= 1e-7
+    every pair takes the chord route; at a = 1 only the diagonal does."""
+    vc = build(n, a).vertex_coords
+    i, j = np.indices((n + 1, n + 1)).reshape(2, -1)
+    table = dist_rows(vc[:, None], vc[None])
+    assert (table.diagonal() == 0.0).all()
+    assert table.tobytes() == dist_rows(vc[i], vc[j]).tobytes()
+    assert dist_rows(vc[1], vc).tobytes() == dist_rows(vc[[1] * (n + 1)], vc).tobytes()
+    if a <= 1e-7:
+        assert (-mink_pairs(vc[:, None], vc[None]) < 1.0 + 1e-6).all()
 
 
 def test_row_checks_raise_the_point_errors():

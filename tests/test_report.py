@@ -419,11 +419,12 @@ def test_long_trajectory_csv_holds_one_block_of_text():
     assert peak <= len(buf.getvalue()) + 2 * block_objects + stacks
 
 
-@pytest.mark.parametrize("a", [1e-4, 1.0, 2.0])
+@pytest.mark.parametrize("a", [1e-8, 1e-4, 1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
 def test_pair_distances_match_scalar_dist_bitwise(n, a):
-    """One stacked product per vertex pair, then `dist`'s own route per pair (chord when
-    close): the document's ``edge_spread`` is the scalar loop's, bit for bit."""
+    """One stacked product per vertex pair (on an even vertex count, some pairs twice),
+    then `dist`'s own route per pair (chord when close, as every pair is at a = 1e-8):
+    the document's ``edge_spread`` is the scalar loop's, bit for bit."""
     s = build(n, a)
     ref = np.array([dist(s.vertex(i), s.vertex(j))
                     for i in range(n + 1) for j in range(i + 1, n + 1)])

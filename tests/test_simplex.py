@@ -196,7 +196,7 @@ def test_classify_interior_and_facets():
     region, facet, margins = classify_point(s, s.circumcenter.coords)
     assert region is Region.INTERIOR and facet is None
     assert min(margins) > 0.0
-    assert margins == geometry_mod.mink_dots(s.circumcenter.coords, s.normal_coords).tolist()
+    assert margins == geometry_mod.mink_pairs(s.circumcenter.coords, s.normal_coords).tolist()
     for j in range(4):
         assert classify_point(s, facet_center(s, j).coords)[:2] == (Region.FACET_INTERIOR, j)
 
