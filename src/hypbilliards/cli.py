@@ -14,12 +14,14 @@ cell or of `simulate`'s default launch.
 
 JSON goes to stdout (or --json/--report FILE); floats carry 17 significant
 digits by default so documents round-trip bit for bit.  CSV uses commas,
-'.' decimal marks and '\\n' line ends, with a header row.
+'.' decimal marks and '\\n' line ends, with a header row.  Every output, file
+or stdout, JSON or CSV, goes through one `_emit`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import math
@@ -87,22 +89,12 @@ def _resolve_edges(edges, cosh_edges) -> tuple[float, ...]:
     return tuple(edges)
 
 
-def _emit_json(doc, path: str | None, precision: int) -> None:
-    if path:
-        with open(path, "w", buffering=OUTPUT_BUFFER) as fh:
-            report_mod.write_json(fh, doc, precision)
-            fh.write("\n")
-    else:
-        report_mod.write_json(sys.stdout, doc, precision)
-        sys.stdout.write("\n")
-
-
-def _emit_csv(header, rows, path: str | None) -> None:
-    if path:
-        with open(path, "w", newline="", buffering=OUTPUT_BUFFER) as fh:
-            report_mod.write_csv(fh, header, rows)
-    else:
-        report_mod.write_csv(sys.stdout, header, rows)
+def _emit(path: str | None, write, *args, newline: str | None = None) -> None:
+    """``write(fh, *args)`` to the file at ``path``, opened with ``newline``, or to
+    stdout without one; stdout is read at the call, so a redirection of it counts."""
+    with (open(path, "w", newline=newline, buffering=OUTPUT_BUFFER) if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        write(fh, *args)
 
 
 def _tolerances(args: argparse.Namespace) -> report_mod.Tolerances:
@@ -122,7 +114,7 @@ def cmd_simplex(args: argparse.Namespace) -> int:
         doc = report_mod.simplex_document(simplex_mod.build(args.dim, args.edge))
     except (ValueError, ArithmeticError) as err:
         return _breakdown(err)
-    _emit_json(doc, args.json_path, args.precision)
+    _emit(args.json_path, report_mod.write_json, doc, args.precision)
     return EXIT_OK
 
 
@@ -135,17 +127,17 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         doc, passed = report_mod.orbit_document(s, seq, orb, _tolerances(args))
     except (ValueError, ArithmeticError) as err:
         return _breakdown(err)
-    _emit_json(doc, args.json_path, args.precision)
+    _emit(args.json_path, report_mod.write_json, doc, args.precision)
     if args.disk_path:
-        header, rows = report_mod.orbit_rows(s, orb, args.precision)
-        _emit_csv(header, rows, args.disk_path)
+        _emit(args.disk_path, report_mod.write_csv, report_mod.orbit_rows(s, orb, args.precision),
+              newline="")
     return EXIT_OK if passed else EXIT_VERIFY
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rep = report_mod.run_sweep(args.dims, args.edges, _tolerances(args))
     doc = report_mod.sweep_document(rep)
-    _emit_json(doc, args.report_path, args.precision)
+    _emit(args.report_path, report_mod.write_json, doc, args.precision)
     for cell in rep.cells:
         status = "pass" if cell.passed else "FAIL"
         print(f"cell n={cell.n} edge={cell.edge:g}: {status}", file=sys.stderr)
@@ -214,8 +206,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if given:
             raise
         return _breakdown(err)
-    header, rows = report_mod.trajectory_rows(s, traj, args.precision)
-    _emit_csv(header, rows, args.csv_path)
+    _emit(args.csv_path, report_mod.write_csv, report_mod.trajectory_rows(s, traj, args.precision),
+          newline="")
     print(
         f"{len(traj)} bounces, total length {traj.total_length:.6g}, "
         f"max invariant drift {traj.max_drift:.3e}",

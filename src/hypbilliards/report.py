@@ -13,8 +13,9 @@ significant digits) unless a lower precision is requested; reloading a
 document therefore reproduces the emitted values bit for bit.  `write_json`
 takes a document as `simplex_document`, `orbit_document` or
 `sweep_document` builds it, numpy arrays and all, and writes
-``json.dumps(jsonable(doc, sig), indent=2)`` byte for byte, without making
-that copy and without the pure-Python encoder that ``indent`` selects.
+``json.dumps(jsonable(doc, sig), indent=2)`` byte for byte and then the
+document's final newline, without making that copy and without the
+pure-Python encoder that ``indent`` selects.
 The symmetric coordinates make documents repetitive (a few hundred distinct
 floats among tens of thousands), so each call rounds and formats each
 distinct nonzero float once; zeros and NaN are formatted every time they are
@@ -24,7 +25,8 @@ n) is not looked up entry by entry: one sort of its bit patterns finds its
 distinct floats, each is looked up once, and one take lays their texts out
 in the array's shape.
 `jsonable` stays public as the writer's reference: the tests hold the writer
-to the dump of its copy.
+to the dump of its copy.  A CSV table is its rows, header first, as
+`orbit_rows` and `trajectory_rows` make them and `write_csv` writes them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,7 +248,7 @@ _escape = json.encoder.encode_basestring_ascii
 
 
 def write_json(fh, doc, sig: int = 17) -> None:
-    """Write ``json.dumps(jsonable(doc, sig), indent=2)`` to fh, byte for byte.
+    """Write ``json.dumps(jsonable(doc, sig), indent=2)`` to fh, byte for byte, and a newline.
 
     Takes a document as `simplex_document`, `orbit_document` and
     `sweep_document` build it, arrays and all, and writes it without the
@@ -265,6 +267,7 @@ def write_json(fh, doc, sig: int = 17) -> None:
     `TypeError`.
     """
     fh.writelines(_json_chunks(doc, "\n", _FloatTexts(sig)))
+    fh.write("\n")
 
 
 class _FloatTexts(dict):
@@ -396,16 +399,17 @@ def _json_scalar(obj) -> str:
 
 def simplex_document(s: simplex_mod.RegularSimplex) -> dict:
     """Geometry, measured metrics, and internal consistency checks of one simplex."""
-    doc = _simplex_body(s, simplex_mod.metrics(s))
     # <u_j, V_k> for every facet j and each of its vertices k != j
     table = mink_pairs(s.normal_coords[:, None], s.vertex_coords[None])
-    doc["checks"]["facet_incidence"] = float(np.abs(table[~np.eye(s.n + 1, dtype=bool)]).max())
-    return doc
+    incidence = float(np.abs(table[~np.eye(s.n + 1, dtype=bool)]).max())
+    return _simplex_body(s, simplex_mod.metrics(s), incidence)
 
 
-def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics) -> dict:
-    """`simplex_document` minus the vertex ``facet_incidence``, which `orbit_document`
-    replaces, with the metrics ``m`` measured on ``s``."""
+def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics,
+                  facet_incidence: float) -> dict:
+    """The simplex part of a document, with the metrics ``m`` measured on ``s`` and the
+    document's ``facet_incidence``: the vertices' in `simplex_document`, the bounce
+    points' in `orbit_document`."""
     n = s.n
     c = math.cosh(s.edge)
     vc = s.vertex_coords
@@ -446,7 +450,7 @@ def _simplex_body(s: simplex_mod.RegularSimplex, m: simplex_mod.SimplexMetrics) 
         },
         "checks": {
             "edge_spread": float(np.abs(pair_dists - s.edge).max()),
-            "facet_incidence": None,
+            "facet_incidence": facet_incidence,
             "min_opposite_margin": min_margin,
             "right_angle": right_angle,
             "center_between": center_between,
@@ -489,7 +493,7 @@ def orbit_document(s: simplex_mod.RegularSimplex, seq: weights_mod.MassSequence,
     Returns the document and whether every check passed.
     """
     cell = evaluate_cell(s, seq, orb, tol)
-    doc = _simplex_body(s, cell.metrics)
+    doc = _simplex_body(s, cell.metrics, cell.residuals["facet_incidence"])
     doc["mass_sequence"] = sequence_document(seq)
     doc["orbit"] = {
         "points": orb.coords,
@@ -551,21 +555,17 @@ _CSV_BLOCK = 4096
 
 
 def trajectory_rows(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
-                    sig: int = 17) -> tuple[list[str], Iterator[tuple[str, ...]]]:
-    """CSV header and rows for a simulated trajectory, points in intrinsic disk coordinates.
+                    sig: int = 17) -> Iterator[Sequence[str]]:
+    """CSV rows for a simulated trajectory, header first, points in intrinsic disk coordinates.
 
-    Row i is the bounce index, the facet hit, the arclength flown and the disk
-    coordinates of the hit.  The rows come from a generator, built column by
-    column (`_csv_rows`) one block of `_CSV_BLOCK` bounces at a time, so a long
-    run's text is never held whole; `disk_coords` is one gemv per row, so a
-    block's rows are the bits of the whole run's.  They can be iterated once.
+    Row i after the header is the bounce index, the facet hit, the arclength
+    flown and the disk coordinates of the hit.  The rows come from a generator,
+    built column by column (`_csv_rows`) one block of `_CSV_BLOCK` bounces at a
+    time, so a long run's text is never held whole; `disk_coords` is one gemv
+    per row, so a block's rows are the bits of the whole run's.  They can be
+    iterated once.
     """
-    header = ["step", "facet", "arclength"] + [f"disk{i}" for i in range(s.n)]
-    return header, _trajectory_blocks(s, traj, sig)
-
-
-def _trajectory_blocks(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
-                       sig: int) -> Iterator[tuple[str, ...]]:
+    yield ["step", "facet", "arclength"] + [f"disk{i}" for i in range(s.n)]
     for start in range(0, len(traj), _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
         disk = simplex_mod.disk_coords(s, traj.points[block])
@@ -574,20 +574,18 @@ def _trajectory_blocks(s: simplex_mod.RegularSimplex, traj: flow_mod.Trajectory,
 
 
 def orbit_rows(s: simplex_mod.RegularSimplex, orb: orbit_mod.BilliardOrbit,
-               sig: int = 17) -> tuple[list[str], list[tuple[str, ...]]]:
-    """CSV header and rows for the bounce points of a constructed orbit."""
+               sig: int = 17) -> list[Sequence[str]]:
+    """CSV rows for the bounce points of a constructed orbit, header first."""
     header = ["index", "mass"] + [f"disk{i}" for i in range(s.n)]
     disk = simplex_mod.disk_coords(s, orb.coords)
-    rows = _csv_rows([range(orb.period)], [orb.masses, *disk.T], sig)
-    return header, rows
+    return [header, *_csv_rows([range(orb.period)], [orb.masses, *disk.T], sig)]
 
 
-def write_csv(fh, header: list[str], rows) -> None:
-    """Comma separator, '.' decimal mark, '\\n' newlines, one header row.
+def write_csv(fh, rows) -> None:
+    """Comma separator, '.' decimal mark, '\\n' newlines; the header is the first row.
 
     ``rows`` is any iterable of sequences of str, lists or tuples alike.  The
     rows go to ``fh`` in one ``writelines``, so the file's buffer, not a
     Python-level call per row, decides how often the text reaches the disk.
     """
-    fh.write(",".join(header) + "\n")
     fh.writelines(map("{}\n".format, map(",".join, rows)))

@@ -417,6 +417,25 @@ def test_simulate_zero_steps_csv_file_holds_the_header_line_only(capsys, tmp_pat
     assert err.startswith("0 bounces, total length 0,")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("simplex", "--dim", "2", "--edge", "1"), "--json"),
+    (("orbit", "--dim", "3", "--edge", "1", "--precision", "9"), "--json"),
+    (("verify", "--dims", "2..3", "--edges", "1"), "--report"),
+    (("simulate", "--dim", "3", "--edge", "1", "--perturb", "0.3", "--steps", "200"), "--csv"),
+    (("simulate", "--dim", "12", "--edge", "1", "--perturb", "0.3", "--steps", "200"), "--csv"),
+], ids=["simplex", "orbit", "verify", "simulate-lists", "simulate-arrays"])
+def test_output_file_holds_the_bytes_written_to_stdout(capsys, tmp_path, argv, flag):
+    """Each command writes the same bytes to its output file as to stdout, a JSON
+    document with its final newline and a CSV table with its header row, and a run
+    with a file writes nothing to stdout.  The flow bounces on lists at n = 3 and on
+    arrays at n = 12."""
+    code, out, err = run(capsys, *argv)
+    path = tmp_path / "out"
+    assert run(capsys, *argv, flag, str(path)) == (code, "", err)
+    assert code == 0 and out.endswith("\n")
+    assert path.read_bytes() == out.encode()
+
+
 def test_simulate_corner_shot_exits_four(capsys):
     s = build(2, 1.0)
     start = ",".join(repr(float(x)) for x in s.circumcenter.coords)

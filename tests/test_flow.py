@@ -1149,11 +1149,12 @@ def test_long_run_drift_within_sixteen_eps(n, a, steps):
 @pytest.mark.parametrize("n", [3, SWITCH - 1])
 def test_long_list_loop_run_memory_per_bounce(n):
     """A run keeps its largest drift, not a row of drifts per bounce: from a run of
-    1000 list-loop bounces to one of 3000, the traced peak grows by at most 5 float64
-    per ambient coordinate per bounce, 200 B at n = 3 and 520 B at n = 11.  (Measured
-    near 150 and 320 B.  A tuple of five drifts kept per bounce adds 150 to 200 B,
-    which fails the bound at n = 3.)  The loop is generated before tracing starts:
-    compiled under tracemalloc, it takes seconds."""
+    1000 list-loop bounces to one of 3000, the traced peak grows per bounce by at most
+    the bytes of the run's own records and 128 B.  The records are the `Trajectory`
+    stacks and the loop's flat margin, x0 and arclength records, 104 B at n = 3 and
+    232 B at n = 11.  (Measured 43 and 90 B over them.  A tuple of five drifts kept per
+    bounce adds 168 B, which fails the bound at both n.)  The loop is generated before
+    tracing starts: compiled under tracemalloc, it takes seconds."""
     s, orb = make_orbit(n, 1.0)
     launch = _perturbed(launch_state(orb), s, 0.3, 7, 0)
     iterate(s, launch, 1)
@@ -1166,7 +1167,41 @@ def test_long_list_loop_run_memory_per_bounce(n):
         finally:
             tracemalloc.stop()
         assert len(tr) == steps
-    assert (peaks[3000] - peaks[1000]) / 2000 <= 5 * 8 * s.ambient_dim
+    stacks = (tr.points.nbytes + tr.facets.nbytes + tr.arclengths.nbytes) / len(tr)
+    flat = 8 * (s.n + 3)  # float64 records: the N = n+1 margins, x0 and the arclength
+    assert (peaks[3000] - peaks[1000]) / 2000 <= stacks + flat + 128
+
+
+# The state after bounces 0-695 of `simulate --dim 8 --edge 1 --steps 1000 --perturb 0.3
+# --seed 1241967942`, written at 17 digits
+_BAND_STOP_X = [1.0201785061243096, 0.0079951794463185, -0.06860149169386515,
+                0.046753027995827506, -0.01968394207304069, -0.06509883297687111,
+                0.1585473116393152, -0.06215524704698219, -0.008362016144610029,
+                0.010606010853907954]
+_BAND_STOP_D = [-0.09318831162956948, 0.3366999802610108, 0.6707439651879582,
+                -0.5189592257279946, 0.23457681000919753, -0.0584324440210431,
+                -0.2139102633247348, -0.11280446961504312, -0.20124421387205707,
+                -0.1366701388972938]
+
+
+def test_arrival_inside_a_second_facets_band_stops_the_run():
+    """Bounce 696 of `simulate --dim 8 --edge 1 --steps 1000 --perturb 0.3 --seed
+    1241967942` arrives on facet 6 at 1.06e-10 from facet 4, inside the facet band
+    `FACET_TOL`, so the run stops there with exit 4 (the 349th call of the flow-long
+    benchmark at seed 4).  From the state after bounces 0-695 one flight reaches that
+    arrival, so the test does not rest on the last bit of libm's cosh, sinh and atanh
+    over 696 flights."""
+    s = build(8, 1.0)
+    x, d = np.array(_BAND_STOP_X), np.array(_BAND_STOP_D)
+    state = FlowState(HPoint(x), d)
+    k, t = next_collision(mink_pairs(x, s.normal_coords).tolist(),
+                          mink_pairs(d, s.normal_coords).tolist())
+    arrival = mink_pairs(math.cosh(t) * x + math.sinh(t) * d, s.normal_coords)
+    assert k == 6 and 1e-10 < arrival[4] < FACET_TOL
+    with pytest.raises(NonSmoothHitError) as err:
+        iterate(s, state, 1)
+    assert (str(err.value), err.value.step) == (
+        "bounce 0: hit the lower-boundary region of the boundary", 0)
 
 
 def test_launch_direction_is_aimed_at_the_next_bounce():

@@ -141,7 +141,6 @@ def sweep_text(grid) -> str:
     """The JSON report of a sweep over ``grid``, as `verify --report` writes it."""
     fh = io.StringIO()
     write_json(fh, sweep_document(run_sweep(*SWEEP_GRIDS[grid])))
-    fh.write("\n")
     return fh.getvalue()
 
 
@@ -324,19 +323,18 @@ def test_sweep_document_shape():
 def test_csv_helpers_round_trip():
     s = build(2, 1.0)
     orb = construct_orbit(s, build_sequence(2, 1.0))
-    header, rows = orbit_rows(s, orb)
+    header, *rows = orbit_rows(s, orb)
     assert header == ["index", "mass", "disk0", "disk1"]
     assert len(rows) == 3
     assert float(rows[0][1]) == orb.mass(0)
 
     traj = iterate(s, launch_state(orb), 3)
-    theader, trows = trajectory_rows(s, traj)
-    trows = list(trows)
+    theader, *trows = trajectory_rows(s, traj)
     assert theader == ["step", "facet", "arclength", "disk0", "disk1"]
     assert [r[1] for r in trows] == [str(f) for f in traj.facets.tolist()]
 
     buf = io.StringIO()
-    write_csv(buf, theader, trows)
+    write_csv(buf, trajectory_rows(s, traj))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "step,facet,arclength,disk0,disk1"
     assert len(lines) == 4
@@ -363,23 +361,21 @@ def test_csv_columns_format_floats_as_format_float(sig, xs):
 def test_zero_step_trajectory_has_header_and_no_rows():
     s = build(3, 1.0)
     traj = iterate(s, launch_state(construct_orbit(s, build_sequence(3, 1.0))), 0)
-    header, rows = trajectory_rows(s, traj)
-    rows = list(rows)
+    header, *rows = trajectory_rows(s, traj)
     assert header == ["step", "facet", "arclength", "disk0", "disk1", "disk2"]
     assert rows == []
     buf = io.StringIO()
-    write_csv(buf, header, rows)
+    write_csv(buf, trajectory_rows(s, traj))
     assert buf.getvalue() == "step,facet,arclength,disk0,disk1,disk2\n"
 
 
 def test_write_csv_writes_tuple_and_list_rows_alike():
     s = build(3, 1.0)
     traj = iterate(s, launch_state(construct_orbit(s, build_sequence(3, 1.0))), 9)
-    header, rows = trajectory_rows(s, traj, 9)
-    rows = list(rows)
+    rows = list(trajectory_rows(s, traj, 9))
     as_tuples, as_lists = io.StringIO(), io.StringIO()
-    write_csv(as_tuples, header, [tuple(r) for r in rows])
-    write_csv(as_lists, header, [list(r) for r in rows])
+    write_csv(as_tuples, [tuple(r) for r in rows])
+    write_csv(as_lists, [list(r) for r in rows])
     assert as_tuples.getvalue() == as_lists.getvalue()
     assert as_lists.getvalue().count("\n") == 10
 
@@ -390,10 +386,10 @@ def test_trajectory_rows_in_blocks_are_the_rows_of_one_block(monkeypatch):
     coordinates are the whole stack's, row for row."""
     s = build(3, 1.0)
     traj = iterate(s, launch_state(construct_orbit(s, build_sequence(3, 1.0))), 30)
-    whole = list(trajectory_rows(s, traj)[1])
+    whole = list(trajectory_rows(s, traj))
     monkeypatch.setattr(report, "_CSV_BLOCK", 7)
-    assert list(trajectory_rows(s, traj)[1]) == whole
-    assert [r[0] for r in whole] == [str(i) for i in range(30)]
+    assert list(trajectory_rows(s, traj)) == whole
+    assert [r[0] for r in whole] == ["step"] + [str(i) for i in range(30)]
 
 
 def test_long_trajectory_csv_holds_one_block_of_text():
@@ -408,11 +404,11 @@ def test_long_trajectory_csv_holds_one_block_of_text():
     buf = io.StringIO()
     tracemalloc.start()
     try:
-        write_csv(buf, *trajectory_rows(s, traj))
+        write_csv(buf, trajectory_rows(s, traj))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = list(trajectory_rows(s, traj)[1])[:report._CSV_BLOCK]
+    block = list(trajectory_rows(s, traj))[1:report._CSV_BLOCK + 1]
     block_objects = sum(sys.getsizeof(r) + sum(map(sys.getsizeof, r)) for r in block)
     stacks = traj.points.nbytes + traj.facets.nbytes + traj.arclengths.nbytes
     assert len(traj) == 20_000 > 4 * report._CSV_BLOCK
@@ -449,8 +445,8 @@ def json_text(obj, sig=17) -> str:
 
 
 def reference_text(obj, sig=17) -> str:
-    """What `write_json` must write: the indent=2 dump of `jsonable`'s copy."""
-    return json.dumps(jsonable(obj, sig), indent=2)
+    """What `write_json` must write: the indent=2 dump of `jsonable`'s copy and a newline."""
+    return json.dumps(jsonable(obj, sig), indent=2) + "\n"
 
 
 json_scalars = st.one_of(
@@ -483,7 +479,7 @@ json_values = st.recursive(
 @example([math.inf, -math.inf, 1.0])
 @example({"": {}, "a": [], "b": [[]], "c": [{}]})
 def test_write_json_matches_json_dumps_indent_2(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
     for sig in (9, 3):
         assert json_text(obj, sig) == reference_text(obj, sig)
 
@@ -505,7 +501,7 @@ pooled_documents = st.lists(st.floats(allow_subnormal=True), max_size=4).flatmap
 @settings(max_examples=200, deadline=None)
 @given(pooled_documents)
 def test_write_json_matches_json_dumps_on_repeated_floats(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
     for sig in (9, 3):
         assert json_text(obj, sig) == reference_text(obj, sig)
 
@@ -589,7 +585,7 @@ def test_write_json_matches_jsonable_on_float_stacks(sig, shape, layout, extra, 
 
 def test_write_json_keeps_signed_zeros_apart():
     obj = {"a": [0.0, 1.5], "b": [-0.0, 1.5], "c": [1.5, -0.0], "d": [[1.5, 2.5], [-0.0], [0.0]]}
-    assert json_text(obj) == json.dumps(obj, indent=2)
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
     assert json_text(obj).count("-0.0") == 3
 
 
