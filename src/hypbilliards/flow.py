@@ -71,10 +71,11 @@ first run that needs it; importing this module generates none.
 
 Each check is made once.  On entry (`_enter`) the state must lie in the
 slice, which margins cannot see (|<x,1>| and |<v,1>| at most 1e-9), with no
-margin below -`geometry.FACET_TOL`.  Per bounce, `next_collision` gives the
-flight over the facets with nu < 0, which leaves out the facet just left: a
-flight ends on facet k with nu_k = cosh t (nu^2 - mu^2)/nu < 0, and the
-mirror raises at |nu_k| <= `GRAZE_TOL` or sets nu_k to -nu_k >
+margin below the facet band (`geometry.facet_band`).  Per bounce,
+`next_collision` gives the flight over the facets with nu < 0, which leaves
+out the facet just left: a flight ends on facet k with
+nu_k = cosh t (nu^2 - mu^2)/nu < 0, and the mirror raises at
+|nu_k| <= `GRAZE_TOL` or sets nu_k to -nu_k >
 `GRAZE_TOL`.  The arrival must lie inside the facet hit, as
 `classify_margins` decides (else `NonSmoothHitError`), so no later step
 re-tests the margins.  The loop tests -FACET_TOL <= mu_k <= FACET_TOL < min
@@ -147,7 +148,7 @@ import numpy as np
 
 from .geometry import (FACET_TOL, HPoint, Region, check_sheet_products, check_tangency_product,
                        check_tangent_products, check_unit_tangent, chord_dist, classify_margins,
-                       mink_dot, mink_inner, mink_pairs, tangent_part, unit_tangent)
+                       facet_band, mink_dot, mink_inner, mink_pairs, tangent_part, unit_tangent)
 
 if TYPE_CHECKING:  # annotations only: at run time the flow imports `geometry` alone
     from .orbit import BilliardOrbit
@@ -273,9 +274,9 @@ def _enter(s: RegularSimplex, state: FlowState) -> tuple[np.ndarray, np.ndarray]
     if defect > 1e-9:
         raise ValueError(f"state has left the simplex slice (defect {defect:.3e})")
     mu, nu = mink_pairs(x, s.normal_coords), mink_pairs(v, s.normal_coords)
-    for k, m in enumerate(mu.tolist()):
-        if m < -FACET_TOL:
-            raise ValueError(f"state is outside the simplex (margin {m} at facet {k})")
+    if (below := facet_band(mu)[0]).any():
+        k = int(below.argmax())
+        raise ValueError(f"state is outside the simplex (margin {mu.item(k)} at facet {k})")
     return mu, nu
 
 
@@ -447,14 +448,11 @@ def _generated(big: int | None) -> Callable[[RegularSimplex, FlowState, int], Tr
     return namespace["loop"]
 
 
-def _loop(s: RegularSimplex, state: FlowState, steps: int, listed: bool) -> Trajectory:
-    """``steps`` bounces from ``state`` on lists (``listed``) or on arrays, at any N."""
+def _run(s: RegularSimplex, state: FlowState, steps: int, listed: bool | None = None) -> Trajectory:
+    """``steps`` bounces from ``state`` on lists (``listed``) or arrays, by default the faster at N."""
+    if listed is None:
+        listed = s.n + 1 <= _LIST_LOOP_MAX_FACETS
     return _generated(s.n + 1 if listed else None)(s, state, steps)
-
-
-def _run(s: RegularSimplex, state: FlowState, steps: int) -> Trajectory:
-    """``steps`` bounces from ``state``, on the kind that is faster at this dimension."""
-    return _loop(s, state, steps, s.n + 1 <= _LIST_LOOP_MAX_FACETS)
 
 
 def step(s: RegularSimplex, state: FlowState) -> Trajectory:

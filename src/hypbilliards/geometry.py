@@ -12,10 +12,9 @@ hyperboloid, so rounding error cannot accumulate multiplicatively along a
 computation chain.
 
 The facet band `FACET_TOL` and the rule that classifies a point by its facet
-margins live here too, the rule once, as the two masks that `facet_hits`
-takes of a table and `classify_margins` of one row: the orbit certificate
-and the billiard flow both classify by them, and this is the one module that
-both import and that imports nothing of the package.
+margins live here too, the rule once, as the two masks of `facet_band`: the
+orbit certificate and the billiard flow both classify by them, and this is
+the one module that both import and that imports nothing of the package.
 """
 
 from __future__ import annotations
@@ -156,26 +155,26 @@ def to_sheet(w: np.ndarray) -> np.ndarray:
 # that fails it.  A pass runs each check over all rows before the next, so
 # where different rows fail different checks, the earlier check is raised.
 
-def check_on_sheet_rows(x: np.ndarray) -> None:
-    """`check_on_sheet` for every row of x."""
+def _check_norm_rows(x: np.ndarray, norm: float, message: str) -> None:
+    """Raise ``message = <x,x>`` of the first row of x whose <x,x> misses ``norm`` by more
+    than `check_on_sheet`'s REP_TOL max(1, x0^2), which must be finite (NaN misses)."""
     q = mink_pairs(x, x)
     tol = REP_TOL * np.maximum(1.0, x[:, 0] * x[:, 0])
-    bad = (~((np.abs(q + 1.0) <= tol) & (tol < math.inf))).nonzero()[0]
+    bad = (~((np.abs(q - norm) <= tol) & (tol < math.inf))).nonzero()[0]
     if bad.size:
-        raise ValueError(f"not on the unit hyperboloid: <x,x> = {float(q[bad[0]])!r}")
+        raise ValueError(f"{message} = {float(q[bad[0]])!r}")
+
+
+def check_on_sheet_rows(x: np.ndarray) -> None:
+    """`check_on_sheet` for every row of x."""
+    _check_norm_rows(x, -1.0, "not on the unit hyperboloid: <x,x>")
     if not (x[:, 0] > 0.0).all():
         raise ValueError("timelike coordinate must be positive (upper sheet)")
 
 
 def check_unit_normal_rows(u: np.ndarray) -> None:
-    """`Hyperplane`'s unit-spacelike check, for every row of u.
-
-    The tolerance scales like `HPoint`'s: cancellation in <u,u> grows as u0^2.
-    """
-    q = mink_pairs(u, u)
-    bad = (~(np.abs(q - 1.0) <= REP_TOL * np.maximum(1.0, u[:, 0] * u[:, 0]))).nonzero()[0]
-    if bad.size:
-        raise ValueError(f"normal must be unit spacelike: <u,u> = {float(q[bad[0]])!r}")
+    """`Hyperplane`'s unit-spacelike check, for every row of u, at `HPoint`'s tolerance."""
+    _check_norm_rows(u, 1.0, "normal must be unit spacelike: <u,u>")
 
 
 def reflect_rows(normals: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -360,9 +359,9 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
 
 
-def _band(margins: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The facet band's two masks of a margin array: below -tol, and within tol of 0.
-    A NaN margin is in neither, like +inf."""
+def facet_band(margins: np.ndarray, tol: float = FACET_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The band's two masks of a margin array, which `classify_margins`, `facet_hits` and
+    `flow._enter` apply: below -tol, and within tol of 0.  A NaN is in neither, like +inf."""
     return margins < -tol, np.abs(margins) <= tol
 
 
@@ -375,7 +374,7 @@ def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Regi
     margins vanish simultaneously.  A NaN margin counts as neither below
     -tol nor vanishing, like +inf.  This is `facet_hits`' rule on one row.
     """
-    below, near = _band(np.asarray(margins, dtype=np.float64), tol)
+    below, near = facet_band(np.asarray(margins, dtype=np.float64), tol)
     if below.any():
         return Region.OUTSIDE, None
     hits = near.nonzero()[0].tolist()
@@ -389,6 +388,6 @@ def classify_margins(margins: list[float], tol: float = FACET_TOL) -> tuple[Regi
 def facet_hits(margins: np.ndarray, tol: float = FACET_TOL) -> np.ndarray:
     """Per row of a ``(k, n+1)`` margin table, the facet whose relative interior holds
     the point (`classify_margins` gives `Region.FACET_INTERIOR`), or -1."""
-    below, near = _band(margins, tol)
+    below, near = facet_band(margins, tol)
     hit = ~below.any(axis=1) & (near.sum(axis=1) == 1)
     return np.where(hit, near.argmax(axis=1), -1)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -524,19 +524,14 @@ def sweep_document(rep: VerificationReport) -> dict:
     }
 
 
-def _float_format(sig: int):
+def float_format(sig: int) -> Callable[[float], str]:
     """The CSV text of a float: ``repr`` at 17 digits, else ``sig`` significant digits."""
     return float.__repr__ if sig >= 17 else f"{{:.{sig}g}}".format
 
 
-def format_float(x: float, sig: int = 17) -> str:
-    """Shortest decimal string that reloads to the same float (or ``sig`` digits)."""
-    return _float_format(sig)(float(x))
-
-
 def _csv_rows(int_columns, float_columns, sig: int) -> list[tuple[str, ...]]:
     """Rows of a table given column by column: the int columns, then the float
-    columns (1-D arrays), each float as `format_float` writes it.
+    columns (1-D arrays), each float as `float_format` writes it.
 
     Each column is formatted by one ``map`` and ``zip`` joins the columns, so
     no Python frame runs per value or per row.  A float column's text is made
@@ -544,7 +539,7 @@ def _csv_rows(int_columns, float_columns, sig: int) -> list[tuple[str, ...]]:
     floats is alive at a time.  `trajectory_rows` calls it once per block of
     bounces, so the text of at most one block is alive at a time.
     """
-    fmt = _float_format(sig)
+    fmt = float_format(sig)
     texts = [list(map(fmt, c.tolist())) for c in float_columns]
     return list(zip(*[map(str, c) for c in int_columns], *texts))
 

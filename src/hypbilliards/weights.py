@@ -24,6 +24,13 @@ unique.  No term cancels against another, the factors 1 - q^j come from
 about half an ulp of the root.  The paper's form of the same condition, the
 root y = cosh(theta) > 1 of `eval_g`, cancels badly near y = 1; it stays as
 a cross-check.
+
+e^theta is also the root above 1 of lambda^N - 2c (lambda^n + ... + lambda) + 1,
+the characteristic polynomial of a facet's mirror followed by the cyclic vertex
+shift, where c = cosh a / ((n-1) cosh a + 1) = `pair_mass_constant`/2 is the
+cosine of the dihedral angle.  Its signs change twice, so by Descartes' rule it
+has at most two positive roots, lambda and 1/lambda; at 1 it is 2 - 2nc < 0, as
+c > 1/n.  So theta > 0 exists and is unique for every a > 0.
 """
 
 from __future__ import annotations

@@ -165,6 +165,26 @@ def test_next_collision_rejects_outside_state():
         iterate(s, st, 1)
 
 
+@pytest.mark.parametrize("depth", [0.5 * FACET_TOL, 2.0 * FACET_TOL])
+def test_entry_refuses_a_start_below_the_facet_band(depth):
+    """A start ``depth`` outside facet 0, along its normal, is on the facet within the
+    band and flows, and beyond it is refused on entry, naming the margin that
+    `classify_point` reads: the entry check is the band's rule."""
+    s = build(3, 1.0)
+    c, u = facet_center(s, 0).coords, s.normal_coords[0]
+    x = HPoint.from_vector(math.cosh(depth) * c - math.sinh(depth) * u)
+    st = state_toward(x, facet_center(s, 1))
+    region, _, mus = classify_point(s, x.coords)
+    if depth < FACET_TOL:
+        assert region is Region.FACET_INTERIOR
+        assert iterate(s, st, 1).facets.tolist() == [1]
+    else:
+        assert region is Region.OUTSIDE
+        with pytest.raises(ValueError) as exc:
+            iterate(s, st, 1)
+        assert str(exc.value) == f"state is outside the simplex (margin {mus[0]} at facet 0)"
+
+
 def _arrival_at_facet_center(s, j):
     """Facet j's center, the direction arriving there along the geodesic from the
     circumcenter, and the margins of both against every facet."""
@@ -399,7 +419,7 @@ def test_step_equals_one_bounce_of_iterate_bitwise():
         assert nxt.position.coords.tobytes() == fin.position.coords.tobytes()
         assert nxt.direction.tobytes() == fin.direction.tobytes()
         assert classify_point(s, fin.position.coords)[1] == one.facets[0]
-        direct = flow_mod._loop(s, st, 1, listed)
+        direct = flow_mod._run(s, st, 1, listed)
         assert direct.points.tobytes() == one.points.tobytes()
         assert direct.final_state.direction.tobytes() == nxt.direction.tobytes()
 
@@ -458,7 +478,7 @@ def test_list_and_array_loops_agree(n):
     than 1e-12 after 26 to 46 bounces, so the points are compared on the first 20."""
     s, orb = make_orbit(n, 1.0)
     st = _perturbed(launch_state(orb), s, 0.3, 7, 0)
-    lst, arr = (flow_mod._loop(s, st, 50, listed) for listed in (True, False))
+    lst, arr = (flow_mod._run(s, st, 50, listed) for listed in (True, False))
     assert lst.facets.tolist() == arr.facets.tolist()
     assert np.abs(lst.points[:20] - arr.points[:20]).max() < 1e-12
     assert lst.max_drift <= 16 * EPS and arr.max_drift <= 16 * EPS
@@ -482,7 +502,7 @@ def _loop_failures(s, st, steps=5):
     out = []
     for listed in (True, False):
         with pytest.raises((ValueError, NonSmoothHitError)) as exc:
-            flow_mod._loop(s, st, steps, listed)
+            flow_mod._run(s, st, steps, listed)
         out.append((type(exc.value), str(exc.value), getattr(exc.value, "step", None)))
     return out
 
@@ -637,7 +657,7 @@ def test_generated_list_kernels_are_the_comprehension_kernels_bitwise(big, monke
     the smallest subnormal, +-1e308, infinities and NaN, and a v0 drawn the same way."""
     rng = np.random.default_rng(1000 + big)
     s, launch = _launch_at(big - 1)
-    generated = functools.partial(flow_mod._loop, listed=True)
+    generated = functools.partial(flow_mod._run, listed=True)
     reference = functools.partial(loop_reference.reference_loop, listed=True)
 
     def scalar():
@@ -685,7 +705,7 @@ def test_list_kernels_are_generated_on_first_use_once_per_width(monkeypatch):
     plain.cache_clear()
     for (n, a), listed in (((4, 1.0), True), ((4, 2.0), True), ((12, 1.0), False), ((20, 1.0), False)):
         s, launch = _orbit_launch(n, a)
-        assert len(flow_mod._loop(s, launch, 3, listed)) == 3
+        assert len(flow_mod._run(s, launch, 3, listed)) == 3
     assert compiled == ["<flow loop, N = 5>", "<flow loop, arrays>"]
     assert codes[0] is codes[1] and codes[2] is codes[3] and codes[0] is not codes[2]
 
@@ -697,7 +717,7 @@ def test_a_loop_error_shows_the_statement_that_raised_it(listed):
     the loop's source."""
     s, launch = _corner_launch()
     with pytest.raises(NonSmoothHitError) as exc:
-        flow_mod._loop(s, launch, 5, listed)
+        flow_mod._run(s, launch, 5, listed)
     text = "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
     name = "<flow loop, N = 4>" if listed else "<flow loop, arrays>"
     assert f'File "{name}", line ' in text
@@ -808,7 +828,7 @@ def test_generated_loop_is_the_reference_loop(monkeypatch, name, listed, fsum_ra
     make, steps = REFERENCE_LAUNCHES[name]
     s, launch = make()
     outcomes, raised = [], []
-    for loop in (flow_mod._loop, loop_reference.reference_loop):
+    for loop in (flow_mod._run, loop_reference.reference_loop):
         if fsum_raises:
             monkeypatch.setattr(flow_mod, "fsum", _fsum_raising_on_products(math.fsum, raised))
         with warnings.catch_warnings():

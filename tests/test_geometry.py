@@ -525,6 +525,16 @@ def test_normal_row_check_raises_the_hyperplane_error():
     assert str(point_err.value) == str(rows_err.value)
 
 
+def test_infinite_or_overflowing_normal_is_not_unit_spacelike():
+    """The normal check refuses what the sheet check refuses: an infinite entry, whose
+    <u,u> and tolerance are both infinite, and a u0 whose square, the tolerance's scale,
+    overflows (numpy's overflow warning silenced, as where warnings are not errors)."""
+    with pytest.raises(ValueError, match=r"^normal must be unit spacelike: <u,u> = -inf$"):
+        Hyperplane(np.array([np.inf, 0.0, 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="normal must be unit spacelike"):
+        check_unit_normal_rows(np.array([[1e200, 0.0, 0.0]]))
+
+
 def test_nan_fails_every_point_check():
     """A NaN at any coordinate of a point, direction, normal or row fails its check:
     each check is written as ``not (value <= tol)``, which NaN leaves true."""

@@ -29,7 +29,7 @@ from hypbilliards.report import (
     Tolerances,
     _csv_rows,
     evaluate_cell,
-    format_float,
+    float_format,
     jsonable,
     orbit_document,
     orbit_rows,
@@ -232,8 +232,8 @@ def test_round_sig_and_format_float():
     assert round_sig(math.pi, 17) == math.pi
     assert round_sig(0.0, 3) == 0.0
     x = 1.0 / 3.0
-    assert float(format_float(x)) == x  # full precision round-trips exactly
-    assert format_float(x, 4) == "0.3333"
+    assert float(float_format(17)(x)) == x  # full precision round-trips exactly
+    assert float_format(4)(x) == "0.3333"
     assert round_sig(math.inf, 5) == math.inf
 
 
@@ -349,13 +349,12 @@ _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e308, -1e308, math.inf,
 @example(_EDGE_FLOATS)
 @settings(max_examples=50, deadline=None)
 def test_csv_columns_format_floats_as_format_float(sig, xs):
-    """The column path writes each float as `format_float` does, at every precision,
-    and `format_float` is ``repr`` at 17 digits and ``g`` format below."""
+    """The column path writes each float as `float_format` does, at every precision,
+    and `float_format` is ``repr`` at 17 digits and ``g`` format below."""
+    fmt = float_format(sig)
     rows = _csv_rows([range(len(xs))], [np.array(xs), np.array(xs[::-1])], sig)
-    assert rows == [(str(i), format_float(x, sig), format_float(y, sig))
-                    for i, (x, y) in enumerate(zip(xs, xs[::-1]))]
-    assert [format_float(x, sig) for x in xs] == [repr(x) if sig == 17 else f"{x:.{sig}g}"
-                                                   for x in xs]
+    assert rows == [(str(i), fmt(x), fmt(y)) for i, (x, y) in enumerate(zip(xs, xs[::-1]))]
+    assert [fmt(x) for x in xs] == [repr(x) if sig == 17 else f"{x:.{sig}g}" for x in xs]
 
 
 def test_zero_step_trajectory_has_header_and_no_rows():

@@ -221,7 +221,7 @@ def test_facet_band_is_one_constant():
     from hypbilliards.report import Tolerances
 
     defaults = [inspect.signature(fn).parameters["tol"].default
-                for fn in (classify_margins, geometry_mod.facet_hits)]
+                for fn in (classify_margins, geometry_mod.facet_hits, geometry_mod.facet_band)]
     assert all(d is geometry_mod.FACET_TOL for d in defaults)
     assert list(inspect.signature(classify_point).parameters) == ["s", "x"]
     assert list(inspect.signature(verify_orbit).parameters) == ["s", "orbit"]
@@ -230,7 +230,7 @@ def test_facet_band_is_one_constant():
         classify_point(s, s.circumcenter.coords, tol=0.3)
     assert Tolerances().classify is geometry_mod.FACET_TOL == 1e-9
 
-    band = {"FACET_TOL", "Region", "classify_margins", "facet_hits"}
+    band = {"FACET_TOL", "Region", "classify_margins", "facet_band", "facet_hits"}
     defined = []
     for path in sorted(Path(geometry_mod.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -266,3 +266,33 @@ def test_sequence_holds_theta_itself(n, a):
     seq = build_sequence(n, a)
     assert seq.theta == solve_theta(n, a)
     assert seq.root == math.cosh(seq.theta) and seq.char_root == math.exp(seq.theta)
+
+
+def test_theta_at_the_ideal_simplex_in_closed_form():
+    """At a = 40 the simplex is ideal to double precision, and theta is the ideal
+    simplex's theta_inf to the last bit: 2 log(phi), phi the golden ratio, at n = 2, and
+    arccosh((1 + sqrt 13)/4) at n = 3, where the characteristic polynomial below factors
+    by hand.  theta(a) approaches theta_inf like e^-a."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    limits = {2: 2.0 * math.log(phi), 3: math.acosh((1.0 + math.sqrt(13.0)) / 4.0)}
+    for n, limit in limits.items():
+        assert solve_theta(n, 40.0) == limit
+        ratio = abs(solve_theta(n, 10.0) - limit) / abs(solve_theta(n, 20.0) - limit)
+        assert ratio == pytest.approx(math.exp(10.0), rel=0.03), (n, ratio)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
+def test_theta_equation_is_the_characteristic_polynomial(n):
+    """lambda = e^theta is the root above 1 of the characteristic polynomial
+    lambda^N - 2 cos(delta) (lambda^n + ... + lambda) + 1 (module docstring), in the form
+    cosh(N theta/2) sinh(theta/2) = cos(delta) sinh(n theta/2), with cos(delta) =
+    cosh a / ((n - 1) cosh a + 1) the dihedral angle's cosine, which is half
+    `pair_mass_constant`: both to 8 eps relative."""
+    for a in (1e-3, 0.05, 0.5, 1.0, 3.0, 10.0, 30.0):
+        ch = math.cosh(a)
+        cos_delta = ch / ((n - 1) * ch + 1.0)
+        theta = solve_theta(n, a)
+        lhs = math.cosh((n + 1) * theta / 2.0) * math.sinh(theta / 2.0)
+        rhs = cos_delta * math.sinh(n * theta / 2.0)
+        assert abs(lhs - rhs) <= 8 * EPS * rhs, (a, lhs, rhs)
+        assert abs(pair_mass_constant(n, ch) - 2.0 * cos_delta) <= 8 * EPS * 2.0 * cos_delta, a
